@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race vet fmt-check doc-lint fuzz-short scenarios scenarios-short e14-short e15-short e16-short e18-short e19-short e20-short bench bench-json experiments example-recovery check all
+.PHONY: build test test-race vet fmt-check doc-lint fuzz-short scenarios scenarios-short e14-short e15-short e16-short e18-short e19-short e20-short bench bench-delta bench-e2e bench-json experiments example-recovery check all
 
 all: check
 
@@ -88,6 +88,17 @@ fmt-check:
 # of internal/); -run XXX skips the unit tests.
 bench:
 	$(GO) test -bench . -benchtime 1s -run XXX ./...
+
+# Delta matcher micro-benchmarks (checkout miss, 1 % edits) with allocation
+# counts; BENCHTIME=50x is the CI smoke setting.
+BENCHTIME ?= 1s
+bench-delta:
+	$(GO) test -run '^$$' -bench 'BenchmarkDelta(Miss64K|Edit16K|Edit64K)$$' -benchtime $(BENCHTIME) ./internal/binenc
+
+# The designer-visible benchmark of BENCHMARK.json: all four workloads over
+# a real concordd (bench/README.md; pass arguments with ARGS="--trace 1").
+bench-e2e:
+	bash bench/run.sh $(ARGS)
 
 # Machine-readable perf record: re-run E15, E16, E18, E19 and E20 and refresh
 # the committed BENCH_*.json files (CI uploads them as artifacts on every

@@ -53,11 +53,12 @@ func TestDeltaRoundtripInsertionShift(t *testing.T) {
 	}
 }
 
-func TestDeltaEdgeShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+// edgeShapes are the degenerate pairs: empty and sub-block inputs, identity,
+// truncation, growth, a shifting prefix.
+func edgeShapes() [][2][]byte {
 	big := make([]byte, 4096)
-	rng.Read(big)
-	cases := []struct{ base, target []byte }{
+	rand.New(rand.NewSource(3)).Read(big)
+	return [][2][]byte{
 		{nil, nil},
 		{nil, []byte("hello")},
 		{[]byte("hello"), nil},
@@ -67,13 +68,17 @@ func TestDeltaEdgeShapes(t *testing.T) {
 		{big[:1000], big},
 		{big, append([]byte("prefix"), big...)},
 	}
-	for i, c := range cases {
-		d := Delta(c.base, c.target)
-		got, err := ApplyDelta(c.base, d)
+}
+
+func TestDeltaEdgeShapes(t *testing.T) {
+	for i, c := range edgeShapes() {
+		base, target := c[0], c[1]
+		d := Delta(base, target)
+		got, err := ApplyDelta(base, d)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if !bytes.Equal(got, c.target) {
+		if !bytes.Equal(got, target) {
 			t.Fatalf("case %d: mismatch", i)
 		}
 	}

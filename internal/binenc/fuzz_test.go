@@ -2,6 +2,7 @@ package binenc
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -9,7 +10,8 @@ import (
 // attacker-controlled bytes off the cache wire, so it must never panic or
 // over-allocate on malformed scripts, must be deterministic, and — treating
 // the second input as a target — Delta followed by ApplyDelta must
-// reconstruct the target exactly.
+// reconstruct the target exactly, with the very script of the reference
+// matcher whenever the full scan ran.
 func FuzzDeltaApply(f *testing.F) {
 	base := []byte("the quick brown fox jumps over the lazy dog, twice over: " +
 		"the quick brown fox jumps over the lazy dog")
@@ -24,6 +26,14 @@ func FuzzDeltaApply(f *testing.F) {
 	f.Add(base, []byte{0x00})
 	f.Add(base, []byte{deltaMagic, 0x01})
 	f.Add(base, []byte{deltaMagic, 0x00, 0x08, opCopy, 0xFF, 0xFF})
+	// Second input as a target the pre-pass gives up on: an unrelated pair
+	// and a pair sharing nothing but a 64-byte prefix, both large enough to
+	// be sampled; then a relative that passes it.
+	rng := rand.New(rand.NewSource(7))
+	big := randomBytes(rng, 2*futileMinTarget)
+	f.Add(big, randomBytes(rng, 2*futileMinTarget))
+	f.Add(big, append(append([]byte(nil), big[:64]...), randomBytes(rng, futileMinTarget)...))
+	f.Add(big, splice(rng, big, 100, 0, 21))
 	f.Fuzz(func(t *testing.T, base, delta []byte) {
 		// Arbitrary script against the given base: error or success, never
 		// a panic; success must be deterministic.
@@ -42,6 +52,12 @@ func FuzzDeltaApply(f *testing.F) {
 		}
 		if !bytes.Equal(back, delta) {
 			t.Fatalf("delta round trip: got %d bytes, want %d", len(back), len(delta))
+		}
+		// Unless the pre-pass gave up, the script is the reference matcher's.
+		if len(delta) < futileMinTarget || !gaveUp(base, delta) {
+			if want := referenceDelta(base, delta); !bytes.Equal(script, want) {
+				t.Fatalf("script differs from the reference matcher (%d vs %d bytes)", len(script), len(want))
+			}
 		}
 	})
 }

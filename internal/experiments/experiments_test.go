@@ -153,7 +153,8 @@ func TestE13RestartBounded(t *testing.T) {
 // mid-size configuration): re-checkout of an unmodified object transfers
 // O(hash) bytes, and a small edit to a large object ships a delta at least
 // 5x smaller than the full encoding — with content equality asserted inside
-// RunCacheDelta via the canonical encodings on both ends.
+// RunCacheDelta via the canonical encodings on both ends — and a checkout
+// that offers an unrelated base gets the full version.
 func TestE14CacheDeltaBounds(t *testing.T) {
 	const parts, edits, partBytes = 256, 2, 480
 	res, err := RunCacheDelta(parts, edits, partBytes)
@@ -174,6 +175,15 @@ func TestE14CacheDeltaBounds(t *testing.T) {
 	}
 	if res.CheckoutDeltaBytes*5 > uint64(res.ObjectBytes) {
 		t.Fatalf("checkout delta %d bytes vs full %d — want ≥ 5x smaller", res.CheckoutDeltaBytes, res.ObjectBytes)
+	}
+	// The losing side of the negotiation: an unrelated base is answered in
+	// full (RunLostDelta fails on any other mode).
+	lost, err := RunLostDelta(parts, partBytes, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost.FullBytes < uint64(lost.ObjectBytes) {
+		t.Fatalf("lost-delta checkout transferred %d bytes for a %d-byte object", lost.FullBytes, lost.ObjectBytes)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -54,6 +55,9 @@ type cacheEntry struct {
 	Superseded version.ID
 	// used is the LRU clock value of the last touch.
 	used uint64
+	// unsaved marks a supersession mark the entry file does not hold yet;
+	// the next Put writes it out (a callback does not rewrite the payload).
+	unsaved bool
 }
 
 // DefaultCacheEntries bounds an ObjectCache unless MaxEntries overrides it.
@@ -309,26 +313,33 @@ func (c *ObjectCache) Status(id version.ID) (version.Status, bool) {
 	return 0, false
 }
 
-// Put inserts or replaces the cached record of meta.ID, persisting it when
-// the cache is durable. Persistence is best-effort: a failed write leaves a
-// memory-only entry (and at worst a corrupt file the next load discards).
+// Put inserts the cached record of meta.ID or refreshes it in place,
+// persisting it when the cache is durable. A refresh keeps what only
+// callbacks know — the supersession mark — and leaves the entry file alone
+// when nothing it holds changed (the NotModified refresh of an unchanged
+// version). Persistence is best-effort: a failed write leaves a memory-only
+// entry (and at worst a corrupt file the next load discards).
 func (c *ObjectCache) Put(meta dovMeta, hash, enc []byte) {
-	e := &cacheEntry{Meta: meta, Hash: hash, Enc: enc}
 	c.mu.Lock()
 	c.clock++
-	e.used = c.clock
-	c.entries[meta.ID] = e
+	e, ok := c.entries[meta.ID]
+	unchanged := ok && !e.unsaved && bytes.Equal(e.Hash, hash) && e.Meta.equal(meta)
+	if !ok {
+		e = &cacheEntry{}
+		c.entries[meta.ID] = e
+	}
+	e.Meta, e.Hash, e.Enc, e.used = meta, hash, enc, c.clock
 	c.evictLocked()
 	// Encode while still holding the lock: once the entry is published in
 	// c.entries, a concurrent callback (apply) may mutate its Meta.Status or
 	// Superseded fields.
 	var blob []byte
-	if c.dir != "" {
+	if c.dir != "" && !unchanged {
 		blob = encodeCacheEntry(e)
+		e.unsaved = false
 	}
-	dir := c.dir
 	c.mu.Unlock()
-	if dir != "" {
+	if blob != nil {
 		os.WriteFile(c.entryPath(meta.ID), blob, 0o644) //nolint:errcheck // best effort
 	}
 }
@@ -367,23 +378,41 @@ func (c *ObjectCache) Drop(id version.ID) {
 }
 
 // BestBase picks the delta base this workstation should offer when checking
-// out want: the version itself when cached, else the most recently used
-// cached version of the same derivation graph (the likeliest near ancestor
-// of whatever the DOP is about to read). The server verifies the offer by
-// hash, so a poor guess degrades to a full transfer.
+// out want: the version itself when cached; else a cached direct relative in
+// the derivation graph — want's parent (an entry the §4.2 callback marked as
+// superseded by want) before one of its children — since a neighbour is one
+// edit away whatever was read since; else the most recently used cached
+// version of the same design area (the likeliest near ancestor of whatever
+// the DOP is about to read, and the only rule when want is ""). The server
+// verifies the offer by hash, so a poor guess degrades to a full transfer.
 func (c *ObjectCache) BestBase(da string, want version.ID) (version.ID, []byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[want]; ok {
 		return want, e.Hash, true
 	}
+	const (
+		recent = iota + 1
+		child
+		parent
+	)
 	var best *cacheEntry
+	bestRank := 0
 	for _, e := range c.entries {
 		if e.Meta.DA != da {
 			continue
 		}
-		if best == nil || e.used > best.used {
-			best = e
+		rank := recent
+		if want != "" {
+			switch {
+			case e.Superseded == want:
+				rank = parent
+			case slices.Contains(e.Meta.Parents, want):
+				rank = child
+			}
+		}
+		if rank > bestRank || rank == bestRank && e.used > best.used {
+			best, bestRank = e, rank
 		}
 	}
 	if best == nil {
@@ -423,6 +452,7 @@ func (c *ObjectCache) apply(m invalidateMsg) {
 		case invSuperseded:
 			c.supersessions++
 			e.Superseded = inv.By
+			e.unsaved = c.dir != ""
 		}
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"concord/internal/binenc"
 	"concord/internal/catalog"
@@ -562,5 +565,232 @@ func TestCacheEvictionBounded(t *testing.T) {
 	}
 	if _, err := dop.Checkout("v00", false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// textObject builds a floorplan around size bytes of seeded pseudo-random
+// text: two seeds give unrelated encodings that still share the attribute
+// header of the type.
+func textObject(seed int64, size int) *catalog.Object {
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	rng := rand.New(rand.NewSource(seed))
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = alphabet[rng.Intn(64)]
+	}
+	return catalog.NewObject("floorplan").
+		Set("cell", catalog.Str(string(b))).
+		Set("area", catalog.Float(100))
+}
+
+// seedObject installs obj as a root version of da1.
+func (s *stack) seedObject(t *testing.T, id string, obj *catalog.Object) version.ID {
+	t.Helper()
+	v := &version.DOV{ID: version.ID(id), DOT: "floorplan", DA: "da1", Object: obj, Status: version.StatusWorking}
+	if err := s.repo.Checkin(v, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.scopes.Own("da1", id); err != nil {
+		t.Fatal(err)
+	}
+	return v.ID
+}
+
+// deriveEdit checks base out for derivation on tm, overwrites about 1 % of
+// its payload in one run and checks the result in.
+func deriveEdit(t *testing.T, tm *ClientTM, base version.ID, seed int64) version.ID {
+	t.Helper()
+	dop, err := tm.Begin("", "da1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := dop.Checkout(base, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, _ := obj.Get("cell")
+	fresh, _ := textObject(seed, len(cell.S)/100).Get("cell")
+	at := len(cell.S) / 3
+	obj.Set("cell", catalog.Str(cell.S[:at]+fresh.S+cell.S[at+len(fresh.S):]))
+	if err := dop.SetWorkspace(obj); err != nil {
+		t.Fatal(err)
+	}
+	id, err := dop.Checkin(version.StatusWorking, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dop.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// readVersions checks the given versions out, in order, in one DOP.
+func readVersions(t *testing.T, tm *ClientTM, ids ...version.ID) {
+	t.Helper()
+	dop, err := tm.Begin("", "da1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if _, err := dop.Checkout(id, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dop.Abort(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// secondTM opens another volatile workstation on the stack's transport.
+func (s *stack) secondTM(t *testing.T, id string) *ClientTM {
+	t.Helper()
+	client := rpc.NewClient(s.trans, id)
+	client.Backoff = 0
+	tm, _, err := NewClientTM(id, client, serverAddr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tm.Close() })
+	return tm
+}
+
+// TestCheckoutModeFollowsTheBase pins what the delta negotiation answers
+// now that the matcher gives up on unrelated pairs: an unrelated base (the
+// MRU offer of a bulk reader) gets the full version, counted as such, and a
+// relative 1 % away still gets a delta.
+func TestCheckoutModeFollowsTheBase(t *testing.T) {
+	s := newStack(t, "")
+	const size = 64 << 10
+	a := s.seedObject(t, "a", textObject(1, size))
+	b := s.seedObject(t, "b", textObject(2, size))
+	a1 := deriveEdit(t, s.tm, a, 3)
+
+	tm2 := s.secondTM(t, "ws2")
+	readVersions(t, tm2, a)
+	before := tm2.WireStats()
+	readVersions(t, tm2, b) // offers a: shares the type's header, nothing else
+	mid := tm2.WireStats()
+	if mid.FullCheckouts != before.FullCheckouts+1 || mid.DeltaCheckouts != 0 {
+		t.Fatalf("checkout against an unrelated base: %+v", mid)
+	}
+	if in := mid.CheckoutBytesIn - before.CheckoutBytesIn; in < size {
+		t.Fatalf("full checkout transferred %d bytes of a %d-byte object", in, size)
+	}
+	tm2.Cache().Drop(b)
+	readVersions(t, tm2, a1) // offers a, 1 % away
+	after := tm2.WireStats()
+	if after.DeltaCheckouts != 1 || after.FullCheckouts != mid.FullCheckouts {
+		t.Fatalf("checkout against a 1%% relative: %+v", after)
+	}
+	if in := after.CheckoutBytesIn - mid.CheckoutBytesIn; in*5 > size {
+		t.Fatalf("delta checkout transferred %d bytes for a %d-byte object", in, size)
+	}
+}
+
+// TestNotModifiedRefreshKeepsSupersession is the regression test of the
+// in-place refresh: the NotModified answer to a re-checkout must not erase
+// the supersession mark a callback left on the entry, and on a durable cache
+// a refresh that changes nothing must not rewrite the entry file.
+func TestNotModifiedRefreshKeepsSupersession(t *testing.T) {
+	s := newStack(t, t.TempDir())
+	v0 := s.seedObject(t, "v0", textObject(1, 8<<10))
+	n := s.wireCallbacks(t, s.tm, "cb/ws1")
+	readVersions(t, s.tm, v0)
+
+	v1 := deriveEdit(t, s.secondTM(t, "ws2"), v0, 2)
+	n.Flush()
+	cache := s.tm.Cache()
+	if by := cache.SupersededBy(v0); by != v1 {
+		t.Fatalf("cached %s superseded by %q, want %s", v0, by, v1)
+	}
+
+	readVersions(t, s.tm, v0)
+	if st := s.tm.WireStats(); st.NotModified != 1 {
+		t.Fatalf("re-checkout was not NotModified: %+v", st)
+	}
+	if by := cache.SupersededBy(v0); by != v1 {
+		t.Fatalf("NotModified refresh reset the supersession mark to %q", by)
+	}
+	// That refresh carried the mark to disk; it survives a restart.
+	reopened, err := OpenObjectCache(cache.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if by := reopened.SupersededBy(v0); by != v1 {
+		t.Fatalf("persisted supersession mark = %q, want %s", by, v1)
+	}
+
+	// A refresh with nothing new leaves the file alone.
+	path := cache.entryPath(v0)
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readVersions(t, s.tm, v0)
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.ModTime().Equal(want.ModTime()) || got.Size() != want.Size() {
+		t.Fatalf("no-op refresh rewrote the entry file: mtime %v→%v, size %d→%d",
+			want.ModTime(), got.ModTime(), want.Size(), got.Size())
+	}
+	if st := s.tm.WireStats(); st.NotModified != 2 {
+		t.Fatalf("second re-checkout was not NotModified: %+v", st)
+	}
+}
+
+// TestBaseChoiceFollowsDerivation: a reviewer reads the tip, the author
+// derives a new tip, the reviewer reads three unrelated older versions and
+// then the new tip. The offer must be the previous tip (known from the
+// supersession callback), not the most recently used entry — so the answer
+// is a delta.
+func TestBaseChoiceFollowsDerivation(t *testing.T) {
+	s := newStack(t, "")
+	const size = 16 << 10
+	tip := s.seedObject(t, "tip0", textObject(1, size))
+	var older []version.ID
+	for i := 0; i < 3; i++ {
+		older = append(older, s.seedObject(t, fmt.Sprintf("old%d", i), textObject(int64(10+i), size)))
+	}
+	reviewer := s.secondTM(t, "ws2")
+	n := s.wireCallbacks(t, reviewer, "cb/ws2")
+
+	readVersions(t, reviewer, tip)
+	next := deriveEdit(t, s.tm, tip, 2)
+	n.Flush()
+	readVersions(t, reviewer, older...)
+	before := reviewer.WireStats()
+	if before.DeltaCheckouts != 0 {
+		t.Fatalf("unrelated reads were answered with deltas: %+v", before)
+	}
+	if id, _, ok := reviewer.Cache().BestBase("da1", next); !ok || id != tip {
+		t.Fatalf("base offered for %s = %q, want its parent %s", next, id, tip)
+	}
+	readVersions(t, reviewer, next)
+	after := reviewer.WireStats()
+	if after.DeltaCheckouts != 1 || after.FullCheckouts != before.FullCheckouts {
+		t.Fatalf("new tip was not a delta against the previous one: %+v", after)
+	}
+
+	// The other direction: with only a child of the wanted version cached
+	// among unrelated entries, the child is offered; with neither, the MRU.
+	c, _ := OpenObjectCache("")
+	c.Put(dovMeta{ID: "child", DA: "da1", Parents: []version.ID{"p"}}, []byte{1}, nil)
+	c.Put(dovMeta{ID: "x", DA: "da1"}, []byte{2}, nil)
+	c.Put(dovMeta{ID: "elsewhere", DA: "da2", Parents: []version.ID{"p"}}, []byte{3}, nil)
+	if id, _, _ := c.BestBase("da1", "p"); id != "child" {
+		t.Fatalf("base offered for p = %q, want its cached child", id)
+	}
+	if id, _, _ := c.BestBase("da1", "q"); id != "x" {
+		t.Fatalf("base offered for q = %q, want the most recent entry x", id)
+	}
+	if id, _, _ := c.BestBase("da1", ""); id != "x" {
+		t.Fatalf("checkin base = %q, want the most recent entry x", id)
 	}
 }

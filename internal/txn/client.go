@@ -844,7 +844,7 @@ func (d *DOP) Checkin(status version.Status, root bool) (version.ID, error) {
 		Root: root,
 		Hash: hash,
 	}
-	deltaShipped := false
+	var dw *binenc.Writer // the delta form of the payload, when one ships
 	if tm.cache != nil {
 		tm.mu.Lock()
 		msg.WS, msg.CBAddr = tm.id, tm.cbAddr
@@ -855,15 +855,18 @@ func (d *DOP) Checkin(status version.Status, root bool) (version.ID, error) {
 		// from — whenever that is actually smaller. The server reapplies
 		// the delta and verifies the content hash before staging.
 		if baseID, baseHash, baseEnc, ok := d.checkinBase(); ok {
-			if delta := binenc.Delta(baseEnc, objData); len(delta) < len(objData) {
+			if dw = binenc.DeltaPooled(baseEnc, objData); dw != nil {
 				msg.DOV.Object = nil
-				msg.BaseID, msg.BaseHash, msg.Delta = baseID, baseHash, delta
-				deltaShipped = true
+				msg.BaseID, msg.BaseHash, msg.Delta = baseID, baseHash, dw.Bytes()
 			}
 		}
 	}
 	pw := binenc.GetWriter(192 + len(msg.DOV.Object) + len(msg.Delta))
 	msg.encodeInto(pw)
+	deltaShipped := dw != nil
+	if deltaShipped {
+		dw.Free() // the script now lives in pw
+	}
 	tm.mu.Lock()
 	tm.stats.Checkins++
 	tm.stats.CheckinBytesOut += uint64(len(pw.Bytes()))

@@ -326,10 +326,12 @@ func (s *ServerTM) checkoutWire(m checkoutMsg, deadline time.Time) ([]byte, erro
 		if m.BaseID != "" {
 			baseEnc, baseHash, err := s.repo.EncodedObject(m.BaseID)
 			if err == nil && bytes.Equal(baseHash, m.BaseHash) {
-				if delta := binenc.Delta(baseEnc, enc); len(delta) < len(enc) {
+				if dw := binenc.DeltaPooled(baseEnc, enc); dw != nil {
 					resp.Mode, resp.Meta = coDelta, meta
-					resp.BaseID, resp.Delta = m.BaseID, delta
-					return resp.encode(), nil
+					resp.BaseID, resp.Delta = m.BaseID, dw.Bytes()
+					out := resp.encode()
+					dw.Free()
+					return out, nil
 				}
 			}
 			// Unknown base, divergent hash or incompressible pair: fall

@@ -31,6 +31,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"concord/internal/binenc"
 	"concord/internal/version"
@@ -256,6 +257,12 @@ func decodeCheckout(data []byte) (checkoutMsg, error) {
 	m.BaseID = version.ID(r.Str())
 	m.BaseHash = r.Blob()
 	return m, wireErr(r)
+}
+
+// equal reports whether two records carry the same metadata.
+func (m dovMeta) equal(o dovMeta) bool {
+	return m.ID == o.ID && m.DOT == o.DOT && m.DA == o.DA && m.Status == o.Status &&
+		slices.Equal(m.Parents, o.Parents) && slices.Equal(m.Fulfilled, o.Fulfilled)
 }
 
 func (m dovMeta) encodeInto(w *binenc.Writer) {
