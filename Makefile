@@ -7,7 +7,7 @@ all: check
 build:
 	$(GO) build ./...
 
-# Package tests. The rpc/txn/core/scenario binaries run under the
+# Package tests. The rpc/txn/core/server/scenario binaries run under the
 # internal/leakcheck TestMain guard: any heartbeat, lease-reaper, notifier,
 # or transport goroutine still alive after the tests fails the package.
 test:
@@ -43,9 +43,10 @@ vet:
 
 # Doc-comment lint (dependency-free equivalent of revive's exported-comment
 # rule, doclint_test.go): package docs everywhere, doc comments on every
-# exported identifier, CONCORD-layer statements in the level packages.
+# exported identifier, CONCORD-layer statements in the level packages — plus
+# the architecture lint: one server assembly, in internal/server.
 doc-lint:
-	$(GO) test . -run 'TestEveryPackageHasDocComment|TestLayerStatedInLevelPackages|TestExportedIdentifiersAreDocumented' -count=1
+	$(GO) test . -run 'TestEveryPackageHasDocComment|TestLayerStatedInLevelPackages|TestExportedIdentifiersAreDocumented|TestSingleServerAssembly' -count=1
 
 # E14 acceptance bounds (NotModified = O(hash) bytes, delta >= 5x smaller
 # than full) in short mode — one mid-size configuration.

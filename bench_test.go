@@ -172,25 +172,18 @@ func BenchmarkLockManagerConcurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkE12MultiWorkstation runs the E12 load scenario at 8 workstations
-// for both server cores, reporting aggregate checkin throughput.
+// BenchmarkE12MultiWorkstation runs the E12 load scenario at 8 workstations,
+// reporting aggregate checkin throughput.
 func BenchmarkE12MultiWorkstation(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		serialized bool
-	}{{"serialized", true}, {"concurrent", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var ops float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunMultiWorkstation(mode.serialized, 8, 10)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ops = res.OpsPerSec()
-			}
-			b.ReportMetric(ops, "checkins/s")
-		})
+	var ops float64
+	for i := 0; i < b.N; i++ {
+		res, err := experiments.RunMultiWorkstation(8, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops = res.OpsPerSec()
 	}
+	b.ReportMetric(ops, "checkins/s")
 }
 
 // BenchmarkE13Restart times restart (repo.Open) after an 8k-operation churn

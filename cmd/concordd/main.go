@@ -1,16 +1,18 @@
 // Command concordd runs a stand-alone CONCORD server site over TCP: the
-// design data repository, server-TM and 2PC participant behind the
-// workstation/server protocol of Sect. 5.1. Workstations connect with the
-// txn.ClientTM over the rpc.TCP transport.
+// design data repository, server-TM, cooperation manager and 2PC participant
+// (server.Assemble) behind the workstation/server protocol of Sect. 5.1.
+// Workstations connect with the txn.ClientTM over the rpc.TCP transport.
 //
 // Replication (DESIGN.md §5.4): a second concordd started with -standby-of
-// follows a primary through WAL shipping. The standby announces itself to the
-// primary, which begins replicating (synchronously with -sync-repl, trailing
-// with a -repl-lag-max window otherwise); the standby refuses client traffic
-// until an epoch-fenced promotion makes it the primary. Promotion is what a
-// workstation's failover performs through RPC; operators trigger it with the
-// one-shot -promote verb. Both roles log a periodic health line with their
-// replication role, fencing epoch and shipping lag.
+// follows a primary through WAL shipping. It announces itself to the primary,
+// which begins replicating (synchronously with -sync-repl, trailing with a
+// -repl-lag-max window otherwise), and refuses client traffic until an
+// epoch-fenced promotion makes it the primary: a workstation's failover
+// promotes through RPC, operators use the one-shot -promote verb. Both roles
+// log a periodic health line with role, fencing epoch and shipping lag.
+//
+// Workstations must heartbeat (ClientTM.StartHeartbeat): the lease reaper
+// (DESIGN.md §5.3) reclaims DOPs and locks of a session silent for 10 s.
 //
 // Usage:
 //
@@ -26,384 +28,173 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
 	"concord/internal/binenc"
-	"concord/internal/coop"
-	"concord/internal/feature"
-	"concord/internal/lock"
 	"concord/internal/repl"
 	"concord/internal/repo"
 	"concord/internal/rpc"
-	"concord/internal/txn"
+	"concord/internal/server"
 	"concord/internal/vlsi"
 	"concord/internal/wal"
 )
 
 // methodAttach is the standby's self-announcement to its primary: the payload
 // names the address the standby serves the replication protocol at, and the
-// primary responds by (re)starting its WAL shipper towards it. Idempotent, so
-// the standby re-announces periodically and a restarted primary resumes
-// shipping without operator action.
+// primary (re)starts its WAL shipper towards it. Idempotent, so the standby
+// repeats it and a restarted primary resumes shipping without an operator.
 const methodAttach = "concordd/attach"
 
-// config carries the parsed flags.
-type config struct {
-	addr, data string
-	standbyOf  string
-	syncRepl   bool
-	replLagMax int64
-	healthLog  time.Duration
-}
-
 func main() {
-	cfg := config{}
-	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:7070", "listen address")
-	flag.StringVar(&cfg.data, "data", "concord-data", "durable data directory")
-	flag.StringVar(&cfg.standbyOf, "standby-of", "",
-		"run as warm standby of the primary at this address: follow its WAL, refuse client traffic until promoted")
-	flag.BoolVar(&cfg.syncRepl, "sync-repl", false,
-		"primary: ship synchronously — commits wait for the standby's acknowledgement (core.Options.SyncReplication)")
-	flag.Int64Var(&cfg.replLagMax, "repl-lag-max", 0,
-		"primary: trailing-mode lag bound in bytes before batches ship inline again; 0 = unbounded (core.Options.ReplLagMax)")
-	flag.DurationVar(&cfg.healthLog, "health-every", 30*time.Second,
-		"interval of the role/epoch/lag health log line; 0 disables")
-	promote := flag.Bool("promote", false,
-		"one-shot: ask the standby at -addr to take over as primary, print the new epoch and exit")
+	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
+	data := flag.String("data", "concord-data", "durable data directory")
+	standbyOf := flag.String("standby-of", "", "run as warm standby of the primary at this address: follow its WAL, refuse client traffic until promoted")
+	syncRepl := flag.Bool("sync-repl", false, "primary: ship synchronously — commits wait for the standby's acknowledgement (core.Options.SyncReplication)")
+	replLagMax := flag.Int64("repl-lag-max", 0, "primary: trailing-mode lag bound in bytes before batches ship inline again; 0 = unbounded (core.Options.ReplLagMax)")
+	healthEvery := flag.Duration("health-every", 30*time.Second, "interval of the role/epoch/lag health log line; 0 disables")
+	promote := flag.Bool("promote", false, "one-shot: ask the standby at -addr to take over as primary, print the new epoch and exit")
 	flag.Parse()
 
+	trans := rpc.NewTCP()
+	defer trans.Close()
 	if *promote {
-		if err := runPromote(cfg.addr); err != nil {
-			log.Fatal(err)
+		epoch, err := repl.RequestPromote(newClient(trans, "promote"), *addr, 0)
+		if err != nil {
+			log.Fatalf("promote %s: %v", *addr, err)
 		}
+		fmt.Printf("concordd: %s promoted to primary at epoch %d\n", *addr, epoch)
 		return
 	}
-	if err := run(cfg); err != nil {
+	if err := run(trans, *addr, *data, *standbyOf, repl.SenderOptions{Sync: *syncRepl, LagMax: *replLagMax}, *healthEvery); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// runPromote dials the standby and performs the client-driven takeover
-// (repl.MethodPromote), printing the fencing epoch the promoted server now
-// serves under.
-func runPromote(addr string) error {
-	trans := rpc.NewTCP()
-	defer trans.Close()
-	client := rpc.NewClient(trans, fmt.Sprintf("promote@%d", os.Getpid()))
-	reply, err := client.Call(addr, repl.MethodPromote, nil)
-	if err != nil {
-		return fmt.Errorf("promote %s: %w", addr, err)
-	}
-	r := binenc.NewReader(reply)
-	epoch := r.U64()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("promote %s: bad reply: %w", addr, err)
-	}
-	fmt.Printf("concordd: %s promoted to primary at epoch %d\n", addr, epoch)
-	return nil
+// newClient returns an rpc client whose ID is unique to this process, so peers
+// never mistake a restarted daemon's requests for replays.
+func newClient(trans *rpc.TCP, role string) *rpc.Client {
+	return rpc.NewClient(trans, fmt.Sprintf("%s@%d", role, os.Getpid()))
 }
 
-func run(cfg config) error {
-	trans := rpc.NewTCP()
-	defer trans.Close()
-	if cfg.standbyOf != "" {
-		return runStandby(cfg, trans)
-	}
-	return runPrimary(cfg, trans)
-}
-
-// serverRole is the assembled primary-side server: server-TM, 2PC participant
-// and cache-invalidation notifier over a repository + participant log. The
-// primary builds it at boot; a standby builds it at promotion, over the
-// replicated state.
-type serverRole struct {
-	stm      *txn.ServerTM
-	notifier *rpc.Notifier
-	handler  rpc.DeadlineHandler
-}
-
-func (sr *serverRole) close() { sr.notifier.Close() }
-
-// newServerRole wires the server stack. The client ID seeds the notifier's
-// dial-back client; it must be unique per server incarnation so workstation
-// callback dedup never mistakes a new server's notifications for replays.
-func newServerRole(r *repo.Repository, plog *wal.Log, trans *rpc.TCP, cbID string) (*serverRole, error) {
-	locks := lock.NewManager()
-	scopes := lock.NewScopeTable()
-	stm := txn.NewServerTM(r, locks, scopes)
-	if _, err := coop.NewCM(r, scopes, feature.NewRegistry()); err != nil {
-		return nil, err
-	}
-	participant, err := rpc.NewParticipant(stm, plog)
-	if err != nil {
-		return nil, err
-	}
-	// Cache-invalidation callbacks: workstations register their callback
-	// listener address at checkout time and the notifier dials back over the
-	// same transport.
-	notifier := rpc.NewNotifier(rpc.NewClient(trans, cbID), 0)
-	stm.SetNotifier(notifier)
-	r.SetChangeHook(stm.VersionChanged)
-	return &serverRole{stm: stm, notifier: notifier, handler: stm.DeadlineHandler(participant)}, nil
-}
-
-// runPrimary serves the full workstation/server protocol and, once a standby
-// attaches, ships both WAL streams to it.
-func runPrimary(cfg config, trans *rpc.TCP) error {
-	cat := vlsi.NewCatalog()
-	r, err := repo.Open(cat, repo.Options{Dir: cfg.data, Sync: true})
+// run opens the durable state under data and serves it at addr until
+// SIGINT/SIGTERM: as the primary, or — with standbyOf — as a warm standby that
+// follows that primary until promoted.
+func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, healthEvery time.Duration) error {
+	r, err := repo.Open(vlsi.NewCatalog(), repo.Options{Dir: data, Sync: true, Follower: standbyOf != ""})
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	plog, err := wal.Open(filepath.Join(cfg.data, "participant.wal"), wal.Options{SyncOnAppend: true})
+	plog, err := wal.Open(filepath.Join(data, "participant.wal"), wal.Options{SyncOnAppend: true})
 	if err != nil {
 		return err
 	}
 	defer plog.Close()
-	role, err := newServerRole(r, plog, trans, fmt.Sprintf("concordd-cb@%d", os.Getpid()))
-	if err != nil {
-		return err
-	}
-	defer role.close()
 
-	// The shipper towards the standby, created when one attaches. Guarded:
-	// attach requests race with health probes and shutdown.
-	var mu sync.Mutex
-	var sender *repl.Sender
-	var senderAddr string
-	attach := func(addr string) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if sender != nil && senderAddr == addr {
-			return nil // re-announcement; the sender reconnects on its own
+	banner := "serving"
+	var handler rpc.DeadlineHandler
+	var health func() string
+	var recv *repl.Receiver
+	if standbyOf != "" {
+		banner = "standby of " + standbyOf + " serving replication"
+		sb := server.NewStandby(r, plog, newClient(trans, "standby-cb"), server.Options{})
+		defer sb.Close()
+		handler, recv = sb.Handler(), sb.Receiver()
+		health = func() string {
+			role := "standby"
+			if recv.Promoted() {
+				role = "primary"
+			}
+			st := recv.Stats()
+			return fmt.Sprintf("role=%s epoch=%d mode=%s applied=%drec/%dB", role, r.Epoch(), r.Health().Mode, st.Records, st.Bytes)
 		}
-		if sender != nil {
-			r.Log().SetShipper(nil)
-			plog.SetShipper(nil)
-			sender.Close()
+	} else {
+		site, err := server.Assemble(r, plog, newClient(trans, "concordd-cb"), server.Options{})
+		if err != nil {
+			return err
 		}
-		s := repl.NewSender(rpc.NewClient(trans, fmt.Sprintf("repl@%d", os.Getpid())), addr,
-			[]repl.Stream{
-				{ID: repl.StreamRepo, Log: r.Log()},
-				{ID: repl.StreamPart, Log: plog},
-			}, repl.SenderOptions{
-				Sync:   cfg.syncRepl,
-				LagMax: cfg.replLagMax,
-				Epoch:  r.Epoch,
-			})
-		r.Log().SetShipper(s.Shipper(repl.StreamRepo))
-		plog.SetShipper(s.Shipper(repl.StreamPart))
-		sender, senderAddr = s, addr
-		log.Printf("concordd: replicating to standby at %s (sync=%v, lag-max=%d)", addr, cfg.syncRepl, cfg.replLagMax)
-		return nil
-	}
-	senderStats := func() repl.SenderStats {
-		mu.Lock()
-		defer mu.Unlock()
-		if sender == nil {
-			return repl.SenderStats{}
-		}
-		return sender.Stats()
-	}
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if sender != nil {
-			r.Log().SetShipper(nil)
-			plog.SetShipper(nil)
-			sender.Close()
-		}
-	}()
-	role.stm.SetReplInfo(func() (string, uint64, uint64, uint64) {
-		st := senderStats()
-		var lagR, lagB uint64
-		if st.LagRecords > 0 {
-			lagR = uint64(st.LagRecords)
-		}
-		if st.LagBytes > 0 {
-			lagB = uint64(st.LagBytes)
-		}
-		return "primary", r.Epoch(), lagR, lagB
-	})
-
-	base := role.handler
-	dispatch := func(deadline time.Time, method string, payload []byte) ([]byte, error) {
-		if method == methodAttach {
+		defer site.Close()
+		replClient := newClient(trans, "repl")
+		site.Handle(methodAttach, func(_ string, payload []byte) ([]byte, error) {
 			rd := binenc.NewReader(payload)
-			addr := rd.Str()
+			standby := rd.Str()
 			if err := rd.Err(); err != nil {
 				return nil, fmt.Errorf("concordd: bad attach payload: %w", err)
 			}
-			return nil, attach(addr)
-		}
-		return base(deadline, method, payload)
-	}
-	// Epoch fence: a workstation stamped with a newer term has witnessed a
-	// failover this server missed — it is deposed and must not serve the call.
-	bound, err := trans.ListenDeadline(cfg.addr, rpc.DedupDeadlineFenced(dispatch, rpc.EpochFence(r.Epoch)))
-	if err != nil {
-		return err
-	}
-	log.Printf("concordd: serving on %s, data in %s (%d DOVs recovered, epoch %d)",
-		bound, cfg.data, r.DOVCount(), r.Epoch())
-
-	stop := make(chan struct{})
-	defer close(stop)
-	healthLoop(cfg.healthLog, stop, func() string {
-		h := r.Health()
-		line := fmt.Sprintf("role=primary epoch=%d mode=%s", r.Epoch(), h.Mode)
-		if st := senderStats(); st.Mode != 0 {
-			line += fmt.Sprintf(" repl=%s lag=%drec/%dB degrades=%d", st.Mode, st.LagRecords, st.LagBytes, st.Degrades)
-		}
-		return line
-	})
-	waitSignal()
-	return nil
-}
-
-// runStandby follows the primary at cfg.standbyOf: it serves the replication
-// protocol (and health probes) at cfg.addr, announces itself to the primary so
-// shipping starts, and refuses client traffic until a promotion assembles the
-// full server role over the replicated state.
-func runStandby(cfg config, trans *rpc.TCP) error {
-	cat := vlsi.NewCatalog()
-	r, err := repo.Open(cat, repo.Options{Dir: cfg.data, Sync: true, Follower: true})
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	plog, err := wal.Open(filepath.Join(cfg.data, "participant.wal"), wal.Options{SyncOnAppend: true})
-	if err != nil {
-		return err
-	}
-	defer plog.Close()
-
-	var mu sync.Mutex
-	var promoted *serverRole
-	recv := repl.NewReceiver(r, plog, repl.ReceiverOptions{
-		OnPromote: func(epoch uint64) error {
-			role, err := newServerRole(r, plog, trans, fmt.Sprintf("standby-cb@%d", os.Getpid()))
-			if err != nil {
-				return err
+			if site.ReplicateTo(replClient, standby, ship) {
+				log.Printf("concordd: replicating to standby at %s (sync=%v, lag-max=%d)", standby, ship.Sync, ship.LagMax)
 			}
-			role.stm.SetReplInfo(func() (string, uint64, uint64, uint64) {
-				return "primary", r.Epoch(), 0, 0
-			})
-			mu.Lock()
-			promoted = role
-			mu.Unlock()
-			log.Printf("concordd: promoted to primary at epoch %d", epoch)
-			return nil
-		},
-	})
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if promoted != nil {
-			promoted.close()
+			return nil, nil
+		})
+		handler = site.Handler()
+		health = func() string {
+			line := fmt.Sprintf("role=primary epoch=%d mode=%s", r.Epoch(), r.Health().Mode)
+			if st := site.SenderStats(); st.Mode != 0 {
+				line += fmt.Sprintf(" repl=%s lag=%drec/%dB degrades=%d", st.Mode, st.LagRecords, st.LagBytes, st.Degrades)
+			}
+			return line
 		}
-	}()
-
-	dispatch := func(deadline time.Time, method string, payload []byte) ([]byte, error) {
-		switch method {
-		case repl.MethodHello, repl.MethodShip, repl.MethodPromote:
-			return recv.Handler()(method, payload)
-		}
-		mu.Lock()
-		role := promoted
-		mu.Unlock()
-		if role != nil {
-			return role.handler(deadline, method, payload)
-		}
-		if method == txn.MethodHealth {
-			return txn.EncodeHealthInfo(txn.ServerHealthInfo{
-				Mode: r.Health().Mode, Role: "standby", Epoch: r.Epoch(),
-			}), nil
-		}
-		return nil, fmt.Errorf("%w: standby serves no client traffic before promotion", repo.ErrFollower)
 	}
-	bound, err := trans.ListenDeadline(cfg.addr, rpc.DedupDeadlineFenced(dispatch, rpc.EpochFence(r.Epoch)))
+	bound, err := trans.ListenDeadline(addr, handler)
 	if err != nil {
 		return err
 	}
-	log.Printf("concordd: standby of %s serving replication on %s, data in %s (%d DOVs recovered, epoch %d)",
-		cfg.standbyOf, bound, cfg.data, r.DOVCount(), r.Epoch())
-
-	stop := make(chan struct{})
-	defer close(stop)
-	go attachLoop(trans, cfg.standbyOf, bound, recv, stop)
-	healthLoop(cfg.healthLog, stop, func() string {
-		role := "standby"
-		if recv.Promoted() {
-			role = "primary"
-		}
-		st := recv.Stats()
-		return fmt.Sprintf("role=%s epoch=%d mode=%s applied=%drec/%dB",
-			role, r.Epoch(), r.Health().Mode, st.Records, st.Bytes)
-	})
-	waitSignal()
+	log.Printf("concordd: %s on %s, data in %s (%d DOVs recovered, epoch %d)", banner, bound, data, r.DOVCount(), r.Epoch())
+	if recv != nil {
+		stop := make(chan struct{})
+		defer close(stop)
+		go attachLoop(newClient(trans, "attach"), standbyOf, bound, recv, r.Epoch, stop)
+	}
+	serveUntilSignal(healthEvery, health)
 	return nil
 }
 
 // attachLoop announces the standby's replication address to the primary until
-// promotion or shutdown. The announcement is idempotent and repeats so a
-// restarted primary resumes shipping without operator action; failures are
-// logged once per outage, not once per retry.
-func attachLoop(trans *rpc.TCP, primary, self string, recv *repl.Receiver, stop <-chan struct{}) {
-	client := rpc.NewClient(trans, fmt.Sprintf("attach@%d", os.Getpid()))
+// shutdown or promotion, which it logs; failures are logged once per outage,
+// not once per retry.
+func attachLoop(client *rpc.Client, primary, self string, recv *repl.Receiver, epoch func() uint64, stop <-chan struct{}) {
 	w := binenc.GetWriter(64)
 	w.Str(self)
 	payload := w.Detach()
 	attached := false
-	for {
-		if recv.Promoted() {
-			return
-		}
-		if _, err := client.Call(primary, methodAttach, payload); err != nil {
-			if attached {
-				log.Printf("concordd: primary %s unreachable: %v", primary, err)
-			}
-			attached = false
-		} else if !attached {
+	for !recv.Promoted() {
+		_, err := client.Call(primary, methodAttach, payload)
+		if err != nil && attached {
+			log.Printf("concordd: primary %s unreachable: %v", primary, err)
+		} else if err == nil && !attached {
 			log.Printf("concordd: attached to primary %s", primary)
-			attached = true
 		}
+		attached = err == nil
 		select {
 		case <-stop:
 			return
 		case <-time.After(2 * time.Second):
 		}
 	}
+	log.Printf("concordd: promoted to primary at epoch %d", epoch())
 }
 
-// healthLoop logs the role/epoch/lag line every interval (0 disables). It
-// logs one line immediately so the startup state is on record.
-func healthLoop(every time.Duration, stop <-chan struct{}, line func() string) {
-	if every <= 0 {
-		return
-	}
-	log.Printf("concordd: health %s", line())
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				log.Printf("concordd: health %s", line())
-			}
-		}
-	}()
-}
-
-// waitSignal blocks until SIGINT/SIGTERM.
-func waitSignal() {
+// serveUntilSignal blocks until SIGINT/SIGTERM, logging the role/epoch/lag
+// health line every interval (0 disables) and once immediately so the startup
+// state is on record.
+func serveUntilSignal(every time.Duration, line func() string) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Println("concordd: shutting down")
+	var tick <-chan time.Time
+	if every > 0 {
+		log.Printf("concordd: health %s", line())
+		t := time.NewTicker(every)
+		defer t.Stop()
+		tick = t.C
+	}
+	for {
+		select {
+		case <-sig:
+			log.Println("concordd: shutting down")
+			return
+		case <-tick:
+			log.Printf("concordd: health %s", line())
+		}
+	}
 }

@@ -79,6 +79,7 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 func TestLayerStatedInLevelPackages(t *testing.T) {
 	want := map[string][]string{
 		"internal/coop":    {"cooperation"},
+		"internal/server":  {"DOM", "cooperation"},
 		"internal/txn":     {"DOM"},
 		"internal/version": {"DOM"},
 		"internal/script":  {"DFM"},
@@ -174,4 +175,93 @@ func funcKind(d *ast.FuncDecl) string {
 		return "method"
 	}
 	return "function"
+}
+
+// TestSingleServerAssembly is the architecture lint behind DESIGN.md §5.5:
+// outside internal/server (and the frozen bench/ ladder) no non-test code
+// builds a server-TM or puts one behind a 2PC participant, so there is exactly
+// one server assembly. rpc.NewParticipant stays legal for synthetic resources
+// (E9–E11): its argument must be a composite literal of a type local to the
+// calling package, which a *txn.ServerTM can never be.
+func TestSingleServerAssembly(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == filepath.Join("internal", "server") || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkgOf := map[string]string{} // local import name → import path
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			pkgOf[name] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			switch pkgOf[pkg.Name] + "." + sel.Sel.Name {
+			case "concord/internal/txn.NewServerTM":
+				t.Errorf("%s: txn.NewServerTM outside internal/server — build the site with server.Assemble", fset.Position(call.Pos()))
+			case "concord/internal/rpc.NewParticipant":
+				if len(call.Args) == 0 || !localLiteral(call.Args[0]) {
+					t.Errorf("%s: rpc.NewParticipant over a non-synthetic resource outside internal/server — build the site with server.Assemble", fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// localLiteral reports whether e is a composite literal (or its address) of an
+// unqualified type, directly or through the identifier it was assigned to.
+func localLiteral(e ast.Expr) bool {
+	if id, ok := e.(*ast.Ident); ok && id.Obj != nil {
+		as, ok := id.Obj.Decl.(*ast.AssignStmt)
+		if !ok {
+			return false
+		}
+		for i, lhs := range as.Lhs {
+			if l, ok := lhs.(*ast.Ident); ok && l.Name == id.Name && i < len(as.Rhs) {
+				e = as.Rhs[i]
+			}
+		}
+	}
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = u.X
+	}
+	lit, ok := e.(*ast.CompositeLit)
+	if !ok {
+		return false
+	}
+	_, local := lit.Type.(*ast.Ident)
+	return local
 }

@@ -35,17 +35,17 @@ func TestCheckpointPreservesInDoubt2PC(t *testing.T) {
 	sys.mu.Lock()
 	site := sys.server
 	sys.mu.Unlock()
-	if err := site.stm.Begin("dop-indoubt", "da1"); err != nil {
+	if err := site.TM.Begin("dop-indoubt", "da1"); err != nil {
 		t.Fatal(err)
 	}
 	obj := catalog.NewObject(vlsi.DOTFloorplan).
 		Set("cell", catalog.Str("O")).
 		Set("area", catalog.Float(70))
 	dov := &version.DOV{ID: "dov-indoubt", DOT: vlsi.DOTFloorplan, DA: "da1", Object: obj, Status: version.StatusWorking}
-	if err := site.stm.Stage("dop-indoubt", "tx-indoubt", dov, true, nil); err != nil {
+	if err := site.TM.Stage("dop-indoubt", "tx-indoubt", dov, true, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := site.participant.Handler()(rpc.MethodPrepare, []byte("tx-indoubt"))
+	resp, err := site.Participant.Handler()(rpc.MethodPrepare, []byte("tx-indoubt"))
 	if err != nil || string(resp) != "commit" {
 		t.Fatalf("prepare = %q, %v", resp, err)
 	}
@@ -92,7 +92,7 @@ func TestCheckpointPreservesInDoubt2PC(t *testing.T) {
 	sys.mu.Lock()
 	site = sys.server
 	sys.mu.Unlock()
-	if n := len(site.participant.InDoubt()); n != 0 {
+	if n := len(site.Participant.InDoubt()); n != 0 {
 		t.Fatalf("%d transactions still in doubt after restart", n)
 	}
 	// The committed history survived and work continues.
@@ -106,10 +106,6 @@ func TestCheckpointPreservesInDoubt2PC(t *testing.T) {
 // threshold and waits for the background checkpointer to compact the log,
 // then verifies a crash+restart recovers everything from the snapshot.
 func TestBackgroundCheckpointer(t *testing.T) {
-	old := checkpointPollInterval
-	checkpointPollInterval = 5 * time.Millisecond
-	defer func() { checkpointPollInterval = old }()
-
 	sys, err := NewSystem(Options{
 		Dir:                t.TempDir(),
 		RegisterTypes:      vlsi.RegisterCatalog,
@@ -150,40 +146,4 @@ func TestBackgroundCheckpointer(t *testing.T) {
 		t.Fatal(err)
 	}
 	planOnce(t, ws, "da1", 400, last)
-}
-
-// TestNoCheckpointAblation verifies the ablation flag: with checkpointing
-// disabled the log only grows and replay covers the full history, the seed
-// behaviour E13 measures against.
-func TestNoCheckpointAblation(t *testing.T) {
-	old := checkpointPollInterval
-	checkpointPollInterval = 5 * time.Millisecond
-	defer func() { checkpointPollInterval = old }()
-
-	sys, err := NewSystem(Options{
-		Dir:                t.TempDir(),
-		RegisterTypes:      vlsi.RegisterCatalog,
-		CheckpointLogBytes: 1 << 10,
-		NoCheckpoint:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	startDA(t, sys, "da1", areaSpec(1000))
-	ws, err := sys.AddWorkstation("ws1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last version.ID
-	for i := 0; i < 10; i++ {
-		last = planOnce(t, ws, "da1", 500, last)
-	}
-	time.Sleep(50 * time.Millisecond) // would be ample for the poller
-	if n := sys.Repo().Checkpoints(); n != 0 {
-		t.Fatalf("%d checkpoints ran with NoCheckpoint set", n)
-	}
-	if lw := sys.Repo().LowWater(); lw != 0 {
-		t.Fatalf("low-water mark %d moved with NoCheckpoint set", lw)
-	}
 }

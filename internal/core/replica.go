@@ -10,17 +10,13 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
-	"concord/internal/coop"
-	"concord/internal/feature"
-	"concord/internal/lock"
 	"concord/internal/repl"
 	"concord/internal/repo"
 	"concord/internal/rpc"
+	"concord/internal/server"
 	"concord/internal/txn"
 	"concord/internal/wal"
 )
@@ -30,209 +26,102 @@ import (
 // primary ships WAL batches to it.
 const StandbyAddr = "concord-standby"
 
-// standbySite is the warm-standby half of a replicated deployment. Before
-// promotion it holds a follower-mode repository, the replicated participant
-// log and the repl.Receiver ingesting both; after promotion it additionally
-// holds the assembled server role. The transport handler at StandbyAddr is
-// registered once and dispatches through the mutable fields, so a standby
-// crash/restart swaps state without re-registering the address.
+// standbySite is the warm-standby half of a replicated deployment: the
+// server.Standby role plus the durable state core opened for it. A standby
+// crash empties the fields; RestartStandby fills them with a fresh
+// incarnation and re-serves StandbyAddr.
 type standbySite struct {
-	dir string
-
 	mu   sync.Mutex
+	sb   *server.Standby
 	repo *repo.Repository
 	plog *wal.Log
-	recv *repl.Receiver
-	// site and serverH are set by promotion: the full server role over the
-	// replicated state, and its request handler (client traffic at
-	// StandbyAddr is refused until then).
-	site    *serverSite
-	serverH rpc.DeadlineHandler
 	// everPromoted survives a crash of the promoted site: the state under
-	// dir carries a bumped epoch and direct mutations, so it can never
-	// rejoin as a follower.
+	// Dir/standby carries a bumped epoch and direct mutations, so it can
+	// never rejoin as a follower.
 	everPromoted bool
 }
 
-func (sb *standbySite) receiver() *repl.Receiver {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.recv
-}
-
-func (sb *standbySite) serverHandler() rpc.DeadlineHandler {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.serverH
-}
-
-func (sb *standbySite) promotedSite() *serverSite {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.site
-}
-
-// epoch reports the standby's current fencing term (0 when crashed), used by
-// the envelope fence at StandbyAddr.
-func (sb *standbySite) epoch() uint64 {
-	sb.mu.Lock()
-	r := sb.repo
-	sb.mu.Unlock()
-	if r == nil {
-		return 0
+// role returns the live standby role (nil while crashed or unreplicated).
+func (ss *standbySite) role() *server.Standby {
+	if ss == nil {
+		return nil
 	}
-	return r.Epoch()
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.sb
 }
 
-// healthInfo answers a pre-promotion health probe at the standby address.
-func (sb *standbySite) healthInfo() txn.ServerHealthInfo {
-	sb.mu.Lock()
-	r, promoting := sb.repo, sb.repo != nil && !sb.repo.Follower() && sb.serverH == nil
-	sb.mu.Unlock()
-	if r == nil {
-		return txn.ServerHealthInfo{Mode: "down", Cause: "standby crashed", Role: "standby"}
+// promotedSite returns the server site a promotion assembled (nil before
+// promotion, while crashed, or when unreplicated).
+func (ss *standbySite) promotedSite() *server.Site {
+	if sb := ss.role(); sb != nil {
+		return sb.Site()
 	}
-	h := r.Health()
-	role := "standby"
-	if promoting {
-		role = "promoting"
-	}
-	return txn.ServerHealthInfo{Mode: h.Mode, Cause: h.Cause, Role: role, Epoch: r.Epoch()}
+	return nil
 }
 
-func (s *System) standbyDir() string { return filepath.Join(s.opts.Dir, "standby") }
+// healthInfo answers for the standby when no primary serves.
+func (ss *standbySite) healthInfo() txn.ServerHealthInfo {
+	if sb := ss.role(); sb != nil {
+		return sb.HealthInfo()
+	}
+	return txn.ServerHealthInfo{Mode: "down", Cause: "standby crashed", Role: "standby"}
+}
 
-// openStandbyState opens (or recovers) the standby's durable state: the
-// follower-mode repository and the raw participant-log copy, both under
-// Dir/standby. The repository replays its shipped redo log; tails resume
-// where shipping left off.
-func (s *System) openStandbyState() (*repo.Repository, *wal.Log, error) {
-	dir := s.standbyDir()
+// bootStandby opens (or recovers) the standby's durable state under
+// Dir/standby — the follower-mode repository replays its shipped redo log,
+// the participant-log copy resumes where shipping left off — and serves a
+// fresh server.Standby over it at StandbyAddr.
+func (s *System) bootStandby(ss *standbySite) error {
+	dir := filepath.Join(s.opts.Dir, "standby")
 	r, err := repo.Open(s.cat, repo.Options{
 		Dir: dir, Sync: true, Follower: true,
-		NoGroupCommit:    s.opts.Serialized,
 		SegmentBytes:     s.opts.SegmentBytes,
-		SerializedReads:  s.opts.Serialized || s.opts.SerializedReads,
-		SerializedWrites: s.opts.Serialized || s.opts.SerializedWrites,
+		SerializedReads:  s.opts.SerializedReads,
+		SerializedWrites: s.opts.SerializedWrites,
 		Faults:           s.opts.Faults,
 	})
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	plog, err := wal.Open(filepath.Join(dir, "participant.wal"), wal.Options{
-		SyncOnAppend: true, NoGroupCommit: s.opts.Serialized,
-		SegmentBytes: s.opts.SegmentBytes,
+		SyncOnAppend: true, SegmentBytes: s.opts.SegmentBytes,
 	})
 	if err != nil {
 		r.Close()
-		return nil, nil, err
-	}
-	return r, plog, nil
-}
-
-// startStandby boots the standby site and registers the StandbyAddr handler.
-// Called once, at system construction.
-func (s *System) startStandby() error {
-	r, plog, err := s.openStandbyState()
-	if err != nil {
 		return err
 	}
-	sb := &standbySite{dir: s.standbyDir(), repo: r, plog: plog}
-	sb.recv = repl.NewReceiver(r, plog, repl.ReceiverOptions{
-		Faults:    s.opts.Faults,
-		OnPromote: func(epoch uint64) error { return s.promoteStandby(sb, epoch) },
-	})
-	handler := rpc.DedupDeadlineFenced(s.standbyDispatch(sb), rpc.EpochFence(sb.epoch))
-	if err := rpc.ServeWithDeadline(s.trans, StandbyAddr, handler); err != nil {
+	sb := server.NewStandby(r, plog, s.incarnationClient("standby-cb"), s.siteOptions())
+	sb.OnPromoted = s.startCheckpointer
+	if err := rpc.ServeWithDeadline(s.trans, StandbyAddr, sb.Handler()); err != nil {
 		plog.Close()
 		r.Close()
 		return err
 	}
-	s.mu.Lock()
-	s.standby = sb
-	s.mu.Unlock()
+	ss.mu.Lock()
+	ss.sb, ss.repo, ss.plog = sb, r, plog
+	ss.mu.Unlock()
 	return nil
 }
 
-// standbyDispatch routes requests at StandbyAddr: the replication protocol to
-// the receiver, everything else to the promoted server role once it exists.
-// Before promotion only health probes are answered; client traffic is refused
-// with repo.ErrFollower (the workstation's failover path promotes first).
-func (s *System) standbyDispatch(sb *standbySite) rpc.DeadlineHandler {
-	return func(deadline time.Time, method string, payload []byte) ([]byte, error) {
-		switch method {
-		case repl.MethodHello, repl.MethodShip, repl.MethodPromote:
-			recv := sb.receiver()
-			if recv == nil {
-				return nil, errors.New("core: standby is down")
-			}
-			return recv.Handler()(method, payload)
-		}
-		if h := sb.serverHandler(); h != nil {
-			return h(deadline, method, payload)
-		}
-		if method == txn.MethodHealth {
-			return txn.EncodeHealthInfo(sb.healthInfo()), nil
-		}
-		return nil, fmt.Errorf("%w: standby serves no client traffic before promotion", repo.ErrFollower)
+// shutdown tears the standby down (crash or system close): the promoted site
+// if there is one, then the durable state. Returns the repository's close
+// error, or an error when the standby is already down.
+func (ss *standbySite) shutdown() error {
+	ss.mu.Lock()
+	sb, r, plog := ss.sb, ss.repo, ss.plog
+	ss.sb, ss.repo, ss.plog = nil, nil, nil
+	if sb != nil && sb.Site() != nil {
+		ss.everPromoted = true
 	}
-}
-
-// promoteStandby is the receiver's OnPromote hook: it assembles the full
-// server role over the replicated state. The follower repository has already
-// been promoted (mutations allowed) and the fencing epoch durably bumped; any
-// failure here leaves the promotion retryable. The constructed server-TM
-// recovers prepared checkins from the replicated "tm/staged/" metadata, and
-// replaying the replicated participant log recovers in-doubt 2PC votes — the
-// coordinator-driven decision resend then completes them.
-func (s *System) promoteStandby(sb *standbySite, epoch uint64) error {
-	sb.mu.Lock()
-	r, plog := sb.repo, sb.plog
-	sb.mu.Unlock()
-	if r == nil {
-		return errors.New("core: standby is down")
+	ss.mu.Unlock()
+	if sb == nil {
+		return errors.New("core: standby already down")
 	}
-	locks := s.newLockManager()
-	scopes := lock.NewScopeTable()
-	reg := feature.NewRegistry()
-	stm := txn.NewServerTM(r, locks, scopes)
-	stm.Faults = s.opts.Faults
-	stm.LeaseTTL = s.opts.LeaseTTL
-	cm, err := coop.NewCM(r, scopes, reg)
-	if err != nil {
-		return err
-	}
-	participant, err := rpc.NewParticipant(stm, plog)
-	if err != nil {
-		cm.Close()
-		return err
-	}
-	participant.Faults = s.opts.Faults
-	site := &serverSite{repo: r, locks: locks, scopes: scopes, reg: reg, stm: stm, cm: cm, participant: participant, plog: plog}
-	s.mu.Lock()
-	s.serverEpochs++
-	cbClient := rpc.NewClient(s.trans, fmt.Sprintf("standby-cb@%d", s.serverEpochs))
-	s.mu.Unlock()
-	cbClient.Backoff = 0
-	site.notifier = rpc.NewNotifier(cbClient, 0)
-	site.notifier.SetFaults(s.opts.Faults)
-	stm.SetNotifier(site.notifier)
-	r.SetChangeHook(stm.VersionChanged)
-	stm.SetReplInfo(func() (string, uint64, uint64, uint64) {
-		return "primary", r.Epoch(), 0, 0
-	})
-	stm.StartLeaseReaper()
-	if !s.opts.NoCheckpoint {
-		site.ckptStop = make(chan struct{})
-		site.ckptDone = make(chan struct{})
-		go s.checkpointer(site)
-	}
-	sb.mu.Lock()
-	sb.site = site
-	sb.serverH = stm.DeadlineHandler(participant)
-	sb.everPromoted = true
-	sb.mu.Unlock()
-	return nil
+	sb.Close()
+	err := r.Close()
+	plog.Close()
+	return err
 }
 
 // Promote asks the standby to take over as primary (what a workstation's
@@ -240,16 +129,16 @@ func (s *System) promoteStandby(sb *standbySite, epoch uint64) error {
 // the new fencing epoch. Idempotent.
 func (s *System) Promote() (uint64, error) {
 	s.mu.Lock()
-	sb := s.standby
+	ss := s.standby
 	s.mu.Unlock()
-	if sb == nil {
+	if ss == nil {
 		return 0, errors.New("core: system is not replicated")
 	}
-	recv := sb.receiver()
-	if recv == nil {
+	sb := ss.role()
+	if sb == nil {
 		return 0, errors.New("core: standby is down")
 	}
-	return recv.Promote()
+	return sb.Receiver().Promote()
 }
 
 // CrashStandby simulates a standby crash: its address partitions and its
@@ -259,25 +148,13 @@ func (s *System) Promote() (uint64, error) {
 // tears down the full server role it was running.
 func (s *System) CrashStandby() error {
 	s.mu.Lock()
-	sb := s.standby
+	ss := s.standby
 	s.mu.Unlock()
-	if sb == nil {
+	if ss == nil {
 		return errors.New("core: system is not replicated")
 	}
 	s.trans.Partition(StandbyAddr)
-	sb.mu.Lock()
-	r, plog, site := sb.repo, sb.plog, sb.site
-	sb.repo, sb.plog, sb.recv, sb.site, sb.serverH = nil, nil, nil, nil, nil
-	sb.mu.Unlock()
-	if r == nil {
-		return errors.New("core: standby already down")
-	}
-	if site != nil {
-		return site.shutdown()
-	}
-	err := r.Close()
-	plog.Close()
-	return err
+	return ss.shutdown()
 }
 
 // RestartStandby recovers the standby from its durable state: the follower
@@ -288,51 +165,25 @@ func (s *System) CrashStandby() error {
 // was promoted cannot restart as a follower again.
 func (s *System) RestartStandby() error {
 	s.mu.Lock()
-	sb := s.standby
+	ss := s.standby
 	s.mu.Unlock()
-	if sb == nil {
+	if ss == nil {
 		return errors.New("core: system is not replicated")
 	}
-	sb.mu.Lock()
-	running, promoted := sb.repo != nil, sb.everPromoted
-	sb.mu.Unlock()
+	ss.mu.Lock()
+	running, promoted := ss.sb != nil, ss.everPromoted
+	ss.mu.Unlock()
 	if running {
 		return errors.New("core: standby still running")
 	}
 	if promoted {
 		return errors.New("core: standby was promoted; it restarts as a server, not a follower")
 	}
-	r, plog, err := s.openStandbyState()
-	if err != nil {
+	if err := s.bootStandby(ss); err != nil {
 		return err
 	}
-	recv := repl.NewReceiver(r, plog, repl.ReceiverOptions{
-		Faults:    s.opts.Faults,
-		OnPromote: func(epoch uint64) error { return s.promoteStandby(sb, epoch) },
-	})
-	sb.mu.Lock()
-	sb.repo, sb.plog, sb.recv = r, plog, recv
-	sb.mu.Unlock()
 	s.trans.Heal(StandbyAddr)
 	return nil
-}
-
-// shutdownStandby tears the standby site down at system close.
-func (sb *standbySite) shutdown() {
-	sb.mu.Lock()
-	r, plog, site := sb.repo, sb.plog, sb.site
-	sb.repo, sb.plog, sb.recv, sb.site, sb.serverH = nil, nil, nil, nil, nil
-	sb.mu.Unlock()
-	if site != nil {
-		site.shutdown() //nolint:errcheck // closing
-		return
-	}
-	if r != nil {
-		r.Close()
-	}
-	if plog != nil {
-		plog.Close()
-	}
 }
 
 // ReplHealth is the replication facet of system health, reported from the
@@ -363,32 +214,25 @@ type ReplHealth struct {
 // epoch 0.
 func (s *System) ReplHealth() ReplHealth {
 	s.mu.Lock()
-	sb, site := s.standby, s.server
+	ss, site := s.standby, s.server
 	s.mu.Unlock()
-	if sb != nil {
-		if psite := sb.promotedSite(); psite != nil {
-			return ReplHealth{Role: "primary", Epoch: psite.repo.Epoch(), StandbyPromoted: true}
-		}
+	if psite := ss.promotedSite(); psite != nil {
+		return ReplHealth{Role: "primary", Epoch: psite.Repo.Epoch(), StandbyPromoted: true}
 	}
 	if site == nil {
-		if sb != nil {
-			h := sb.healthInfo()
+		if ss != nil {
+			h := ss.healthInfo()
 			return ReplHealth{Role: h.Role, Epoch: h.Epoch}
 		}
 		return ReplHealth{Role: "down"}
 	}
-	out := ReplHealth{Role: "primary", Epoch: site.repo.Epoch()}
-	if site.sender != nil {
-		st := site.sender.Stats()
+	out := ReplHealth{Role: "primary", Epoch: site.Repo.Epoch()}
+	if st := site.SenderStats(); st.Mode != 0 {
 		out.Mode = st.Mode.String()
 		out.SyncConfigured = st.SyncConfigured
 		out.Degrades = st.Degrades
-		if st.LagRecords > 0 {
-			out.LagRecords = uint64(st.LagRecords)
-		}
-		if st.LagBytes > 0 {
-			out.LagBytes = uint64(st.LagBytes)
-		}
+		out.LagRecords = uint64(max(st.LagRecords, 0))
+		out.LagBytes = uint64(max(st.LagBytes, 0))
 	}
 	return out
 }
@@ -397,30 +241,26 @@ func (s *System) ReplHealth() ReplHealth {
 // system is unreplicated or the standby is down).
 func (s *System) StandbyReceiverStats() repl.ReceiverStats {
 	s.mu.Lock()
-	sb := s.standby
+	ss := s.standby
 	s.mu.Unlock()
-	if sb == nil {
-		return repl.ReceiverStats{}
+	if sb := ss.role(); sb != nil {
+		return sb.Receiver().Stats()
 	}
-	recv := sb.receiver()
-	if recv == nil {
-		return repl.ReceiverStats{}
-	}
-	return recv.Stats()
+	return repl.ReceiverStats{}
 }
 
 // StandbyRepo returns the standby repository (nil when unreplicated or
 // crashed). Oracles read it to compare replicated state against the primary.
 func (s *System) StandbyRepo() *repo.Repository {
 	s.mu.Lock()
-	sb := s.standby
+	ss := s.standby
 	s.mu.Unlock()
-	if sb == nil {
+	if ss == nil {
 		return nil
 	}
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.repo
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.repo
 }
 
 // PrimaryRepo returns the original primary's repository — even after a
@@ -433,5 +273,5 @@ func (s *System) PrimaryRepo() *repo.Repository {
 	if s.server == nil {
 		return nil
 	}
-	return s.server.repo
+	return s.server.Repo
 }

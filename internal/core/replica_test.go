@@ -173,8 +173,8 @@ func TestDeposedPrimaryIsFencedOut(t *testing.T) {
 		Object: catalog.NewObject(vlsi.DOTFloorplan).Set("cell", catalog.Str("X")).Set("area", catalog.Float(9)),
 		Status: version.StatusWorking,
 	}
-	v.ID = deposed.repo.NextID()
-	err = deposed.repo.Checkin(v, false)
+	v.ID = deposed.Repo.NextID()
+	err = deposed.Repo.Checkin(v, false)
 	if !errors.Is(err, rpc.ErrStaleEpoch) {
 		t.Fatalf("deposed primary checkin error = %v, want ErrStaleEpoch", err)
 	}

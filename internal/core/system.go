@@ -24,6 +24,7 @@ import (
 	"concord/internal/repo"
 	"concord/internal/rpc"
 	"concord/internal/script"
+	"concord/internal/server"
 	"concord/internal/txn"
 	"concord/internal/wal"
 )
@@ -46,11 +47,6 @@ type Options struct {
 	RegisterTypes func(*catalog.Catalog) error
 	// Fault injects message faults into the workstation/server transport.
 	Fault rpc.FaultPlan
-	// Serialized reverts the server core to the pre-concurrency design:
-	// WAL appends are written and fsynced one at a time (no group commit)
-	// and the lock table collapses to a single shard. Experiments (E12) and
-	// ablation benchmarks use it as the contention baseline.
-	Serialized bool
 	// SerializedReads reverts only the repository read path to the pre-MVCC
 	// design (repository lock + deep payload clone per Get), leaving the
 	// group-commit WAL and sharded locks in place. E15 uses it to isolate
@@ -74,10 +70,6 @@ type Options struct {
 	// 0 uses DefaultCheckpointLogBytes. Explicit System.Checkpoint calls
 	// work regardless.
 	CheckpointLogBytes int64
-	// NoCheckpoint disables the background checkpointer (ablation: restart
-	// time and disk usage then grow with history length, the seed
-	// behaviour E13 quantifies). Explicit System.Checkpoint still works.
-	NoCheckpoint bool
 	// SegmentBytes is the WAL segment rotation threshold for the server
 	// logs (0 uses wal.DefaultSegmentBytes).
 	SegmentBytes int64
@@ -154,58 +146,19 @@ type System struct {
 	serverEpochs int
 }
 
-// serverSite bundles the server-side components.
+// serverSite is an assembled server site plus the durable state core opened
+// for it (the participant log is nil in a volatile system).
 type serverSite struct {
-	repo        *repo.Repository
-	locks       *lock.Manager
-	scopes      *lock.ScopeTable
-	reg         *feature.Registry
-	stm         *txn.ServerTM
-	cm          *coop.CM
-	participant *rpc.Participant
-	plog        *wal.Log
-	// sender is the primary half of WAL shipping (nil unless replicated and
-	// this site is the primary; a promoted standby ships nothing onward).
-	sender *repl.Sender
-	// notifier is the server→workstation cache-invalidation channel
-	// (DESIGN.md §4); closed on crash/shutdown.
-	notifier *rpc.Notifier
-	// ckptStop ends the background checkpointer; ckptDone is closed when
-	// it has exited. Nil when checkpointing is disabled or volatile.
-	ckptStop chan struct{}
-	ckptDone chan struct{}
+	*server.Site
+	plog *wal.Log
 }
 
-// stopCheckpointer shuts the background checkpointer down and waits for it.
-func (site *serverSite) stopCheckpointer() {
-	if site.ckptStop == nil {
-		return
-	}
-	close(site.ckptStop)
-	<-site.ckptDone
-	site.ckptStop = nil
-}
-
-// shutdown tears the site down: background loops, the notifier channel, WAL
-// shipping, and finally the durable state. Returns the repository's close
-// error (the one that can report lost durability).
+// shutdown tears the site down, then closes the durable state under it.
+// Returns the repository's close error (the one that can report lost
+// durability).
 func (site *serverSite) shutdown() error {
-	site.stopCheckpointer()
-	site.stm.StopLeaseReaper()
-	if site.notifier != nil {
-		site.notifier.Close()
-	}
-	site.cm.Close()
-	if site.sender != nil {
-		if l := site.repo.Log(); l != nil {
-			l.SetShipper(nil)
-		}
-		if site.plog != nil {
-			site.plog.SetShipper(nil)
-		}
-		site.sender.Close()
-	}
-	err := site.repo.Close()
+	site.Close()
+	err := site.Repo.Close()
 	if site.plog != nil {
 		site.plog.Close()
 	}
@@ -235,13 +188,14 @@ func NewSystem(opts Options) (*System, error) {
 	// The standby boots first so the primary's sender finds its receiver on
 	// the very first handshake instead of burning a retry.
 	if opts.Replicated {
-		if err := s.startStandby(); err != nil {
+		s.standby = &standbySite{}
+		if err := s.bootStandby(s.standby); err != nil {
 			return nil, err
 		}
 	}
 	if err := s.startServer(); err != nil {
 		if s.standby != nil {
-			s.standby.shutdown()
+			s.standby.shutdown() //nolint:errcheck // reporting the boot error
 		}
 		return nil, err
 	}
@@ -255,24 +209,42 @@ func (s *System) serverDir() string {
 	return filepath.Join(s.opts.Dir, "server")
 }
 
-// newLockManager builds a server lock manager honouring the Serialized
-// ablation (single shard).
-func (s *System) newLockManager() *lock.Manager {
-	shards := lock.DefaultShards
-	if s.opts.Serialized {
-		shards = 1
-	}
-	return lock.NewManagerWithShards(shards)
+// siteOptions is what every server site of this system is assembled with.
+func (s *System) siteOptions() server.Options {
+	return server.Options{Faults: s.opts.Faults, LeaseTTL: s.opts.LeaseTTL}
 }
 
-// startServer builds (or recovers) the server site and serves its handler.
+// incarnationClient returns an rpc client whose ID is unique per server
+// incarnation, so the peers' request dedup never mistakes a restarted
+// server's calls for replays. Server-originated traffic does not back off.
+func (s *System) incarnationClient(role string) *rpc.Client {
+	s.mu.Lock()
+	s.serverEpochs++
+	c := rpc.NewClient(s.trans, fmt.Sprintf("%s@%d", role, s.serverEpochs))
+	s.mu.Unlock()
+	c.Backoff = 0
+	return c
+}
+
+// startCheckpointer starts a durable site's background checkpointer at the
+// configured log-growth threshold.
+func (s *System) startCheckpointer(site *server.Site) {
+	threshold := s.opts.CheckpointLogBytes
+	if threshold <= 0 {
+		threshold = DefaultCheckpointLogBytes
+	}
+	site.StartCheckpointer(threshold)
+}
+
+// startServer opens (or recovers) the server's durable state, assembles the
+// site over it and serves its handler.
 func (s *System) startServer() error {
 	dir := s.serverDir()
 	r, err := repo.Open(s.cat, repo.Options{
-		Dir: dir, Sync: dir != "", NoGroupCommit: s.opts.Serialized,
+		Dir: dir, Sync: dir != "",
 		SegmentBytes:            s.opts.SegmentBytes,
-		SerializedReads:         s.opts.Serialized || s.opts.SerializedReads,
-		SerializedWrites:        s.opts.Serialized || s.opts.SerializedWrites,
+		SerializedReads:         s.opts.SerializedReads,
+		SerializedWrites:        s.opts.SerializedWrites,
 		QuiescentCheckpoint:     s.opts.QuiescentCheckpoint,
 		CheckpointMaxChain:      s.opts.CheckpointMaxChain,
 		CheckpointMaxChainBytes: s.opts.CheckpointMaxChainBytes,
@@ -282,150 +254,43 @@ func (s *System) startServer() error {
 	if err != nil {
 		return err
 	}
-	locks := s.newLockManager()
-	scopes := lock.NewScopeTable()
-	reg := feature.NewRegistry()
-	stm := txn.NewServerTM(r, locks, scopes)
-	stm.Faults = s.opts.Faults
-	stm.LeaseTTL = s.opts.LeaseTTL
-	cm, err := coop.NewCM(r, scopes, reg)
-	if err != nil {
-		r.Close()
-		return err
-	}
-	var plog *wal.Log
+	site := &serverSite{}
 	if dir != "" {
-		plog, err = wal.Open(filepath.Join(dir, "participant.wal"), wal.Options{
-			SyncOnAppend: true, NoGroupCommit: s.opts.Serialized,
-			SegmentBytes: s.opts.SegmentBytes,
+		site.plog, err = wal.Open(filepath.Join(dir, "participant.wal"), wal.Options{
+			SyncOnAppend: true, SegmentBytes: s.opts.SegmentBytes,
 		})
 		if err != nil {
 			r.Close()
 			return err
 		}
 	}
-	participant, err := rpc.NewParticipant(stm, plog)
+	site.Site, err = server.Assemble(r, site.plog, s.incarnationClient("server-cb"), s.siteOptions())
 	if err != nil {
-		r.Close()
-		return err
-	}
-	participant.Faults = s.opts.Faults
-	site := &serverSite{repo: r, locks: locks, scopes: scopes, reg: reg, stm: stm, cm: cm, participant: participant, plog: plog}
-	// Callback channel: version changes fan out to registered workstation
-	// caches, pushed off the hot path by a notifier worker. The client ID is
-	// incarnation-unique so workstation-side request dedup never mistakes a
-	// restarted server's callbacks for replays.
-	s.mu.Lock()
-	s.serverEpochs++
-	cbClient := rpc.NewClient(s.trans, fmt.Sprintf("server-cb@%d", s.serverEpochs))
-	s.mu.Unlock()
-	cbClient.Backoff = 0
-	site.notifier = rpc.NewNotifier(cbClient, 0)
-	site.notifier.SetFaults(s.opts.Faults)
-	stm.SetNotifier(site.notifier)
-	r.SetChangeHook(stm.VersionChanged)
-	if s.opts.Replicated {
-		// WAL shipping: both server logs stream to the standby. The sender's
-		// client is incarnation-unique like the callback client; its envelopes
-		// stay unstamped (epoch agreement travels inside the repl protocol,
-		// where the receiver can adopt newer terms).
-		s.mu.Lock()
-		replClient := rpc.NewClient(s.trans, fmt.Sprintf("repl@%d", s.serverEpochs))
-		s.mu.Unlock()
-		replClient.Backoff = 0
-		site.sender = repl.NewSender(replClient, StandbyAddr, []repl.Stream{
-			{ID: repl.StreamRepo, Log: r.Log()},
-			{ID: repl.StreamPart, Log: plog},
-		}, repl.SenderOptions{
-			Sync:   s.opts.SyncReplication,
-			LagMax: s.opts.ReplLagMax,
-			Epoch:  r.Epoch,
-			Faults: s.opts.Faults,
-		})
-		r.Log().SetShipper(site.sender.Shipper(repl.StreamRepo))
-		plog.SetShipper(site.sender.Shipper(repl.StreamPart))
-		sender := site.sender
-		stm.SetReplInfo(func() (string, uint64, uint64, uint64) {
-			st := sender.Stats()
-			var lagR, lagB uint64
-			if st.LagRecords > 0 {
-				lagR = uint64(st.LagRecords)
-			}
-			if st.LagBytes > 0 {
-				lagB = uint64(st.LagBytes)
-			}
-			return "primary", r.Epoch(), lagR, lagB
-		})
-	}
-	// The deadline-aware path threads each call's propagated budget down to
-	// the server-TM, where it bounds lock waits (heartbeats carry tight
-	// budgets, bulk checkouts generous ones). The epoch fence refuses callers
-	// that witnessed a failover this server missed: a deposed primary cannot
-	// serve a workstation that already moved on (DESIGN.md §5.4).
-	handler := rpc.DedupDeadlineFenced(stm.DeadlineHandler(participant), rpc.EpochFence(r.Epoch))
-	if err := rpc.ServeWithDeadline(s.trans, ServerAddr, handler); err != nil {
-		site.notifier.Close()
-		if site.sender != nil {
-			r.Log().SetShipper(nil)
-			plog.SetShipper(nil)
-			site.sender.Close()
+		if site.plog != nil {
+			site.plog.Close()
 		}
 		r.Close()
 		return err
 	}
-	stm.StartLeaseReaper()
-	if dir != "" && !s.opts.NoCheckpoint {
-		site.ckptStop = make(chan struct{})
-		site.ckptDone = make(chan struct{})
-		go s.checkpointer(site)
+	if s.opts.Replicated {
+		// The sender's envelopes stay unstamped: epoch agreement travels
+		// inside the repl protocol, where the receiver can adopt newer terms.
+		site.ReplicateTo(s.incarnationClient("repl"), StandbyAddr, repl.SenderOptions{
+			Sync:   s.opts.SyncReplication,
+			LagMax: s.opts.ReplLagMax,
+		})
+	}
+	if err := rpc.ServeWithDeadline(s.trans, ServerAddr, site.Handler()); err != nil {
+		site.shutdown() //nolint:errcheck // reporting the serve error
+		return err
+	}
+	if dir != "" {
+		s.startCheckpointer(site.Site)
 	}
 	s.mu.Lock()
 	s.server = site
 	s.mu.Unlock()
 	return nil
-}
-
-// checkpointer is the background compaction loop: whenever the repository
-// log has grown CheckpointLogBytes past its low-water mark, it snapshots the
-// repository and compacts both server logs, keeping restart time and disk
-// usage bounded by live state instead of history length.
-func (s *System) checkpointer(site *serverSite) {
-	defer close(site.ckptDone)
-	threshold := s.opts.CheckpointLogBytes
-	if threshold <= 0 {
-		threshold = DefaultCheckpointLogBytes
-	}
-	tick := time.NewTicker(checkpointPollInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-site.ckptStop:
-			return
-		case <-tick.C:
-		}
-		if site.repo.LogSize()-int64(site.repo.LowWater()) < threshold {
-			continue
-		}
-		if err := checkpointSite(site); err != nil {
-			// A failed checkpoint is not fatal to the running server: the
-			// log simply keeps growing until the next attempt (or an
-			// operator notices the fail-stop underneath, which every
-			// regular operation reports too).
-			continue //nolint:staticcheck // keep polling
-		}
-	}
-}
-
-// checkpointPollInterval is how often the background checkpointer samples
-// the log size. A variable so tests can tighten it.
-var checkpointPollInterval = 250 * time.Millisecond
-
-// checkpointSite runs one checkpoint over the server's durable state.
-func checkpointSite(site *serverSite) error {
-	if err := site.repo.Checkpoint(); err != nil {
-		return err
-	}
-	return site.participant.Checkpoint()
 }
 
 // Checkpoint snapshots the repository and compacts the server logs now,
@@ -436,7 +301,7 @@ func (s *System) Checkpoint() error {
 	if site == nil {
 		return errors.New("core: server is down")
 	}
-	return checkpointSite(site)
+	return site.Checkpoint()
 }
 
 // Catalog returns the shared DOT catalog.
@@ -445,37 +310,38 @@ func (s *System) Catalog() *catalog.Catalog { return s.cat }
 // activeSite resolves the server site currently in charge: the promoted
 // standby once a failover happened (it holds the highest fencing epoch),
 // otherwise the primary. Nil when no site serves.
-func (s *System) activeSite() *serverSite {
+func (s *System) activeSite() *server.Site {
 	s.mu.Lock()
 	sb, site := s.standby, s.server
 	s.mu.Unlock()
-	if sb != nil {
-		if psite := sb.promotedSite(); psite != nil {
-			return psite
-		}
+	if psite := sb.promotedSite(); psite != nil {
+		return psite
 	}
-	return site
+	if site == nil {
+		return nil
+	}
+	return site.Site
 }
 
 // CM returns the cooperation manager (centralized at the server site).
 func (s *System) CM() *coop.CM {
-	return s.activeSite().cm
+	return s.activeSite().CM
 }
 
 // Repo returns the active server repository (the promoted standby's after a
 // failover).
 func (s *System) Repo() *repo.Repository {
-	return s.activeSite().repo
+	return s.activeSite().Repo
 }
 
 // Scopes returns the active server scope table.
 func (s *System) Scopes() *lock.ScopeTable {
-	return s.activeSite().scopes
+	return s.activeSite().Scopes
 }
 
 // ServerTM returns the active server transaction manager.
 func (s *System) ServerTM() *txn.ServerTM {
-	return s.activeSite().stm
+	return s.activeSite().TM
 }
 
 // CacheNotifier returns the server's cache-invalidation channel (nil when
@@ -485,7 +351,7 @@ func (s *System) CacheNotifier() *rpc.Notifier {
 	if site == nil {
 		return nil
 	}
-	return site.notifier
+	return site.Notifier
 }
 
 // NotifierStats reports the cache-invalidation channel's delivery counters
@@ -494,10 +360,10 @@ func (s *System) CacheNotifier() *rpc.Notifier {
 // when the server is down.
 func (s *System) NotifierStats() (sent, dropped, failed uint64) {
 	site := s.activeSite()
-	if site == nil || site.notifier == nil {
+	if site == nil {
 		return 0, 0, 0
 	}
-	return site.notifier.Stats()
+	return site.Notifier.Stats()
 }
 
 // Health reports the active server repository's degradation mode ("ok",
@@ -508,13 +374,13 @@ func (s *System) Health() (mode, cause string) {
 	if site == nil {
 		return "down", "server crashed"
 	}
-	h := site.repo.Health()
+	h := site.Repo.Health()
 	return h.Mode, h.Cause
 }
 
 // Registry returns the feature-tool registry used by Evaluate.
 func (s *System) Registry() *feature.Registry {
-	return s.activeSite().reg
+	return s.activeSite().Registry
 }
 
 // Transport exposes the in-process LAN (fault injection, partitions).
@@ -532,7 +398,7 @@ func (s *System) Close() error {
 		err = s.server.shutdown()
 	}
 	if s.standby != nil {
-		s.standby.shutdown()
+		s.standby.shutdown() //nolint:errcheck // closing; already down is fine
 	}
 	s.trans.Close()
 	return err
@@ -589,13 +455,9 @@ func (s *System) AddWorkstation(id string) (*Workstation, error) {
 	}
 	s.trans.Heal(cbAddr)
 	tm.SetCallbackAddr(cbAddr)
-	ttl := s.opts.LeaseTTL
-	if ttl <= 0 {
-		ttl = txn.DefaultLeaseTTL
-	}
 	hb := s.opts.HeartbeatEvery
 	if hb <= 0 {
-		hb = ttl / txn.DefaultHeartbeatDivisor
+		hb = s.opts.LeaseTTL / txn.DefaultHeartbeatDivisor // 0 = StartHeartbeat's default
 	}
 	tm.StartHeartbeat(hb)
 	w := &Workstation{id: id, sys: s, tm: tm, recovered: recovered, dms: make(map[string]*script.DesignManager)}
@@ -715,7 +577,7 @@ func (s *System) RestartServer() error {
 		wss = append(wss, w)
 	}
 	s.mu.Unlock()
-	return site.participant.Resolve(func(txid string) rpc.Outcome {
+	return site.Participant.Resolve(func(txid string) rpc.Outcome {
 		for _, w := range wss {
 			if w.tm.Coordinator().Outcome(txid) == rpc.OutcomeCommitted {
 				return rpc.OutcomeCommitted

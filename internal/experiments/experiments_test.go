@@ -96,7 +96,7 @@ func TestE11LostWorkBoundedByInterval(t *testing.T) {
 }
 
 func TestE12MultiWorkstationRuns(t *testing.T) {
-	res, err := RunMultiWorkstation(false, 4, 5)
+	res, err := RunMultiWorkstation(4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +108,6 @@ func TestE12MultiWorkstationRuns(t *testing.T) {
 	}
 	if res.WALAppends == 0 || res.WALBatches == 0 || res.WALBatches > res.WALAppends {
 		t.Fatalf("WAL stats appends=%d batches=%d", res.WALAppends, res.WALBatches)
-	}
-	// The serialized baseline must still work and batch nothing.
-	ser, err := RunMultiWorkstation(true, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ser.WALAppends != ser.WALBatches {
-		t.Fatalf("serialized run batched: appends=%d batches=%d", ser.WALAppends, ser.WALBatches)
 	}
 }
 

@@ -37,11 +37,9 @@ func (r MultiWorkstationResult) OpsPerSec() float64 {
 
 // RunMultiWorkstation boots one durable server and n workstations, then has
 // every workstation run `rounds` checkout → modify → checkin cycles (each a
-// full DOP with 2PC) against its own DA, all in parallel. serialized selects
-// the pre-concurrency server core (single-shard lock table, one fsync per
-// WAL record) as the baseline; the default is the concurrent core (sharded
-// locks, group-commit WAL). Used by E12 and the concurrency benchmarks.
-func RunMultiWorkstation(serialized bool, n, rounds int) (MultiWorkstationResult, error) {
+// full DOP with 2PC) against its own DA, all in parallel. Used by E12 and the
+// concurrency benchmarks.
+func RunMultiWorkstation(n, rounds int) (MultiWorkstationResult, error) {
 	res := MultiWorkstationResult{Workstations: n}
 	dir, err := os.MkdirTemp("", "concord-e12")
 	if err != nil {
@@ -51,7 +49,6 @@ func RunMultiWorkstation(serialized bool, n, rounds int) (MultiWorkstationResult
 	sys, err := core.NewSystem(core.Options{
 		Dir:           dir,
 		RegisterTypes: vlsi.RegisterCatalog,
-		Serialized:    serialized,
 		// Only the shared server core is under test; workstation-local
 		// recovery logs would add private fsyncs that obscure it.
 		VolatileWorkstations: true,
@@ -147,41 +144,40 @@ func RunMultiWorkstation(serialized bool, n, rounds int) (MultiWorkstationResult
 	return res, nil
 }
 
+// e12SerializedBaseline pins the seed's fully serialized server core (global
+// WAL mutex with one fsync per record, single-shard lock table, global CM
+// mutex) as measured in PR 1 on the reference host, in checkins/s per
+// workstation count (EXPERIMENTS.md E12). The comparison is settled, so the
+// serialized core no longer ships as a switch.
+var e12SerializedBaseline = map[int]float64{1: 1536, 2: 1551, 4: 1559, 8: 1737}
+
 // E12MultiWorkstation measures aggregate checkout/modify/checkin throughput
-// of N concurrent workstations against one server-TM, comparing the seed's
-// fully serialized server core (global WAL mutex with one fsync per record,
-// single-shard lock table, global CM mutex) with the concurrent core
-// (group-commit WAL, sharded lock manager, per-DA CM locking). The paper's
-// Sect. 5.1 workstation/server architecture explicitly targets many
-// designers working in parallel; this experiment quantifies how far the
-// server core scales with them.
+// of N concurrent workstations against one server-TM (group-commit WAL,
+// sharded lock manager, per-DA CM locking) and prints it beside the pinned
+// throughput of the seed's serialized core. The paper's Sect. 5.1
+// workstation/server architecture explicitly targets many designers working
+// in parallel; this experiment quantifies how far the server core scales with
+// them.
 func E12MultiWorkstation() (Report, error) {
 	rep := Report{
 		ID:     "E12",
 		Title:  "multi-workstation checkout/checkin throughput (Sect. 5.1/5.2)",
-		Header: []string{"workstations", "checkins", "serialized ops/s", "concurrent ops/s", "speedup"},
+		Header: []string{"workstations", "checkins", "serialized ops/s (PR 1)", "concurrent ops/s", "speedup"},
 	}
 	const rounds = 20
 	for _, n := range []int{1, 2, 4, 8} {
-		ser, err := RunMultiWorkstation(true, n, rounds)
+		con, err := RunMultiWorkstation(n, rounds)
 		if err != nil {
-			return rep, fmt.Errorf("E12 serialized N=%d: %w", n, err)
+			return rep, fmt.Errorf("E12 N=%d: %w", n, err)
 		}
-		con, err := RunMultiWorkstation(false, n, rounds)
-		if err != nil {
-			return rep, fmt.Errorf("E12 concurrent N=%d: %w", n, err)
-		}
-		speedup := 0.0
-		if ser.OpsPerSec() > 0 {
-			speedup = con.OpsPerSec() / ser.OpsPerSec()
-		}
+		ser := e12SerializedBaseline[n]
 		rep.Rows = append(rep.Rows, []string{
-			d(n), d(con.Checkins), f(ser.OpsPerSec()), f(con.OpsPerSec()),
-			fmt.Sprintf("%.2fx", speedup),
+			d(n), d(con.Checkins), f(ser), f(con.OpsPerSec()),
+			fmt.Sprintf("%.2fx", con.OpsPerSec()/ser),
 		})
 	}
 	rep.Notes = append(rep.Notes,
-		"serialized = single-shard lock table + one fsync per WAL record (the seed design)",
+		"serialized = single-shard lock table + one fsync per WAL record (the seed design); pinned PR-1 figures, not re-measured",
 		"concurrent = sharded lock manager + group-commit WAL + per-DA CM locking",
 		"each checkin is a full DOP: Begin, checkout(derive), modify, 2PC checkin, commit",
 	)

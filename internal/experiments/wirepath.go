@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"concord/internal/catalog"
-	"concord/internal/lock"
 	"concord/internal/repo"
 	"concord/internal/rpc"
+	"concord/internal/server"
 	"concord/internal/txn"
 	"concord/internal/version"
 )
@@ -120,15 +120,14 @@ func RunWireScaling(connectPerCall bool, n, rounds int, mode WirePathMode) (Wire
 		return res, err
 	}
 	defer r.Close()
-	scopes := lock.NewScopeTable()
-	stm := txn.NewServerTM(r, lock.NewManager(), scopes)
-	participant, err := rpc.NewParticipant(stm, nil)
+	srv := rpc.NewTCP()
+	defer srv.Close()
+	site, err := server.Assemble(r, nil, rpc.NewClient(srv, "e18-cb"), server.Options{})
 	if err != nil {
 		return res, err
 	}
-	srv := rpc.NewTCP()
-	defer srv.Close()
-	addr, err := srv.ListenDeadline("127.0.0.1:0", rpc.DedupDeadline(stm.DeadlineHandler(participant)))
+	defer site.Close()
+	addr, err := srv.ListenDeadline("127.0.0.1:0", site.Handler())
 	if err != nil {
 		return res, err
 	}
@@ -161,6 +160,7 @@ func RunWireScaling(connectPerCall bool, n, rounds int, mode WirePathMode) (Wire
 		if err != nil {
 			return res, err
 		}
+		tm.StartHeartbeat(0) // the readers' DOPs outlive a slow run's lease
 		dop, err := tm.Begin("", da)
 		if err != nil {
 			tm.Close()

@@ -3,6 +3,7 @@ package repl
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"concord/internal/binenc"
 	"concord/internal/fault"
@@ -85,6 +86,23 @@ func (rc *Receiver) Handler() rpc.Handler {
 			return nil, fmt.Errorf("repl: unknown method %q", method)
 		}
 	}
+}
+
+// RequestPromote is the client half of MethodPromote: it asks the standby
+// served at addr to take over as primary and returns the fencing epoch the
+// promoted server now serves under. budget bounds the call end to end (0 =
+// the client's defaults).
+func RequestPromote(client *rpc.Client, addr string, budget time.Duration) (uint64, error) {
+	resp, err := client.CallBudget(addr, MethodPromote, nil, budget)
+	if err != nil {
+		return 0, err
+	}
+	r := binenc.NewReader(resp)
+	epoch := r.U64()
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("repl: promote response: %w", err)
+	}
+	return epoch, nil
 }
 
 // fence compares a sender's epoch stamp against the standby's own term:

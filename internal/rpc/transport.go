@@ -450,16 +450,11 @@ func Dedup(h Handler) Handler {
 	return NewDeduper(h, DefaultDedupEntries, DefaultDedupBytes).Handle
 }
 
-// DedupDeadline is Dedup for a deadline-aware handler chain: the per-call
-// deadline flows through the memo to h on first execution.
-func DedupDeadline(h DeadlineHandler) DeadlineHandler {
-	return NewDeadlineDeduper(h, DefaultDedupEntries, DefaultDedupBytes).HandleDeadline
-}
-
-// DedupDeadlineFenced is DedupDeadline with epoch fencing: before each
-// request's first execution, fence is consulted with the epoch stamped on
-// the envelope (0 when unstamped) and a non-nil result refuses the call
-// without running h. The refusal is memoized like any handler error, so
+// DedupDeadlineFenced is Dedup for a deadline-aware handler chain — the
+// per-call deadline flows through the memo to h on first execution — with
+// epoch fencing: before each request's first execution, fence (nil for none)
+// is consulted with the epoch stamped on the envelope (0 when unstamped) and
+// a non-nil result refuses the call without running h. The refusal is memoized like any handler error, so
 // client retries of a fenced request never slip through. Use EpochFence for
 // the standard stale-node rule.
 func DedupDeadlineFenced(h DeadlineHandler, fence func(clientEpoch uint64) error) DeadlineHandler {

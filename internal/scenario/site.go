@@ -14,9 +14,9 @@ import (
 	"concord/internal/core"
 	"concord/internal/fault"
 	"concord/internal/feature"
-	"concord/internal/lock"
 	"concord/internal/repo"
 	"concord/internal/rpc"
+	"concord/internal/server"
 	"concord/internal/txn"
 	"concord/internal/vlsi"
 	"concord/internal/wal"
@@ -297,12 +297,12 @@ func (s *inprocSite) close() {
 }
 
 // tcpSite deploys the LAN shape of Sect. 5.1 over real sockets: the server
-// (repository, server-TM, 2PC participant) behind one rpc.TCP listener and
-// one ClientTM per workstation, each with its own TCP transport — the same
-// assembly cmd/concordd performs. Cache-invalidation callbacks flow over the
-// sockets too: each workstation serves its cache handler on a loopback
-// listener of its own transport and the server's notifier dials back to it.
-// No cooperation manager: delegation falls back to plain design areas.
+// site (server.Assemble, as cmd/concordd runs it) behind one rpc.TCP listener
+// and one ClientTM per workstation, each with its own TCP transport.
+// Cache-invalidation callbacks flow over the sockets too: each workstation
+// serves its cache handler on a loopback listener of its own transport and
+// the server's notifier dials back to it. Design areas are plain derivation
+// graphs, not CM-managed: delegation is unsupported.
 type tcpSite struct {
 	cat         *catalog.Catalog
 	reg         *fault.Registry
@@ -314,15 +314,11 @@ type tcpSite struct {
 	leaseTTL    time.Duration
 	degradedWAL bool
 
-	mu          sync.Mutex
-	r           *repo.Repository
-	plog        *wal.Log
-	stm         *txn.ServerTM
-	participant *rpc.Participant
-	scopes      *lock.ScopeTable
-	srv         *rpc.TCP
-	notifier    *rpc.Notifier
-	epoch       int
+	mu    sync.Mutex
+	site  *server.Site // nil while the server is crashed
+	plog  *wal.Log
+	srv   *rpc.TCP
+	epoch int
 
 	tms    []*txn.ClientTM
 	trans  []*rpc.TCP
@@ -368,6 +364,13 @@ func newTCPSite(dir string, topo Topology, reg *fault.Registry) (*tcpSite, error
 			return nil, err
 		}
 		tm.SetCallbackAddr(cbAddr)
+		// The assembled server reaps silent sessions: renew the lease as a
+		// workstation of a real concordd must.
+		hb := topo.HeartbeatEvery
+		if hb <= 0 {
+			hb = topo.LeaseTTL / txn.DefaultHeartbeatDivisor // 0 = StartHeartbeat's default
+		}
+		tm.StartHeartbeat(hb)
 		s.trans = append(s.trans, tr)
 		s.tms = append(s.tms, tm)
 	}
@@ -392,62 +395,68 @@ func (s *tcpSite) startServer() error {
 		r.Close()
 		return err
 	}
-	scopes := lock.NewScopeTable()
-	// Without a cooperation manager to rebuild scope ownership at restart,
-	// reseed it from the recovered derivation graphs: every surviving
-	// version belongs to its DA's scope.
+	// The callback channel shares the server's transport. The client ID is
+	// incarnation-unique so workstation-side dedup never mistakes a restarted
+	// server's callbacks for replays.
+	srv := rpc.NewTCP()
+	s.mu.Lock()
+	s.epoch++
+	cbClient := rpc.NewClient(srv, fmt.Sprintf("server-cb@%d", s.epoch))
+	s.mu.Unlock()
+	cbClient.Backoff = time.Millisecond
+	site, err := server.Assemble(r, plog, cbClient, server.Options{
+		Faults: s.reg, LeaseTTL: s.leaseTTL, LockTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		srv.Close()
+		plog.Close()
+		r.Close()
+		return err
+	}
+	// The DAs here are not CM-managed, so nothing rebuilds scope ownership at
+	// restart: reseed it from the recovered derivation graphs — every
+	// surviving version belongs to its DA's scope.
 	for _, da := range r.GraphNames() {
 		g, err := r.Graph(da)
 		if err != nil {
 			continue
 		}
 		for _, id := range g.IDs() {
-			scopes.Own(da, string(id)) //nolint:errcheck // reseed is idempotent
+			site.Scopes.Own(da, string(id)) //nolint:errcheck // reseed is idempotent
 		}
 	}
-	stm := txn.NewServerTM(r, lock.NewManager(), scopes)
-	stm.LockTimeout = 2 * time.Second
-	stm.Faults = s.reg
-	stm.LeaseTTL = s.leaseTTL
-	participant, err := rpc.NewParticipant(stm, plog)
-	if err != nil {
-		plog.Close()
-		r.Close()
-		return err
-	}
-	participant.Faults = s.reg
-	srv := rpc.NewTCP()
+	s.mu.Lock()
+	s.site, s.plog, s.srv = site, plog, srv
 	listen := s.addr
+	s.mu.Unlock()
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
-	bound, err := srv.ListenDeadline(listen, rpc.DedupDeadline(stm.DeadlineHandler(participant)))
+	bound, err := srv.ListenDeadline(listen, site.Handler())
 	if err != nil {
-		plog.Close()
-		r.Close()
+		s.stopServer()
 		return err
 	}
-	// Callback channel over the same transport: version changes fan out to
-	// the workstations' callback listeners. The client ID is
-	// incarnation-unique so workstation-side dedup never mistakes a
-	// restarted server's callbacks for replays.
 	s.mu.Lock()
-	s.epoch++
-	cbClient := rpc.NewClient(srv, fmt.Sprintf("server-cb@%d", s.epoch))
-	s.mu.Unlock()
-	cbClient.Backoff = time.Millisecond
-	notifier := rpc.NewNotifier(cbClient, 0)
-	notifier.SetFaults(s.reg)
-	stm.SetNotifier(notifier)
-	r.SetChangeHook(stm.VersionChanged)
-	s.mu.Lock()
-	s.r, s.plog, s.stm, s.participant, s.scopes, s.srv = r, plog, stm, participant, scopes, srv
-	s.notifier = notifier
-	if s.addr == "" {
-		s.addr = bound
-	}
+	s.addr = bound
 	s.mu.Unlock()
 	return nil
+}
+
+// stopServer tears the server site down (crash or close): the site, its
+// listener, then the durable state.
+func (s *tcpSite) stopServer() {
+	s.mu.Lock()
+	site, plog, srv := s.site, s.plog, s.srv
+	s.site, s.plog, s.srv = nil, nil, nil
+	s.mu.Unlock()
+	if site == nil {
+		return
+	}
+	site.Close()
+	srv.Close()
+	plog.Close()
+	site.Repo.Close()
 }
 
 func (s *tcpSite) begin(ws int, dopID, da string) (*txn.DOP, error) {
@@ -457,7 +466,10 @@ func (s *tcpSite) begin(ws int, dopID, da string) (*txn.DOP, error) {
 func (s *tcpSite) repo() *repo.Repository {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.r
+	if s.site == nil {
+		return nil
+	}
+	return s.site.Repo
 }
 
 func (s *tcpSite) catalog() *catalog.Catalog { return s.cat }
@@ -469,34 +481,16 @@ func (s *tcpSite) delegate(string, string) error { return errUnsupported }
 
 func (s *tcpSite) checkpoint() error {
 	s.mu.Lock()
-	r, p := s.r, s.participant
+	site := s.site
 	s.mu.Unlock()
-	if r == nil {
+	if site == nil {
 		return errors.New("scenario: server down")
 	}
-	if err := r.Checkpoint(); err != nil {
-		return err
-	}
-	return p.Checkpoint()
+	return site.Checkpoint()
 }
 
 func (s *tcpSite) crashRestartServer(tornTail, tornManifest bool) error {
-	s.mu.Lock()
-	r, plog, srv, notifier := s.r, s.plog, s.srv, s.notifier
-	s.r, s.plog, s.stm, s.participant, s.srv, s.notifier = nil, nil, nil, nil, nil, nil
-	s.mu.Unlock()
-	if notifier != nil {
-		notifier.Close()
-	}
-	if srv != nil {
-		srv.Close()
-	}
-	if plog != nil {
-		plog.Close()
-	}
-	if r != nil {
-		r.Close()
-	}
+	s.stopServer()
 	if tornTail {
 		if err := corruptWALTail(filepath.Join(s.serverRepoDir(), "repo.wal")); err != nil {
 			return err
@@ -513,7 +507,7 @@ func (s *tcpSite) crashRestartServer(tornTail, tornManifest bool) error {
 	// Resolve in-doubt checkins against the workstation coordinators
 	// (presumed abort for unknown outcomes), as core.RestartServer does.
 	s.mu.Lock()
-	participant := s.participant
+	participant := s.site.Participant
 	s.mu.Unlock()
 	return participant.Resolve(func(txid string) rpc.Outcome {
 		for _, tm := range s.tms {
@@ -530,7 +524,10 @@ func (s *tcpSite) crashRestartWS(int) error { return errUnsupported }
 func (s *tcpSite) serverTM() *txn.ServerTM {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stm
+	if s.site == nil {
+		return nil
+	}
+	return s.site.TM
 }
 
 func (s *tcpSite) vanishWS(int) error        { return errUnsupported }
@@ -549,9 +546,7 @@ func (s *tcpSite) primaryRepo() *repo.Repository        { return s.repo() }
 func (s *tcpSite) wsServerAddr(int) (string, error)     { return "", errUnsupported }
 
 func (s *tcpSite) health() (string, string) {
-	s.mu.Lock()
-	r := s.r
-	s.mu.Unlock()
+	r := s.repo()
 	if r == nil {
 		return "down", "server crashed"
 	}
@@ -566,25 +561,12 @@ func (s *tcpSite) close() {
 		return
 	}
 	s.closed = true
-	r, plog, srv, notifier := s.r, s.plog, s.srv, s.notifier
-	s.r, s.plog, s.stm, s.participant, s.srv, s.notifier = nil, nil, nil, nil, nil, nil
 	s.mu.Unlock()
-	if notifier != nil {
-		notifier.Close()
-	}
 	for _, tm := range s.tms {
 		tm.Close()
 	}
 	for _, tr := range s.trans {
 		tr.Close()
 	}
-	if srv != nil {
-		srv.Close()
-	}
-	if plog != nil {
-		plog.Close()
-	}
-	if r != nil {
-		r.Close()
-	}
+	s.stopServer()
 }

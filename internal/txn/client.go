@@ -317,14 +317,9 @@ func (tm *ClientTM) Failover() error {
 	if standby == "" || standby == cur {
 		return errors.New("txn: failover: no standby configured")
 	}
-	resp, err := tm.client.CallBudget(standby, repl.MethodPromote, nil, tm.opBudget())
+	epoch, err := repl.RequestPromote(tm.client, standby, tm.opBudget())
 	if err != nil {
 		return fmt.Errorf("txn: failover: promote standby: %w", err)
-	}
-	r := binenc.NewReader(resp)
-	epoch := r.U64()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("txn: failover: promote response: %w", err)
 	}
 	tm.noteEpoch(epoch)
 	tm.mu.Lock()

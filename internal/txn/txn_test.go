@@ -61,7 +61,7 @@ func newStack(t *testing.T, dir string) *stack {
 	}
 	trans := rpc.NewInProc(rpc.FaultPlan{})
 	t.Cleanup(func() { trans.Close() })
-	if err := rpc.ServeWithDeadline(trans, serverAddr, rpc.DedupDeadline(server.DeadlineHandler(participant))); err != nil {
+	if err := rpc.ServeWithDeadline(trans, serverAddr, rpc.DedupDeadlineFenced(server.DeadlineHandler(participant), nil)); err != nil {
 		t.Fatal(err)
 	}
 	tm := newTM(t, trans, dir)
