@@ -24,6 +24,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzWALFrameDecode -fuzztime=10s -run XXX ./internal/wal
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=10s -run XXX ./internal/repo
 	$(GO) test -fuzz=FuzzReplFrameDecode -fuzztime=10s -run XXX ./internal/repl
+	$(GO) test -fuzz=FuzzClientRecordDecode -fuzztime=10s -run XXX ./internal/txn
 
 # Short scenario matrix (the CI gate): every fault class once, full oracle
 # suite, fault-point coverage written to out/SCENARIO_COVERAGE.txt.
@@ -44,9 +45,10 @@ vet:
 # Doc-comment lint (dependency-free equivalent of revive's exported-comment
 # rule, doclint_test.go): package docs everywhere, doc comments on every
 # exported identifier, CONCORD-layer statements in the level packages — plus
-# the architecture lint: one server assembly, in internal/server.
+# the architecture lints: one server assembly, in internal/server, and no
+# encoding/gob in internal/txn.
 doc-lint:
-	$(GO) test . -run 'TestEveryPackageHasDocComment|TestLayerStatedInLevelPackages|TestExportedIdentifiersAreDocumented|TestSingleServerAssembly' -count=1
+	$(GO) test . -run 'TestEveryPackageHasDocComment|TestLayerStatedInLevelPackages|TestExportedIdentifiersAreDocumented|TestSingleServerAssembly|TestTxnDoesNotImportGob' -count=1
 
 # E14 acceptance bounds (NotModified = O(hash) bytes, delta >= 5x smaller
 # than full) in short mode — one mid-size configuration.

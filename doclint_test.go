@@ -265,3 +265,23 @@ func localLiteral(e ast.Expr) bool {
 	_, local := lit.Type.(*ast.Ident)
 	return local
 }
+
+// TestTxnDoesNotImportGob keeps the TE level on one codec: wire messages and
+// client recovery records are binenc (DESIGN.md §3.4, §4.4), and a reflective
+// codec must not come back through a new record type.
+func TestTxnDoesNotImportGob(t *testing.T) {
+	dir := filepath.Join("internal", "txn")
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"encoding/gob"` {
+					t.Errorf("%s imports encoding/gob", name)
+				}
+			}
+		}
+	}
+}

@@ -429,3 +429,56 @@ func TestParticipantCheckpointPreservesInDoubt(t *testing.T) {
 		t.Fatalf("in-doubt resolution after checkpoint = %s, want committed", res2.state("tx-open"))
 	}
 }
+
+// TestForceTableOf2PC pins the 2PC rows of the force table in DESIGN.md §4.4:
+// one committed transaction with one participant costs the coordinator two
+// forced records (the decision, and the end record that is "cleanup only" yet
+// forced) and the participant one (its vote; the done record rides the next
+// force). An aborted one costs the coordinator nothing — presumed abort.
+func TestForceTableOf2PC(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string) *wal.Log {
+		l, err := wal.Open(filepath.Join(dir, name), wal.Options{SyncOnAppend: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	clog, plog := open("c.wal"), open("p.wal")
+	tr := NewInProc(FaultPlan{})
+	defer tr.Close()
+	res := newMemResource()
+	p, err := NewParticipant(res, plog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Serve("part", Dedup(p.Handler())); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(NewClient(tr, "coord"), clog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(l *wal.Log) [2]uint64 {
+		appends, _, syncs := l.Stats()
+		return [2]uint64{appends, syncs}
+	}
+	commit := func(txid string, want Outcome, wantCoord, wantPart [2]uint64) {
+		t.Helper()
+		c0, p0 := count(clog), count(plog)
+		if out, err := coord.Commit(txid, []string{"part"}); err != nil || out != want {
+			t.Fatalf("%s: %s, %v", txid, out, err)
+		}
+		c1, p1 := count(clog), count(plog)
+		if got := [2]uint64{c1[0] - c0[0], c1[1] - c0[1]}; got != wantCoord {
+			t.Errorf("%s: coordinator log took %d records, %d forces; want %d, %d", txid, got[0], got[1], wantCoord[0], wantCoord[1])
+		}
+		if got := [2]uint64{p1[0] - p0[0], p1[1] - p0[1]}; got != wantPart {
+			t.Errorf("%s: participant log took %d records, %d forces; want %d, %d", txid, got[0], got[1], wantPart[0], wantPart[1])
+		}
+	}
+	commit("tx-commit", OutcomeCommitted, [2]uint64{2, 2}, [2]uint64{2, 1})
+	res.failPrepare = true
+	commit("tx-abort", OutcomeAborted, [2]uint64{0, 0}, [2]uint64{0, 0})
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -312,5 +313,79 @@ func await(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
+	}
+}
+
+// TestForceTableServerRows pins the server rows of the force table in
+// DESIGN.md §4.4: what one derive-checkout/checkin cycle of a workstation
+// appends to and forces on repo.wal and participant.wal of an assembled site.
+// Only the checkin logs anything. On repo.wal: the staged record, forced at
+// prepare, then the install record and the staged record's deletion in one
+// force at commit — stage and install each carry the payload, so it is logged
+// twice. On participant.wal: the forced vote, and the done record that rides
+// the next force.
+func TestForceTableServerRows(t *testing.T) {
+	n := openNode(t, false)
+	site, err := Assemble(n.repo, n.plog, rpc.NewClient(n.trans, "server-cb"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer site.Close()
+	addr := n.listen(t, site.Handler())
+	if err := n.repo.CreateGraph("da1"); err != nil {
+		t.Fatal(err)
+	}
+	ws, _ := workstation(t, "ws1", addr)
+	defer ws.Close()
+	v0 := checkinRoot(t, ws, "da1")
+
+	type delta struct{ records, forces, bytes int64 }
+	state := func(l *wal.Log) delta {
+		appends, _, syncs := l.Stats()
+		return delta{int64(appends), int64(syncs), l.Size()}
+	}
+	var dop *txn.DOP
+	var payload int64
+	steps := []struct {
+		name       string
+		do         func() error
+		repo, part delta // bytes: an upper bound beyond the payload copies
+		copies     int64 // payload copies the step logs on repo.wal
+	}{
+		{name: "Begin", do: func() (err error) { dop, err = ws.Begin("", "da1"); return err }},
+		{name: "Checkout", do: func() error {
+			obj, err := dop.Checkout(v0, true)
+			if err != nil {
+				return err
+			}
+			obj.Set("cell", catalog.Str(strings.Repeat("x", 16<<10)))
+			enc, err := catalog.EncodeObject(obj)
+			payload = int64(len(enc))
+			if err != nil {
+				return err
+			}
+			return dop.SetWorkspace(obj)
+		}},
+		{name: "Checkin", repo: delta{3, 2, 512}, copies: 2, part: delta{2, 1, 128}, do: func() error {
+			_, err := dop.Checkin(version.StatusWorking, false)
+			return err
+		}},
+		{name: "Commit", do: func() error { return dop.Commit() }},
+	}
+	for _, st := range steps {
+		r0, p0 := state(n.repo.Log()), state(n.plog)
+		if err := st.do(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		check := func(log string, now, before, want delta, lo int64) {
+			t.Helper()
+			got := delta{now.records - before.records, now.forces - before.forces, now.bytes - before.bytes}
+			if got.records != want.records || got.forces != want.forces || got.bytes < lo || got.bytes > lo+want.bytes {
+				t.Errorf("%s on %s: %d records, %d forces, %d bytes; want %d, %d, %d..%d",
+					st.name, log, got.records, got.forces, got.bytes, want.records, want.forces, lo, lo+want.bytes)
+			}
+		}
+		check("repo.wal", state(n.repo.Log()), r0, st.repo, st.copies*payload)
+		check("participant.wal", state(n.plog), p0, st.part, 0)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,10 +19,18 @@ import (
 	"concord/internal/wal"
 )
 
-// Client-side WAL record types (the "workstation disk").
+// Client-side WAL record types (the "workstation disk", client-tm.wal); the
+// payloads are in wire.go. 0x41 and 0x42 were the gob snapshots these records
+// replaced, and a log that still holds them is refused at open.
 const (
-	recCtxSnapshot wal.RecordType = 0x41
-	recDOPEnd      wal.RecordType = 0x42
+	// recContext is a DOP's full context, inputs by reference. Forced,
+	// except for the one Begin writes.
+	recContext wal.RecordType = 0x43
+	// recInputAdded is one checkout since the DOP's last context record.
+	// Never forced: it rides the next forced record of this log.
+	recInputAdded wal.RecordType = 0x44
+	// recDOPEnd is End-of-DOP (no payload). Forced.
+	recDOPEnd wal.RecordType = 0x45
 )
 
 // DOP phases.
@@ -63,38 +72,19 @@ var (
 	ErrCheckinFailed   = errors.New("txn: checkin aborted by server")
 )
 
-// ctxSnapshot is the durable DOP context: "the current state of the design
-// data and information about the state of the application program
-// implementing the DOP" (Sect. 5.2, fn. 1).
-type ctxSnapshot struct {
-	DOP        string
-	DA         string
-	Phase      Phase
-	Inputs     []version.ID
-	InputData  map[version.ID][]byte
-	Workspace  []byte // encoded working object; nil if none
-	Savepoints []namedSnapshot
-	Checkins   int
-	// Tag distinguishes automatic recovery points from user savepoints in
-	// diagnostics.
-	Tag string
-}
-
-type namedSnapshot struct {
-	Name      string
-	Workspace []byte
-}
-
 // DOP is a design operation: a long-lived ACID transaction processing design
 // object versions in checkout → process → checkin steps (Sect. 4.3).
 type DOP struct {
 	tm *ClientTM
 
-	mu        sync.Mutex
-	id        string
-	da        string
-	phase     Phase
-	inputs    []version.ID
+	mu     sync.Mutex
+	id     string
+	da     string
+	phase  Phase
+	inputs []inputRef
+	// inputData holds the checked-out objects. After a restart an input whose
+	// bytes the cache no longer holds under the logged hash is absent here
+	// until Reattach refetches it.
 	inputData map[version.ID]*catalog.Object
 	workspace *catalog.Object
 	saves     []namedSnapshot
@@ -120,7 +110,15 @@ func (d *DOP) Phase() Phase {
 func (d *DOP) Inputs() []version.ID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]version.ID(nil), d.inputs...)
+	return d.inputIDsLocked()
+}
+
+func (d *DOP) inputIDsLocked() []version.ID {
+	ids := make([]version.ID, len(d.inputs))
+	for i, in := range d.inputs {
+		ids[i] = in.ID
+	}
+	return ids
 }
 
 // LastResult returns the ID of the most recently checked-in DOV ("a handle
@@ -158,8 +156,11 @@ type ClientTM struct {
 	client     *rpc.Client
 	serverAddr string
 	coord      *rpc.Coordinator
-	log        *wal.Log
-	cache      *ObjectCache
+	// log is client-tm.wal, coordLog the coordinator's client-coord.wal (both
+	// nil on a volatile workstation). The client-TM opened both and closes
+	// both; the coordinator only appends to and replays its log.
+	log, coordLog *wal.Log
+	cache         *ObjectCache
 	// OpBudget is the per-call time budget for bulk transfers (checkout,
 	// staged checkin) — generous, since multi-MiB payloads are legitimate
 	// (DefaultOpBudget when zero). Propagated to the server, where it
@@ -172,8 +173,12 @@ type ClientTM struct {
 	// rpc.ErrStaleEpoch instead of serving split-brain state.
 	srvEpoch atomic.Uint64
 
-	mu     sync.Mutex
-	dops   map[string]*DOP
+	mu   sync.Mutex
+	dops map[string]*DOP
+	// ctxLSN is, per live DOP, the LSN of its latest context record: replay
+	// needs nothing of the DOP below it, so the minimum is the floor the
+	// client log may be checkpointed to (logEnd).
+	ctxLSN map[string]wal.LSN
 	seq    uint64
 	cbAddr string
 	stats  WireStats
@@ -199,6 +204,7 @@ func NewClientTM(id string, client *rpc.Client, serverAddr, dir string) (*Client
 		client:     client,
 		serverAddr: serverAddr,
 		dops:       make(map[string]*DOP),
+		ctxLSN:     make(map[string]wal.LSN),
 	}
 	if client.Epoch == nil {
 		// Stamp every call with the highest fencing epoch this workstation
@@ -215,40 +221,53 @@ func NewClientTM(id string, client *rpc.Client, serverAddr, dir string) (*Client
 		return nil, nil, err
 	}
 	tm.cache = cache
-	var coordLog *wal.Log
-	if dir != "" {
-		l, err := wal.Open(filepath.Join(dir, "client-tm.wal"), wal.Options{SyncOnAppend: true})
-		if err != nil {
-			return nil, nil, err
-		}
-		tm.log = l
-		cl, err := wal.Open(filepath.Join(dir, "client-coord.wal"), wal.Options{SyncOnAppend: true})
-		if err != nil {
-			l.Close()
-			return nil, nil, err
-		}
-		coordLog = cl
-	}
-	coord, err := rpc.NewCoordinator(client, coordLog)
+	recovered, err := tm.openLogs(dir)
 	if err != nil {
-		return nil, nil, err
-	}
-	tm.coord = coord
-	recovered, err := tm.recover()
-	if err != nil {
+		tm.closeLogs() //nolint:errcheck // the open error is the one to report
 		return nil, nil, err
 	}
 	return tm, recovered, nil
 }
 
+// openLogs opens the two workstation logs under dir ("" = volatile: no logs),
+// builds the coordinator over its decision log and recovers the DOP contexts
+// from the client log. On error the caller closes whatever was opened.
+func (tm *ClientTM) openLogs(dir string) ([]*DOP, error) {
+	var err error
+	if dir != "" {
+		opts := wal.Options{SyncOnAppend: true}
+		if tm.log, err = wal.Open(filepath.Join(dir, "client-tm.wal"), opts); err != nil {
+			return nil, err
+		}
+		if tm.coordLog, err = wal.Open(filepath.Join(dir, "client-coord.wal"), opts); err != nil {
+			return nil, err
+		}
+	}
+	if tm.coord, err = rpc.NewCoordinator(tm.client, tm.coordLog); err != nil {
+		return nil, err
+	}
+	return tm.recover()
+}
+
+// closeLogs closes both workstation logs, flushing any unforced record.
+func (tm *ClientTM) closeLogs() error {
+	var err error
+	for _, l := range []*wal.Log{tm.log, tm.coordLog} {
+		if l == nil {
+			continue
+		}
+		if cerr := l.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
 // Close stops the heartbeat (waiting for the goroutine to exit) and releases
-// the client log.
+// the workstation logs.
 func (tm *ClientTM) Close() error {
 	tm.StopHeartbeat()
-	if tm.log != nil {
-		return tm.log.Close()
-	}
-	return nil
+	return tm.closeLogs()
 }
 
 // Coordinator exposes the 2PC coordinator (for in-doubt resolution by a
@@ -356,76 +375,103 @@ func (tm *ClientTM) WireStats() WireStats {
 	return tm.stats
 }
 
-// recover rebuilds DOP contexts from the client log.
+// recover rebuilds DOP contexts from the client log: per DOP the latest
+// context record plus the inputs added after it, unless an end record follows.
 func (tm *ClientTM) recover() ([]*DOP, error) {
 	if tm.log == nil {
 		return nil, nil
 	}
-	latest := make(map[string]*ctxSnapshot)
-	ended := make(map[string]bool)
+	type logged struct {
+		ctx ctxRecord
+		lsn wal.LSN
+	}
+	live := make(map[string]*logged)
 	err := tm.log.Replay(func(r wal.Record) error {
+		var err error
 		switch r.Type {
-		case recCtxSnapshot:
-			var snap ctxSnapshot
-			if err := decode(r.Payload, &snap); err != nil {
-				return err
+		case recContext:
+			var ctx ctxRecord
+			if ctx, err = decodeContext(r.Payload); err == nil {
+				live[r.Owner] = &logged{ctx: ctx, lsn: r.LSN}
 			}
-			latest[snap.DOP] = &snap
+		case recInputAdded:
+			var in inputRef
+			in, err = decodeInputAdded(r.Payload)
+			// Every DOP logs a context record before its first checkout, and
+			// the log is only ever cut at a live DOP's context record: an
+			// input without one belongs to a DOP whose end record follows.
+			if l := live[r.Owner]; l != nil && err == nil {
+				l.ctx.Inputs = append(l.ctx.Inputs, in)
+			}
 		case recDOPEnd:
-			ended[r.Owner] = true
+			delete(live, r.Owner)
+		default:
+			// Among them the gob snapshot format (0x41, 0x42) of older builds,
+			// which is not migrated.
+			return fmt.Errorf("%w: record type 0x%02x", errForeignClientLog, uint16(r.Type))
+		}
+		if err != nil {
+			return fmt.Errorf("txn: client log record at LSN %d: %w", r.LSN, err)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, 0, len(latest))
-	for n := range latest {
-		if !ended[n] {
-			names = append(names, n)
-		}
+	names := make([]string, 0, len(live))
+	for n := range live {
+		names = append(names, n)
 	}
 	sort.Strings(names)
-	var out []*DOP
+	out := make([]*DOP, 0, len(names))
 	for _, n := range names {
-		snap := latest[n]
-		d, err := tm.restore(snap)
+		d, err := tm.restore(n, live[n].ctx)
 		if err != nil {
 			return nil, err
 		}
+		tm.dops[n] = d
+		tm.ctxLSN[n] = live[n].lsn
 		out = append(out, d)
 	}
 	return out, nil
 }
 
-func (tm *ClientTM) restore(snap *ctxSnapshot) (*DOP, error) {
+// errForeignClientLog refuses a client-tm.wal holding records this build does
+// not write. Its DOPs must be ended by the build that wrote it (or the log
+// removed): recovery never guesses at another format.
+var errForeignClientLog = errors.New("txn: client-tm.wal was not written by this format of the client-TM (end its DOPs with the build that wrote it, or remove it)")
+
+// restore rebuilds a DOP from its logged context. Inputs are resolved from
+// the workstation cache, each under the hash the log recorded; one the cache
+// no longer holds (evicted, torn, flushed by an epoch bump) stays without
+// data until Reattach refetches it.
+func (tm *ClientTM) restore(id string, ctx ctxRecord) (*DOP, error) {
 	d := &DOP{
-		tm:       tm,
-		id:       snap.DOP,
-		da:       snap.DA,
-		phase:    snap.Phase,
-		inputs:   snap.Inputs,
-		saves:    snap.Savepoints,
-		checkins: snap.Checkins,
+		tm:        tm,
+		id:        id,
+		da:        ctx.DA,
+		phase:     ctx.Phase,
+		inputs:    ctx.Inputs,
+		inputData: make(map[version.ID]*catalog.Object, len(ctx.Inputs)),
+		saves:     ctx.Savepoints,
+		checkins:  ctx.Checkins,
 	}
-	d.inputData = make(map[version.ID]*catalog.Object, len(snap.InputData))
-	for id, data := range snap.InputData {
-		obj, err := catalog.DecodeObject(data)
-		if err != nil {
-			return nil, err
+	for _, in := range ctx.Inputs {
+		_, hash, enc, ok := tm.cache.Lookup(in.ID)
+		if !ok || !bytes.Equal(hash, in.Hash) {
+			continue
 		}
-		d.inputData[id] = obj
+		if obj, err := catalog.DecodeObject(enc); err == nil {
+			d.inputData[in.ID] = obj
+		}
 	}
-	if snap.Workspace != nil {
-		obj, err := catalog.DecodeObject(snap.Workspace)
+	if ctx.Workspace != nil {
+		obj, err := catalog.DecodeObject(ctx.Workspace)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("txn: restore %s: workspace: %w", id, err)
 		}
 		d.workspace = obj
 	}
-	tm.mu.Lock()
-	tm.dops[d.id] = d
-	tm.mu.Unlock()
 	return d, nil
 }
 
@@ -454,6 +500,14 @@ func (tm *ClientTM) Begin(dopID, da string) (*DOP, error) {
 		phase:     PhaseActive,
 		inputData: make(map[version.ID]*catalog.Object),
 	}
+	// The DOP's first context record, unforced: it gives the input-added
+	// records of the checkouts to come a base to extend, and the DOP a floor
+	// in the log. Lost in a crash, the DOP was never begun on this side.
+	if tm.log != nil {
+		if _, err := d.logContextLocked(); err != nil {
+			return nil, err
+		}
+	}
 	tm.mu.Lock()
 	tm.dops[dopID] = d
 	tm.mu.Unlock()
@@ -461,15 +515,36 @@ func (tm *ClientTM) Begin(dopID, da string) (*DOP, error) {
 }
 
 // Reattach re-registers a recovered DOP with the server-TM (idempotent at
-// the server) so processing can continue after a workstation restart.
+// the server) so processing can continue after a workstation restart, and
+// refetches every input the restore could not resolve from the cache — one
+// cache-blind checkout each, with the flags of the original (a derivation
+// lock is owner-reentrant and the server still holds it for this DOP),
+// accepted only under the content hash the log recorded.
 func (tm *ClientTM) Reattach(d *DOP) error {
-	_, err := tm.client.Call(tm.server(), MethodBegin, beginMsg{DOP: d.id, DA: d.da, WS: tm.id}.encode())
-	return err
+	if _, err := tm.client.Call(tm.server(), MethodBegin, beginMsg{DOP: d.id, DA: d.da, WS: tm.id}.encode()); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, in := range d.inputs {
+		if _, ok := d.inputData[in.ID]; ok {
+			continue
+		}
+		obj, hash, err := d.fetch(in.ID, in.Derive, false)
+		if err != nil {
+			return fmt.Errorf("txn: reattach %s: refetch input %s: %w", d.id, in.ID, err)
+		}
+		if !bytes.Equal(hash, in.Hash) {
+			return fmt.Errorf("txn: reattach %s: input %s now hashes %x, the log recorded %x", d.id, in.ID, hash, in.Hash)
+		}
+		d.inputData[in.ID] = obj
+	}
+	return nil
 }
 
 // Crash drops all volatile client-TM state without notifying the server,
-// simulating a workstation crash (Sect. 5.2 failure model). The client log
-// stays on disk for the next incarnation. The heartbeat goroutine is
+// simulating a workstation crash (Sect. 5.2 failure model). The logs stay on
+// disk for the next incarnation. The heartbeat goroutine is
 // signalled but not waited for (a crash is immediate); with no renewals
 // arriving, the server-side lease expires and the reaper reclaims the
 // workstation's footprint.
@@ -478,64 +553,103 @@ func (tm *ClientTM) Crash() {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
 	tm.dops = make(map[string]*DOP)
-	if tm.log != nil {
-		tm.log.Close()
-	}
+	tm.ctxLSN = make(map[string]wal.LSN)
+	tm.closeLogs() //nolint:errcheck // a crash reports nothing
 }
 
-// snapshotLocked captures the DOP context for the recovery log.
-// d.mu must be held.
-func (d *DOP) snapshotLocked(tag string) (*ctxSnapshot, error) {
-	snap := &ctxSnapshot{
-		DOP:        d.id,
-		DA:         d.da,
-		Phase:      d.phase,
-		Inputs:     append([]version.ID(nil), d.inputs...),
-		InputData:  make(map[version.ID][]byte, len(d.inputData)),
-		Savepoints: append([]namedSnapshot(nil), d.saves...),
-		Checkins:   d.checkins,
-		Tag:        tag,
+// logRecord reserves one record in the client log and returns the wait for
+// its force (which a record that may ride the next force never calls). The
+// reservation runs under tm.mu, so the log's size read just before it is the
+// record's LSN, and a context record is entered as its DOP's floor before any
+// logEnd can compute a floor above it.
+func (tm *ClientTM) logRecord(t wal.RecordType, dop string, payload []byte) (func() (wal.LSN, error), error) {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	lsn := wal.LSN(tm.log.Size())
+	wait, err := tm.log.AppendAsync(t, dop, payload)
+	if err != nil {
+		return nil, err
 	}
-	for id, obj := range d.inputData {
-		data, err := catalog.EncodeObject(obj)
-		if err != nil {
-			return nil, err
-		}
-		snap.InputData[id] = data
+	switch t {
+	case recContext:
+		tm.ctxLSN[dop] = lsn
+	case recDOPEnd:
+		delete(tm.ctxLSN, dop)
+	}
+	return wait, nil
+}
+
+// logEnd forces the DOP's end record and then bounds the log and its replay:
+// everything below the oldest context record of a DOP still live (below the
+// end record itself when none is) is dead, and once that is a segment's worth
+// beyond the low-water mark the log is checkpointed there — at most one
+// marker install per segment written, and none while a parked DOP pins the
+// floor. The trim is best effort: an untrimmed log is merely longer.
+func (tm *ClientTM) logEnd(dop string) error {
+	wait, err := tm.logRecord(recDOPEnd, dop, nil)
+	if err != nil {
+		return err
+	}
+	floor, err := wait()
+	if err != nil || tm.log.SegmentCount() < 2 {
+		return err
+	}
+	tm.mu.Lock()
+	for _, lsn := range tm.ctxLSN {
+		floor = min(floor, lsn)
+	}
+	tm.mu.Unlock()
+	if floor >= tm.log.LowWater()+wal.DefaultSegmentBytes {
+		tm.log.Checkpoint(floor) //nolint:errcheck // best effort, see above
+	}
+	return nil
+}
+
+// logContextLocked reserves the DOP's full context record in the client log:
+// inputs by reference, workspace and savepoints embedded (wire.go). d.mu must
+// be held, unless d is not shared yet.
+func (d *DOP) logContextLocked() (func() (wal.LSN, error), error) {
+	ctx := ctxRecord{
+		DA: d.da, Phase: d.phase, Checkins: d.checkins,
+		Inputs: d.inputs, Savepoints: d.saves,
 	}
 	if d.workspace != nil {
-		data, err := catalog.EncodeObject(d.workspace)
+		ws, err := catalog.EncodeObject(d.workspace)
 		if err != nil {
 			return nil, err
 		}
-		snap.Workspace = data
+		ctx.Workspace = ws
 	}
-	return snap, nil
+	pw := binenc.GetWriter(256 + len(ctx.Workspace))
+	defer pw.Free() // the log framed its own copy
+	ctx.encodeInto(pw)
+	return d.tm.logRecord(recContext, d.id, pw.Bytes())
 }
 
-// recoveryPointLocked persists the context ("recovery points are chosen
-// automatically by the system after appropriate events", Sect. 5.2).
-func (d *DOP) recoveryPointLocked(tag string) error {
+// recoveryPointLocked forces the context to the client log ("recovery points
+// are chosen automatically by the system after appropriate events",
+// Sect. 5.2). d.mu must be held.
+func (d *DOP) recoveryPointLocked() error {
 	if d.tm.log == nil {
 		return nil
 	}
-	snap, err := d.snapshotLocked(tag)
+	wait, err := d.logContextLocked()
 	if err != nil {
 		return err
 	}
-	data, err := encode(snap)
-	if err != nil {
-		return err
-	}
-	_, err = d.tm.log.Append(recCtxSnapshot, d.id, data)
+	_, err = wait()
 	return err
 }
 
 // Checkout loads a DOV from the repository into the DOP context and returns
 // a mutable copy. With derive set, a long derivation lock prevents
-// concurrent derivation of the same version. A recovery point is taken
-// automatically after the checkout "to avoid duplicate requests of a DOV
-// from the server in the case of a failure" (Sect. 5.2).
+// concurrent derivation of the same version. The paper takes a recovery
+// point after the checkout "to avoid duplicate requests of a DOV from the
+// server in the case of a failure" (Sect. 5.2); here the checkout logs the
+// input by reference — ID and content hash, the bytes are in the persistent
+// cache — and does not wait for the force: the record rides the next forced
+// record of the log, and a crash before that rolls the DOP back by this one
+// checkout, whose repetition is a NotModified handshake.
 //
 // The transfer itself is cache-negotiated (DESIGN.md §4): when the
 // workstation cache holds the version, the server answers NotModified; when
@@ -549,22 +663,31 @@ func (d *DOP) Checkout(dov version.ID, derive bool) (*catalog.Object, error) {
 	if d.phase != PhaseActive {
 		return nil, fmt.Errorf("%w: %s is %s", ErrDOPNotActive, d.id, d.phase)
 	}
-	obj, err := d.fetch(dov, derive, true)
+	obj, hash, err := d.fetch(dov, derive, true)
 	if err != nil {
 		return nil, err
 	}
-	d.inputs = append(d.inputs, dov)
-	d.inputData[dov] = obj
-	if err := d.recoveryPointLocked("post-checkout"); err != nil {
-		return nil, err
+	in := inputRef{ID: dov, Hash: hash, Derive: derive}
+	if d.tm.log != nil {
+		pw := binenc.GetWriter(64)
+		in.encodeInto(pw)
+		_, err := d.tm.logRecord(recInputAdded, d.id, pw.Bytes())
+		pw.Free()
+		if err != nil {
+			// The context is untouched: the DOP does not hold the version.
+			return nil, fmt.Errorf("txn: checkout %s: log input: %w", dov, err)
+		}
 	}
+	d.inputs = append(d.inputs, in)
+	d.inputData[dov] = obj
 	return obj.Clone(), nil
 }
 
 // fetch performs one cache-negotiated checkout transfer. useCache false runs
 // the degenerate (always-full) protocol — the retry path after a cache race
-// and the behaviour of cacheless clients. d.mu must be held.
-func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, error) {
+// and the behaviour of cacheless clients. Beside the object it returns the
+// content hash the server stated for it. d.mu must be held.
+func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, []byte, error) {
 	tm := d.tm
 	m := checkoutMsg{DOP: d.id, DA: d.da, DOV: dov, Derive: derive}
 	if useCache && tm.cache != nil {
@@ -590,11 +713,11 @@ func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, err
 	tm.stats.CheckoutBytesIn += uint64(len(resp))
 	tm.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cr, err := decodeCheckoutResp(resp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if cr.BumpEpoch && tm.cache != nil {
 		// The server lost invalidations destined for this workstation; the
@@ -613,7 +736,7 @@ func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, err
 		count(&tm.stats.FullCheckouts)
 		obj, err := catalog.DecodeObject(cr.DOV.Object)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if tm.cache != nil {
 			tm.cache.Put(dovMeta{
@@ -621,7 +744,7 @@ func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, err
 				Parents: cr.DOV.Parents, Status: cr.DOV.Status, Fulfilled: cr.DOV.Fulfilled,
 			}, cr.Hash, cr.DOV.Object)
 		}
-		return obj, nil
+		return obj, cr.Hash, nil
 	case coNotModified:
 		count(&tm.stats.NotModified)
 		_, hash, enc, ok := tm.cache.Lookup(dov)
@@ -633,16 +756,16 @@ func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, err
 			if useCache {
 				return d.fetch(dov, derive, false)
 			}
-			return nil, fmt.Errorf("txn: checkout %s: NotModified without a cached copy", dov)
+			return nil, nil, fmt.Errorf("txn: checkout %s: NotModified without a cached copy", dov)
 		}
 		obj, err := catalog.DecodeObject(enc)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Refresh the volatile metadata (status, fulfilled features) the
 		// server just served under its lock.
 		tm.cache.Put(cr.Meta, cr.Hash, enc)
-		return obj, nil
+		return obj, cr.Hash, nil
 	case coDelta:
 		count(&tm.stats.DeltaCheckouts)
 		_, baseHash, baseEnc, ok := tm.cache.Lookup(cr.BaseID)
@@ -650,7 +773,7 @@ func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, err
 			if useCache {
 				return d.fetch(dov, derive, false)
 			}
-			return nil, fmt.Errorf("txn: checkout %s: delta against evicted base %s", dov, cr.BaseID)
+			return nil, nil, fmt.Errorf("txn: checkout %s: delta against evicted base %s", dov, cr.BaseID)
 		}
 		enc, err := binenc.ApplyDelta(baseEnc, cr.Delta)
 		if err == nil && !bytes.Equal(catalog.HashEncoded(enc), cr.Hash) {
@@ -662,16 +785,16 @@ func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, err
 			if useCache {
 				return d.fetch(dov, derive, false)
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		obj, err := catalog.DecodeObject(enc)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		tm.cache.Put(cr.Meta, cr.Hash, enc)
-		return obj, nil
+		return obj, cr.Hash, nil
 	default:
-		return nil, fmt.Errorf("txn: checkout %s: unknown response mode %d", dov, cr.Mode)
+		return nil, nil, fmt.Errorf("txn: checkout %s: unknown response mode %d", dov, cr.Mode)
 	}
 }
 
@@ -682,6 +805,9 @@ func (d *DOP) Input(dov version.ID) (*catalog.Object, error) {
 	defer d.mu.Unlock()
 	obj, ok := d.inputData[dov]
 	if !ok {
+		if slices.ContainsFunc(d.inputs, func(in inputRef) bool { return in.ID == dov }) {
+			return nil, fmt.Errorf("txn: input %s of recovered DOP %s is no longer cached on this workstation; Reattach refetches it", dov, d.id)
+		}
 		return nil, fmt.Errorf("%w: %s not checked out by %s", version.ErrUnknownDOV, dov, d.id)
 	}
 	return obj.Clone(), nil
@@ -737,7 +863,7 @@ func (d *DOP) Save(name string) error {
 	if !replaced {
 		d.saves = append(d.saves, namedSnapshot{Name: name, Workspace: ws})
 	}
-	return d.recoveryPointLocked("savepoint:" + name)
+	return d.recoveryPointLocked()
 }
 
 // Restore performs a user-initiated partial rollback to the named savepoint,
@@ -787,7 +913,7 @@ func (d *DOP) Suspend() error {
 		return fmt.Errorf("%w: %s is %s", ErrDOPNotActive, d.id, d.phase)
 	}
 	d.phase = PhaseSuspended
-	return d.recoveryPointLocked("suspend")
+	return d.recoveryPointLocked()
 }
 
 // Resume reactivates a suspended DOP.
@@ -798,7 +924,7 @@ func (d *DOP) Resume() error {
 		return fmt.Errorf("txn: Resume: %s is %s, want suspended", d.id, d.phase)
 	}
 	d.phase = PhaseActive
-	return d.recoveryPointLocked("resume")
+	return d.recoveryPointLocked()
 }
 
 // Checkin propagates the workspace back to the repository as a new DOV
@@ -826,7 +952,7 @@ func (d *DOP) Checkin(status version.Status, root bool) (version.ID, error) {
 	hash := catalog.HashEncoded(objData)
 	var parents []version.ID
 	if !root {
-		parents = append([]version.ID(nil), d.inputs...)
+		parents = d.inputIDsLocked()
 	}
 	tm := d.tm
 	msg := stageMsg{
@@ -902,10 +1028,9 @@ func (d *DOP) Checkin(status version.Status, root bool) (version.ID, error) {
 		}, hash, objData)
 	}
 	d.lastResult = newID
-	if err := d.recoveryPointLocked("post-checkin"); err != nil {
-		return newID, err
-	}
-	return newID, nil
+	// The post-checkin recovery point; it also carries to disk the
+	// input-added records of the checkouts before it.
+	return newID, d.recoveryPointLocked()
 }
 
 // checkinBase picks the delta base for a checkin: the most recently checked
@@ -913,8 +1038,8 @@ func (d *DOP) Checkin(status version.Status, root bool) (version.ID, error) {
 // the cache's best entry for this DA. d.mu must be held.
 func (d *DOP) checkinBase() (version.ID, []byte, []byte, bool) {
 	for i := len(d.inputs) - 1; i >= 0; i-- {
-		if _, hash, enc, ok := d.tm.cache.Lookup(d.inputs[i]); ok {
-			return d.inputs[i], hash, enc, true
+		if _, hash, enc, ok := d.tm.cache.Lookup(d.inputs[i].ID); ok {
+			return d.inputs[i].ID, hash, enc, true
 		}
 	}
 	id, _, ok := d.tm.cache.BestBase(d.da, "")
@@ -955,7 +1080,7 @@ func (d *DOP) end(final Phase) error {
 	d.inputData = make(map[version.ID]*catalog.Object)
 	d.workspace = nil
 	if d.tm.log != nil {
-		if _, err := d.tm.log.Append(recDOPEnd, d.id, []byte(final.String())); err != nil {
+		if err := d.tm.logEnd(d.id); err != nil {
 			return err
 		}
 	}
@@ -993,16 +1118,21 @@ func (d *DOP) HandOver(next *DOP) error {
 	if d.phase != PhaseActive || next.phase != PhaseActive {
 		return fmt.Errorf("%w: handover between %s and %s", ErrDOPNotActive, d.phase, next.phase)
 	}
+	for _, in := range d.inputs {
+		if _, ok := d.inputData[in.ID]; !ok {
+			return fmt.Errorf("txn: HandOver: input %s of recovered DOP %s awaits its refetch (Reattach first)", in.ID, d.id)
+		}
+	}
 	if d.workspace != nil {
 		next.workspace = d.workspace.Clone()
 	}
-	for id, obj := range d.inputData {
-		if _, exists := next.inputData[id]; !exists {
-			next.inputData[id] = obj.Clone()
-			next.inputs = append(next.inputs, id)
+	for _, in := range d.inputs {
+		if _, exists := next.inputData[in.ID]; !exists {
+			next.inputData[in.ID] = d.inputData[in.ID].Clone()
+			next.inputs = append(next.inputs, in)
 		}
 	}
-	return next.recoveryPointLocked("handover")
+	return next.recoveryPointLocked()
 }
 
 // ReleaseDerivationLock gives up the derivation lock on an input version

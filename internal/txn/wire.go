@@ -28,8 +28,6 @@
 package txn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -204,11 +202,9 @@ type releaseMsg struct {
 	DOV version.ID
 }
 
-// The wire messages use the hand-rolled binenc format: they are exchanged
-// on every DOP operation, and gob's per-message engine compilation dominated
-// the server CPU profile under multi-workstation load. The client-TM's
-// context snapshots (ctxSnapshot) stay on gob — they are written at
-// recovery-point frequency, not per RPC.
+// The wire messages and the client-TM's recovery records (below) share the
+// hand-rolled binenc format: both are produced on every DOP operation, where a
+// reflective codec's per-message engine compilation dominated the profile.
 
 func (m beginMsg) encode() []byte {
 	w := binenc.NewWriter(48)
@@ -439,19 +435,111 @@ func wireErr(r *binenc.Reader) error {
 	return nil
 }
 
-// encode gob-encodes a non-hot message (client recovery snapshots).
-func encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("txn: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+// Client recovery records (client-tm.wal; DESIGN.md §4.4). The wal record's
+// owner names the DOP. The log references design data instead of copying it:
+// an input is the triple below, and its bytes stay where they already are —
+// hash-verified in the workstation's ObjectCache, and re-fetchable from the
+// server by ID because a DOV is immutable. Only what exists nowhere else, the
+// tool's workspace and its savepoints, is embedded.
+
+// inputRef names one checked-out input of a DOP.
+type inputRef struct {
+	ID version.ID
+	// Hash is the content hash of the input's canonical encoding, as the
+	// server stated it at checkout; restore accepts a cached copy only under
+	// this hash.
+	Hash []byte
+	// Derive repeats the checkout's derive flag, so that a refetch is the same
+	// call as the original: a re-entrant acquire of the derivation lock the
+	// DOP holds, or the short read lock of a plain checkout (which, repeated
+	// on a derivation-locked version, would release that lock).
+	Derive bool
 }
 
-// decode gob-decodes a non-hot message.
-func decode(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("txn: decode: %w", err)
+// ctxRecord is the durable DOP context: "the current state of the design
+// data and information about the state of the application program
+// implementing the DOP" (Sect. 5.2, fn. 1).
+type ctxRecord struct {
+	DA       string
+	Phase    Phase
+	Checkins int
+	Inputs   []inputRef
+	// Workspace is the encoded working object (nil = none).
+	Workspace  []byte
+	Savepoints []namedSnapshot
+}
+
+// namedSnapshot is one user savepoint: the encoded workspace at Save time
+// (nil = the DOP had none).
+type namedSnapshot struct {
+	Name      string
+	Workspace []byte
+}
+
+func (in inputRef) encodeInto(w *binenc.Writer) {
+	w.Str(string(in.ID))
+	w.Blob(in.Hash)
+	w.Bool(in.Derive)
+}
+
+func decodeInputRef(r *binenc.Reader) inputRef {
+	return inputRef{ID: version.ID(r.Str()), Hash: r.Blob(), Derive: r.Bool()}
+}
+
+// decodeInputAdded decodes a recInputAdded payload (one inputRef).
+func decodeInputAdded(data []byte) (inputRef, error) {
+	r := binenc.NewReader(data)
+	in := decodeInputRef(r)
+	return in, recordErr(r)
+}
+
+func (c ctxRecord) encodeInto(w *binenc.Writer) {
+	w.Str(c.DA)
+	w.Byte(byte(c.Phase))
+	w.U64(uint64(c.Checkins))
+	w.U64(uint64(len(c.Inputs)))
+	for _, in := range c.Inputs {
+		in.encodeInto(w)
+	}
+	w.Blob(c.Workspace)
+	w.U64(uint64(len(c.Savepoints)))
+	for _, sp := range c.Savepoints {
+		w.Str(sp.Name)
+		w.Blob(sp.Workspace)
+	}
+}
+
+// decodeContext decodes a recContext payload. Only the two phases a live DOP
+// can be logged in are accepted.
+func decodeContext(data []byte) (ctxRecord, error) {
+	r := binenc.NewReader(data)
+	c := ctxRecord{DA: r.Str(), Phase: Phase(r.Byte()), Checkins: int(r.U64())}
+	n := r.U64()
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		c.Inputs = append(c.Inputs, decodeInputRef(r))
+	}
+	c.Workspace = r.Blob()
+	n = r.U64()
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		c.Savepoints = append(c.Savepoints, namedSnapshot{Name: r.Str(), Workspace: r.Blob()})
+	}
+	if err := recordErr(r); err != nil {
+		return c, err
+	}
+	if c.Phase != PhaseActive && c.Phase != PhaseSuspended {
+		return c, fmt.Errorf("txn: decode: context record in phase %s", c.Phase)
+	}
+	return c, nil
+}
+
+// recordErr is wireErr for a durable record, which must also end where its
+// fields end.
+func recordErr(r *binenc.Reader) error {
+	if err := wireErr(r); err != nil {
+		return err
+	}
+	if n := r.Remaining(); n != 0 {
+		return fmt.Errorf("txn: decode: %d trailing bytes", n)
 	}
 	return nil
 }
