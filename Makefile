@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race vet fmt-check doc-lint fuzz-short scenarios scenarios-short e14-short e15-short e16-short e18-short e19-short e20-short bench bench-delta bench-e2e bench-json experiments example-recovery check all
+.PHONY: build test test-race race-loop vet fmt-check doc-lint fuzz-short scenarios scenarios-short e14-short e15-short e16-short e18-short e19-short e20-short bench bench-delta bench-e2e bench-json experiments example-recovery check all
 
 all: check
 
@@ -17,6 +17,12 @@ test:
 test-race:
 	$(GO) test -race ./...
 
+# Reproduces the intermittent lock-manager deadlock report of
+# TestConcurrentWorkstationsOverTCP (ROADMAP 4b): 200 race-detector runs.
+# Not part of CI; count the failures with `make race-loop 2>&1 | grep -c -- '--- FAIL'`.
+race-loop:
+	$(GO) test -race -count=200 -run TestConcurrentWorkstationsOverTCP ./...
+
 # Fuzz smoke: run each fuzz target for 10s (the committed seed corpora run
 # as plain tests under `make test` too).
 fuzz-short:
@@ -25,6 +31,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=10s -run XXX ./internal/repo
 	$(GO) test -fuzz=FuzzReplFrameDecode -fuzztime=10s -run XXX ./internal/repl
 	$(GO) test -fuzz=FuzzClientRecordDecode -fuzztime=10s -run XXX ./internal/txn
+	$(GO) test -fuzz=FuzzEnvelopeDecode -fuzztime=10s -run XXX ./internal/rpc
 
 # Short scenario matrix (the CI gate): every fault class once, full oracle
 # suite, fault-point coverage written to out/SCENARIO_COVERAGE.txt.

@@ -209,26 +209,19 @@ func BenchmarkE13Restart(b *testing.B) {
 }
 
 // BenchmarkE15ReadPath runs the E15 server-side checkout scaling scenario at
-// 8 readers for both read-path designs, reporting aggregate checkout
-// throughput and the per-checkout allocation footprint.
+// 8 readers, reporting aggregate checkout throughput and the per-checkout
+// allocation footprint.
 func BenchmarkE15ReadPath(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		serialized bool
-	}{{"locked-clone", true}, {"mvcc", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var res experiments.ReadScalingResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = experiments.RunCheckoutScaling(mode.serialized, 8, 500, experiments.ModeServer)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.OpsPerSec(), "checkouts/s")
-			b.ReportMetric(res.AllocsPerOp, "allocs/checkout")
-		})
+	var res experiments.ReadScalingResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = experiments.RunCheckoutScaling(8, 500, experiments.ModeServer)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(res.OpsPerSec(), "checkouts/s")
+	b.ReportMetric(res.AllocsPerOp, "allocs/checkout")
 }
 
 // --- Substrate micro-benchmarks. -------------------------------------------

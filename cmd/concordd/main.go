@@ -71,10 +71,15 @@ func main() {
 	}
 }
 
-// newClient returns an rpc client whose ID is unique to this process, so peers
-// never mistake a restarted daemon's requests for replays.
+// incarnation names this process: the pid alone repeats across restarts (pid 1
+// in every container), so the start time is part of it.
+var incarnation = fmt.Sprintf("%d.%x", os.Getpid(), time.Now().UnixNano())
+
+// newClient returns an rpc client whose ID is unique to this incarnation, so
+// peers never mistake a restarted daemon's requests for replays, nor refuse
+// them as stale duplicates of its predecessor's (DESIGN.md §5.2).
 func newClient(trans *rpc.TCP, role string) *rpc.Client {
-	return rpc.NewClient(trans, fmt.Sprintf("%s@%d", role, os.Getpid()))
+	return rpc.NewClient(trans, role+"@"+incarnation)
 }
 
 // run opens the durable state under data and serves it at addr until

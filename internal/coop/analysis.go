@@ -94,8 +94,12 @@ func (cm *CM) AutoPropagate(da string, features []string) (version.ID, bool, err
 			continue
 		}
 		fulfilled := v.Fulfilled
-		if len(fulfilled) == 0 && v.Object != nil {
-			q := spec.Evaluate(v.Object, cm.reg)
+		if len(fulfilled) == 0 {
+			obj, err := cm.repo.Object(id)
+			if err != nil {
+				continue
+			}
+			q := spec.Evaluate(obj, cm.reg)
 			fulfilled = q.Fulfilled
 			cm.repo.SetFulfilled(id, fulfilled) //nolint:errcheck // cache
 			if q.Final() && !spec.Empty() {

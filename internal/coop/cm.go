@@ -531,11 +531,11 @@ func (cm *CM) Evaluate(da string, dov version.ID) (feature.QualityState, error) 
 	if !cm.scopes.InScope(da, string(dov)) {
 		return feature.QualityState{}, fmt.Errorf("%w: %s for %s", ErrOutOfScope, dov, da)
 	}
-	v, err := cm.repo.Get(dov)
+	obj, err := cm.repo.Object(dov)
 	if err != nil {
 		return feature.QualityState{}, err
 	}
-	q := st.da.Spec.Evaluate(v.Object, cm.reg)
+	q := st.da.Spec.Evaluate(obj, cm.reg)
 	if err := cm.repo.SetFulfilled(dov, q.Fulfilled); err != nil {
 		return q, err
 	}

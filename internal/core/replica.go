@@ -77,7 +77,6 @@ func (s *System) bootStandby(ss *standbySite) error {
 	r, err := repo.Open(s.cat, repo.Options{
 		Dir: dir, Sync: true, Follower: true,
 		SegmentBytes:     s.opts.SegmentBytes,
-		SerializedReads:  s.opts.SerializedReads,
 		SerializedWrites: s.opts.SerializedWrites,
 		Faults:           s.opts.Faults,
 	})

@@ -61,11 +61,11 @@ func TestSyncReplicationShipsCommitsLive(t *testing.T) {
 	if sb == nil {
 		t.Fatal("no standby repository")
 	}
-	got, err := sb.Get(v0)
+	got, err := sb.Object(v0)
 	if err != nil {
 		t.Fatalf("synchronously committed version not at the standby: %v", err)
 	}
-	if a := catalog.NumAttr(got.Object, "area"); a != 80 {
+	if a := catalog.NumAttr(got, "area"); a != 80 {
 		t.Fatalf("standby copy area = %g, want 80", a)
 	}
 	if !sb.Follower() {

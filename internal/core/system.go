@@ -47,11 +47,6 @@ type Options struct {
 	RegisterTypes func(*catalog.Catalog) error
 	// Fault injects message faults into the workstation/server transport.
 	Fault rpc.FaultPlan
-	// SerializedReads reverts only the repository read path to the pre-MVCC
-	// design (repository lock + deep payload clone per Get), leaving the
-	// group-commit WAL and sharded locks in place. E15 uses it to isolate
-	// what the lock-free, clone-free read index buys.
-	SerializedReads bool
 	// SerializedWrites reverts only the repository mutation path to the
 	// fully serial design: one global repository lock held across each
 	// forced log write, instead of per-DA write locks with group-committed
@@ -243,7 +238,6 @@ func (s *System) startServer() error {
 	r, err := repo.Open(s.cat, repo.Options{
 		Dir: dir, Sync: dir != "",
 		SegmentBytes:            s.opts.SegmentBytes,
-		SerializedReads:         s.opts.SerializedReads,
 		SerializedWrites:        s.opts.SerializedWrites,
 		QuiescentCheckpoint:     s.opts.QuiescentCheckpoint,
 		CheckpointMaxChain:      s.opts.CheckpointMaxChain,

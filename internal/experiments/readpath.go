@@ -20,8 +20,8 @@ type ReadPathMode int
 // Read-path measurement modes.
 const (
 	// ModeServer drives the server-TM checkout path directly (admission,
-	// scope check, short S lock, repository read, canonical encoding) —
-	// the layer the MVCC read index changes.
+	// scope check, short S lock, repository read of metadata plus the
+	// resident encoding) — the layer the MVCC read index changes.
 	ModeServer ReadPathMode = iota + 1
 	// ModeE2EHot runs full workstation checkouts over the in-process wire
 	// with warm caches (NotModified handshakes, E14 protocol).
@@ -112,11 +112,9 @@ func e15Object(da string) *catalog.Object {
 
 // RunCheckoutScaling boots one durable server and n readers, seeds one
 // part-heavy version per reader's DA, then has every reader perform `rounds`
-// checkouts of its version in parallel. serializedReads selects the pre-MVCC
-// repository read path (repository lock + deep payload clone per Get) as the
-// baseline; the default is the lock-free, clone-free MVCC index. Used by E15
-// and the read-path benchmarks.
-func RunCheckoutScaling(serializedReads bool, n, rounds int, mode ReadPathMode) (ReadScalingResult, error) {
+// checkouts of its version in parallel through the lock-free, clone-free
+// MVCC index. Used by E15 and the read-path benchmarks.
+func RunCheckoutScaling(n, rounds int, mode ReadPathMode) (ReadScalingResult, error) {
 	res := ReadScalingResult{Readers: n}
 	dir, err := os.MkdirTemp("", "concord-e15")
 	if err != nil {
@@ -126,7 +124,6 @@ func RunCheckoutScaling(serializedReads bool, n, rounds int, mode ReadPathMode) 
 	sys, err := core.NewSystem(core.Options{
 		Dir:                  dir,
 		RegisterTypes:        e15RegisterTypes,
-		SerializedReads:      serializedReads,
 		VolatileWorkstations: true,
 	})
 	if err != nil {
@@ -254,11 +251,31 @@ func eachSite(sites []*site15, fn func(int, *site15) error) error {
 	return <-errs
 }
 
+// e15Baseline is one pinned measurement of the pre-MVCC read path.
+type e15Baseline struct{ opsPerSec, allocsPerOp float64 }
+
+// e15LockedCloneBaseline pins the pre-MVCC repository read path (repository
+// RWMutex + deep payload clone per Get, the original design) per path and reader
+// count, as last measured on the reference host before the switch that
+// selected it was retired (EXPERIMENTS.md E15, rev 7664ae9a32b1). The
+// comparison is settled, so the locked read path no longer ships.
+var e15LockedCloneBaseline = map[ReadPathMode]map[int]e15Baseline{
+	ModeServer: {
+		1: {24926, 395.1}, 2: {25260, 395.1}, 4: {22875, 395.1}, 8: {17213, 395.1}, 16: {18404, 395.1},
+	},
+	ModeE2EHot: {
+		1: {7821, 1677.6}, 2: {7511, 1677.6}, 4: {6830, 1677.7}, 8: {4831, 1677.6}, 16: {4976, 1677.4},
+	},
+	ModeE2ECold: {
+		1: {7280, 1676.7}, 2: {6195, 1676.7}, 4: {6769, 1676.5}, 8: {6605, 1676.3}, 16: {6091, 1676.2},
+	},
+}
+
 // E15ReadPath measures aggregate checkout throughput of N concurrent readers
-// against one server, comparing the pre-MVCC repository read path (lock +
-// deep clone per Get, the PR 3 design) with the lock-free, clone-free MVCC
-// index (DESIGN.md §3.6), at the server-TM layer and end-to-end over the
-// wire with hot and cold workstation caches. The paper's Sect. 5.1
+// against one server through the lock-free, clone-free MVCC index
+// (DESIGN.md §3.6), at the server-TM layer and end-to-end over the wire with
+// hot and cold workstation caches, beside the pinned figures of the pre-MVCC
+// read path (lock + deep clone per Get, the original design). The paper's Sect. 5.1
 // architecture makes checkout the dominant operation of parallel DOP
 // processing; this experiment quantifies how far the read path scales with
 // readers.
@@ -271,7 +288,7 @@ func e15ReadPath(readerCounts []int, serverRounds, e2eRounds int) (Report, error
 	rep := Report{
 		ID:     "E15",
 		Title:  "read-heavy multi-workstation checkout scaling (Sect. 5.1, DESIGN.md §3.6)",
-		Header: []string{"path", "readers", "checkouts", "locked+clone ops/s", "mvcc ops/s", "speedup", "locked+clone allocs/op", "mvcc allocs/op"},
+		Header: []string{"path", "readers", "checkouts", "locked+clone ops/s (pinned)", "mvcc ops/s", "speedup", "locked+clone allocs/op (pinned)", "mvcc allocs/op"},
 	}
 	for _, mode := range []ReadPathMode{ModeServer, ModeE2EHot, ModeE2ECold} {
 		rounds := serverRounds
@@ -279,35 +296,26 @@ func e15ReadPath(readerCounts []int, serverRounds, e2eRounds int) (Report, error
 			rounds = e2eRounds
 		}
 		for _, n := range readerCounts {
-			base, err := RunCheckoutScaling(true, n, rounds, mode)
-			if err != nil {
-				return rep, fmt.Errorf("E15 %s baseline N=%d: %w", mode, n, err)
-			}
-			mvcc, err := RunCheckoutScaling(false, n, rounds, mode)
+			base := e15LockedCloneBaseline[mode][n]
+			mvcc, err := RunCheckoutScaling(n, rounds, mode)
 			if err != nil {
 				return rep, fmt.Errorf("E15 %s mvcc N=%d: %w", mode, n, err)
 			}
-			speedup := 0.0
-			if base.OpsPerSec() > 0 {
-				speedup = mvcc.OpsPerSec() / base.OpsPerSec()
-			}
 			rep.Rows = append(rep.Rows, []string{
 				mode.String(), d(n), d(mvcc.Checkouts),
-				f(base.OpsPerSec()), f(mvcc.OpsPerSec()),
-				fmt.Sprintf("%.2fx", speedup),
-				f(base.AllocsPerOp), f(mvcc.AllocsPerOp),
+				f(base.opsPerSec), f(mvcc.OpsPerSec()),
+				fmt.Sprintf("%.2fx", mvcc.OpsPerSec()/base.opsPerSec),
+				f(base.allocsPerOp), f(mvcc.AllocsPerOp),
 			})
 			rep.Metrics = append(rep.Metrics,
-				Metric{Name: fmt.Sprintf("checkout_ops_per_sec/path=%s/readers=%d/design=locked-clone", mode, n), Value: base.OpsPerSec(), Unit: "ops/s"},
 				Metric{Name: fmt.Sprintf("checkout_ops_per_sec/path=%s/readers=%d/design=mvcc", mode, n), Value: mvcc.OpsPerSec(), Unit: "ops/s"},
-				Metric{Name: fmt.Sprintf("checkout_allocs_per_op/path=%s/readers=%d/design=locked-clone", mode, n), Value: base.AllocsPerOp, Unit: "allocs/op"},
 				Metric{Name: fmt.Sprintf("checkout_allocs_per_op/path=%s/readers=%d/design=mvcc", mode, n), Value: mvcc.AllocsPerOp, Unit: "allocs/op"},
 			)
 		}
 	}
 	rep.Notes = append(rep.Notes,
-		"locked+clone = pre-MVCC read path (repository RWMutex + deep payload clone per Get), the PR 3 design",
-		"mvcc = lock-free copy-on-write index, immutable DOV records, memoized canonical encoding (DESIGN.md §3.6)",
+		"locked+clone = pre-MVCC read path (repository RWMutex + deep payload clone per Get), the original design; pinned figures (rev 7664ae9a32b1), not re-measured",
+		"mvcc = lock-free copy-on-write index, immutable DOV records resident as metadata + canonical encoding (DESIGN.md §3.6)",
 		fmt.Sprintf("object: %d parts x %d B (payload the baseline clones on every read)", e15Parts, e15PartBytes),
 		"server = server-TM checkout (admission, scope check, S lock, repository read); e2e = full wire checkout with hot (NotModified) or cold (full transfer) workstation cache",
 		"allocs/op = process-wide heap allocations per checkout during the parallel phase",

@@ -4,31 +4,27 @@ import "testing"
 
 // TestE15ReadScalingBounds is the CI gate on the MVCC read path (acceptance
 // bounds of the E15 experiment, run at a reduced size): at 8 concurrent
-// readers the lock-free index must at least double the aggregate server-side
-// checkout throughput of the locked+cloning baseline and at least halve its
-// allocations per checkout. Throughput asserts a deliberately looser bound
-// (1.3x) so shared CI runners do not flake; the committed BENCH_E15.json
-// records the full-size numbers.
+// readers the lock-free index must beat the pinned server-side checkout
+// throughput of the locked+cloning baseline by the 1.3x CI floor (the
+// acceptance bar was 2x; the looser floor keeps shared CI runners from
+// flaking) and at least halve its allocations per checkout.
 func TestE15ReadScalingBounds(t *testing.T) {
 	const readers, rounds = 8, 500
-	base, err := RunCheckoutScaling(true, readers, rounds, ModeServer)
+	base := e15LockedCloneBaseline[ModeServer][readers]
+	mvcc, err := RunCheckoutScaling(readers, rounds, ModeServer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mvcc, err := RunCheckoutScaling(false, readers, rounds, ModeServer)
-	if err != nil {
-		t.Fatal(err)
+	t.Logf("pinned baseline: %.0f ops/s, %.1f allocs/op; mvcc: %.0f ops/s, %.1f allocs/op (speedup %.2fx)",
+		base.opsPerSec, base.allocsPerOp, mvcc.OpsPerSec(), mvcc.AllocsPerOp,
+		mvcc.OpsPerSec()/base.opsPerSec)
+	if mvcc.OpsPerSec() < 1.3*base.opsPerSec {
+		t.Fatalf("mvcc read path %.0f ops/s vs pinned baseline %.0f ops/s: below the 1.3x CI floor",
+			mvcc.OpsPerSec(), base.opsPerSec)
 	}
-	t.Logf("baseline: %.0f ops/s, %.1f allocs/op; mvcc: %.0f ops/s, %.1f allocs/op (speedup %.2fx)",
-		base.OpsPerSec(), base.AllocsPerOp, mvcc.OpsPerSec(), mvcc.AllocsPerOp,
-		mvcc.OpsPerSec()/base.OpsPerSec())
-	if mvcc.OpsPerSec() < 1.3*base.OpsPerSec() {
-		t.Fatalf("mvcc read path %.0f ops/s vs baseline %.0f ops/s: below the 1.3x CI floor",
-			mvcc.OpsPerSec(), base.OpsPerSec())
-	}
-	if mvcc.AllocsPerOp > base.AllocsPerOp/2 {
-		t.Fatalf("mvcc read path allocates %.1f/op vs baseline %.1f/op: less than 50%% reduction",
-			mvcc.AllocsPerOp, base.AllocsPerOp)
+	if mvcc.AllocsPerOp > base.allocsPerOp/2 {
+		t.Fatalf("mvcc read path allocates %.1f/op vs pinned baseline %.1f/op: less than 50%% reduction",
+			mvcc.AllocsPerOp, base.allocsPerOp)
 	}
 }
 
@@ -36,7 +32,7 @@ func TestE15ReadScalingBounds(t *testing.T) {
 // the hot (NotModified) and cold (full transfer) loops stay exercised.
 func TestE15EndToEndModes(t *testing.T) {
 	for _, mode := range []ReadPathMode{ModeE2EHot, ModeE2ECold} {
-		res, err := RunCheckoutScaling(false, 2, 10, mode)
+		res, err := RunCheckoutScaling(2, 10, mode)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}

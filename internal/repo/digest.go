@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"concord/internal/catalog"
 	"concord/internal/version"
 )
 
@@ -50,12 +49,8 @@ func (r *Repository) StateDigest() (string, error) {
 	for _, id := range ids {
 		e := entries[version.ID(id)]
 		v := e.dov
-		obj, err := catalog.EncodeObject(v.Object)
-		if err != nil {
-			return "", fmt.Errorf("repo: digest encode %s: %w", id, err)
-		}
 		fmt.Fprintf(&b, "dov %s dot=%s da=%s parents=[%s] status=%d seq=%d root=%t obj=%x\n",
-			v.ID, v.DOT, v.DA, joinIDStrings(v.Parents), v.Status, v.Seq, e.root, obj)
+			v.ID, v.DOT, v.DA, joinIDStrings(v.Parents), v.Status, v.Seq, e.root, e.enc)
 	}
 	r.metaMu.Lock()
 	keys := make([]string, 0, len(r.meta))

@@ -153,12 +153,8 @@ func (r *Repository) applyFollowerRecord(rec wal.Record) error {
 
 // installShippedInsert publishes one shipped DOV exactly as the primary's
 // checkin did: claim, graph insert, index publication.
-func (r *Repository) installShippedInsert(d *decodedInsert) error {
-	dr := d.rec
-	v := &version.DOV{
-		ID: dr.ID, DOT: dr.DOT, DA: dr.DA, Parents: dr.Parents,
-		Object: d.obj, Status: dr.Status, Fulfilled: dr.Fulfilled, Seq: dr.Seq,
-	}
+func (r *Repository) installShippedInsert(dr *dovRecord) error {
+	v := dr.meta()
 	r.dasMu.Lock()
 	st, ok := r.das[dr.DA]
 	if !ok {
@@ -181,7 +177,7 @@ func (r *Repository) installShippedInsert(d *decodedInsert) error {
 		r.idx.unclaim(v.ID)
 		return err
 	}
-	r.idx.put(v.ID, &dovEntry{dov: v, enc: &encMemo{}, root: dr.Root})
+	r.idx.put(v.ID, &dovEntry{dov: v, enc: dr.Object, root: dr.Root})
 	if dr.Seq > r.seq.Load() {
 		r.seq.Store(dr.Seq)
 	}

@@ -361,12 +361,13 @@ func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) err
 	// allocated first), so graph inserts re-wire every derivation edge
 	// exactly as replay would.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	for _, dr := range recs {
-		obj, err := catalog.DecodeObject(dr.Object)
-		if err != nil {
+	for i := range recs {
+		// Parsed as a validity check only, as replay does: the record's
+		// encoding is what stays resident.
+		if _, err := catalog.DecodeObject(recs[i].Object); err != nil {
 			return err
 		}
-		if err := r.installRecovered(&decodedInsert{rec: dr, obj: obj}, staging); err != nil {
+		if err := r.installRecovered(&recs[i], staging); err != nil {
 			return err
 		}
 	}

@@ -1,18 +1,19 @@
 package repo
 
 import (
+	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 
-	"concord/internal/catalog"
 	"concord/internal/version"
 )
 
 // MVCC read path and sharded write index (DESIGN.md §3.6, §3.7): the
 // repository publishes every DOV as an immutable record in a copy-on-write
 // index whose shards are swapped with a single atomic pointer store. Readers
-// (checkout, EncodedObject, Exists, Graph lookup) load the shard pointer,
-// look the record up and return it — no repository lock, no payload clone.
+// (checkout, Lookup, EncodedObject, Exists, Graph lookup) load the shard
+// pointer, look the record up and return it — no repository lock, no copy,
+// no decode.
 //
 // Writers no longer serialize behind one repository mutex: checkins to
 // distinct design areas run concurrently under per-DA locks (repo.go), so the
@@ -24,60 +25,50 @@ import (
 // observe a claim: a version exists only once it is published, which happens
 // strictly after its WAL reservation (the §3.5/§3.7 ordering invariant).
 //
-// Immutability contract: a published *version.DOV (and its Object payload)
-// is never mutated again. Status and Fulfilled updates install a fresh
-// shallow copy; the superseded record stays valid forever for any reader
-// still holding it — multi-version concurrency in its simplest form.
+// Immutability contract: a published *version.DOV and its encoding are never
+// mutated again. Status and Fulfilled updates install a fresh shallow copy
+// of the metadata sharing the same encoding; the superseded record stays
+// valid forever for any reader still holding it — multi-version concurrency
+// in its simplest form.
 
 // idxShards is the copy-on-write fan-out. A write copies only its shard
 // (1/64th of the index on average), so installs stay cheap while readers
 // pay exactly one atomic load regardless of the shard count.
 const idxShards = 64
 
-// dovEntry is one published version: the immutable record plus the shared
-// memo of its canonical payload encoding.
+// dovEntry is one published version in its resident form: the metadata
+// record, the canonical encoding of the payload and a lazily memoized
+// content hash. The repository keeps no decoded object — the checkout and
+// delta paths only ever ship the encoding, and the rare server-side reader
+// of the object itself (feature evaluation, tools) decodes a private copy
+// (Repository.Object). One resident copy per version, whether or not it
+// was ever checked out.
 type dovEntry struct {
+	// dov is the immutable metadata record; its Object is always nil.
 	dov *version.DOV
-	// enc is shared across status/fulfilled re-publications of the same
-	// version — the payload (and therefore its canonical encoding) never
-	// changes after checkin.
-	enc *encMemo
+	// enc is the canonical payload encoding — exactly the bytes the
+	// version's log record carries. Immutable and shared across
+	// status/fulfilled re-publications of the same version.
+	enc []byte
+	// hash memoizes sha256(enc) on first use, so restart and checkin never
+	// pay a hash per version. Racing readers may compute it twice; the
+	// result is deterministic, so the duplicate store is harmless.
+	hash atomic.Pointer[[sha256.Size]byte]
 	// root marks a version adopted as a graph root (foreign parents
 	// allowed). Snapshots must preserve the distinction so rebuilt graphs
 	// wire exactly the edges replay would.
 	root bool
 }
 
-// encMemo lazily caches a version's canonical payload encoding and content
-// hash. The memo starts empty and fills on the first EncodedObject call, so
-// resident memory grows with the read working set, not with history size
-// (versions never checked out — the bulk of a long-lived repository — pin
-// no second copy of their payload). Racing readers may compute the pair
-// twice; the encoding is deterministic, so the duplicate install is
-// idempotent and no lock is needed.
-type encMemo struct {
-	p atomic.Pointer[encPair]
-}
-
-// encPair is one memoized (encoding, hash) result.
-type encPair struct {
-	enc  []byte
-	hash []byte
-}
-
-// encoded returns the memoized canonical encoding and hash of the entry's
-// payload, computing and publishing them on first use.
-func (e *dovEntry) encoded() ([]byte, []byte, error) {
-	if p := e.enc.p.Load(); p != nil {
-		return p.enc, p.hash, nil
+// contentHash returns the memoized content hash of the entry's payload,
+// computing and publishing it on first use.
+func (e *dovEntry) contentHash() []byte {
+	if h := e.hash.Load(); h != nil {
+		return h[:]
 	}
-	enc, err := catalog.EncodeObject(e.dov.Object)
-	if err != nil {
-		return nil, nil, err
-	}
-	pair := &encPair{enc: enc, hash: catalog.HashEncoded(enc)}
-	e.enc.p.Store(pair)
-	return pair.enc, pair.hash, nil
+	h := sha256.Sum256(e.enc)
+	e.hash.Store(&h)
+	return h[:]
 }
 
 // idxShard is one shard of the version index: the atomically swapped

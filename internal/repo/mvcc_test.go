@@ -87,9 +87,9 @@ func TestConcurrentReadersVsWriters(t *testing.T) {
 				if !ok {
 					continue // not yet checked in
 				}
-				v, err := r.Get(id)
+				v, enc, hash, err := r.Lookup(id)
 				if err != nil {
-					// Exists raced a concurrent publish; a later Get must
+					// Exists raced a concurrent publish; a later Lookup must
 					// succeed, but this one legitimately ran first only if
 					// the version is unknown — anything else is a bug.
 					if errors.Is(err, version.ErrUnknownDOV) {
@@ -98,21 +98,21 @@ func TestConcurrentReadersVsWriters(t *testing.T) {
 					errs <- err
 					return
 				}
-				if v.ID != id || v.Object == nil || v.Object.Type != v.DOT {
+				if v.ID != id || v.Object != nil {
 					errs <- fmt.Errorf("inconsistent DOV %s: %+v", id, v)
 					return
 				}
-				if got := catalog.NumAttr(v.Object, "area"); got != float64(j) {
+				obj, err := catalog.DecodeObject(enc)
+				if err != nil || obj.Type != v.DOT {
+					errs <- fmt.Errorf("DOV %s: encoding does not decode to a %s: %v", id, v.DOT, err)
+					return
+				}
+				if got := catalog.NumAttr(obj, "area"); got != float64(j) {
 					errs <- fmt.Errorf("DOV %s payload area = %v, want %d", id, got, j)
 					return
 				}
 				if v.Status < version.StatusWorking || v.Status > version.StatusInvalid {
 					errs <- fmt.Errorf("DOV %s has impossible status %d", id, v.Status)
-					return
-				}
-				enc, hash, err := r.EncodedObject(id)
-				if err != nil {
-					errs <- err
 					return
 				}
 				if !bytes.Equal(hash, catalog.HashEncoded(enc)) {
@@ -149,9 +149,9 @@ func TestConcurrentReadersVsWriters(t *testing.T) {
 	}
 }
 
-// TestReadPathZeroAllocs pins the MVCC fast path: Get, Exists and
-// EncodedObject allocate nothing once the version is published and its hash
-// memoized.
+// TestReadPathZeroAllocs pins the MVCC fast path: Lookup (the checkout read),
+// Get, Exists and EncodedObject allocate nothing once the version is
+// published and its hash memoized.
 func TestReadPathZeroAllocs(t *testing.T) {
 	r := openRepo(t, "")
 	if err := r.CreateGraph("da"); err != nil {
@@ -163,6 +163,14 @@ func TestReadPathZeroAllocs(t *testing.T) {
 	// Warm the hash memo.
 	if _, _, err := r.EncodedObject("v1"); err != nil {
 		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		meta, enc, hash, err := r.Lookup("v1")
+		if err != nil || meta.ID != "v1" || len(enc) == 0 || len(hash) == 0 {
+			t.Fatal("Lookup failed")
+		}
+	}); n != 0 {
+		t.Fatalf("Lookup allocates %v per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := r.Get("v1"); err != nil {
@@ -214,39 +222,5 @@ func TestExistsReportsFailStop(t *testing.T) {
 	}
 	if _, _, err := r.EncodedObject("v1"); !errors.Is(err, ErrFatal) {
 		t.Fatalf("EncodedObject on fail-stopped repo: err = %v, want ErrFatal", err)
-	}
-}
-
-// TestSerializedReadsAblation exercises the E15 baseline knob: reads behave
-// identically (modulo cloning) with SerializedReads set.
-func TestSerializedReadsAblation(t *testing.T) {
-	cat := testCatalog(t)
-	r, err := Open(cat, Options{SerializedReads: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.CreateGraph("da"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Checkin(mkDOV("v1", "da", 7), true); err != nil {
-		t.Fatal(err)
-	}
-	a, err := r.Get("v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := r.Get("v1")
-	if a == b {
-		t.Fatal("serialized reads must clone (pre-MVCC checkout semantics)")
-	}
-	if catalog.NumAttr(a.Object, "area") != 7 {
-		t.Fatalf("clone diverges: %+v", a)
-	}
-	if ok, err := r.Exists("v1"); err != nil || !ok {
-		t.Fatal("Exists under serialized reads")
-	}
-	if _, _, err := r.EncodedObject("v1"); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -82,11 +82,6 @@ type Options struct {
 	// the wal.Crash* constants). An armed point aborts the operation
 	// there, simulating a crash. Tests only; see CrashPoints.
 	Faults *fault.Registry
-	// SerializedReads reverts the read path to the pre-MVCC design: Get
-	// takes the repository lock and deep-clones the payload, Exists and
-	// EncodedObject read under the lock. Ablation baseline for E15; never
-	// set in production.
-	SerializedReads bool
 	// SerializedWrites reverts the mutation path to the fully serial
 	// pre-concurrency design: every mutation holds one global repository
 	// lock across its forced log write, so checkins serialize repository-
@@ -139,10 +134,13 @@ type Options struct {
 // Repository is the design data repository. All methods are safe for
 // concurrent use.
 //
-// Reads are multi-versioned (DESIGN.md §3.6): Get, Exists, EncodedObject and
-// Graph never take the repository lock and never copy payloads — they return
-// immutable records published through the copy-on-write index in mvcc.go.
-// Callers must treat every returned DOV (and its Object) as read-only.
+// Reads are multi-versioned (DESIGN.md §3.6): Get, Lookup, Exists,
+// EncodedObject and Graph never take the repository lock and never copy or
+// decode payloads — they return immutable records published through the
+// copy-on-write index in mvcc.go. A stored version is resident as its
+// metadata plus the canonical encoding of its payload; the DOVs Get and
+// Graph hand out carry no Object, and Object decodes a private copy on
+// request. Callers must treat every returned DOV and encoding as read-only.
 //
 // Writes are sharded by design area (DESIGN.md §3.7): a checkin holds the
 // repository-wide quiesce lock shared plus its DA's write lock, so checkins
@@ -156,16 +154,10 @@ type Repository struct {
 	dir string
 	// faults is the crash-point fault-injection registry (tests only).
 	faults *fault.Registry
-	// serializedReads selects the pre-MVCC locked+cloning read path
-	// (Options.SerializedReads; E15 ablation baseline).
-	serializedReads bool
 	// serializedWrites selects the global-lock-across-fsync write path
-	// (Options.SerializedWrites; E16 ablation baseline).
+	// (Options.SerializedWrites; E16 ablation baseline): every mutator takes
+	// mu exclusively instead of shared and waits for durability under it.
 	serializedWrites bool
-	// globalWriteLock makes every mutator take mu exclusively instead of
-	// shared — set by either Serialized* ablation so the historical
-	// reader/writer mutual exclusion those baselines measure is preserved.
-	globalWriteLock bool
 	// serialReplay / replayWorkers configure restart replay (§3.7).
 	serialReplay  bool
 	replayWorkers int
@@ -303,23 +295,48 @@ func (r *Repository) fireChange(ev ChangeEvent) {
 	}
 }
 
-// EncodedObject returns the canonical encoding and content hash of a stored
-// version's payload. Both are memoized per version on first use (payloads
-// are immutable once checked in), so the checkout and delta paths read them
-// without locking, cloning or allocating after the first request.
-func (r *Repository) EncodedObject(id version.ID) (enc, hash []byte, err error) {
-	if r.serializedReads {
-		r.mu.RLock()
-		defer r.mu.RUnlock()
+// Lookup is the checkout read: a stored version's metadata record (no
+// Object), the canonical encoding of its payload and its content hash, in
+// one index load. The encoding is the resident form of the version and the
+// hash is memoized on first use, so after that first request the call takes
+// no lock and allocates nothing.
+func (r *Repository) Lookup(id version.ID) (meta *version.DOV, enc, hash []byte, err error) {
+	e, err := r.entry(id)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	return e.dov, e.enc, e.contentHash(), nil
+}
+
+// entry is the lock-free index read behind every version accessor.
+func (r *Repository) entry(id version.ID) (*dovEntry, error) {
 	if err := r.alive(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e, ok := r.idx.get(id)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", version.ErrUnknownDOV, id)
+		return nil, fmt.Errorf("%w: %s", version.ErrUnknownDOV, id)
 	}
-	return e.encoded()
+	return e, nil
+}
+
+// EncodedObject is Lookup without the metadata. The repository's own callers
+// use Lookup; this form stays for the layer benchmark in bench/.
+func (r *Repository) EncodedObject(id version.ID) (enc, hash []byte, err error) {
+	_, enc, hash, err = r.Lookup(id)
+	return enc, hash, err
+}
+
+// Object decodes a stored version's payload into a fresh object the caller
+// owns and may mutate. The repository keeps only the encoding, so every call
+// pays a decode: it is for the rare server-side readers of design data
+// (feature evaluation, tools, tests), not for the checkout path.
+func (r *Repository) Object(id version.ID) (*catalog.Object, error) {
+	e, err := r.entry(id)
+	if err != nil {
+		return nil, err
+	}
+	return catalog.DecodeObject(e.enc)
 }
 
 // Open creates or recovers a repository. When opts.Dir names a directory
@@ -334,9 +351,7 @@ func Open(cat *catalog.Catalog, opts Options) (*Repository, error) {
 		cat:              cat,
 		dir:              opts.Dir,
 		faults:           opts.Faults,
-		serializedReads:  opts.SerializedReads,
 		serializedWrites: opts.SerializedWrites,
-		globalWriteLock:  opts.SerializedReads || opts.SerializedWrites,
 		serialReplay:     opts.SerialReplay,
 		replayWorkers:    opts.ReplayWorkers,
 		degradedOnWAL:    opts.DegradedOnWALFailure,
@@ -484,35 +499,35 @@ func decodeDOVRecord(data []byte) (dovRecord, error) {
 	return d, r.Err()
 }
 
-// decodedInsert is a recDOVInsert payload after the CPU-heavy half of its
-// recovery — record decode plus catalog.DecodeObject — which the pipelined
-// replay runs on a worker pool (§3.7).
-type decodedInsert struct {
-	rec dovRecord
-	obj *catalog.Object
-}
-
-// decodeInsert performs the worker-side half of recovering one DOV record.
-func decodeInsert(data []byte) (*decodedInsert, error) {
+// decodeInsert is the CPU-heavy half of recovering one DOV record — record
+// decode plus a full decode of the payload as a validity check — which the
+// pipelined replay runs on a worker pool (§3.7). The decoded object is
+// dropped: the record's own copy of the encoding (Reader.Blob copies)
+// becomes the resident form.
+func decodeInsert(data []byte) (*dovRecord, error) {
 	dr, err := decodeDOVRecord(data)
 	if err != nil {
 		return nil, fmt.Errorf("repo: recover DOV: %w", err)
 	}
-	obj, err := catalog.DecodeObject(dr.Object)
-	if err != nil {
+	if _, err := catalog.DecodeObject(dr.Object); err != nil {
 		return nil, err
 	}
-	return &decodedInsert{rec: dr, obj: obj}, nil
+	return &dr, nil
 }
 
-// installRecovered inserts one decoded DOV exactly as the original checkin
-// did, into the recovery staging map and the (not yet shared) graphs.
-func (r *Repository) installRecovered(d *decodedInsert, staging map[version.ID]*dovEntry) error {
-	dr := d.rec
-	v := &version.DOV{
-		ID: dr.ID, DOT: dr.DOT, DA: dr.DA, Parents: dr.Parents,
-		Object: d.obj, Status: dr.Status, Fulfilled: dr.Fulfilled, Seq: dr.Seq,
+// meta returns the record's metadata as a published DOV (no Object).
+func (d *dovRecord) meta() *version.DOV {
+	return &version.DOV{
+		ID: d.ID, DOT: d.DOT, DA: d.DA, Parents: d.Parents,
+		Status: d.Status, Fulfilled: d.Fulfilled, Seq: d.Seq,
 	}
+}
+
+// installRecovered inserts one validated DOV record exactly as the original
+// checkin did, into the recovery staging map and the (not yet shared)
+// graphs.
+func (r *Repository) installRecovered(dr *dovRecord, staging map[version.ID]*dovEntry) error {
+	v := dr.meta()
 	st, ok := r.das[dr.DA]
 	if !ok {
 		st = &daState{g: version.NewGraph(dr.DA)}
@@ -525,7 +540,7 @@ func (r *Repository) installRecovered(d *decodedInsert, staging map[version.ID]*
 	} else if err := st.g.InsertDerived(v); err != nil {
 		return err
 	}
-	staging[v.ID] = &dovEntry{dov: v, enc: &encMemo{}, root: dr.Root}
+	staging[v.ID] = &dovEntry{dov: v, enc: dr.Object, root: dr.Root}
 	if dr.Seq > r.seq.Load() {
 		r.seq.Store(dr.Seq)
 	}
@@ -563,7 +578,7 @@ func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) 
 				r.das[da] = &daState{g: version.NewGraph(da)}
 			}
 		case recDOVInsert:
-			if d, ok := pre.(*decodedInsert); ok {
+			if d, ok := pre.(*dovRecord); ok {
 				return r.installRecovered(d, staging)
 			}
 			return r.applyDOVRecord(rec.Payload, staging)
@@ -708,13 +723,13 @@ func (r *Repository) Health() Health {
 }
 
 // beginMutation takes the quiesce lock in the configured mode (shared in the
-// sharded design, exclusive under the Serialized* ablations) and checks
+// sharded design, exclusive under the SerializedWrites ablation) and checks
 // liveness. It returns the matching unlock.
 func (r *Repository) beginMutation() (func(), error) {
 	if r.follower.Load() {
 		return nil, ErrFollower
 	}
-	if r.globalWriteLock {
+	if r.serializedWrites {
 		r.mu.Lock()
 		if err := r.writable(); err != nil {
 			r.mu.Unlock()
@@ -761,14 +776,14 @@ func (r *Repository) finishWrite(unlock func(), waits ...func() (wal.LSN, error)
 }
 
 // lockDA looks the DA up (lock-free) and takes its write lock. Under the
-// global-lock ablations the per-DA lock is skipped: the exclusive quiesce
-// lock already serializes every mutator.
+// SerializedWrites ablation the per-DA lock is skipped: the exclusive
+// quiesce lock already serializes every mutator.
 func (r *Repository) lockDA(da string) (*daState, bool) {
 	st, ok := (*r.dasPub.Load())[da]
 	if !ok {
 		return nil, false
 	}
-	if !r.globalWriteLock {
+	if !r.serializedWrites {
 		st.mu.Lock()
 	}
 	return st, true
@@ -776,7 +791,7 @@ func (r *Repository) lockDA(da string) (*daState, bool) {
 
 // unlockDA releases lockDA.
 func (r *Repository) unlockDA(st *daState) {
-	if !r.globalWriteLock {
+	if !r.serializedWrites {
 		st.mu.Unlock()
 	}
 }
@@ -817,10 +832,6 @@ func (r *Repository) CreateGraph(da string) error {
 // is an atomically swapped copy-on-write map (graphs themselves synchronize
 // internally).
 func (r *Repository) Graph(da string) (*version.Graph, error) {
-	if r.serializedReads {
-		r.mu.RLock()
-		defer r.mu.RUnlock()
-	}
 	if err := r.alive(); err != nil {
 		return nil, err
 	}
@@ -838,8 +849,10 @@ func (r *Repository) Graph(da string) (*version.Graph, error) {
 // When root is true the version is adopted as a graph root and may carry
 // parents from foreign graphs (initial DOV0 or inherited finals).
 //
-// Ownership: on success the repository publishes v as an immutable record;
-// the caller must not mutate v or v.Object afterwards (DESIGN.md §3.6).
+// Ownership: the repository publishes a metadata copy of v (sharing its
+// Parents and Fulfilled slices, which the caller must not mutate afterwards)
+// and the canonical encoding of v.Object; it retains neither v nor the
+// object, so the caller keeps both (DESIGN.md §3.6).
 func (r *Repository) Checkin(v *version.DOV, root bool) error {
 	return r.CheckinCleanup(v, root, "")
 }
@@ -867,10 +880,15 @@ func (r *Repository) CheckinCleanup(v *version.DOV, root bool, cleanupKey string
 	}
 
 	// Encoding does not need any lock; do it before entering the critical
-	// section (the object is the caller's copy).
+	// section (the object is the caller's copy). The encoding stays resident
+	// as the version's stored form, so it is clipped to its length: the
+	// writer's growth slack would otherwise stay pinned with it.
 	objBytes, err := catalog.EncodeObject(v.Object)
 	if err != nil {
 		return err
+	}
+	if cap(objBytes) > len(objBytes) {
+		objBytes = append(make([]byte, 0, len(objBytes)), objBytes...)
 	}
 
 	end, err := r.beginMutation()
@@ -906,6 +924,8 @@ func (r *Repository) CheckinCleanup(v *version.DOV, root bool, cleanupKey string
 		}
 	}
 	v.Seq = r.seq.Add(1)
+	meta := *v
+	meta.Object = nil
 
 	// Encode the log record into a pooled writer: the WAL frames (copies)
 	// the bytes during the reservation, so the buffer is recycled as soon
@@ -925,20 +945,18 @@ func (r *Repository) CheckinCleanup(v *version.DOV, root bool, cleanupKey string
 		return fail(err)
 	}
 	if root {
-		if err := st.g.AdoptRoot(v); err != nil {
+		if err := st.g.AdoptRoot(&meta); err != nil {
 			r.idx.unclaim(v.ID)
 			return fail(err)
 		}
-	} else if err := st.g.InsertDerived(v); err != nil {
+	} else if err := st.g.InsertDerived(&meta); err != nil {
 		r.idx.unclaim(v.ID)
 		return fail(err)
 	}
 	// Publish the immutable record for lock-free readers, consuming the
-	// claim. The encoding memo fills lazily on the first checkout (seeding
-	// it with objBytes here would pin a second copy of every payload for all
-	// history, read or not). From here on v (and its Object) must never be
-	// mutated — the repository owns it.
-	r.idx.put(v.ID, &dovEntry{dov: v, enc: &encMemo{}, root: root})
+	// claim: the metadata plus objBytes, the very encoding just logged. The
+	// content hash is left to the first checkout.
+	r.idx.put(v.ID, &dovEntry{dov: &meta, enc: objBytes, root: root})
 	var cleanupWait func() (wal.LSN, error)
 	if cleanupKey != "" {
 		r.metaMu.Lock()
@@ -963,38 +981,17 @@ func (r *Repository) CheckinCleanup(v *version.DOV, root bool, cleanupKey string
 	return nil
 }
 
-// Get returns the stored version with the given ID. The returned record is
-// immutable and shared (MVCC checkout semantics, DESIGN.md §3.6): the read
-// takes no lock and copies nothing, and in exchange the caller must not
-// mutate the DOV or its Object. Tools needing a private scratch copy clone
-// explicitly (the client-TM already does at the workstation).
+// Get returns the metadata record of the stored version with the given ID —
+// everything but the payload, whose Object field is nil (Object decodes the
+// payload, Lookup adds its encoding). The record is immutable and shared
+// (MVCC checkout semantics, DESIGN.md §3.6): the read takes no lock and
+// copies nothing, and in exchange the caller must not mutate it.
 func (r *Repository) Get(id version.ID) (*version.DOV, error) {
-	if r.serializedReads {
-		return r.getSerialized(id)
-	}
-	if err := r.alive(); err != nil {
+	e, err := r.entry(id)
+	if err != nil {
 		return nil, err
-	}
-	e, ok := r.idx.get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", version.ErrUnknownDOV, id)
 	}
 	return e.dov, nil
-}
-
-// getSerialized is the pre-MVCC ablation read: repository lock plus a full
-// deep clone of the payload (E15 baseline).
-func (r *Repository) getSerialized(id version.ID) (*version.DOV, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if err := r.alive(); err != nil {
-		return nil, err
-	}
-	e, ok := r.idx.get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", version.ErrUnknownDOV, id)
-	}
-	return e.dov.Clone(), nil
 }
 
 // Exists reports whether a version is stored. A fail-stopped repository
@@ -1002,10 +999,6 @@ func (r *Repository) getSerialized(id version.ID) (*version.DOV, error) {
 // tell "not stored" from "repository down" (a dead repository must never
 // read as a missing DOV).
 func (r *Repository) Exists(id version.ID) (bool, error) {
-	if r.serializedReads {
-		r.mu.RLock()
-		defer r.mu.RUnlock()
-	}
 	if err := r.alive(); err != nil {
 		return false, err
 	}
@@ -1083,14 +1076,16 @@ func (r *Repository) SetFulfilled(id version.ID, names []string) error {
 }
 
 // republish replaces a version's published record with an updated immutable
-// copy: derivation graph and read index both swing to nv. The canonical-
-// encoding memo and root marker carry over — payloads and graph shape never
-// change after checkin. Caller holds the DA's write lock.
+// copy: derivation graph and read index both swing to nv. The encoding, any
+// memoized hash and the root marker carry over — payloads and graph shape
+// never change after checkin. Caller holds the DA's write lock.
 func (r *Repository) republish(st *daState, nv *version.DOV, old *dovEntry) error {
 	if err := st.g.Replace(nv); err != nil {
 		return err
 	}
-	r.idx.put(nv.ID, &dovEntry{dov: nv, enc: old.enc, root: old.root})
+	e := &dovEntry{dov: nv, enc: old.enc, root: old.root}
+	e.hash.Store(old.hash.Load())
+	r.idx.put(nv.ID, e)
 	return nil
 }
 

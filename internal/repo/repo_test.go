@@ -60,7 +60,11 @@ func TestCheckinAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Parents[0] != "v1" || catalog.NumAttr(got.Object, "area") != 90 {
+	obj, err := r.Object("v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Parents[0] != "v1" || got.Object != nil || catalog.NumAttr(obj, "area") != 90 {
 		t.Fatalf("got %+v", got)
 	}
 	// Get returns the shared immutable record (MVCC, no clone): repeated
@@ -169,8 +173,12 @@ func TestRecoveryAfterRestart(t *testing.T) {
 	if v2.Status != version.StatusFinal {
 		t.Fatalf("status after recovery = %s", v2.Status)
 	}
-	if catalog.NumAttr(v2.Object, "area") != 80 {
-		t.Fatalf("payload after recovery = %g", catalog.NumAttr(v2.Object, "area"))
+	obj, err := r2.Object("v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if catalog.NumAttr(obj, "area") != 80 {
+		t.Fatalf("payload after recovery = %g", catalog.NumAttr(obj, "area"))
 	}
 	g, err := r2.Graph("da1")
 	if err != nil {
@@ -326,8 +334,8 @@ func TestQuickRecoveryEquivalence(t *testing.T) {
 			return false
 		}
 		for i, a := range areas {
-			v, err := r2.Get(version.ID(fmt.Sprintf("v%d", i)))
-			if err != nil || catalog.NumAttr(v.Object, "area") != float64(a) {
+			obj, err := r2.Object(version.ID(fmt.Sprintf("v%d", i)))
+			if err != nil || catalog.NumAttr(obj, "area") != float64(a) {
 				return false
 			}
 		}

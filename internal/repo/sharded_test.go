@@ -319,7 +319,7 @@ func TestClaimWaitsForInFlightRacer(t *testing.T) {
 		t.Fatalf("racing claim resolved to %t while the second claim was still open", r)
 	case <-time.After(20 * time.Millisecond):
 	}
-	x.put("v1", &dovEntry{dov: &version.DOV{ID: "v1"}, enc: &encMemo{}})
+	x.put("v1", &dovEntry{dov: &version.DOV{ID: "v1"}})
 	if r := <-got; r {
 		t.Fatal("claim after publication did not report the duplicate")
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"concord/internal/binenc"
-	"concord/internal/catalog"
 	"concord/internal/version"
 	"concord/internal/wal"
 )
@@ -205,27 +204,19 @@ func (r *Repository) Checkpoint() error {
 	}
 	cut := r.captureCutLocked(full)
 	var payload []byte
-	var encErr error
 	if r.quiescentCkpt && cut != nil {
-		payload, encErr = encodeBaseCut(cut)
+		payload = encodeBaseCut(cut)
 	}
 	r.mu.Unlock()
 	r.notePause(time.Since(start))
 	if cut == nil {
 		return nil
 	}
-	if encErr != nil {
-		return encErr
-	}
 	if payload == nil {
-		var err error
 		if cut.full {
-			payload, err = encodeBaseCut(cut)
+			payload = encodeBaseCut(cut)
 		} else {
-			payload, err = encodeIncCut(cut)
-		}
-		if err != nil {
-			return err
+			payload = encodeIncCut(cut)
 		}
 	}
 	var err error
@@ -385,8 +376,9 @@ func checkCRC(data []byte) ([]byte, error) {
 
 // encodeRecords appends the cut's captured DOV records from the given shards
 // in Seq order (the original log order, so rebuilding preserves every
-// derivation edge).
-func encodeRecords(w *binenc.Writer, shards []*map[version.ID]*dovEntry) error {
+// derivation edge). Payloads are written as stored: the resident encoding is
+// already the record's canonical form.
+func encodeRecords(w *binenc.Writer, shards []*map[version.ID]*dovEntry) {
 	var entries []*dovEntry
 	for _, m := range shards {
 		for _, e := range *m {
@@ -397,17 +389,12 @@ func encodeRecords(w *binenc.Writer, shards []*map[version.ID]*dovEntry) error {
 	w.U64(uint64(len(entries)))
 	for _, e := range entries {
 		v := e.dov
-		obj, err := catalog.EncodeObject(v.Object)
-		if err != nil {
-			return fmt.Errorf("repo: snapshot encode DOV %s: %w", v.ID, err)
-		}
 		w.Blob(dovRecord{
 			ID: v.ID, DOT: v.DOT, DA: v.DA, Parents: v.Parents,
-			Object: obj, Status: v.Status, Fulfilled: v.Fulfilled, Seq: v.Seq,
+			Object: e.enc, Status: v.Status, Fulfilled: v.Fulfilled, Seq: v.Seq,
 			Root: e.root,
 		}.encode())
 	}
-	return nil
 }
 
 // encodeMeta appends the metadata store in key order.
@@ -427,7 +414,7 @@ func encodeMeta(w *binenc.Writer, meta map[string][]byte) {
 // encodeBaseCut serializes a full cut in the CCSNAP01 format (identical to
 // the pre-chain single-snapshot format, so legacy snapshots load as a
 // one-element chain).
-func encodeBaseCut(c *snapCut) ([]byte, error) {
+func encodeBaseCut(c *snapCut) []byte {
 	w := binenc.NewWriter(1 << 16)
 	w.Str(snapMagic)
 	w.U64(uint64(c.snapLSN))
@@ -439,11 +426,9 @@ func encodeBaseCut(c *snapCut) ([]byte, error) {
 			all = append(all, c.shards[i])
 		}
 	}
-	if err := encodeRecords(w, all); err != nil {
-		return nil, err
-	}
+	encodeRecords(w, all)
 	encodeMeta(w, c.meta)
-	return appendCRC(w.Bytes()), nil
+	return appendCRC(w.Bytes())
 }
 
 // encodeIncCut serializes an incremental cut in the CCINCR01 format: header
@@ -451,7 +436,7 @@ func encodeBaseCut(c *snapCut) ([]byte, error) {
 // metadata store when dirty, then each dirty shard as a complete replacement
 // record set. Emitting whole shards — not per-record diffs — keeps the fold
 // a plain per-shard replacement with no tombstone machinery.
-func encodeIncCut(c *snapCut) ([]byte, error) {
+func encodeIncCut(c *snapCut) []byte {
 	w := binenc.NewWriter(1 << 14)
 	w.Str(incMagic)
 	w.U64(uint64(c.snapLSN))
@@ -471,11 +456,9 @@ func encodeIncCut(c *snapCut) ([]byte, error) {
 	w.U64(uint64(len(dirty)))
 	for _, i := range dirty {
 		w.U64(uint64(i))
-		if err := encodeRecords(w, []*map[version.ID]*dovEntry{c.shards[i]}); err != nil {
-			return nil, err
-		}
+		encodeRecords(w, []*map[version.ID]*dovEntry{c.shards[i]})
 	}
-	return appendCRC(w.Bytes()), nil
+	return appendCRC(w.Bytes())
 }
 
 // writeSnapFile durably writes one chain payload file: write (traversing

@@ -2,26 +2,40 @@ package rpc
 
 import (
 	"container/list"
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 )
 
-// Default bounds for the deduplication memo. Retries arrive within a short
-// window of the first delivery (the Client gives up after Retries×MaxBackoff),
-// so the memo only needs to cover the recent past; these defaults hold tens
-// of thousands of responses without letting a long-lived server grow without
-// bound.
+// Default backstop bounds for the deduplication memo. A client that keeps
+// calling acknowledges its replies through its watermark, so its memo holds
+// only the calls it still has open; these caps bind only for clients that go
+// silent with replies unacknowledged.
 const (
 	// DefaultDedupEntries caps the number of memoized responses.
 	DefaultDedupEntries = 1 << 16
-	// DefaultDedupBytes caps the memoized response bytes (keys included).
+	// DefaultDedupBytes caps the memoized response bytes (client ids
+	// included).
 	DefaultDedupBytes = 64 << 20
 )
 
-// dedupEntry is one request ID's slot: in flight until done is closed, then
-// a memoized result linked into the LRU.
+// ErrStaleDuplicate refuses a request that arrives below its client's
+// completion watermark with no memoized reply: the client already received
+// that call's outcome, so this delivery is a late duplicate, and executing
+// it again would apply the call twice. The client never reads the refusal —
+// it is no longer waiting — so it only keeps a late duplicate from running.
+var ErrStaleDuplicate = errors.New("rpc: stale duplicate (request already answered and acknowledged)")
+
+// init registers the stale-duplicate sentinel under its stable wire code
+// (range 100–119: rpc/repl; see internal/txn/errcodes.go for the full map).
+func init() { RegisterWireError(101, ErrStaleDuplicate) }
+
+// dedupEntry is one request's slot: in flight until done is closed, then a
+// memoized result linked into the LRU.
 type dedupEntry struct {
-	key  string
+	seq  uint64
+	from *clientMemo
 	done chan struct{} // closed once resp/err are valid
 	resp []byte
 	err  error
@@ -29,11 +43,19 @@ type dedupEntry struct {
 	elem *list.Element // nil while in flight (in-flight entries are not evictable)
 }
 
+// clientMemo is one client's part of the memo: its completion watermark and
+// its entries, all at or above the watermark except ones still executing.
+type clientMemo struct {
+	id        string
+	watermark uint64
+	entries   map[uint64]*dedupEntry
+}
+
 // Deduper gives a handler at-most-once execution per request ID, the server
 // half of the exactly-once contract (Client retries with a stable ID, the
-// Deduper memoizes the first outcome).
+// Deduper memoizes the first outcome until the client acknowledges it).
 //
-// Two properties matter beyond plain memoization:
+// Three properties matter beyond plain memoization:
 //
 //   - Single flight: a duplicate that arrives while the first delivery is
 //     still executing does not run the handler a second time — it waits for
@@ -41,15 +63,23 @@ type dedupEntry struct {
 //     check-then-execute version had a window where concurrent duplicates
 //     both executed, which is precisely the double-apply the layer exists to
 //     prevent.)
-//   - Bounded memory: completed results live in an LRU capped by MaxEntries
-//     and MaxBytes; the oldest results are evicted first. In-flight entries
-//     are never evicted. An evicted ID that is redelivered re-executes, so
-//     the bounds must comfortably exceed the client retry horizon — the
-//     defaults do by orders of magnitude.
+//   - Acknowledgement bounds the memo: every envelope carries its client's
+//     completion watermark, and entries of that client below it are dropped
+//     as soon as it is seen — the client has its replies. A request below
+//     the watermark with no entry is a late duplicate and is refused with
+//     ErrStaleDuplicate, never re-executed. A client that keeps calling
+//     therefore holds about as many entries as it has calls open.
+//   - Backstop: completed results live in an LRU capped by MaxEntries and
+//     MaxBytes, which binds only for clients that go silent with
+//     unacknowledged replies; the oldest results are evicted first, and a
+//     client whose last entry is evicted is forgotten with its watermark.
+//     In-flight entries are never evicted. An evicted ID that is redelivered
+//     re-executes, so the bounds must comfortably exceed what silent
+//     clients leave behind.
 type Deduper struct {
 	// MaxEntries caps memoized results (default DefaultDedupEntries).
 	MaxEntries int
-	// MaxBytes caps memoized bytes, responses plus keys (default
+	// MaxBytes caps memoized bytes, responses plus client ids (default
 	// DefaultDedupBytes).
 	MaxBytes int
 
@@ -60,8 +90,9 @@ type Deduper struct {
 	// request stay fenced. See DedupDeadlineFenced.
 	fence   func(clientEpoch uint64) error
 	mu      sync.Mutex
-	entries map[string]*dedupEntry
+	clients map[string]*clientMemo
 	lru     *list.List // front = most recently used; completed entries only
+	entries int        // memoized and in-flight, over all clients
 	bytes   int
 	evicted uint64
 }
@@ -88,7 +119,7 @@ func NewDeadlineDeduper(h DeadlineHandler, maxEntries, maxBytes int) *Deduper {
 		MaxEntries: maxEntries,
 		MaxBytes:   maxBytes,
 		h:          h,
-		entries:    make(map[string]*dedupEntry),
+		clients:    make(map[string]*clientMemo),
 		lru:        list.New(),
 	}
 }
@@ -99,7 +130,8 @@ type DedupStats struct {
 	Entries int
 	// Bytes is the memoized cost currently charged against MaxBytes.
 	Bytes int
-	// Evicted counts results dropped by the LRU bounds since creation.
+	// Evicted counts results dropped by the backstop bounds since creation
+	// (not those dropped because their client acknowledged them).
 	Evicted uint64
 }
 
@@ -107,11 +139,11 @@ type DedupStats struct {
 func (d *Deduper) Stats() DedupStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return DedupStats{Entries: len(d.entries), Bytes: d.bytes, Evicted: d.evicted}
+	return DedupStats{Entries: d.entries, Bytes: d.bytes, Evicted: d.evicted}
 }
 
 // Handle is the wrapped Handler: it decodes the request envelope and executes
-// the inner handler at most once per (method, request ID).
+// the inner handler at most once per request ID.
 func (d *Deduper) Handle(method string, env []byte) ([]byte, error) {
 	return d.HandleDeadline(time.Time{}, method, env)
 }
@@ -119,13 +151,21 @@ func (d *Deduper) Handle(method string, env []byte) ([]byte, error) {
 // HandleDeadline is Handle with the transport-propagated per-call deadline,
 // forwarded to the inner handler on first execution.
 func (d *Deduper) HandleDeadline(deadline time.Time, method string, env []byte) ([]byte, error) {
-	reqID, epoch, payload, err := decodeEnvelopeEpoch(env)
+	hdr, payload, err := decodeEnvelope(env)
 	if err != nil {
 		return nil, err
 	}
-	key := method + "\x00" + reqID
 	d.mu.Lock()
-	if e, ok := d.entries[key]; ok {
+	c := d.clients[hdr.client]
+	if c == nil {
+		c = &clientMemo{id: hdr.client, entries: make(map[uint64]*dedupEntry)}
+		d.clients[c.id] = c
+	}
+	if hdr.watermark > c.watermark {
+		c.watermark = hdr.watermark
+		d.dropAckedLocked(c)
+	}
+	if e, ok := c.entries[hdr.seq]; ok {
 		if e.elem != nil {
 			d.lru.MoveToFront(e.elem)
 			d.mu.Unlock()
@@ -137,12 +177,18 @@ func (d *Deduper) HandleDeadline(deadline time.Time, method string, env []byte) 
 		<-e.done
 		return e.resp, e.err
 	}
-	e := &dedupEntry{key: key, done: make(chan struct{})}
-	d.entries[key] = e
+	if hdr.seq < c.watermark {
+		wm := c.watermark
+		d.mu.Unlock()
+		return nil, fmt.Errorf("%w: %s#%d is below watermark %d", ErrStaleDuplicate, hdr.client, hdr.seq, wm)
+	}
+	e := &dedupEntry{seq: hdr.seq, from: c, done: make(chan struct{})}
+	c.entries[hdr.seq] = e
+	d.entries++
 	d.mu.Unlock()
 
 	if d.fence != nil {
-		if ferr := d.fence(epoch); ferr != nil {
+		if ferr := d.fence(hdr.epoch); ferr != nil {
 			e.err = ferr
 		} else {
 			e.resp, e.err = d.h(deadline, method, payload)
@@ -152,21 +198,55 @@ func (d *Deduper) HandleDeadline(deadline time.Time, method string, env []byte) 
 	}
 
 	d.mu.Lock()
-	e.cost = len(e.key) + len(e.resp)
-	d.bytes += e.cost
-	e.elem = d.lru.PushFront(e)
-	for d.lru.Len() > d.MaxEntries || d.bytes > d.MaxBytes {
-		back := d.lru.Back()
-		if back == nil {
-			break
+	if e.seq < c.watermark {
+		// Acknowledged while executing (the client gave up on the call):
+		// nobody will ask for the result again.
+		d.removeLocked(e)
+		d.forgetIfIdleLocked(c)
+	} else {
+		e.cost = len(c.id) + len(e.resp)
+		d.bytes += e.cost
+		e.elem = d.lru.PushFront(e)
+		for d.lru.Len() > d.MaxEntries || d.bytes > d.MaxBytes {
+			old := d.lru.Back().Value.(*dedupEntry)
+			d.removeLocked(old)
+			d.forgetIfIdleLocked(old.from)
+			d.evicted++
 		}
-		old := back.Value.(*dedupEntry)
-		d.lru.Remove(back)
-		delete(d.entries, old.key)
-		d.bytes -= old.cost
-		d.evicted++
 	}
 	d.mu.Unlock()
 	close(e.done)
 	return e.resp, e.err
+}
+
+// dropAckedLocked drops c's completed entries below its watermark. Entries
+// still executing stay until they finish. The client record stays too: the
+// request that moved the watermark is about to use it. Caller holds d.mu.
+func (d *Deduper) dropAckedLocked(c *clientMemo) {
+	for seq, e := range c.entries {
+		if seq < c.watermark && e.elem != nil {
+			d.removeLocked(e)
+		}
+	}
+}
+
+// removeLocked unlinks one entry from its client and the LRU. Caller holds
+// d.mu.
+func (d *Deduper) removeLocked(e *dedupEntry) {
+	if e.elem != nil {
+		d.lru.Remove(e.elem)
+		d.bytes -= e.cost
+	}
+	delete(e.from.entries, e.seq)
+	d.entries--
+}
+
+// forgetIfIdleLocked drops a client record that holds no entry, watermark
+// included: an active client always holds the entry of its latest call, so
+// only clients emptied by the backstop (or by a call abandoned mid-flight)
+// are forgotten. Caller holds d.mu.
+func (d *Deduper) forgetIfIdleLocked(c *clientMemo) {
+	if len(c.entries) == 0 {
+		delete(d.clients, c.id)
+	}
 }

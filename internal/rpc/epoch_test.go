@@ -10,43 +10,42 @@ import (
 	"concord/internal/fault"
 )
 
-// TestEnvelopeEpochRoundTrip pins the v2 framing: stamped envelopes carry the
-// epoch losslessly, epoch-0 envelopes are byte-identical to v1, and a v1
-// decoder path (decodeEnvelope) still reads stamped envelopes' ID+payload.
+// TestEnvelopeEpochRoundTrip pins the framing of the replication-epoch
+// stamp: it travels losslessly beside the watermark, and the older framings
+// (a u16 request-ID length, its high bit flagging an epoch) are refused
+// rather than decoded.
 func TestEnvelopeEpochRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		id, payload string
-		epoch       uint64
+		h       reqHeader
+		payload string
 	}{
-		{"a#1", "payload", 0},
-		{"a#1", "payload", 1},
-		{"ws7#99", "", 7},
-		{"", "p", 1<<64 - 1},
+		{reqHeader{client: "a", seq: 1, watermark: 1}, "payload"},
+		{reqHeader{client: "a", seq: 1, watermark: 1, epoch: 1}, "payload"},
+		{reqHeader{client: "ws7", seq: 99, watermark: 12, epoch: 7}, ""},
+		{reqHeader{seq: 1<<64 - 1, epoch: 1<<64 - 1}, "p"},
 	} {
-		env := appendEnvelopeEpoch(nil, tc.id, tc.epoch, []byte(tc.payload))
-		id, ep, p, err := decodeEnvelopeEpoch(env)
+		env := appendEnvelope(nil, tc.h, []byte(tc.payload))
+		h, p, err := decodeEnvelope(env)
 		if err != nil {
-			t.Fatalf("decode(%q, %d): %v", tc.id, tc.epoch, err)
+			t.Fatalf("decode(%+v): %v", tc.h, err)
 		}
-		if id != tc.id || ep != tc.epoch || string(p) != tc.payload {
-			t.Fatalf("round trip (%q, %d, %q) -> (%q, %d, %q)", tc.id, tc.epoch, tc.payload, id, ep, p)
-		}
-		// The legacy decoder must still split ID and payload.
-		id2, p2, err := decodeEnvelope(env)
-		if err != nil || id2 != tc.id || string(p2) != tc.payload {
-			t.Fatalf("legacy decode of stamped envelope: (%q, %q, %v)", id2, p2, err)
-		}
-		if tc.epoch == 0 {
-			v1 := appendEnvelope(nil, tc.id, []byte(tc.payload))
-			if string(env) != string(v1) {
-				t.Fatal("epoch-0 envelope differs from v1 framing")
-			}
+		if h != tc.h || string(p) != tc.payload {
+			t.Fatalf("round trip (%+v, %q) -> (%+v, %q)", tc.h, tc.payload, h, p)
 		}
 	}
-	// A stamped envelope truncated inside the epoch bytes must be refused.
-	env := appendEnvelopeEpoch(nil, "a#1", 5, nil)
-	if _, _, _, err := decodeEnvelopeEpoch(env[:len(env)-3]); err == nil {
+	// A stamped envelope truncated inside the epoch must be refused.
+	env := appendEnvelope(nil, reqHeader{client: "a", seq: 1, epoch: 1 << 40}, nil)
+	if _, _, err := decodeEnvelope(env[:len(env)-3]); err == nil {
 		t.Fatal("truncated epoch accepted")
+	}
+	// The previous framings: "a#1" unstamped, and stamped with epoch 5.
+	for _, old := range [][]byte{
+		[]byte("\x00\x03a#1payload"),
+		[]byte("\x80\x03a#1\x00\x00\x00\x00\x00\x00\x00\x05payload"),
+	} {
+		if _, _, err := decodeEnvelope(old); !errors.Is(err, errEnvelopeFormat) {
+			t.Fatalf("old-format envelope %q: err = %v, want %v", old, err, errEnvelopeFormat)
+		}
 	}
 }
 

@@ -92,7 +92,7 @@ func TestDedupMemoizesErrors(t *testing.T) {
 		calls.Add(1)
 		return nil, errors.New("always fails")
 	})
-	env := appendEnvelope(nil, "req-1", nil)
+	env := appendEnvelope(nil, reqHeader{client: "req", seq: 1}, nil)
 	h("m", env) //nolint:errcheck
 	h("m", env) //nolint:errcheck
 	if calls.Load() != 1 {
@@ -101,25 +101,32 @@ func TestDedupMemoizesErrors(t *testing.T) {
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
-	for _, tc := range []struct{ id, payload string }{
-		{"a#1", "payload"},
-		{"", ""},
-		{strings.Repeat("x", 300), "p"},
+	for _, tc := range []struct {
+		h       reqHeader
+		payload string
+	}{
+		{reqHeader{client: "a", seq: 1, watermark: 1}, "payload"},
+		{reqHeader{}, ""},
+		{reqHeader{client: strings.Repeat("x", 300), seq: 1 << 40, watermark: 1<<40 - 7}, "p"},
 	} {
-		env := appendEnvelope(nil, tc.id, []byte(tc.payload))
-		id, p, err := decodeEnvelope(env)
+		env := appendEnvelope(nil, tc.h, []byte(tc.payload))
+		h, p, err := decodeEnvelope(env)
 		if err != nil {
-			t.Fatalf("decode(%q): %v", tc.id, err)
+			t.Fatalf("decode(%+v): %v", tc.h, err)
 		}
-		if id != tc.id || string(p) != tc.payload {
-			t.Fatalf("round trip (%q, %q) -> (%q, %q)", tc.id, tc.payload, id, p)
+		if h != tc.h || string(p) != tc.payload {
+			t.Fatalf("round trip (%+v, %q) -> (%+v, %q)", tc.h, tc.payload, h, p)
 		}
 	}
-	if _, _, err := decodeEnvelope([]byte{9}); err == nil {
+	if _, _, err := decodeEnvelope([]byte{envMagic}); err == nil {
 		t.Fatal("short envelope accepted")
 	}
-	if _, _, err := decodeEnvelope([]byte{0, 10, 'a'}); err == nil {
+	if _, _, err := decodeEnvelope([]byte{envMagic, 10, 'a'}); err == nil {
 		t.Fatal("truncated envelope accepted")
+	}
+	env := appendEnvelope(nil, reqHeader{client: "a", seq: 3, watermark: 4}, nil)
+	if _, _, err := decodeEnvelope(env); err == nil {
+		t.Fatal("watermark beyond the request's own sequence accepted")
 	}
 }
 
@@ -202,8 +209,8 @@ func TestAppendEnvelopeZeroAllocs(t *testing.T) {
 	payload := make([]byte, 256)
 	dst := make([]byte, 0, 2+16+len(payload))
 	if n := testing.AllocsPerRun(200, func() {
-		env := appendEnvelope(dst[:0], "client#000042", payload)
-		if len(env) != 2+13+len(payload) {
+		env := appendEnvelope(dst[:0], reqHeader{client: "client", seq: 42, watermark: 40, epoch: 3}, payload)
+		if len(env) != 1+1+6+3+len(payload) {
 			t.Fatalf("framed %d bytes", len(env))
 		}
 	}); n != 0 {

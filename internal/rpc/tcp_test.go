@@ -37,7 +37,7 @@ func TestTCPDedupExactlyOnceOverSockets(t *testing.T) {
 	}))
 	cli := NewTCP()
 	defer cli.Close()
-	env := appendEnvelope(nil, "ws1#42", []byte("payload"))
+	env := appendEnvelope(nil, reqHeader{client: "ws1", seq: 42}, []byte("payload"))
 	var first []byte
 	for i := 0; i < 3; i++ {
 		resp, err := cli.Call(addr, "stage", env)
@@ -54,7 +54,7 @@ func TestTCPDedupExactlyOnceOverSockets(t *testing.T) {
 		t.Fatalf("handler ran %d times for one request ID, want exactly once", n)
 	}
 	// A different request ID is a fresh call.
-	if _, err := cli.Call(addr, "stage", appendEnvelope(nil, "ws1#43", []byte("p"))); err != nil {
+	if _, err := cli.Call(addr, "stage", appendEnvelope(nil, reqHeader{client: "ws1", seq: 43}, []byte("p"))); err != nil {
 		t.Fatal(err)
 	}
 	if n := calls.Load(); n != 2 {

@@ -11,6 +11,7 @@
 package rpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -140,7 +141,8 @@ func (t *InProc) ServeDeadline(addr string, h DeadlineHandler) error {
 	return nil
 }
 
-// Partition makes addr unreachable (simulated crash or network partition).
+// Partition makes addr unreachable (simulated crash or network partition):
+// new calls fail, and calls already inside addr's handler lose their reply.
 func (t *InProc) Partition(addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -197,6 +199,16 @@ func (t *InProc) CallBudget(addr, method string, payload []byte, budget time.Dur
 		h(deadline, method, payload) //nolint:errcheck // duplicated delivery
 	}
 	resp, err := h(deadline, method, payload)
+	t.mu.RLock()
+	part = t.partitioned[addr]
+	t.mu.RUnlock()
+	if part {
+		// The address crashed or was cut off while the handler ran: like a
+		// TCP connection dying mid-call, the reply never reaches the caller.
+		// Delivering it would acknowledge work a dead server finished after
+		// its replication stream was torn down.
+		return nil, fmt.Errorf("%w: response from partitioned %s/%s", ErrDropped, addr, method)
+	}
 	if err != nil {
 		// Both sentinels stay unwrappable: callers branch on ErrRemote to
 		// stop retrying, and on the application error underneath (e.g.
@@ -221,6 +233,13 @@ func (t *InProc) Close() error {
 // Client is a reliable caller: it retries failed attempts with the same
 // request ID so that a deduplicating server executes the request exactly
 // once even when responses are lost ("transactional RPC", Sect. 5.3).
+//
+// A request ID is the client's id plus a per-client sequence number. Every
+// envelope also carries the client's completion watermark: the lowest
+// sequence number whose call is still in progress. Everything below it has
+// returned to its caller, so a server may forget those replies — the
+// Deduper's memo holds only what the client has not yet seen (DESIGN.md
+// §5.2).
 type Client struct {
 	t Transport
 	// Retries bounds the attempts per call (default 8).
@@ -244,6 +263,10 @@ type Client struct {
 	seq      uint64
 	id       string
 	attempts uint64
+	// open holds the sequence numbers of the calls in progress and low the
+	// completion watermark: the smallest of them, or seq+1 when none is.
+	open map[uint64]struct{}
+	low  uint64
 }
 
 // Attempts reports the total transport attempts made (including retries);
@@ -255,17 +278,38 @@ func (c *Client) Attempts() uint64 {
 }
 
 // NewClient wraps a transport in a reliable caller. id must be unique among
-// clients sharing a server (it prefixes request IDs).
+// clients sharing a server, and per incarnation: request IDs are id plus a
+// sequence number that starts over with every Client, and a server refuses
+// a sequence number below the watermark it has seen for id.
 func NewClient(t Transport, id string) *Client {
-	return &Client{t: t, Retries: 8, Backoff: time.Millisecond, id: id}
+	return &Client{t: t, Retries: 8, Backoff: time.Millisecond, id: id, open: make(map[uint64]struct{})}
 }
 
-// nextRequestID returns a client-unique request identifier.
-func (c *Client) nextRequestID() string {
+// begin opens a call: it allocates the call's sequence number and returns it
+// with the completion watermark the call's envelope carries.
+func (c *Client) begin() (seq, watermark uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
-	return fmt.Sprintf("%s#%d", c.id, c.seq)
+	if len(c.open) == 0 {
+		c.low = c.seq
+	}
+	c.open[c.seq] = struct{}{}
+	return c.seq, c.low
+}
+
+// finish closes the call with sequence number seq, whatever its outcome: the
+// caller will not read its reply again, so the watermark may pass it.
+func (c *Client) finish(seq uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.open, seq)
+	for c.low <= c.seq {
+		if _, busy := c.open[c.low]; busy {
+			break
+		}
+		c.low++
+	}
 }
 
 // envelopePool recycles request framing buffers: every reliable call frames
@@ -302,8 +346,10 @@ func (c *Client) CallBudget(addr, method string, payload []byte, budget time.Dur
 	if c.Epoch != nil {
 		epoch = c.Epoch()
 	}
+	seq, watermark := c.begin()
+	defer c.finish(seq)
 	e := envelopePool.Get().(*envelope)
-	e.buf = appendEnvelopeEpoch(e.buf[:0], c.nextRequestID(), epoch, payload)
+	e.buf = appendEnvelope(e.buf[:0], reqHeader{client: c.id, seq: seq, watermark: watermark, epoch: epoch}, payload)
 	defer func() {
 		if cap(e.buf) > maxPooledEnvelopeBytes {
 			e.buf = nil
@@ -382,64 +428,71 @@ func (c *Client) backoffFor(attempt int) time.Duration {
 	return d
 }
 
-// envEpochFlag marks an envelope whose request ID is followed by an 8-byte
-// big-endian replication epoch. It rides the high bit of the u16 ID-length
-// field, so epoch-free envelopes are byte-identical to the v1 framing —
-// unstamped clients and fenced servers interoperate without negotiation.
-// Request IDs are "<client>#<seq>", far below the remaining 15 bits.
-const envEpochFlag = 0x8000
+// envMagic opens every request envelope. The framing before it — a u16
+// request-ID length whose high bit flagged an epoch stamp — is refused, not
+// decoded: an older peer's requests carry no watermark, and a server that
+// served them could neither bound its memo nor refuse their stale
+// duplicates.
+const envMagic = 0xC3
 
-// appendEnvelope frames a request ID and payload onto dst (allocation-free
-// when dst has capacity).
-func appendEnvelope(dst []byte, reqID string, payload []byte) []byte {
-	return appendEnvelopeEpoch(dst, reqID, 0, payload)
+// errEnvelopeFormat refuses a request framed by an older peer.
+var errEnvelopeFormat = errors.New("rpc: request envelope not in this format (peer speaks an older protocol)")
+
+// reqHeader is the envelope header of one request: who sent it, its place in
+// the client's sequence, the client's completion watermark (every sequence
+// number below it has returned to its caller) and the replication epoch
+// stamp (0 = unstamped, DESIGN.md §5.4).
+type reqHeader struct {
+	client    string
+	seq       uint64
+	watermark uint64
+	epoch     uint64
 }
 
-// appendEnvelopeEpoch is appendEnvelope with a replication-epoch stamp;
-// epoch 0 means unstamped and produces the v1 framing.
-func appendEnvelopeEpoch(dst []byte, reqID string, epoch uint64, payload []byte) []byte {
-	field := len(reqID)
-	if epoch > 0 {
-		field |= envEpochFlag
-	}
-	dst = append(dst, byte(field>>8), byte(field))
-	dst = append(dst, reqID...)
-	if epoch > 0 {
-		dst = append(dst,
-			byte(epoch>>56), byte(epoch>>48), byte(epoch>>40), byte(epoch>>32),
-			byte(epoch>>24), byte(epoch>>16), byte(epoch>>8), byte(epoch))
-	}
+// appendEnvelope frames a request header and payload onto dst:
+//
+//	magic u8 | uvarint len(client) | client | uvarint seq |
+//	uvarint watermark | uvarint epoch | payload
+//
+// It is allocation-free when dst has capacity.
+func appendEnvelope(dst []byte, h reqHeader, payload []byte) []byte {
+	dst = append(dst, envMagic)
+	dst = binary.AppendUvarint(dst, uint64(len(h.client)))
+	dst = append(dst, h.client...)
+	dst = binary.AppendUvarint(dst, h.seq)
+	dst = binary.AppendUvarint(dst, h.watermark)
+	dst = binary.AppendUvarint(dst, h.epoch)
 	return append(dst, payload...)
 }
 
-// decodeEnvelope splits a framed request, discarding any epoch stamp.
-func decodeEnvelope(env []byte) (reqID string, payload []byte, err error) {
-	reqID, _, payload, err = decodeEnvelopeEpoch(env)
-	return reqID, payload, err
-}
-
-// decodeEnvelopeEpoch splits a framed request; epoch is 0 when the envelope
-// carries no stamp.
-func decodeEnvelopeEpoch(env []byte) (reqID string, epoch uint64, payload []byte, err error) {
-	if len(env) < 2 {
-		return "", 0, nil, errors.New("rpc: short envelope")
+// decodeEnvelope splits a framed request into its header and payload. A
+// watermark above the request's own sequence number is malformed: the
+// request itself is still open at its client.
+func decodeEnvelope(env []byte) (h reqHeader, payload []byte, err error) {
+	if len(env) == 0 || env[0] != envMagic {
+		return h, nil, errEnvelopeFormat
 	}
-	field := int(env[0])<<8 | int(env[1])
-	n := field &^ envEpochFlag
-	rest := env[2:]
-	if len(rest) < n {
-		return "", 0, nil, errors.New("rpc: truncated envelope")
-	}
-	reqID, rest = string(rest[:n]), rest[n:]
-	if field&envEpochFlag != 0 {
-		if len(rest) < 8 {
-			return "", 0, nil, errors.New("rpc: truncated envelope epoch")
+	rest := env[1:]
+	var fields [4]uint64
+	for i := range fields {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return h, nil, errors.New("rpc: truncated envelope")
 		}
-		epoch = uint64(rest[0])<<56 | uint64(rest[1])<<48 | uint64(rest[2])<<40 | uint64(rest[3])<<32 |
-			uint64(rest[4])<<24 | uint64(rest[5])<<16 | uint64(rest[6])<<8 | uint64(rest[7])
-		rest = rest[8:]
+		rest = rest[n:]
+		fields[i] = v
+		if i == 0 { // the client id follows its length
+			if v > uint64(len(rest)) {
+				return h, nil, errors.New("rpc: truncated envelope client id")
+			}
+			h.client, rest = string(rest[:v]), rest[v:]
+		}
 	}
-	return reqID, epoch, rest, nil
+	h.seq, h.watermark, h.epoch = fields[1], fields[2], fields[3]
+	if h.watermark > h.seq {
+		return h, nil, fmt.Errorf("rpc: envelope watermark %d beyond its own sequence %d", h.watermark, h.seq)
+	}
+	return h, rest, nil
 }
 
 // Dedup wraps a handler with at-most-once execution per request ID: repeated

@@ -523,7 +523,7 @@ func runOracles(t *testing.T, sc Scenario, s site, st *runState) {
 		if id == "" {
 			continue
 		}
-		_, wantHash, err := r.EncodedObject(id)
+		_, _, wantHash, err := r.Lookup(id)
 		if err != nil {
 			t.Fatalf("oracle coherence: server encoding of %s: %v", id, err)
 		}

@@ -132,12 +132,11 @@ func TestCheckinShipsVerifiedDelta(t *testing.T) {
 	}
 	// Content hash asserted on both ends: what the server installed equals
 	// the workspace byte-for-byte.
-	stored, err := s.repo.Get(newID)
+	_, gotEnc, _, err := s.repo.Lookup(newID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantEnc, _ := catalog.EncodeObject(obj)
-	gotEnc, _ := catalog.EncodeObject(stored.Object)
 	if !bytes.Equal(wantEnc, gotEnc) {
 		t.Fatal("server-side reconstruction differs from the workspace")
 	}
@@ -303,7 +302,7 @@ func TestInvalidationRacingCheckout(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		enc, _ := catalog.EncodeObject(obj)
-		want, _, err := s.repo.EncodedObject(v0)
+		_, want, _, err := s.repo.Lookup(v0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +414,7 @@ func TestDeltaWrongBaseHardFails(t *testing.T) {
 	if _, err := client.Call(serverAddr, MethodBegin, beginMsg{DOP: "evil/dop", DA: "da1"}.encode()); err != nil {
 		t.Fatal(err)
 	}
-	baseEnc, baseHash, err := s.repo.EncodedObject(v0)
+	_, baseEnc, baseHash, err := s.repo.Lookup(v0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,10 @@ package txn
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"concord/internal/catalog"
+	"concord/internal/lock"
 	"concord/internal/rpc"
 	"concord/internal/version"
 )
@@ -246,5 +248,47 @@ func TestCommitScopeOwnershipFailureRetries(t *testing.T) {
 	// Idempotence after completion: a late duplicate Commit is a no-op.
 	if err := s.server.Commit("txtail"); err != nil {
 		t.Fatalf("late duplicate Commit: %v", err)
+	}
+}
+
+// TestPlainCheckoutKeepsDerivationLock: a DOP that holds the derivation lock
+// on a version and then checks the same version out plainly must still hold
+// it afterwards. The plain checkout's short S lock is a no-op under the
+// owner's own D, and releasing it used to drop the owner's whole grant, so a
+// second DOP could then derive from the version too.
+func TestPlainCheckoutKeepsDerivationLock(t *testing.T) {
+	s := newStack(t, "")
+	v0 := s.seedDOV(t, "v0", 100)
+	s.server.LockTimeout = 50 * time.Millisecond
+	for _, dop := range []string{"dop1", "dop2"} {
+		if err := s.server.Begin(dop, "da1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.server.Checkout("dop1", v0, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.server.Checkout("dop1", v0, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.server.Checkout("dop2", v0, true); !errors.Is(err, lock.ErrTimeout) {
+		t.Fatalf("second DOP derive-checkout after the holder's plain checkout: err = %v, want %v", err, lock.ErrTimeout)
+	}
+	// Over the wire, through the workstation's DOP, the same holds.
+	d1, err := s.tm.Begin("", "da1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.server.ReleaseDerivationLock("dop1", v0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d1.Checkout(v0, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d1.Checkout(v0, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.server.Checkout("dop2", v0, true); !errors.Is(err, lock.ErrTimeout) {
+		t.Fatalf("derive-checkout beside a workstation DOP that re-read its input: err = %v, want %v", err, lock.ErrTimeout)
 	}
 }

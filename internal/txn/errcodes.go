@@ -22,7 +22,8 @@ import (
 //	60–79   catalog
 //	80–99   repo
 //	100–119 rpc/repl (registered by the rpc package itself: 100 is
-//	        rpc.ErrStaleEpoch, the failover fencing sentinel)
+//	        rpc.ErrStaleEpoch, the failover fencing sentinel; 101 is
+//	        rpc.ErrStaleDuplicate, the dedup memo's late-duplicate refusal)
 func init() {
 	rpc.RegisterWireError(1, ErrUnknownDOP)
 	rpc.RegisterWireError(2, ErrNotStaged)

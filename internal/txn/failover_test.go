@@ -228,12 +228,12 @@ func TestFailoverResolvesInDoubtCheckin(t *testing.T) {
 	}
 	// The resent decision resolved the in-doubt branch: the committed
 	// checkin exists at the new primary. No committed work was lost.
-	got, err := sb.repo.Get("dD/v1")
+	got, err := sb.repo.Object("dD/v1")
 	if err != nil {
 		t.Fatalf("committed checkin lost across failover: %v", err)
 	}
-	if catalog.NumAttr(got.Object, "area") != 75 {
-		t.Fatalf("area = %g, want 75", catalog.NumAttr(got.Object, "area"))
+	if catalog.NumAttr(got, "area") != 75 {
+		t.Fatalf("area = %g, want 75", catalog.NumAttr(got, "area"))
 	}
 }
 

@@ -427,11 +427,11 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Input(%s) after Reattach: %v", id, err)
 				}
-				want, err := s.repo.Get(id)
+				want, err := s.repo.Object(id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if h1, h2 := mustHash(t, in), mustHash(t, want.Object); !bytes.Equal(h1, h2) {
+				if h1, h2 := mustHash(t, in), mustHash(t, want); !bytes.Equal(h1, h2) {
 					t.Fatalf("input %s restored with hash %x, the repository holds %x", id, h1, h2)
 				}
 			}

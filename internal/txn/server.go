@@ -242,7 +242,10 @@ func (s *ServerTM) lookupDOP(dop string) (*serverDOP, bool) {
 // Checkout reads a DOV for the DOP. The version must lie in the DOP's DA
 // scope; with derive set a long derivation lock is acquired so no other DOP
 // can check the version out for derivation concurrently (Sect. 5.2). A
-// short S lock protects the read itself.
+// short S lock protects the read itself. The result is the repository's
+// shared metadata record: its Object is nil, because the server hands
+// payloads out in their stored encoding (the wire checkout ships it; an
+// in-process caller that needs the object asks Repo().Object).
 func (s *ServerTM) Checkout(dop string, dov version.ID, derive bool) (*version.DOV, error) {
 	v, _, _, err := s.checkoutEnc(dop, dov, derive, time.Time{})
 	return v, err
@@ -266,9 +269,9 @@ func (s *ServerTM) lockBudget(deadline time.Time) time.Duration {
 }
 
 // checkoutEnc is Checkout plus the canonical payload encoding and content
-// hash of the version (memoized in the repository), which the wire layer
-// needs for the NotModified/delta negotiation. deadline bounds lock waits
-// (zero = LockTimeout only).
+// hash of the version (the repository's resident form and its memoized
+// hash), which the wire layer needs for the NotModified/delta negotiation.
+// deadline bounds lock waits (zero = LockTimeout only).
 func (s *ServerTM) checkoutEnc(dop string, dov version.ID, derive bool, deadline time.Time) (*version.DOV, []byte, []byte, error) {
 	st, ok := s.lookupDOP(dop)
 	if !ok {
@@ -286,18 +289,18 @@ func (s *ServerTM) checkoutEnc(dop string, dov version.ID, derive bool, deadline
 		sh.mu.Lock()
 		st.derivationLocks[dov] = true
 		sh.mu.Unlock()
-	} else {
+	} else if !s.holdsDerivation(dop, st, dov) {
+		// A DOP holding D on the version already excludes what S would, and
+		// S under its own D is a no-op grant whose Release would drop the
+		// owner's whole grant — the derivation lock included.
 		if err := s.locks.Acquire(dop, res, lock.S, s.lockBudget(deadline)); err != nil {
 			return nil, nil, nil, err
 		}
 		defer s.locks.Release(dop, res) //nolint:errcheck // short lock
 	}
-	v, err := s.repo.Get(dov)
+	v, enc, hash, err := s.repo.Lookup(dov)
 	if err == nil {
-		var enc, hash []byte
-		if enc, hash, err = s.repo.EncodedObject(dov); err == nil {
-			return v, enc, hash, nil
-		}
+		return v, enc, hash, nil
 	}
 	if derive {
 		s.releaseDerivation(dop, dov)
@@ -324,7 +327,7 @@ func (s *ServerTM) checkoutWire(m checkoutMsg, deadline time.Time) ([]byte, erro
 		resp.Mode, resp.Meta = coNotModified, meta
 	default:
 		if m.BaseID != "" {
-			baseEnc, baseHash, err := s.repo.EncodedObject(m.BaseID)
+			_, baseEnc, baseHash, err := s.repo.Lookup(m.BaseID)
 			if err == nil && bytes.Equal(baseHash, m.BaseHash) {
 				if dw := binenc.DeltaPooled(baseEnc, enc); dw != nil {
 					resp.Mode, resp.Meta = coDelta, meta
@@ -370,6 +373,14 @@ func (s *ServerTM) noteCallbackLoss(addr string) bool {
 	}
 	s.bumpAcked[addr] = d
 	return true
+}
+
+// holdsDerivation reports whether the DOP holds the derivation lock on dov.
+func (s *ServerTM) holdsDerivation(dop string, st *serverDOP, dov version.ID) bool {
+	sh := s.dopShard(dop)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return st.derivationLocks[dov]
 }
 
 func (s *ServerTM) releaseDerivation(dop string, dov version.ID) {
@@ -442,7 +453,7 @@ func (s *ServerTM) expandStage(m *stageMsg) (wasDelta bool, err error) {
 	if len(m.Hash) == 0 {
 		return true, fmt.Errorf("%w: delta checkin of %s carries no content hash", ErrDeltaBase, m.DOV.ID)
 	}
-	baseEnc, baseHash, err := s.repo.EncodedObject(m.BaseID)
+	_, baseEnc, baseHash, err := s.repo.Lookup(m.BaseID)
 	if err != nil {
 		return true, fmt.Errorf("%w: base %s: %w", ErrDeltaBase, m.BaseID, err)
 	}

@@ -129,12 +129,12 @@ func TestDOPHappyPath(t *testing.T) {
 		t.Fatalf("phase = %s", dop.Phase())
 	}
 	// Derived DOV persisted with correct derivation edge and payload.
-	got, err := s.repo.Get(newID)
+	got, err := s.repo.Object(newID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if catalog.NumAttr(got.Object, "area") != 80 {
-		t.Fatalf("area = %g", catalog.NumAttr(got.Object, "area"))
+	if catalog.NumAttr(got, "area") != 80 {
+		t.Fatalf("area = %g", catalog.NumAttr(got, "area"))
 	}
 	g, _ := s.repo.Graph("da1")
 	ok, err := g.IsAncestor(v0, newID)
@@ -385,11 +385,11 @@ func TestWorkstationCrashRecovery(t *testing.T) {
 	if err := rdop.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.repo.Get(newID)
+	got, err := s.repo.Object(newID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if catalog.NumAttr(got.Object, "area") != 55 {
+	if catalog.NumAttr(got, "area") != 55 {
 		t.Fatal("work since last recovery point was not preserved")
 	}
 }

@@ -451,8 +451,8 @@ type inputRef struct {
 	Hash []byte
 	// Derive repeats the checkout's derive flag, so that a refetch is the same
 	// call as the original: a re-entrant acquire of the derivation lock the
-	// DOP holds, or the short read lock of a plain checkout (which, repeated
-	// on a derivation-locked version, would release that lock).
+	// DOP holds — or re-acquires, if the server no longer has it — or the
+	// short read lock of a plain checkout.
 	Derive bool
 }
 
