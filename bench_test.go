@@ -102,42 +102,33 @@ func BenchmarkE9Sweep(b *testing.B) {
 
 // --- Concurrency benchmarks (DESIGN.md §6, E12). ---------------------------
 //
-// These pairs quantify the server-core concurrency work: group-commit WAL vs
-// one fsync per append, sharded vs single-shard lock table, and the
-// end-to-end multi-workstation scenario.
+// These quantify the server-core concurrency work: group-commit WAL appends,
+// sharded vs single-shard lock table, and the end-to-end multi-workstation
+// scenario.
 
 // BenchmarkWALAppendConcurrent drives parallel appenders through a forced
-// (synced) log, comparing group commit against the serialized baseline.
-// The group-commit variant amortizes each fsync over every concurrent
-// appender; the serial variant pays one fsync per record.
+// (synced) log. Group commit amortizes each fsync over every concurrent
+// appender; appends/fsync reports by how much.
 func BenchmarkWALAppendConcurrent(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		noGroup bool
-	}{{"group-commit", false}, {"serialized", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			l, err := wal.Open(filepath.Join(b.TempDir(), "bench.wal"),
-				wal.Options{SyncOnAppend: true, NoGroupCommit: mode.noGroup})
-			if err != nil {
-				b.Fatal(err)
+	l, err := wal.Open(filepath.Join(b.TempDir(), "bench.wal"), wal.Options{SyncOnAppend: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	payload := make([]byte, 256)
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := l.Append(1, "bench", payload); err != nil {
+				b.Error(err)
+				return
 			}
-			defer l.Close()
-			payload := make([]byte, 256)
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := l.Append(1, "bench", payload); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			appends, batches, _ := l.Stats()
-			if batches > 0 {
-				b.ReportMetric(float64(appends)/float64(batches), "appends/fsync")
-			}
-		})
+		}
+	})
+	appends, batches, _ := l.Stats()
+	if batches > 0 {
+		b.ReportMetric(float64(appends)/float64(batches), "appends/fsync")
 	}
 }
 

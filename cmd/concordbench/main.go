@@ -8,59 +8,20 @@
 // printing one table per experiment. See DESIGN.md §6 for the
 // experiment index and EXPERIMENTS.md for the paper-vs-measured record.
 //
-// With -json, every machine-readable metric the selected experiments emit is
-// additionally written to the given file as a JSON array of
-// {experiment, metric, value, unit, git_rev} records — the perf-trajectory
-// format CI archives (BENCH_E15.json, BENCH_E16.json, BENCH_E18.json).
-//
 // Usage:
 //
 //	concordbench                            # run all experiments
 //	concordbench E5 E12                     # run selected experiments
-//	concordbench -json out/BENCH_E16.json E16
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strings"
 
 	"concord/internal/experiments"
 )
 
-// benchRecord is one line of the -json output.
-type benchRecord struct {
-	Experiment string  `json:"experiment"`
-	Metric     string  `json:"metric"`
-	Value      float64 `json:"value"`
-	Unit       string  `json:"unit"`
-	GitRev     string  `json:"git_rev"`
-}
-
-// gitRev resolves the source revision for the emitted records: CI's
-// GITHUB_SHA when present, otherwise git itself, otherwise "unknown".
-func gitRev() string {
-	if sha := os.Getenv("GITHUB_SHA"); sha != "" {
-		if len(sha) > 12 {
-			sha = sha[:12]
-		}
-		return sha
-	}
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
 func main() {
-	jsonPath := flag.String("json", "", "write machine-readable metrics of the selected experiments to this file")
-	flag.Parse()
-
 	runs := map[string]func() (experiments.Report, error){
 		"E1": experiments.E1LevelStack, "E2": experiments.E2DesignPlane,
 		"E3": experiments.E3ChipPlanning, "E4": experiments.E4DAHierarchy,
@@ -75,13 +36,10 @@ func main() {
 	}
 	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E18", "E19", "E20"}
 
-	selected := flag.Args()
+	selected := os.Args[1:]
 	if len(selected) == 0 {
 		selected = order
 	}
-	rev := gitRev()
-	// Non-nil so -json emits [] (not null) when nothing reports metrics.
-	records := []benchRecord{}
 	for _, id := range selected {
 		run, ok := runs[id]
 		if !ok {
@@ -94,32 +52,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(rep.String())
-		for _, m := range rep.Metrics {
-			records = append(records, benchRecord{
-				Experiment: rep.ID, Metric: m.Name, Value: m.Value, Unit: m.Unit, GitRev: rev,
-			})
-		}
 	}
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, records); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d metrics to %s\n", len(records), *jsonPath)
-	}
-}
-
-// writeJSON marshals the records (pretty-printed, one object per block) and
-// writes them atomically enough for a build artifact.
-func writeJSON(path string, records []benchRecord) error {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

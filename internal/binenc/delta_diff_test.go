@@ -181,6 +181,11 @@ func TestDeltaGivesUpOnUnrelatedPairs(t *testing.T) {
 // from the pool, so a give-up allocates its output and nothing else, and the
 // pooled variant (which has no output then) nothing at all.
 func TestDeltaGiveUpAllocations(t *testing.T) {
+	if raceEnabled {
+		// The race detector makes sync.Pool drop a share of its Puts at
+		// random, so pooled index memory is reallocated now and then.
+		t.Skip("allocation counts of pooled memory are not stable under the race detector")
+	}
 	rng := rand.New(rand.NewSource(14))
 	base, target := encodedObject(rng, 64<<10), encodedObject(rng, 64<<10)
 	Delta(base, target) // size the pooled index

@@ -76,9 +76,8 @@ func (s *System) bootStandby(ss *standbySite) error {
 	dir := filepath.Join(s.opts.Dir, "standby")
 	r, err := repo.Open(s.cat, repo.Options{
 		Dir: dir, Sync: true, Follower: true,
-		SegmentBytes:     s.opts.SegmentBytes,
-		SerializedWrites: s.opts.SerializedWrites,
-		Faults:           s.opts.Faults,
+		SegmentBytes: s.opts.SegmentBytes,
+		Faults:       s.opts.Faults,
 	})
 	if err != nil {
 		return err

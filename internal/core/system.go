@@ -47,12 +47,6 @@ type Options struct {
 	RegisterTypes func(*catalog.Catalog) error
 	// Fault injects message faults into the workstation/server transport.
 	Fault rpc.FaultPlan
-	// SerializedWrites reverts only the repository mutation path to the
-	// fully serial design: one global repository lock held across each
-	// forced log write, instead of per-DA write locks with group-committed
-	// appends (DESIGN.md §3.7). E16 uses it to isolate what the sharded
-	// checkin pipeline buys.
-	SerializedWrites bool
 	// VolatileWorkstations keeps workstation sites in memory even when Dir
 	// is set: only the server persists. Workstation crash recovery is then
 	// unavailable, but server durability (the paper's correctness anchor)
@@ -68,11 +62,6 @@ type Options struct {
 	// SegmentBytes is the WAL segment rotation threshold for the server
 	// logs (0 uses wal.DefaultSegmentBytes).
 	SegmentBytes int64
-	// QuiescentCheckpoint reverts the repository to the pre-incremental
-	// design: every checkpoint encodes the full state while holding the
-	// repository lock exclusively (DESIGN.md §3.8). E19 uses it as the
-	// pause-time baseline.
-	QuiescentCheckpoint bool
 	// CheckpointMaxChain bounds the repository's incremental snapshot chain
 	// before a full rebase (0 uses repo.DefaultCheckpointMaxChain).
 	CheckpointMaxChain int
@@ -238,8 +227,6 @@ func (s *System) startServer() error {
 	r, err := repo.Open(s.cat, repo.Options{
 		Dir: dir, Sync: dir != "",
 		SegmentBytes:            s.opts.SegmentBytes,
-		SerializedWrites:        s.opts.SerializedWrites,
-		QuiescentCheckpoint:     s.opts.QuiescentCheckpoint,
 		CheckpointMaxChain:      s.opts.CheckpointMaxChain,
 		CheckpointMaxChainBytes: s.opts.CheckpointMaxChainBytes,
 		DegradedOnWALFailure:    s.opts.DegradedOnWALFailure,

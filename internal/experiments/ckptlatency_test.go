@@ -25,7 +25,7 @@ func TestE19CheckpointLatencyBounds(t *testing.T) {
 	var last CheckpointLatencyResult
 	pass := false
 	for a := 0; a < attempts && !pass; a++ {
-		res, err := RunCheckpointLatency(false, checkins)
+		res, err := RunCheckpointLatency(checkins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,15 +39,15 @@ func TestE19CheckpointLatencyBounds(t *testing.T) {
 		// Absolute floor: both phases are fsync-bound, so a single slow
 		// journal commit inside the during window (microsecond-scale steady
 		// p99, millisecond-scale outlier) would fail a pure ratio on noise
-		// alone. The floor stays far below the quiescent design's stall,
-		// whose exclusive encode pause alone is ~10ms at this state size.
+		// alone. The floor stays far below the pinned quiescent design's
+		// stall, whose exclusive encode pause alone was ~10ms at this size.
 		if floor := res.SteadyP99 + 3*time.Millisecond; bound < floor {
 			bound = floor
 		}
 		// The pause gate is the direct design signal and is immune to
 		// fsync-queue noise: the COW cut holds the repository lock for a
-		// 64-pointer copy (~3µs measured), the quiescent ablation for the
-		// full encode (~10ms). 2ms of headroom tolerates scheduler
+		// 64-pointer copy (~3µs measured), the pinned quiescent design held
+		// it for the full encode (~10ms). 2ms of headroom tolerates scheduler
 		// preemption inside the cut on a stolen CPU.
 		pass = res.DuringP99 <= bound && res.MaxPause <= 2*time.Millisecond
 	}
@@ -57,10 +57,10 @@ func TestE19CheckpointLatencyBounds(t *testing.T) {
 	}
 }
 
-// TestE19SmallSmoke keeps the full experiment path (report rows, metrics)
-// exercised at a tiny size in the regular test run.
+// TestE19SmallSmoke keeps the measurement path exercised at a tiny size in
+// the regular test run.
 func TestE19SmallSmoke(t *testing.T) {
-	res, err := RunCheckpointLatency(true, 20)
+	res, err := RunCheckpointLatency(20)
 	if err != nil {
 		t.Fatal(err)
 	}

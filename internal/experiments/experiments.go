@@ -29,20 +29,6 @@ type Report struct {
 	Rows [][]string
 	// Notes records observations (expected shape, caveats).
 	Notes []string
-	// Metrics are the machine-readable results emitted by concordbench
-	// -json (the perf trajectory record; see BENCH_E15.json).
-	Metrics []Metric
-}
-
-// Metric is one machine-readable measurement of an experiment.
-type Metric struct {
-	// Name identifies the measurement, with /key=value qualifiers (e.g.
-	// "checkout_ops_per_sec/path=server/readers=8/design=mvcc").
-	Name string `json:"metric"`
-	// Value is the measured quantity.
-	Value float64 `json:"value"`
-	// Unit names the measurement unit ("ops/s", "allocs/op", "bytes").
-	Unit string `json:"unit"`
 }
 
 // String renders the report as an aligned text table.

@@ -221,20 +221,12 @@ func E20Failover() (Report, error) {
 			ratio = fmt.Sprintf("%.1fx", float64(res.P99)/float64(basP99))
 		}
 		rep.Rows = append(rep.Rows, []string{design, us(res.P50), us(res.P99), ratio})
-		rep.Metrics = append(rep.Metrics,
-			Metric{Name: fmt.Sprintf("checkin_p50_us/design=%s", design), Value: float64(res.P50.Nanoseconds()) / 1e3, Unit: "us"},
-			Metric{Name: fmt.Sprintf("checkin_p99_us/design=%s", design), Value: float64(res.P99.Nanoseconds()) / 1e3, Unit: "us"},
-		)
 	}
 	const heartbeat = 50 * time.Millisecond
 	ft, err := RunFailoverTakeover(heartbeat, 20)
 	if err != nil {
 		return rep, fmt.Errorf("E20 failover: %w", err)
 	}
-	rep.Metrics = append(rep.Metrics,
-		Metric{Name: "failover_takeover_ms", Value: float64(ft.Takeover.Nanoseconds()) / 1e6, Unit: "ms"},
-		Metric{Name: "failover_heartbeat_ms", Value: float64(ft.Heartbeat.Nanoseconds()) / 1e6, Unit: "ms"},
-	)
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("%d timed checkins per design through the full workstation path (DOP begin, derive checkout, 2PC checkin, commit)", checkins),
 		"sync = every commit waits for the standby's ack; trailing = asynchronous shipping bounded by ReplLagMax",

@@ -307,10 +307,6 @@ func e15ReadPath(readerCounts []int, serverRounds, e2eRounds int) (Report, error
 				fmt.Sprintf("%.2fx", mvcc.OpsPerSec()/base.opsPerSec),
 				f(base.allocsPerOp), f(mvcc.AllocsPerOp),
 			})
-			rep.Metrics = append(rep.Metrics,
-				Metric{Name: fmt.Sprintf("checkout_ops_per_sec/path=%s/readers=%d/design=mvcc", mode, n), Value: mvcc.OpsPerSec(), Unit: "ops/s"},
-				Metric{Name: fmt.Sprintf("checkout_allocs_per_op/path=%s/readers=%d/design=mvcc", mode, n), Value: mvcc.AllocsPerOp, Unit: "allocs/op"},
-			)
 		}
 	}
 	rep.Notes = append(rep.Notes,

@@ -2,38 +2,6 @@ package experiments
 
 import "testing"
 
-// TestE18WireBounds is the CI gate on the multiplexed wire protocol
-// (acceptance bounds of the E18 experiment, run at a reduced size): at 8
-// concurrent workstations over real loopback sockets, pooled multiplexed
-// connections must at least double the aggregate end-to-end checkout
-// throughput of the connect-per-call baseline in hot mode, where per-call
-// connection setup dominates. The committed BENCH_E18.json records the
-// full-size numbers.
-func TestE18WireBounds(t *testing.T) {
-	if raceEnabled {
-		// Race instrumentation flattens the wire-overhead gap the bound
-		// measures. Correctness under -race is covered by the rpc pipelining
-		// /restart/dedup tests and the txn TCP tests; the perf gate runs
-		// unraced (`make e18-short`).
-		t.Skip("perf bounds are not meaningful under the race detector")
-	}
-	const readers, rounds = 8, 120
-	cpc, err := RunWireScaling(true, readers, rounds, WireHot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux, err := RunWireScaling(false, readers, rounds, WireHot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("connect-per-call: %.0f ops/s; multiplexed: %.0f ops/s (speedup %.2fx)",
-		cpc.OpsPerSec(), mux.OpsPerSec(), mux.OpsPerSec()/cpc.OpsPerSec())
-	if mux.OpsPerSec() < 2*cpc.OpsPerSec() {
-		t.Fatalf("multiplexed wire %.0f ops/s vs connect-per-call %.0f ops/s: below the 2x floor",
-			mux.OpsPerSec(), cpc.OpsPerSec())
-	}
-}
-
 // TestE18WireModes smoke-tests the cold and big modes at a small size so the
 // full-transfer and chunked-streaming loops stay exercised end to end.
 func TestE18WireModes(t *testing.T) {
@@ -42,7 +10,7 @@ func TestE18WireModes(t *testing.T) {
 		if mode == WireBig {
 			rounds = 2
 		}
-		res, err := RunWireScaling(false, 2, rounds, mode)
+		res, err := RunWireScaling(2, rounds, mode)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}

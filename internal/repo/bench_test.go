@@ -99,55 +99,46 @@ func BenchmarkRestartAfterChurn(b *testing.B) {
 }
 
 // BenchmarkCheckinParallelDAs measures aggregate checkin cost with one
-// writer goroutine per DA, comparing the SerializedWrites baseline (global
-// lock held across the forced write) with the §3.7 sharded pipeline
-// (per-DA locks + group commit). The E16 experiment reports the full
-// throughput curve; this keeps the write path under `make bench`.
+// writer goroutine per DA through the §3.7 sharded pipeline (per-DA locks +
+// group commit). The E16 experiment reports the full throughput curve; this
+// keeps the write path under `make bench`.
 func BenchmarkCheckinParallelDAs(b *testing.B) {
 	const writers = 8
-	for _, serialized := range []bool{true, false} {
-		name := "sharded"
-		if serialized {
-			name = "serialized"
-		}
-		b.Run(name, func(b *testing.B) {
-			dir := b.TempDir()
-			cat := benchCatalog(b)
-			r, err := Open(cat, Options{Dir: dir, Sync: true, SerializedWrites: serialized})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
-			for w := 0; w < writers; w++ {
-				if err := r.CreateGraph(fmt.Sprintf("da%d", w)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var round int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						obj := catalog.NewObject("floorplan").
-							Set("cell", catalog.Str("c")).
-							Set("area", catalog.Float(float64(round)))
-						v := &version.DOV{
-							ID:  version.ID(fmt.Sprintf("da%d/v%08d", w, round)),
-							DOT: "floorplan", DA: fmt.Sprintf("da%d", w),
-							Object: obj, Status: version.StatusWorking,
-						}
-						if err := r.Checkin(v, true); err != nil {
-							b.Error(err)
-						}
-					}(w)
-				}
-				wg.Wait()
-				round++
-			}
-			b.ReportMetric(float64(b.N*writers), "checkins")
-		})
+	dir := b.TempDir()
+	cat := benchCatalog(b)
+	r, err := Open(cat, Options{Dir: dir, Sync: true})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer r.Close()
+	for w := 0; w < writers; w++ {
+		if err := r.CreateGraph(fmt.Sprintf("da%d", w)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var round int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				obj := catalog.NewObject("floorplan").
+					Set("cell", catalog.Str("c")).
+					Set("area", catalog.Float(float64(round)))
+				v := &version.DOV{
+					ID:  version.ID(fmt.Sprintf("da%d/v%08d", w, round)),
+					DOT: "floorplan", DA: fmt.Sprintf("da%d", w),
+					Object: obj, Status: version.StatusWorking,
+				}
+				if err := r.Checkin(v, true); err != nil {
+					b.Error(err)
+				}
+			}(w)
+		}
+		wg.Wait()
+		round++
+	}
+	b.ReportMetric(float64(b.N*writers), "checkins")
 }

@@ -184,32 +184,33 @@ func TestLegacySnapshotLoads(t *testing.T) {
 	}
 }
 
-// TestQuiescentCheckpointAblation pins the E19 baseline: with
-// QuiescentCheckpoint every checkpoint is a full snapshot encoded under the
-// exclusive lock, and recovery is byte-identical to the incremental design.
-func TestQuiescentCheckpointAblation(t *testing.T) {
-	dirQ, dirI := t.TempDir(), t.TempDir()
-	q := openRepoOpts(t, dirQ, Options{SegmentBytes: 4 << 10, QuiescentCheckpoint: true})
+// TestFullRebaseEveryCheckpoint runs the same history through a repository
+// that rebases on every checkpoint (CheckpointMaxChain 1: each checkpoint is
+// a full snapshot, so the chain length is always 1) and one that stacks
+// incremental deltas. Recovery must be byte-identical.
+func TestFullRebaseEveryCheckpoint(t *testing.T) {
+	dirF, dirI := t.TempDir(), t.TempDir()
+	full := openRepoOpts(t, dirF, Options{SegmentBytes: 4 << 10, CheckpointMaxChain: 1})
 	in := openRepoOpts(t, dirI, Options{SegmentBytes: 4 << 10, CheckpointMaxChain: 2})
 	for round := 0; round < 4; round++ {
 		tag := fmt.Sprintf("r%d-", round)
-		churn(t, q, tag, 4, 20)
+		churn(t, full, tag, 4, 20)
 		churn(t, in, tag, 4, 20)
-		if err := q.Checkpoint(); err != nil {
+		if err := full.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		if err := in.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if n, _ := q.SnapshotChain(); n != 1 {
-			t.Fatalf("quiescent chain length = %d, want always 1", n)
+		if n, _ := full.SnapshotChain(); n != 1 {
+			t.Fatalf("full-rebase chain length = %d, want always 1", n)
 		}
 	}
-	q.Close()
+	full.Close()
 	in.Close()
-	q2 := openRepoOpts(t, dirQ, Options{})
+	full2 := openRepoOpts(t, dirF, Options{})
 	in2 := openRepoOpts(t, dirI, Options{})
-	if dq, di := digest(t, q2), digest(t, in2); dq != di {
-		t.Fatalf("quiescent and incremental recovery digests differ:\n--- quiescent\n%s--- incremental\n%s", dq, di)
+	if df, di := digest(t, full2), digest(t, in2); df != di {
+		t.Fatalf("full-rebase and incremental recovery digests differ:\n--- full\n%s--- incremental\n%s", df, di)
 	}
 }

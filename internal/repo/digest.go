@@ -16,7 +16,7 @@ import (
 // compare digests taken before a crash and after the restarted twin
 // recovers, and the checkpoint-equivalence battery (§3.8) compares an
 // incrementally checkpointed repository recovered at every catalogued
-// crash point against its quiescent twin. The repository is quiesced
+// crash point against its full-rebase twin. The repository is quiesced
 // (writers excluded) for the duration of the call.
 func (r *Repository) StateDigest() (string, error) {
 	var b strings.Builder

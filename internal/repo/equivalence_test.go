@@ -57,7 +57,8 @@ func equivDigest(t *testing.T, r *repo.Repository) string {
 // checkpoint design: for seeded sim.OpMix histories, an incremental twin
 // (short chains, tiny segments, a crash injected at every catalogued
 // checkpoint fault point) must recover to a state byte-identical to a
-// quiescent-checkpoint twin that ran the same history without faults —
+// full-rebase twin (CheckpointMaxChain 1: a full snapshot at every
+// checkpoint) that ran the same history without faults —
 // right after the crash, and again at the end of the run.
 func TestCheckpointEquivalenceOpMix(t *testing.T) {
 	for _, point := range repo.CrashPoints {
@@ -79,7 +80,7 @@ func testEquivalenceAt(t *testing.T, point string, seed int64) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	incOpts := repo.Options{SegmentBytes: 1 << 10, CheckpointMaxChain: 2, Faults: reg}
 	a := equivOpen(t, dirA, incOpts)
-	b := equivOpen(t, dirB, repo.Options{QuiescentCheckpoint: true})
+	b := equivOpen(t, dirB, repo.Options{CheckpointMaxChain: 1})
 
 	mix := sim.OpMix{Checkout: 2, Checkin: 5, Delegate: 1, HandOver: 1, SetStatus: 2, Seed: seed}
 	rng := rand.New(rand.NewSource(seed * 977)) // op arguments, shared by both twins
@@ -142,7 +143,7 @@ func testEquivalenceAt(t *testing.T, point string, seed int64) {
 
 		if (i+1)%ckptEvery == 0 {
 			if err := b.Checkpoint(); err != nil {
-				t.Fatalf("quiescent twin checkpoint: %v", err)
+				t.Fatalf("full-rebase twin checkpoint: %v", err)
 			}
 			err := a.Checkpoint()
 			switch {
@@ -150,10 +151,10 @@ func testEquivalenceAt(t *testing.T, point string, seed int64) {
 			case errors.Is(err, crash) && !crashed:
 				crashed = true
 				// Process death: abandon the handle, recover from disk, and
-				// prove recovery equals the quiescent twin immediately.
+				// prove recovery equals the full-rebase twin immediately.
 				a = equivOpen(t, dirA, incOpts)
 				if got, want := equivDigest(t, a), equivDigest(t, b); got != want {
-					t.Fatalf("crash at %s: recovered digest differs from quiescent twin:\n--- quiescent\n%s--- recovered\n%s", point, want, got)
+					t.Fatalf("crash at %s: recovered digest differs from full-rebase twin:\n--- full-rebase\n%s--- recovered\n%s", point, want, got)
 				}
 			default:
 				t.Fatalf("incremental twin checkpoint: %v", err)
@@ -170,6 +171,6 @@ func testEquivalenceAt(t *testing.T, point string, seed int64) {
 		t.Fatal(err)
 	}
 	if got, want := equivDigest(t, a2), equivDigest(t, b2); got != want {
-		t.Fatalf("crash at %s: final digest differs from quiescent twin:\n--- quiescent\n%s--- incremental\n%s", point, want, got)
+		t.Fatalf("crash at %s: final digest differs from full-rebase twin:\n--- full-rebase\n%s--- incremental\n%s", point, want, got)
 	}
 }

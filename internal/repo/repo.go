@@ -70,9 +70,6 @@ type Options struct {
 	Dir string
 	// Sync forces the log to stable storage on every append.
 	Sync bool
-	// NoGroupCommit disables WAL append batching (one write+fsync per
-	// record). Ablation baseline for experiments; see wal.Options.
-	NoGroupCommit bool
 	// SegmentBytes is the WAL segment rotation threshold (0 uses
 	// wal.DefaultSegmentBytes). Checkpointing deletes whole sealed
 	// segments, so smaller segments compact at a finer grain.
@@ -82,28 +79,15 @@ type Options struct {
 	// the wal.Crash* constants). An armed point aborts the operation
 	// there, simulating a crash. Tests only; see CrashPoints.
 	Faults *fault.Registry
-	// SerializedWrites reverts the mutation path to the fully serial
-	// pre-concurrency design: every mutation holds one global repository
-	// lock across its forced log write, so checkins serialize repository-
-	// wide — one record, one fsync, one writer at a time — instead of
-	// running concurrently per design area with group-committed log
-	// appends (DESIGN.md §3.7). Ablation baseline for E16; never set in
-	// production.
-	SerializedWrites bool
-	// SerialReplay reverts restart to record-at-a-time replay (unbuffered
-	// reads, decode and apply interleaved in one loop) instead of the
-	// pipelined replay that streams segments through a large buffer and
-	// decodes DOV payloads on a worker pool (DESIGN.md §3.7). Ablation
-	// baseline for E16 restart numbers; never set in production.
+	// SerialReplay replays the log record at a time (decode and apply
+	// interleaved in one loop) instead of pipelining DOV decodes on a worker
+	// pool (DESIGN.md §3.7). It is the reference implementation the
+	// pipelined replay is checked against (the scenario twin-replay oracle,
+	// the replay-equivalence tests); production leaves it unset.
 	SerialReplay bool
 	// ReplayWorkers is the decode worker count of the pipelined replay
 	// (0 = GOMAXPROCS, capped at 8). Ignored with SerialReplay.
 	ReplayWorkers int
-	// QuiescentCheckpoint reverts Checkpoint to the pre-chain design: the
-	// whole state is encoded while the quiesce lock is held exclusively (a
-	// stop-the-world pause growing with live state) and every checkpoint is
-	// a full snapshot. Ablation baseline for E19; never set in production.
-	QuiescentCheckpoint bool
 	// CheckpointMaxChain bounds the snapshot chain length: once a full
 	// snapshot has this many incremental deltas stacked on it, the next
 	// checkpoint rebases (writes a fresh full snapshot). 0 uses
@@ -154,10 +138,6 @@ type Repository struct {
 	dir string
 	// faults is the crash-point fault-injection registry (tests only).
 	faults *fault.Registry
-	// serializedWrites selects the global-lock-across-fsync write path
-	// (Options.SerializedWrites; E16 ablation baseline): every mutator takes
-	// mu exclusively instead of shared and waits for durability under it.
-	serializedWrites bool
 	// serialReplay / replayWorkers configure restart replay (§3.7).
 	serialReplay  bool
 	replayWorkers int
@@ -226,7 +206,6 @@ type Repository struct {
 	chainBytes int64
 	lastGens   *ckptGens
 	// Checkpoint policy (from Options; fixed after Open).
-	quiescentCkpt bool
 	maxChain      int
 	maxChainBytes int64
 	// lastPauseNs/maxPauseNs instrument the exclusive-lock window of the
@@ -348,18 +327,16 @@ func Open(cat *catalog.Catalog, opts Options) (*Repository, error) {
 		return nil, errors.New("repo: nil catalog")
 	}
 	r := &Repository{
-		cat:              cat,
-		dir:              opts.Dir,
-		faults:           opts.Faults,
-		serializedWrites: opts.SerializedWrites,
-		serialReplay:     opts.SerialReplay,
-		replayWorkers:    opts.ReplayWorkers,
-		degradedOnWAL:    opts.DegradedOnWALFailure,
-		quiescentCkpt:    opts.QuiescentCheckpoint,
-		maxChain:         opts.CheckpointMaxChain,
-		maxChainBytes:    opts.CheckpointMaxChainBytes,
-		das:              make(map[string]*daState),
-		meta:             make(map[string][]byte),
+		cat:           cat,
+		dir:           opts.Dir,
+		faults:        opts.Faults,
+		serialReplay:  opts.SerialReplay,
+		replayWorkers: opts.ReplayWorkers,
+		degradedOnWAL: opts.DegradedOnWALFailure,
+		maxChain:      opts.CheckpointMaxChain,
+		maxChainBytes: opts.CheckpointMaxChainBytes,
+		das:           make(map[string]*daState),
+		meta:          make(map[string][]byte),
 	}
 	r.follower.Store(opts.Follower)
 	if r.maxChain <= 0 {
@@ -381,11 +358,9 @@ func Open(cat *catalog.Catalog, opts Options) (*Repository, error) {
 		r.chain = chain
 		r.chainBytes = chainBytes
 		l, err := wal.Open(filepath.Join(opts.Dir, "repo.wal"), wal.Options{
-			SyncOnAppend:  opts.Sync,
-			NoGroupCommit: opts.NoGroupCommit,
-			SegmentBytes:  opts.SegmentBytes,
-			Faults:        opts.Faults,
-			BufferedScan:  !opts.SerialReplay,
+			SyncOnAppend: opts.Sync,
+			SegmentBytes: opts.SegmentBytes,
+			Faults:       opts.Faults,
 		})
 		if err != nil {
 			return nil, err
@@ -666,8 +641,7 @@ func (r *Repository) appendAsync(t wal.RecordType, owner string, payload []byte)
 
 // failStop latches the durability-failure state: read-only degraded mode
 // when DegradedOnWALFailure is set, repository-wide fail-stop otherwise.
-// The latch is a lock-free CAS so it is safe from any path, including waits
-// running inside the SerializedWrites critical section.
+// The latch is a lock-free CAS so it is safe from any path.
 func (r *Repository) failStop(cause error) {
 	// Both the mode sentinel and the cause stay matchable: a deposed
 	// primary's latched error answers errors.Is for rpc.ErrStaleEpoch too.
@@ -722,20 +696,11 @@ func (r *Repository) Health() Health {
 	return Health{Mode: "ok"}
 }
 
-// beginMutation takes the quiesce lock in the configured mode (shared in the
-// sharded design, exclusive under the SerializedWrites ablation) and checks
-// liveness. It returns the matching unlock.
+// beginMutation takes the quiesce lock shared and checks liveness. It
+// returns the matching unlock.
 func (r *Repository) beginMutation() (func(), error) {
 	if r.follower.Load() {
 		return nil, ErrFollower
-	}
-	if r.serializedWrites {
-		r.mu.Lock()
-		if err := r.writable(); err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		return r.mu.Unlock, nil
 	}
 	r.mu.RLock()
 	if err := r.writable(); err != nil {
@@ -745,55 +710,33 @@ func (r *Repository) beginMutation() (func(), error) {
 	return r.mu.RUnlock, nil
 }
 
-// finishWrite resolves a mutation's durability wait(s) against the
-// configured write path and releases its locks in the right order: the
-// SerializedWrites ablation waits *before* unlocking (one record, one
-// fsync, one writer at a time — the fully serial baseline), the sharded
-// default unlocks first so concurrent writers' records share a group-commit
-// fsync. unlock must release every lock the mutator holds; waits beyond the
-// first are cleanup records whose errors are ignored (replay tolerates
-// their absence).
+// finishWrite releases a mutation's locks and then resolves its durability
+// wait(s): unlocking first lets concurrent writers' records share a
+// group-commit fsync. unlock must release every lock the mutator holds;
+// waits beyond the first are cleanup records whose errors are ignored
+// (replay tolerates their absence).
 func (r *Repository) finishWrite(unlock func(), waits ...func() (wal.LSN, error)) error {
-	flush := func() error {
-		var ferr error
-		for i, w := range waits {
-			if w == nil {
-				continue
-			}
-			if _, err := w(); err != nil && i == 0 {
-				ferr = err
-			}
-		}
-		return ferr
-	}
-	if r.serializedWrites {
-		err := flush()
-		unlock()
-		return err
-	}
 	unlock()
-	return flush()
+	var ferr error
+	for i, w := range waits {
+		if w == nil {
+			continue
+		}
+		if _, err := w(); err != nil && i == 0 {
+			ferr = err
+		}
+	}
+	return ferr
 }
 
-// lockDA looks the DA up (lock-free) and takes its write lock. Under the
-// SerializedWrites ablation the per-DA lock is skipped: the exclusive
-// quiesce lock already serializes every mutator.
+// lockDA looks the DA up (lock-free) and takes its write lock.
 func (r *Repository) lockDA(da string) (*daState, bool) {
 	st, ok := (*r.dasPub.Load())[da]
 	if !ok {
 		return nil, false
 	}
-	if !r.serializedWrites {
-		st.mu.Lock()
-	}
+	st.mu.Lock()
 	return st, true
-}
-
-// unlockDA releases lockDA.
-func (r *Repository) unlockDA(st *daState) {
-	if !r.serializedWrites {
-		st.mu.Unlock()
-	}
 }
 
 // NextID allocates a fresh repository-wide DOV identifier.
@@ -901,7 +844,7 @@ func (r *Repository) CheckinCleanup(v *version.DOV, root bool, cleanupKey string
 		return fmt.Errorf("%w: %s", ErrUnknownGraph, v.DA)
 	}
 	fail := func(err error) error {
-		r.unlockDA(st)
+		st.mu.Unlock()
 		end()
 		return err
 	}
@@ -971,7 +914,7 @@ func (r *Repository) CheckinCleanup(v *version.DOV, root bool, cleanupKey string
 		}
 		r.metaMu.Unlock()
 	}
-	if err := r.finishWrite(func() { r.unlockDA(st); end() }, wait, cleanupWait); err != nil {
+	if err := r.finishWrite(func() { st.mu.Unlock(); end() }, wait, cleanupWait); err != nil {
 		return err
 	}
 	r.fireChange(ChangeEvent{
@@ -1032,19 +975,19 @@ func (r *Repository) SetStatus(id version.ID, s version.Status) error {
 	payload := append([]byte(id), 0, byte(s))
 	wait, err := r.appendAsync(recDOVStatus, e.dov.DA, payload)
 	if err != nil {
-		r.unlockDA(st)
+		st.mu.Unlock()
 		end()
 		return err
 	}
 	nv := *e.dov
 	nv.Status = s
 	if err := r.republish(st, &nv, e); err != nil {
-		r.unlockDA(st)
+		st.mu.Unlock()
 		end()
 		return err
 	}
 	da := nv.DA
-	if err := r.finishWrite(func() { r.unlockDA(st); end() }, wait); err != nil {
+	if err := r.finishWrite(func() { st.mu.Unlock(); end() }, wait); err != nil {
 		return err
 	}
 	r.fireChange(ChangeEvent{Kind: ChangeStatus, ID: id, DA: da, Status: s})
@@ -1068,7 +1011,7 @@ func (r *Repository) SetFulfilled(id version.ID, names []string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownGraph, e.dov.DA)
 	}
-	defer r.unlockDA(st)
+	defer st.mu.Unlock()
 	e, _ = r.idx.get(id)
 	nv := *e.dov
 	nv.Fulfilled = append([]string(nil), names...)

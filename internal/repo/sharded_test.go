@@ -234,58 +234,6 @@ func TestCheckpointCrashRacingMultiDAWriters(t *testing.T) {
 	}
 }
 
-// TestSerializedWritesAblation pins the E16 baseline: with SerializedWrites
-// every mutation still works (just serially, holding the repository lock
-// across its forced write) and recovery rebuilds the identical state through
-// the default sharded path.
-func TestSerializedWritesAblation(t *testing.T) {
-	dir := t.TempDir()
-	r := openRepoOpts(t, dir, Options{SerializedWrites: true})
-	const das = 3
-	const perDA = 10
-	for i := 0; i < das; i++ {
-		if err := r.CreateGraph(fmt.Sprintf("da%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, das)
-	for i := 0; i < das; i++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			da := fmt.Sprintf("da%d", w)
-			var prev version.ID
-			for j := 0; j < perDA; j++ {
-				id := version.ID(fmt.Sprintf("%s/v%02d", da, j))
-				v := mkDOV(string(id), da, float64(j))
-				if prev != "" {
-					v.Parents = []version.ID{prev}
-				}
-				if err := r.Checkin(v, prev == ""); err != nil {
-					errs <- err
-					return
-				}
-				prev = id
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	want := digest(t, r)
-	r.Close()
-	r2 := openRepoOpts(t, dir, Options{})
-	if got := digest(t, r2); got != want {
-		t.Fatalf("state recovered from the serialized-writes log differs:\n--- want\n%s--- got\n%s", want, got)
-	}
-	if err := r2.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestClaimWaitsForInFlightRacer pins the duplicate-check contract of the
 // sharded index: a racer finding an ID merely *claimed* (outcome open) must
 // wait for the claim to resolve rather than report a duplicate —

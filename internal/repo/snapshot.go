@@ -50,9 +50,8 @@ import (
 // Chains are rebased (full checkpoint) when they grow past
 // Options.CheckpointMaxChain elements or CheckpointMaxChainBytes payload
 // bytes, and always on the first checkpoint after Open (dirty generations
-// are volatile). Options.QuiescentCheckpoint restores the pre-PR-8
-// stop-the-world behaviour — encode under the exclusive lock, full snapshot
-// every time — as the E19 ablation baseline.
+// are volatile). CheckpointMaxChain 1 makes every checkpoint a full
+// rebase.
 const (
 	legacySnapName = "snapshot"
 	snapTmpName    = "snapshot.tmp"
@@ -179,9 +178,7 @@ func (r *Repository) captureCutLocked(full bool) *snapCut {
 
 // Checkpoint captures the repository state and compacts the redo log behind
 // it. Concurrent mutators are blocked only for the pointer-capture cut
-// (microseconds), never while state is encoded or written out — except under
-// the QuiescentCheckpoint ablation, which encodes the full state inside the
-// exclusive section to reproduce the historical stall. Safe to call
+// (microseconds), never while state is encoded or written out. Safe to call
 // concurrently; checkpoints are serialized and monotonic.
 func (r *Repository) Checkpoint() error {
 	if r.log == nil {
@@ -190,7 +187,7 @@ func (r *Repository) Checkpoint() error {
 	r.ckptMu.Lock()
 	defer r.ckptMu.Unlock()
 
-	full := r.quiescentCkpt || r.lastGens == nil ||
+	full := r.lastGens == nil ||
 		len(r.chain) >= r.maxChain || r.chainBytes >= r.maxChainBytes
 
 	start := time.Now()
@@ -203,27 +200,16 @@ func (r *Repository) Checkpoint() error {
 		return err
 	}
 	cut := r.captureCutLocked(full)
-	var payload []byte
-	if r.quiescentCkpt && cut != nil {
-		payload = encodeBaseCut(cut)
-	}
 	r.mu.Unlock()
 	r.notePause(time.Since(start))
 	if cut == nil {
 		return nil
 	}
-	if payload == nil {
-		if cut.full {
-			payload = encodeBaseCut(cut)
-		} else {
-			payload = encodeIncCut(cut)
-		}
-	}
 	var err error
 	if cut.full {
-		err = r.installBase(cut, payload)
+		err = r.installBase(cut, encodeBaseCut(cut))
 	} else {
-		err = r.installIncremental(cut, payload)
+		err = r.installIncremental(cut, encodeIncCut(cut))
 	}
 	if err != nil {
 		// The protocol may have stopped after a durable step (delta file on
@@ -321,8 +307,7 @@ func (r *Repository) SnapshotChain() (elems int, bytes int64) {
 
 // CheckpointPause reports the duration writers were blocked by the last
 // snapshot cut and the maximum over the repository's lifetime — the
-// quantity E19 bounds. Under QuiescentCheckpoint this includes the full
-// state encoding; in the default design it is pointer capture only.
+// quantity E19 bounds: pointer capture only, never the state encoding.
 func (r *Repository) CheckpointPause() (last, max time.Duration) {
 	return time.Duration(r.lastPauseNs.Load()), time.Duration(r.maxPauseNs.Load())
 }

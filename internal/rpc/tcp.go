@@ -24,16 +24,12 @@ import (
 // message (see RegisterWireError), so transport sentinels and registered
 // application sentinels unwrap with errors.Is exactly as over the
 // in-process transport.
-//
-// ConnectPerCall restores the seed behaviour — one freshly dialed
-// connection per call, same frame format — as the ablation baseline of
-// experiment E18.
 type TCP struct {
 	// DialTimeout bounds connection establishment (default 2s).
 	DialTimeout time.Duration
 	// CallTimeout bounds a whole request/response exchange (default 10s).
-	// A timed-out call kills its connection: correlation state for the
-	// stalled exchange cannot be trusted further.
+	// A timed-out call abandons its exchange, and kills its connection
+	// when no other call is in flight on it.
 	CallTimeout time.Duration
 	// ChunkBytes caps the payload bytes per frame (default
 	// DefaultChunkBytes); larger payloads are split so the connection
@@ -42,9 +38,6 @@ type TCP struct {
 	// PoolSize is the number of persistent connections kept per peer
 	// (default DefaultPoolSize). Calls round-robin over the pool.
 	PoolSize int
-	// ConnectPerCall dials one connection per call instead of pooling —
-	// the seed transport's behaviour, kept as the E18 ablation baseline.
-	ConnectPerCall bool
 
 	mu        sync.Mutex
 	listeners []net.Listener // in Serve order; Addr reports the first
@@ -277,9 +270,7 @@ type frameWriter struct {
 func (fw *frameWriter) writeFrame(frame []byte, deadline time.Time) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if fw.conn != nil {
-		fw.conn.SetWriteDeadline(deadline) //nolint:errcheck // best effort
-	}
+	fw.conn.SetWriteDeadline(deadline) //nolint:errcheck // best effort
 	err := binenc.WriteFrame(fw.bw, frame)
 	if err == nil {
 		err = fw.bw.Flush()
@@ -335,6 +326,15 @@ type connPool struct {
 	mu    sync.Mutex
 	conns []*muxConn
 	next  int
+	// dial is the dial in progress, nil when none is. One dial at a time
+	// keeps the pool at PoolSize however many callers find it short.
+	dial *poolDial
+}
+
+// poolDial is one in-progress dial of a pool; done closes when err is set.
+type poolDial struct {
+	done chan struct{}
+	err  error
 }
 
 // pendingCall is one in-flight request awaiting its response frames.
@@ -471,9 +471,18 @@ func (c *muxConn) roundTrip(method string, payload []byte, timeout time.Duration
 	select {
 	case <-p.done:
 	case <-timer:
-		// The exchange is stuck; the connection's correlation state cannot
-		// be trusted further (the stale response may still arrive).
-		c.fail(fmt.Errorf("%w: call timed out", ErrDropped))
+		// Abandon the exchange: a late response finds no pending entry and
+		// is dropped. The connection dies with it only when no other call
+		// is in flight on it, so a half-open connection never outlives its
+		// calls while a neighbour's expiry never cuts the calls still
+		// inside their own budgets.
+		c.mu.Lock()
+		delete(c.pending, id)
+		idle := len(c.pending) == 0
+		c.mu.Unlock()
+		if idle {
+			c.fail(fmt.Errorf("%w: call timed out", ErrDropped))
+		}
 		return nil, fmt.Errorf("%w: %s timed out after %v", ErrDropped, method, timeout)
 	}
 	if p.failure != nil {
@@ -486,7 +495,9 @@ func (c *muxConn) roundTrip(method string, payload []byte, timeout time.Duration
 }
 
 // getConn returns a pooled connection to addr, dialing a new one while the
-// pool is below PoolSize. Dead connections are pruned on the way.
+// pool is below PoolSize. Dead connections are pruned on the way. While one
+// caller dials, the others use the live connections or, on an empty pool,
+// wait for that dial's outcome.
 func (t *TCP) getConn(addr string) (*muxConn, error) {
 	t.mu.Lock()
 	if t.closed {
@@ -508,18 +519,42 @@ func (t *TCP) getConn(addr string) (*muxConn, error) {
 		}
 	}
 	p.conns = alive
-	if len(p.conns) >= t.poolSize() {
-		c := p.conns[p.next%len(p.conns)]
+	if n := len(p.conns); n >= t.poolSize() || (n > 0 && p.dial != nil) {
+		c := p.conns[p.next%n]
 		p.next++
 		p.mu.Unlock()
 		return c, nil
 	}
+	if d := p.dial; d != nil {
+		p.mu.Unlock()
+		<-d.done
+		if d.err != nil {
+			return nil, d.err
+		}
+		return t.getConn(addr)
+	}
+	d := &poolDial{done: make(chan struct{})}
+	p.dial = d
 	p.mu.Unlock()
 
 	// Dial outside the pool lock so a slow or dead peer never blocks calls
 	// that could proceed on an existing connection.
-	d := net.Dialer{Timeout: t.DialTimeout}
-	nc, err := d.Dial("tcp", addr)
+	c, err := t.dial(addr)
+	p.mu.Lock()
+	if err == nil {
+		p.conns = append(p.conns, c)
+	}
+	p.dial = nil
+	p.mu.Unlock()
+	d.err = err
+	close(d.done)
+	return c, err
+}
+
+// dial opens one multiplexed connection to addr.
+func (t *TCP) dial(addr string) (*muxConn, error) {
+	nd := net.Dialer{Timeout: t.DialTimeout}
+	nc, err := nd.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %w", ErrUnreachable, addr, err)
 	}
@@ -531,17 +566,13 @@ func (t *TCP) getConn(addr string) (*muxConn, error) {
 		c.fail(errors.New("rpc: transport closed"))
 		return nil, errors.New("rpc: transport closed")
 	}
-	p.mu.Lock()
-	p.conns = append(p.conns, c)
-	p.mu.Unlock()
 	return c, nil
 }
 
 // Call performs one request attempt against addr over a pooled multiplexed
-// connection (or a fresh one in ConnectPerCall mode). Transport losses
-// return ErrDropped/ErrUnreachable (the reliable Client retries those);
-// application errors return a chain matching ErrRemote and any registered
-// sentinel of the remote cause.
+// connection. Transport losses return ErrDropped/ErrUnreachable (the
+// reliable Client retries those); application errors return a chain
+// matching ErrRemote and any registered sentinel of the remote cause.
 func (t *TCP) Call(addr, method string, payload []byte) ([]byte, error) {
 	return t.CallBudget(addr, method, payload, 0)
 }
@@ -558,59 +589,11 @@ func (t *TCP) CallBudget(addr, method string, payload []byte, budget time.Durati
 		// Round up: a 300µs budget must not travel as 0 ("no bound").
 		budgetMs = uint64((budget + time.Millisecond - 1) / time.Millisecond)
 	}
-	if t.ConnectPerCall {
-		return t.callOneShot(addr, method, payload, timeout, budgetMs)
-	}
 	c, err := t.getConn(addr)
 	if err != nil {
 		return nil, err
 	}
 	return c.roundTrip(method, payload, timeout, budgetMs, t.chunkBytes())
-}
-
-// callOneShot is the ablation baseline: dial, exchange one request/response
-// in the same frame format, close. The connection is private to the call, so
-// a whole-connection deadline here IS the per-call timer.
-func (t *TCP) callOneShot(addr, method string, payload []byte, timeout time.Duration, budgetMs uint64) ([]byte, error) {
-	d := net.Dialer{Timeout: t.DialTimeout}
-	conn, err := d.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %w", ErrUnreachable, addr, err)
-	}
-	defer conn.Close()
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout)) //nolint:errcheck // best effort
-	}
-	fw := &frameWriter{bw: bufio.NewWriter(conn)}
-	if err := fw.writeChunked(frameRequest, 1, method, budgetMs, payload, t.chunkBytes(), time.Time{}); err != nil {
-		return nil, fmt.Errorf("%w: send: %v", ErrDropped, err)
-	}
-	br := bufio.NewReader(conn)
-	var resp, buf []byte
-	for {
-		buf, err = binenc.ReadFrame(br, buf, t.maxFrame())
-		if err != nil {
-			return nil, fmt.Errorf("%w: recv: %v", ErrDropped, err)
-		}
-		r := binenc.NewReader(buf)
-		kind := r.Byte()
-		_ = r.U64() // id (single exchange)
-		last := r.Bool()
-		isErr := r.Bool()
-		errCode := r.U64()
-		errMsg := r.Str()
-		if r.Err() != nil || kind != frameResponse {
-			return nil, fmt.Errorf("%w: recv: malformed response frame", ErrDropped)
-		}
-		resp = append(resp, buf[len(buf)-r.Remaining():]...)
-		if !last {
-			continue
-		}
-		if isErr {
-			return nil, newRemoteError(errCode, errMsg)
-		}
-		return resp, nil
-	}
 }
 
 // Close stops all listeners, drops every server-side connection and kills

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -247,28 +248,49 @@ func TestTCPPipelinedInterleave(t *testing.T) {
 	}
 }
 
-// TestTCPConnectPerCall exercises the E18 ablation baseline: same frames,
-// one freshly dialed connection per call, including a chunked payload.
-func TestTCPConnectPerCall(t *testing.T) {
-	_, addr := startEcho(t, func(m string, p []byte) ([]byte, error) {
-		out := make([]byte, len(p))
-		copy(out, p)
-		return out, nil
-	})
+// TestTCPPoolBoundsConnections pins what the multiplexed transport buys over
+// a connection per call: 8 goroutines issuing 120 calls each through one
+// client transport share at most PoolSize connections, counted on the
+// client's pool and on the server's accepted set while the calls run.
+func TestTCPPoolBoundsConnections(t *testing.T) {
+	const goroutines, calls = 8, 120
+	srv, addr := startEcho(t, func(m string, p []byte) ([]byte, error) { return p, nil })
 	cli := NewTCP()
 	defer cli.Close()
-	cli.ConnectPerCall = true
-	big := make([]byte, 600<<10) // forces several chunks at the default grain
-	rand.New(rand.NewSource(7)).Read(big)
-	resp, err := cli.Call(addr, "echo", big)
-	if err != nil {
-		t.Fatal(err)
+	size := cli.poolSize()
+	var peakCli, peakSrv atomic.Int64
+	raise := func(peak *atomic.Int64, n int) {
+		for cur := peak.Load(); int64(n) > cur && !peak.CompareAndSwap(cur, int64(n)); cur = peak.Load() {
+		}
 	}
-	if !bytes.Equal(resp, big) {
-		t.Fatal("payload corrupted in connect-per-call mode")
+	sample := func() {
+		cli.mu.Lock()
+		p := cli.pools[addr]
+		cli.mu.Unlock()
+		p.mu.Lock()
+		raise(&peakCli, len(p.conns))
+		p.mu.Unlock()
+		srv.mu.Lock()
+		raise(&peakSrv, len(srv.srvConns))
+		srv.mu.Unlock()
 	}
-	if _, err := cli.Call(addr, "echo", []byte("small")); err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if _, err := cli.Call(addr, "echo", []byte{byte(g), byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+				sample()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if c, s := peakCli.Load(), peakSrv.Load(); c > int64(size) || s > int64(size) || c == 0 {
+		t.Fatalf("%d×%d calls held up to %d client / %d server connections, want 1..%d", goroutines, calls, c, s, size)
 	}
 }
 

@@ -135,10 +135,10 @@ func Short() []Scenario {
 			Fault: Fault{CrashServer: true},
 		},
 		{
-			// The E19 ablation shape under chaos: quiescent full checkpoints
-			// racing writers, then a crash.
-			Name:  "inproc-quiescent-ckpt-crash",
-			Topo:  Topology{Workstations: 2, DesignAreas: 2, SegmentBytes: 2 << 10, QuiescentCheckpoint: true},
+			// Full rebase every checkpoint (a chain bound of 1) racing
+			// writers, then a crash.
+			Name:  "inproc-full-rebase-ckpt-crash",
+			Topo:  Topology{Workstations: 2, DesignAreas: 2, SegmentBytes: 2 << 10, CheckpointMaxChain: 1},
 			Load:  writeLoad(30, 15),
 			Fault: Fault{CrashServer: true, RaceCheckpoint: true},
 		},

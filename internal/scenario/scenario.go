@@ -78,11 +78,9 @@ type Topology struct {
 	// CheckpointMaxChain overrides the incremental snapshot chain bound
 	// before a full rebase (0 uses the repository default). Small values
 	// make checkpoints alternate the full and incremental protocol paths,
-	// so both sets of fault points are traversed.
+	// so both sets of fault points are traversed; 1 rebases on every
+	// checkpoint.
 	CheckpointMaxChain int
-	// QuiescentCheckpoint reverts the server repository to the ablation
-	// design: full snapshots encoded under the exclusive lock.
-	QuiescentCheckpoint bool
 	// LeaseTTL overrides the workstation session lease lifetime (0 uses
 	// txn.DefaultLeaseTTL). The vanish/partition entries shrink it so the
 	// reaper acts within the test budget.

@@ -161,7 +161,6 @@ func newInProcSite(dir string, topo Topology, reg *fault.Registry) (*inprocSite,
 		VolatileWorkstations: topo.VolatileWS,
 		SegmentBytes:         topo.SegmentBytes,
 		CheckpointMaxChain:   topo.CheckpointMaxChain,
-		QuiescentCheckpoint:  topo.QuiescentCheckpoint,
 		LeaseTTL:             topo.LeaseTTL,
 		HeartbeatEvery:       topo.HeartbeatEvery,
 		DegradedOnWALFailure: topo.DegradedOnWALFailure,
@@ -310,7 +309,6 @@ type tcpSite struct {
 	addr        string
 	segBytes    int64
 	maxChain    int
-	quiescent   bool
 	leaseTTL    time.Duration
 	degradedWAL bool
 
@@ -334,8 +332,7 @@ func newTCPSite(dir string, topo Topology, reg *fault.Registry) (*tcpSite, error
 	s := &tcpSite{
 		cat: cat, reg: reg, dir: dir,
 		segBytes: topo.SegmentBytes, maxChain: topo.CheckpointMaxChain,
-		quiescent: topo.QuiescentCheckpoint,
-		leaseTTL:  topo.LeaseTTL, degradedWAL: topo.DegradedOnWALFailure,
+		leaseTTL: topo.LeaseTTL, degradedWAL: topo.DegradedOnWALFailure,
 	}
 	if err := s.startServer(); err != nil {
 		return nil, err
@@ -383,7 +380,7 @@ func (s *tcpSite) startServer() error {
 	sdir := filepath.Join(s.dir, "server")
 	r, err := repo.Open(s.cat, repo.Options{
 		Dir: sdir, Sync: true, SegmentBytes: s.segBytes,
-		CheckpointMaxChain: s.maxChain, QuiescentCheckpoint: s.quiescent,
+		CheckpointMaxChain:   s.maxChain,
 		DegradedOnWALFailure: s.degradedWAL,
 		Faults:               s.reg,
 	})

@@ -208,40 +208,6 @@ func TestReplayAfterMidBatchCrash(t *testing.T) {
 	}
 }
 
-// TestNoGroupCommitAblation checks the serialized baseline still keeps the
-// one-sync-per-append behaviour the ablation benchmarks rely on.
-func TestNoGroupCommitAblation(t *testing.T) {
-	l, err := Open(filepath.Join(t.TempDir(), "serial.wal"), Options{SyncOnAppend: true, NoGroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 5; j++ {
-				if _, err := l.Append(1, "o", []byte{byte(i), byte(j)}); err != nil {
-					t.Errorf("append: %v", err)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	appends, batches, syncs := l.Stats()
-	if appends != 40 || batches != 40 || syncs != 40 {
-		t.Fatalf("serialized stats: appends=%d batches=%d syncs=%d, want 40 each", appends, batches, syncs)
-	}
-	n := 0
-	if err := l.Replay(func(Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 40 {
-		t.Fatalf("replayed %d records, want 40", n)
-	}
-}
-
 // TestAppendDuringCheckpoint races concurrent appenders against a checkpoint
 // of the current tail: records around the checkpoint must land with strictly
 // increasing LSNs, nothing appended after the checkpoint may be skipped, and

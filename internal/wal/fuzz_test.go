@@ -33,9 +33,9 @@ func fuzzSeedSegment(f *testing.F) []byte {
 }
 
 // FuzzWALFrameDecode feeds arbitrary bytes to the log as an on-disk segment.
-// Open must never panic, must recover exactly the valid record prefix
-// (truncating torn or corrupt tails), the serial and buffered scan paths
-// must agree record for record, and the recovered log must accept new
+// The serial and buffered segment scanners must agree on the valid prefix
+// record for record; Open must never panic, must recover exactly that prefix
+// (truncating torn or corrupt tails), and the recovered log must accept new
 // appends that survive a reopen.
 func FuzzWALFrameDecode(f *testing.F) {
 	seed := fuzzSeedSegment(f)
@@ -52,57 +52,88 @@ func FuzzWALFrameDecode(f *testing.F) {
 	}
 	f.Add(mutated)
 	f.Fuzz(func(t *testing.T, seg []byte) {
-		var runs [][]Record
-		for _, buffered := range []bool{false, true} {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, segName(0)), seg, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			l, err := Open(dir, Options{BufferedScan: buffered})
-			if err != nil {
-				t.Fatalf("Open(buffered=%t) rejected a recoverable directory: %v", buffered, err)
-			}
-			var recs []Record
-			if err := l.Replay(func(r Record) error {
-				recs = append(recs, Record{
-					LSN: r.LSN, Type: r.Type, Owner: r.Owner,
-					Payload: bytes.Clone(r.Payload),
-				})
-				return nil
-			}); err != nil {
-				t.Fatalf("Replay(buffered=%t): %v", buffered, err)
-			}
-			runs = append(runs, recs)
-			// The recovered log must be writable and the write durable.
-			if _, err := l.Append(RecordType(7), "fuzz", []byte("post-recovery")); err != nil {
-				t.Fatalf("Append after recovery: %v", err)
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			l2, err := Open(dir, Options{BufferedScan: buffered})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			n := 0
-			last := Record{}
-			if err := l2.Replay(func(r Record) error { n++; last = r; return nil }); err != nil {
-				t.Fatalf("reopen replay: %v", err)
-			}
-			if n != len(recs)+1 || string(last.Payload) != "post-recovery" {
-				t.Fatalf("post-recovery append lost: %d records after reopen, want %d", n, len(recs)+1)
-			}
-			l2.Close()
+		dir := t.TempDir()
+		path := filepath.Join(dir, segName(0))
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		serial, bufd := runs[0], runs[1]
-		if len(serial) != len(bufd) {
-			t.Fatalf("serial scan recovered %d records, buffered %d", len(serial), len(bufd))
+		serial, serialValid := scanFile(t, path, iterateRecords)
+		bufd, bufdValid := scanFile(t, path, iterateRecordsBuffered)
+		if serialValid != bufdValid || len(serial) != len(bufd) {
+			t.Fatalf("serial scan kept %d bytes / %d records, buffered %d / %d",
+				serialValid, len(serial), bufdValid, len(bufd))
 		}
 		for i := range serial {
-			a, b := serial[i], bufd[i]
-			if a.LSN != b.LSN || a.Type != b.Type || a.Owner != b.Owner || !bytes.Equal(a.Payload, b.Payload) {
+			if !sameRecord(serial[i], bufd[i]) {
 				t.Fatalf("record %d differs between serial and buffered scan", i)
 			}
 		}
+
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("Open rejected a recoverable directory: %v", err)
+		}
+		var recs []Record
+		if err := l.Replay(func(r Record) error { recs = append(recs, cloneRecord(r)); return nil }); err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		if len(recs) != len(serial) {
+			t.Fatalf("Open recovered %d records, the scan %d", len(recs), len(serial))
+		}
+		for i := range recs {
+			if !sameRecord(recs[i], serial[i]) {
+				t.Fatalf("recovered record %d differs from the scanned one", i)
+			}
+		}
+		// The recovered log must be writable and the write durable.
+		if _, err := l.Append(RecordType(7), "fuzz", []byte("post-recovery")); err != nil {
+			t.Fatalf("Append after recovery: %v", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer l2.Close()
+		n := 0
+		last := Record{}
+		if err := l2.Replay(func(r Record) error { n++; last = r; return nil }); err != nil {
+			t.Fatalf("reopen replay: %v", err)
+		}
+		if n != len(recs)+1 || string(last.Payload) != "post-recovery" {
+			t.Fatalf("post-recovery append lost: %d records after reopen, want %d", n, len(recs)+1)
+		}
 	})
+}
+
+// scanFile runs one segment scanner over the file at path and returns the
+// records it delivered and the length of the valid prefix.
+func scanFile(t *testing.T, path string, scan recordIterator) ([]Record, int64) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	valid, err := scan(f, 0, fi.Size(), 0, func(r Record) error { recs = append(recs, cloneRecord(r)); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, valid
+}
+
+func cloneRecord(r Record) Record {
+	r.Payload = bytes.Clone(r.Payload)
+	return r
+}
+
+func sameRecord(a, b Record) bool {
+	return a.LSN == b.LSN && a.Type == b.Type && a.Owner == b.Owner && bytes.Equal(a.Payload, b.Payload)
 }

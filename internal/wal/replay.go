@@ -30,8 +30,10 @@ import (
 // The pipeline keeps at most pipeDepth(workers) records in flight, so
 // memory stays bounded by a few megabytes regardless of history length.
 
-// replayBufBytes is the buffered-reader size of the pipelined replay. One
-// buffer per open segment; large enough that sequential scan speed is
+// replayBufBytes caps the buffered-reader size of the segment scans (the
+// Open-time validation and the pipelined replay). One buffer per open
+// segment, sized to the segment when it is smaller, so a small log does not
+// pay for a megabyte; large enough that sequential scan speed is
 // storage-bound, small enough to be irrelevant next to the rebuilt state.
 const replayBufBytes = 1 << 20
 
@@ -152,7 +154,7 @@ func iterateRecordsBuffered(f *os.File, base, limit, skipBelow int64, fn func(Re
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("wal: seek: %w", err)
 	}
-	br := bufio.NewReaderSize(io.LimitReader(f, limit), replayBufBytes)
+	br := bufio.NewReaderSize(io.LimitReader(f, limit), int(min(limit, replayBufBytes)))
 	var off int64
 	hdr := make([]byte, recHeaderSize)
 	var scratch []byte

@@ -145,11 +145,6 @@ type Log struct {
 	segBytes int64
 	// syncOnAppend forces an fsync per batch (forced log writes).
 	syncOnAppend bool
-	// noGroupCommit serializes appends with one write+fsync each (the
-	// pre-group-commit behaviour, kept as an ablation baseline).
-	noGroupCommit bool
-	// bufferedScan selects the buffered Open-time validation scan.
-	bufferedScan bool
 	// faults is the named fault-point registry traversed at the Crash*
 	// points (nil-safe; inert unless a test arms a point).
 	faults *fault.Registry
@@ -227,10 +222,6 @@ type Options struct {
 	// SyncOnAppend forces the file to stable storage after each append
 	// batch. Benchmarks may disable it; correctness tests enable it.
 	SyncOnAppend bool
-	// NoGroupCommit disables append batching: every record is written and
-	// synced on its own under a single mutex. Exists so benchmarks and
-	// experiments (DESIGN.md §6, E12) can quantify what group commit buys.
-	NoGroupCommit bool
 	// SegmentBytes is the segment rotation threshold (default
 	// DefaultSegmentBytes). A segment may overshoot by one append batch.
 	SegmentBytes int64
@@ -240,12 +231,6 @@ type Options struct {
 	// crash; tests then reopen the directory and assert recovery. Never
 	// armed in production.
 	Faults *fault.Registry
-	// BufferedScan streams the Open-time segment-validation scan through a
-	// large read buffer with a reused scratch body, instead of two read
-	// calls and one allocation per record. Half of the pipelined restart
-	// (DESIGN.md §3.7, the other half is ReplayPipelined); off by default
-	// so the serial-replay ablation measures the original path.
-	BufferedScan bool
 }
 
 func segName(start int64) string { return fmt.Sprintf("%020d%s", start, segSuffix) }
@@ -280,13 +265,11 @@ func Open(path string, opts Options) (*Log, error) {
 	}
 	os.Remove(filepath.Join(path, markTmpName)) //nolint:errcheck // stray tmp from a crashed checkpoint
 	l := &Log{
-		dir:           path,
-		segBytes:      opts.SegmentBytes,
-		syncOnAppend:  opts.SyncOnAppend,
-		noGroupCommit: opts.NoGroupCommit,
-		bufferedScan:  opts.BufferedScan,
-		faults:        opts.Faults,
-		writeSem:      make(chan struct{}, 1),
+		dir:          path,
+		segBytes:     opts.SegmentBytes,
+		syncOnAppend: opts.SyncOnAppend,
+		faults:       opts.Faults,
+		writeSem:     make(chan struct{}, 1),
 	}
 	if l.segBytes <= 0 {
 		l.segBytes = DefaultSegmentBytes
@@ -429,7 +412,9 @@ func readMark(dir string) int64 {
 
 // scanSegments validates contiguity and record integrity across the segment
 // chain, truncating at the first tear and dropping any segments after it.
-// It returns the total valid log size and the surviving segment starts.
+// It returns the total valid log size and the surviving segment starts. The
+// scan reads through iterateRecordsBuffered, whose reader is sized to the
+// segment, and checks bodies in one reused scratch buffer.
 func (l *Log) scanSegments(starts []int64) (int64, []int64, error) {
 	size := starts[0]
 	for i, st := range starts {
@@ -452,11 +437,7 @@ func (l *Log) scanSegments(starts []int64) (int64, []int64, error) {
 			f.Close()
 			return 0, nil, fmt.Errorf("wal: stat segment: %w", err)
 		}
-		scan := iterateRecords
-		if l.bufferedScan {
-			scan = iterateRecordsBuffered
-		}
-		valid, err := scan(f, st, fi.Size(), 0, nil)
+		valid, err := iterateRecordsBuffered(f, st, fi.Size(), 0, nil)
 		f.Close()
 		if err != nil {
 			return 0, nil, err
@@ -579,15 +560,6 @@ func (l *Log) AppendAsync(t RecordType, owner string, payload []byte) (func() (L
 	}
 	fb.b = buf
 	atomic.AddUint64(&l.appends, 1)
-	if l.noGroupCommit {
-		lsn, err := l.appendSerial(buf)
-		putFrameBuf(fb) // written (or refused); the bytes are dead either way
-		if err != nil {
-			return nil, err
-		}
-		return func() (LSN, error) { return lsn, nil }, nil
-	}
-
 	req := &commitReq{buf: buf, fb: fb, done: make(chan struct{})}
 	l.mu.Lock()
 	if l.closed {
@@ -619,55 +591,6 @@ func (l *Log) AppendAsync(t RecordType, owner string, payload []byte) (func() (L
 		}
 		return req.lsn, req.err
 	}, nil
-}
-
-// appendSerial is the ablation path: one write and one fsync per record,
-// fully serialized on the write slot.
-func (l *Log) appendSerial(buf []byte) (LSN, error) {
-	l.writeSem <- struct{}{}
-	defer func() { <-l.writeSem }()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return 0, err
-	}
-	lsn := LSN(l.size)
-	l.size += int64(len(buf))
-	shipper := l.shipper
-	l.mu.Unlock()
-	atomic.AddUint64(&l.batches, 1)
-	if err := l.faults.At(FaultAppendSync); err != nil {
-		werr := fmt.Errorf("wal: write: %w", err)
-		l.fail(werr)
-		return 0, werr
-	}
-	startOff := l.written
-	if _, err := l.f.Write(buf); err != nil {
-		l.fail(err)
-		return 0, fmt.Errorf("wal: write: %w", err)
-	}
-	l.written += int64(len(buf))
-	if l.syncOnAppend {
-		atomic.AddUint64(&l.syncs, 1)
-		if err := l.f.Sync(); err != nil {
-			l.fail(err)
-			return 0, fmt.Errorf("wal: sync: %w", err)
-		}
-	}
-	if shipper != nil {
-		if err := shipper.Ship(LSN(startOff), buf, 1); err != nil {
-			werr := fmt.Errorf("wal: ship: %w", err)
-			l.fail(werr)
-			return 0, werr
-		}
-	}
-	l.maybeRotate()
-	return lsn, nil
 }
 
 // SetShipper installs (or, with nil, removes) the synchronous batch shipper.
