@@ -14,6 +14,12 @@
 // Workstations must heartbeat (ClientTM.StartHeartbeat): the lease reaper
 // (DESIGN.md §5.3) reclaims DOPs and locks of a session silent for 10 s.
 //
+// The server checkpoints (DESIGN.md §3.8): whenever the repository log has
+// grown server.DefaultCheckpointLogBytes (8 MiB) past its low-water mark,
+// the primary — a standby once promoted — writes what changed since the
+// last snapshot to the chain under -data and drops the covered log prefix,
+// so a restart loads the chain and replays at most that much log.
+//
 // Usage:
 //
 //	concordd -addr :7070 -data /var/lib/concord
@@ -104,6 +110,7 @@ func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, 
 	if standbyOf != "" {
 		banner = "standby of " + standbyOf + " serving replication"
 		sb := server.NewStandby(r, plog, newClient(trans, "standby-cb"), server.Options{})
+		sb.OnPromoted = startCheckpointer
 		defer sb.Close()
 		handler, recv = sb.Handler(), sb.Receiver()
 		health = func() string {
@@ -120,6 +127,7 @@ func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, 
 			return err
 		}
 		defer site.Close()
+		startCheckpointer(site)
 		replClient := newClient(trans, "repl")
 		site.Handle(methodAttach, func(_ string, payload []byte) ([]byte, error) {
 			rd := binenc.NewReader(payload)
@@ -153,6 +161,13 @@ func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, 
 	}
 	serveUntilSignal(healthEvery, health)
 	return nil
+}
+
+// startCheckpointer runs the site's background checkpointer at the one
+// threshold every deployment uses: the primary from boot, a standby from
+// its promotion.
+func startCheckpointer(site *server.Site) {
+	site.StartCheckpointer(server.DefaultCheckpointLogBytes)
 }
 
 // attachLoop announces the standby's replication address to the primary until

@@ -232,6 +232,15 @@ func (r *Reader) Blob() []byte {
 	return append([]byte(nil), b...)
 }
 
+// BlobView reads a length-prefixed byte slice without copying it: the
+// result aliases the reader's buffer, its capacity clipped to its length so
+// an append cannot reach the bytes behind it. It stays valid exactly as long
+// as the buffer does.
+func (r *Reader) BlobView() []byte {
+	b := r.take(r.U64())
+	return b[:len(b):len(b)]
+}
+
 // Strs reads a count-prefixed string slice (nil when empty).
 func (r *Reader) Strs() []string {
 	n := r.U64()

@@ -56,18 +56,16 @@ type Options struct {
 	// CheckpointLogBytes is the background checkpointer's trigger: once the
 	// repository log has grown this many bytes past its low-water mark, a
 	// checkpoint (repository snapshot + participant-log compaction) runs.
-	// 0 uses DefaultCheckpointLogBytes. Explicit System.Checkpoint calls
-	// work regardless.
+	// 0 uses server.DefaultCheckpointLogBytes. Explicit System.Checkpoint
+	// calls work regardless.
 	CheckpointLogBytes int64
 	// SegmentBytes is the WAL segment rotation threshold for the server
 	// logs (0 uses wal.DefaultSegmentBytes).
 	SegmentBytes int64
-	// CheckpointMaxChain bounds the repository's incremental snapshot chain
-	// before a full rebase (0 uses repo.DefaultCheckpointMaxChain).
+	// CheckpointMaxChain is repo.Options.CheckpointMaxChain: a chain length
+	// that forces a full rebase on top of the repository's byte rule (0 sets
+	// no count bound).
 	CheckpointMaxChain int
-	// CheckpointMaxChainBytes bounds the chain's total payload bytes before
-	// a full rebase (0 uses repo.DefaultCheckpointMaxChainBytes).
-	CheckpointMaxChainBytes int64
 	// Faults is the named fault-point registry threaded through every
 	// component (repository, WAL, 2PC participant and coordinators,
 	// server-TM, notifier). Nil-safe and inert unless a scenario arms a
@@ -102,10 +100,6 @@ type Options struct {
 	// the window drains. 0 means unbounded.
 	ReplLagMax int64
 }
-
-// DefaultCheckpointLogBytes is the background checkpoint trigger used when
-// Options.CheckpointLogBytes is zero.
-const DefaultCheckpointLogBytes int64 = 8 << 20
 
 // System is a complete single-process CONCORD deployment: one server site
 // and any number of workstation sites over an in-process LAN.
@@ -215,7 +209,7 @@ func (s *System) incarnationClient(role string) *rpc.Client {
 func (s *System) startCheckpointer(site *server.Site) {
 	threshold := s.opts.CheckpointLogBytes
 	if threshold <= 0 {
-		threshold = DefaultCheckpointLogBytes
+		threshold = server.DefaultCheckpointLogBytes
 	}
 	site.StartCheckpointer(threshold)
 }
@@ -226,11 +220,10 @@ func (s *System) startServer() error {
 	dir := s.serverDir()
 	r, err := repo.Open(s.cat, repo.Options{
 		Dir: dir, Sync: dir != "",
-		SegmentBytes:            s.opts.SegmentBytes,
-		CheckpointMaxChain:      s.opts.CheckpointMaxChain,
-		CheckpointMaxChainBytes: s.opts.CheckpointMaxChainBytes,
-		DegradedOnWALFailure:    s.opts.DegradedOnWALFailure,
-		Faults:                  s.opts.Faults,
+		SegmentBytes:         s.opts.SegmentBytes,
+		CheckpointMaxChain:   s.opts.CheckpointMaxChain,
+		DegradedOnWALFailure: s.opts.DegradedOnWALFailure,
+		Faults:               s.opts.Faults,
 	})
 	if err != nil {
 		return err

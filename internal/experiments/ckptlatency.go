@@ -93,7 +93,8 @@ func RunCheckpointLatency(checkins int) (CheckpointLatencyResult, error) {
 		prev = version.ID(id)
 	}
 	// One checkpoint up front so the During phase starts from a published
-	// chain (its loop then alternates incremental deltas and rebases).
+	// chain (its loop then stacks incremental deltas, rebasing whenever they
+	// reach the base's size).
 	if err := r.Checkpoint(); err != nil {
 		return res, err
 	}
@@ -212,7 +213,7 @@ func E19CheckpointLatency() (Report, error) {
 		})
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("%d live DOVs; %d timed checkins per phase; background checkpointer loops during the ckpt phase", ckptLatLiveDOVs, checkins),
-		"incremental = COW cut (pointer capture under the exclusive lock, encode off-lock) + dirty-shard deltas",
+		"incremental = COW cut (pointer capture under the exclusive lock, encode off-lock) + per-record deltas",
 		"quiescent = full snapshot encoded while holding the repository lock exclusively, the pre-incremental design; pinned figures (rev a673287d7e97), not re-measured",
 	)
 	return rep, nil

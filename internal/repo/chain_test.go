@@ -4,8 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"concord/internal/catalog"
+	"concord/internal/version"
 )
 
 // snapFiles lists the chain payload files currently on disk.
@@ -58,27 +64,199 @@ func TestIncrementalChainAndRebase(t *testing.T) {
 	}
 }
 
+// openFast opens a repository without a forced log write per operation, for
+// tests that build large states; a Close makes the log durable.
+func openFast(t *testing.T, dir string) *Repository {
+	t.Helper()
+	r, err := Open(testCatalog(t), Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// checkinRoots checks in n root versions named prefix0..prefix<n-1>.
+func checkinRoots(t *testing.T, r *Repository, prefix string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := r.Checkin(mkDOV(fmt.Sprintf("%s%d", prefix, i), "da", float64(i)), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestIncrementalCheckpointSkipsCleanShards asserts the delta actually is a
-// delta: after a full checkpoint, an update touching one DOV produces an
-// incremental payload far smaller than the base.
+// delta of records, not of shards: version IDs hash across all 64 shards,
+// so eleven changes dirty eleven shards, yet the delta after a 2000-version
+// base carries only the ten new versions and the one whose status flipped.
 func TestIncrementalCheckpointSkipsCleanShards(t *testing.T) {
-	dir := t.TempDir()
-	r := openRepoOpts(t, dir, Options{})
-	churn(t, r, "a-", 64, 0)
+	const base = 2000
+	r := openFast(t, t.TempDir())
+	if err := r.CreateGraph("da"); err != nil {
+		t.Fatal(err)
+	}
+	checkinRoots(t, r, "v", base)
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	_, baseBytes := r.SnapshotChain()
-	if err := r.SetStatus("a-v000", 2); err != nil {
+	checkinRoots(t, r, "new", 10)
+	if err := r.SetStatus("v7", version.StatusFinal); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	_, chainBytes := r.SnapshotChain()
-	inc := chainBytes - baseBytes
-	if inc <= 0 || inc >= baseBytes/4 {
-		t.Fatalf("one-DOV delta = %d bytes against a %d-byte base: not incremental", inc, baseBytes)
+	n, chainBytes := r.SnapshotChain()
+	inc, recBytes := chainBytes-baseBytes, baseBytes/base+1
+	if n != 2 || inc > 12*recBytes+4<<10 {
+		t.Fatalf("delta of 11 changed versions = %d bytes (chain of %d) against %d-byte records: not per-record", inc, n, recBytes)
+	}
+}
+
+// TestRebaseStreamsState pins the streamed base: a full checkpoint of a
+// 64 MiB repository allocates a few buffers, not a copy of the state.
+func TestRebaseStreamsState(t *testing.T) {
+	const n, size = 1024, 64 << 10
+	r := openFast(t, t.TempDir())
+	if err := r.CreateGraph("da"); err != nil {
+		t.Fatal(err)
+	}
+	cell := strings.Repeat("x", size)
+	for i := 0; i < n; i++ {
+		obj := catalog.NewObject("floorplan").Set("cell", catalog.Str(cell)).Set("area", catalog.Float(float64(i)))
+		if err := r.Checkin(&version.DOV{ID: version.ID(fmt.Sprintf("v%04d", i)), DOT: "floorplan", DA: "da", Object: obj}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	elems, baseBytes := r.SnapshotChain()
+	t.Logf("rebase of %d MiB allocated %.2f MiB", baseBytes>>20, float64(alloc)/(1<<20))
+	if elems != 1 || baseBytes < n*size {
+		t.Fatalf("chain = %d elements, %d bytes; want one base holding %d bytes of payload", elems, baseBytes, n*size)
+	}
+	if alloc >= 8<<20 {
+		t.Fatalf("rebase of a %d-byte state allocated %d bytes", baseBytes, alloc)
+	}
+}
+
+// TestWholeShardDeltaFoldsLikePerRecord keeps deltas written with whole
+// dirty shards loadable: the same cut written that way — every record of
+// each dirty shard, a superset of the per-record delta in the same layout —
+// must fold to the same state.
+func TestWholeShardDeltaFoldsLikePerRecord(t *testing.T) {
+	dir := t.TempDir()
+	r := openFast(t, dir)
+	churn(t, r, "a-", 200, 0)
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, r, "b-", 20, 30)
+	// The cut the next checkpoint will take, widened to whole shards.
+	r.ckptMu.Lock()
+	r.mu.Lock()
+	wide := r.captureCutLocked(false)
+	r.mu.Unlock()
+	r.ckptMu.Unlock()
+	wide.since = [idxShards]uint64{}
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := digest(t, r)
+	r.Close()
+	r2 := openFast(t, dir)
+	if got := digest(t, r2); got != want {
+		t.Fatalf("per-record delta recovery differs:\n--- want\n%s--- got\n%s", want, got)
+	}
+	r2.Close()
+
+	inc := filepath.Join(dir, snapFileName(wide.snapLSN, false))
+	perRecord, err := os.Stat(inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw := newPayloadWriter(f)
+	wide.writeInc(pw)
+	if err := pw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(pw.trailer()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.Stat(inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Size() <= perRecord.Size() {
+		t.Fatalf("whole-shard delta %d bytes, per-record %d: not a superset", whole.Size(), perRecord.Size())
+	}
+	if got := digest(t, openFast(t, dir)); got != want {
+		t.Fatalf("whole-shard delta recovery differs:\n--- want\n%s--- got\n%s", want, got)
+	}
+}
+
+// TestFirstCheckpointAfterOpenIsIncremental: records loaded from the chain
+// are clean, everything the log suffix replays is dirty — new versions, a
+// status change of a chain-loaded version, the metadata store — so the
+// first checkpoint after a restart is a delta holding exactly the suffix.
+// A repository without a chain still starts with a base.
+func TestFirstCheckpointAfterOpenIsIncremental(t *testing.T) {
+	dir := t.TempDir()
+	r := openRepoOpts(t, dir, Options{})
+	churn(t, r, "a-", 40, 0)
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := r.SnapshotChain(); n != 1 {
+		t.Fatalf("first checkpoint of a fresh repository: chain of %d, want a base", n)
+	}
+	checkinRoots(t, r, "suffix-", 5)
+	if err := r.SetStatus("a-v003", version.StatusFinal); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.PutMeta("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	want := digest(t, r)
+	r.Close()
+
+	r2 := openRepoOpts(t, dir, Options{})
+	if err := r2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := r2.SnapshotChain(); n != 2 {
+		t.Fatalf("first checkpoint after reopen: chain of %d, want base + delta", n)
+	}
+	p, _, err := readSnapFile(filepath.Join(dir, snapFileName(r2.SnapshotLSN(), false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, dr := range p.recs {
+		got = append(got, string(dr.ID))
+	}
+	sort.Strings(got)
+	wantIDs := []string{"a-v003", "suffix-0", "suffix-1", "suffix-2", "suffix-3", "suffix-4"}
+	if !slices.Equal(got, wantIDs) || string(p.meta["k"]) != "v" {
+		t.Fatalf("delta after reopen holds %v (meta %q), want %v and the metadata store", got, p.meta, wantIDs)
+	}
+	r2.Close()
+	if got := digest(t, openRepoOpts(t, dir, Options{})); got != want {
+		t.Fatalf("recovery through the post-restart delta differs:\n--- want\n%s--- got\n%s", want, got)
 	}
 }
 
@@ -119,6 +297,20 @@ func TestTornManifestTailRecovers(t *testing.T) {
 	}
 	if got := digest(t, r2); got != want {
 		t.Fatalf("torn manifest tail lost state:\n--- want\n%s--- got\n%s", want, got)
+	}
+	// A delta appended behind the garbage would never be parsed, so the
+	// next checkpoint rebases instead, and what it covers survives.
+	churn(t, r2, "c-", 2, 20)
+	if err := r2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := r2.SnapshotChain(); n != 1 {
+		t.Fatalf("checkpoint over a torn manifest: chain of %d, want a rebase", n)
+	}
+	want = digest(t, r2)
+	r2.Close()
+	if got := digest(t, openRepoOpts(t, dir, Options{SegmentBytes: 4 << 10})); got != want {
+		t.Fatalf("checkpoint over a torn manifest lost state:\n--- want\n%s--- got\n%s", want, got)
 	}
 }
 

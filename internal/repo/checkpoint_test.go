@@ -54,7 +54,7 @@ func churn(t *testing.T, r *Repository, tag string, dovs, rounds int) {
 
 // crashCheckpointAt drives checkpoints (forcing a little log growth before
 // each attempt) until the armed point delivers its error. The first
-// checkpoint after Open is always a full rebase, so the incremental-only
+// checkpoint of a fresh repository is a full rebase, so the incremental-only
 // points (CrashInc*) fire on the second attempt, which runs the delta path.
 func crashCheckpointAt(t *testing.T, r *Repository, reg *fault.Registry, point string, crash error) {
 	t.Helper()

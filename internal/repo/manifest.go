@@ -1,14 +1,18 @@
 package repo
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"concord/internal/binenc"
 	"concord/internal/catalog"
@@ -87,17 +91,17 @@ func encodeManifest(entries []manifestEntry) []byte {
 // entries (kind 3, promotion fencing — DESIGN.md §5.4) sit outside the
 // chain-shape rules: they may appear anywhere, the highest value wins, and
 // they are not returned as chain elements. Everything from the first invalid
-// frame on — a torn append, appended garbage — is ignored.
-func parseManifest(data []byte) ([]manifestEntry, uint64) {
-	var out []manifestEntry
-	var epoch uint64
-	for len(data) >= 8 {
-		n := binary.LittleEndian.Uint32(data[:4])
-		crc := binary.LittleEndian.Uint32(data[4:8])
-		if n == 0 || uint64(n) > uint64(len(data)-8) {
+// frame on — a torn append, appended garbage — is ignored; valid reports
+// the length of the prefix that was not.
+func parseManifest(data []byte) (chain []manifestEntry, epoch uint64, valid int) {
+	for len(data)-valid >= 8 {
+		rest := data[valid:]
+		n := binary.LittleEndian.Uint32(rest[:4])
+		crc := binary.LittleEndian.Uint32(rest[4:8])
+		if n == 0 || uint64(n) > uint64(len(rest)-8) {
 			break
 		}
-		p := data[8 : 8+n]
+		p := rest[8 : 8+n]
 		if crc32.ChecksumIEEE(p) != crc {
 			break
 		}
@@ -113,23 +117,20 @@ func parseManifest(data []byte) ([]manifestEntry, uint64) {
 			if e.file != epochEntryFile {
 				break
 			}
-			if uint64(e.lsn) > epoch {
-				epoch = uint64(e.lsn)
-			}
-			data = data[8+n:]
-			continue
-		}
-		if len(out) == 0 {
-			if e.kind != manifestKindBase {
+			epoch = max(epoch, uint64(e.lsn))
+		} else {
+			if len(chain) == 0 {
+				if e.kind != manifestKindBase {
+					break
+				}
+			} else if e.kind != manifestKindInc || e.lsn <= chain[len(chain)-1].lsn {
 				break
 			}
-		} else if e.kind != manifestKindInc || e.lsn <= out[len(out)-1].lsn {
-			break
+			chain = append(chain, e)
 		}
-		out = append(out, e)
-		data = data[8+n:]
+		valid += 8 + int(n)
 	}
-	return out, epoch
+	return chain, epoch, valid
 }
 
 // isSnapPayloadName reports whether a directory entry is a chain payload
@@ -171,8 +172,8 @@ func (r *Repository) rebaseManifest(entries []manifestEntry) error {
 }
 
 // appendManifest appends one fsynced frame to the manifest (incremental
-// checkpoint). The manifest must already exist — an append can only follow a
-// successful full checkpoint in this process.
+// checkpoint). The manifest must already exist — an append only follows a
+// full checkpoint of this process or a chain Open loaded whole.
 func (r *Repository) appendManifest(e manifestEntry) error {
 	f, err := os.OpenFile(filepath.Join(r.dir, manifestName), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -192,158 +193,232 @@ func (r *Repository) appendManifest(e manifestEntry) error {
 	return nil
 }
 
-// baseSnap is a decoded CCSNAP01 payload.
-type baseSnap struct {
+// snapPayload is one decoded chain element: a base (CCSNAP01) or an
+// incremental delta (CCINCR01).
+type snapPayload struct {
+	base    bool
 	snapLSN wal.LSN
-	seq     uint64
-	daNames []string
-	recs    []dovRecord
-	meta    map[string][]byte
-}
-
-// decodeBasePayload decodes a full snapshot payload (CRC already verified
-// and stripped by the caller).
-func decodeBasePayload(payload []byte) (*baseSnap, error) {
-	rd := binenc.NewReader(payload)
-	if rd.Str() != snapMagic {
-		return nil, errors.New("repo: bad snapshot magic")
-	}
-	b := &baseSnap{snapLSN: wal.LSN(rd.U64()), seq: rd.U64(), daNames: rd.Strs()}
-	nDOVs := rd.U64()
-	for i := uint64(0); i < nDOVs && rd.Err() == nil; i++ {
-		dr, err := decodeDOVRecord(rd.Blob())
-		if err != nil {
-			return nil, fmt.Errorf("repo: snapshot DOV: %w", err)
-		}
-		b.recs = append(b.recs, dr)
-	}
-	b.meta = make(map[string][]byte)
-	nMeta := rd.U64()
-	for i := uint64(0); i < nMeta && rd.Err() == nil; i++ {
-		k := rd.Str()
-		b.meta[k] = rd.Blob()
-	}
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("repo: decode snapshot: %w", err)
-	}
-	return b, nil
-}
-
-// incShard is one dirty shard's complete replacement record set.
-type incShard struct {
-	idx  int
-	recs []dovRecord
-}
-
-// incSnap is a decoded CCINCR01 payload.
-type incSnap struct {
-	snapLSN wal.LSN
+	// prevLSN is a delta's predecessor link: the coverage of the chain
+	// element it was cut after.
 	prevLSN wal.LSN
 	seq     uint64
 	daNames []string
-	hasMeta bool
-	meta    map[string][]byte
-	shards  []incShard
+	// meta is the whole metadata store; nil for a delta cut while the store
+	// was clean.
+	meta map[string][]byte
+	recs []dovRecord
 }
 
-// decodeIncPayload decodes an incremental delta payload (CRC already
-// verified and stripped by the caller).
-func decodeIncPayload(payload []byte) (*incSnap, error) {
-	rd := binenc.NewReader(payload)
-	if rd.Str() != incMagic {
-		return nil, errors.New("repo: bad delta magic")
+// streamReader is binenc.Reader's counterpart over a stream, with the same
+// sticky error. Every length is checked against the payload bytes left, so
+// a corrupt prefix cannot make it allocate more than the file holds, and
+// every byte slice it returns is a fresh buffer the caller may keep.
+type streamReader struct {
+	br  *bufio.Reader
+	lr  *io.LimitedReader // the payload, trailer excluded, beneath br
+	err error
+}
+
+func (s *streamReader) fail(err error) {
+	if s.err == nil {
+		s.err = err
 	}
-	s := &incSnap{
-		snapLSN: wal.LSN(rd.U64()), prevLSN: wal.LSN(rd.U64()),
-		seq: rd.U64(), daNames: rd.Strs(), hasMeta: rd.Bool(),
+}
+
+// left reports the payload bytes not yet consumed.
+func (s *streamReader) left() uint64 { return uint64(s.lr.N) + uint64(s.br.Buffered()) }
+
+func (s *streamReader) u64() uint64 {
+	if s.err != nil {
+		return 0
 	}
-	if s.hasMeta {
-		s.meta = make(map[string][]byte)
-		nMeta := rd.U64()
-		for i := uint64(0); i < nMeta && rd.Err() == nil; i++ {
-			k := rd.Str()
-			s.meta[k] = rd.Blob()
+	v, err := binary.ReadUvarint(s.br)
+	if err != nil {
+		s.fail(err)
+	}
+	return v
+}
+
+func (s *streamReader) bool() bool {
+	if s.err != nil {
+		return false
+	}
+	b, err := s.br.ReadByte()
+	if err != nil {
+		s.fail(err)
+	}
+	return b != 0
+}
+
+func (s *streamReader) bytes(n uint64) []byte {
+	if s.err != nil {
+		return nil
+	}
+	if n > s.left() {
+		s.fail(binenc.ErrCorrupt)
+		return nil
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(s.br, b); err != nil {
+		s.fail(err)
+		return nil
+	}
+	return b
+}
+
+func (s *streamReader) str() string { return string(s.bytes(s.u64())) }
+
+func (s *streamReader) strs() []string {
+	n := s.u64()
+	if n > s.left() { // each element needs at least one byte
+		s.fail(binenc.ErrCorrupt)
+		return nil
+	}
+	var out []string
+	for i := uint64(0); i < n && s.err == nil; i++ {
+		out = append(out, s.str())
+	}
+	return out
+}
+
+// records appends a count-prefixed record list to dst. Each record is read
+// into a buffer of its own, which its Object aliases: that buffer becomes
+// the version's resident encoding.
+func (s *streamReader) records(dst []dovRecord) []dovRecord {
+	n := s.u64()
+	for i := uint64(0); i < n && s.err == nil; i++ {
+		b := s.bytes(s.u64())
+		if s.err != nil {
+			break
 		}
-	}
-	nShards := rd.U64()
-	for i := uint64(0); i < nShards && rd.Err() == nil; i++ {
-		sh := incShard{idx: int(rd.U64())}
-		if sh.idx < 0 || sh.idx >= idxShards {
-			return nil, fmt.Errorf("repo: delta shard index %d out of range", sh.idx)
+		dr, err := decodeDOVRecord(b)
+		if err != nil {
+			s.fail(fmt.Errorf("DOV record: %w", err))
+			break
 		}
-		nRecs := rd.U64()
-		for j := uint64(0); j < nRecs && rd.Err() == nil; j++ {
-			dr, err := decodeDOVRecord(rd.Blob())
-			if err != nil {
-				return nil, fmt.Errorf("repo: delta DOV: %w", err)
+		dst = append(dst, dr)
+	}
+	return dst
+}
+
+func (s *streamReader) meta() map[string][]byte {
+	n := s.u64()
+	m := make(map[string][]byte)
+	for i := uint64(0); i < n && s.err == nil; i++ {
+		k := s.str()
+		m[k] = s.bytes(s.u64())
+	}
+	return m
+}
+
+// readPayload decodes one chain payload of size bytes (4-byte CRC trailer
+// included) as it streams in from src, and accepts it only if the trailer
+// matches every byte before it.
+func readPayload(src io.Reader, size int64) (*snapPayload, error) {
+	if size < 4 {
+		return nil, errors.New("repo: snapshot payload too short")
+	}
+	lr := &io.LimitedReader{R: src, N: size - 4}
+	crc := crc32.NewIEEE()
+	s := &streamReader{br: bufio.NewReaderSize(io.TeeReader(lr, crc), 256<<10), lr: lr}
+	p := &snapPayload{}
+	switch s.str() {
+	case snapMagic:
+		p.base = true
+		p.snapLSN = wal.LSN(s.u64())
+		p.seq = s.u64()
+		p.daNames = s.strs()
+		p.recs = s.records(nil)
+		p.meta = s.meta()
+	case incMagic:
+		p.snapLSN = wal.LSN(s.u64())
+		p.prevLSN = wal.LSN(s.u64())
+		p.seq = s.u64()
+		p.daNames = s.strs()
+		if s.bool() {
+			p.meta = s.meta()
+		}
+		nShards := s.u64()
+		for i := uint64(0); i < nShards && s.err == nil; i++ {
+			if idx := s.u64(); idx >= idxShards {
+				return nil, fmt.Errorf("repo: delta shard index %d out of range", idx)
 			}
-			sh.recs = append(sh.recs, dr)
+			p.recs = s.records(p.recs)
 		}
-		s.shards = append(s.shards, sh)
+	default:
+		if s.err == nil {
+			return nil, errors.New("repo: bad snapshot magic")
+		}
 	}
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("repo: decode delta: %w", err)
+	if s.err != nil {
+		return nil, fmt.Errorf("repo: decode snapshot: %w", s.err)
 	}
-	return s, nil
+	// The CRC covers the whole payload, bytes the decoder did not need
+	// included.
+	if _, err := io.Copy(io.Discard, s.br); err != nil {
+		return nil, fmt.Errorf("repo: read snapshot: %w", err)
+	}
+	var trailer [4]byte
+	if _, err := io.ReadFull(src, trailer[:]); err != nil {
+		return nil, fmt.Errorf("repo: read snapshot trailer: %w", err)
+	}
+	if crc.Sum32() != binary.LittleEndian.Uint32(trailer[:]) {
+		return nil, errors.New("repo: snapshot checksum mismatch")
+	}
+	return p, nil
 }
 
-// chainFold accumulates the effect of a manifest chain. Records live in
-// per-shard maps because an incremental element replaces whole shards: its
-// record set for a dirty shard supersedes every earlier record of that
-// shard, while clean shards carry over — no tombstones needed, since the
-// repository never deletes versions.
+// readSnapFile streams one chain payload file through readPayload and
+// returns it with the file's size.
+func readSnapFile(path string) (*snapPayload, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("repo: read snapshot: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("repo: read snapshot: %w", err)
+	}
+	p, err := readPayload(f, fi.Size())
+	return p, fi.Size(), err
+}
+
+// chainFold accumulates the effect of a manifest chain. A base resets it;
+// every element then merges its records by version ID — a later record of
+// a version supersedes the earlier one, and since the repository never
+// deletes a version no tombstones are needed. A delta that carries each
+// dirty shard whole is a superset of the per-record one, so merging it
+// gives the same state.
 type chainFold struct {
 	coverage wal.LSN
 	seq      uint64
 	daNames  []string
 	meta     map[string][]byte
-	shards   [idxShards]map[version.ID]dovRecord
+	recs     map[version.ID]dovRecord
 }
 
-// foldBase resets the fold to a full snapshot.
-func (f *chainFold) foldBase(b *baseSnap) {
-	f.coverage = b.snapLSN
-	f.seq = b.seq
-	f.daNames = b.daNames
-	f.meta = b.meta
-	for i := range f.shards {
-		f.shards[i] = nil
+// fold layers one chain element on top of the fold.
+func (f *chainFold) fold(p *snapPayload) {
+	if p.base {
+		f.recs = make(map[version.ID]dovRecord, len(p.recs))
 	}
-	for _, dr := range b.recs {
-		f.placeRecord(dr)
+	f.coverage = p.snapLSN
+	f.seq = p.seq
+	f.daNames = p.daNames
+	if p.meta != nil {
+		f.meta = p.meta
 	}
-}
-
-// foldInc layers one incremental delta on top of the fold.
-func (f *chainFold) foldInc(s *incSnap) {
-	f.coverage = s.snapLSN
-	f.seq = s.seq
-	f.daNames = s.daNames
-	if s.hasMeta {
-		f.meta = s.meta
+	for _, dr := range p.recs {
+		f.recs[dr.ID] = dr
 	}
-	for _, sh := range s.shards {
-		f.shards[sh.idx] = nil // whole-shard replacement
-		for _, dr := range sh.recs {
-			f.placeRecord(dr)
-		}
-	}
-}
-
-// placeRecord stores a record under its ID's true shard (recomputed, not
-// trusted from the file, so a corrupt shard index cannot misplace state).
-func (f *chainFold) placeRecord(dr dovRecord) {
-	i := shardOf(dr.ID)
-	if f.shards[i] == nil {
-		f.shards[i] = make(map[version.ID]dovRecord)
-	}
-	f.shards[i][dr.ID] = dr
 }
 
 // install materializes the folded state into the recovering repository:
 // DA graphs, staged index entries (in Seq order, so every derivation edge
 // re-wires exactly as replay would build it), metadata and the sequence
-// counter.
+// counter. Every payload is parsed first as a validity check, as replay
+// does, on a worker pool; the record's own buffer is what stays resident.
 func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) error {
 	r.seq.Store(f.seq)
 	for _, da := range f.daNames {
@@ -351,23 +426,19 @@ func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) err
 			r.das[da] = &daState{g: version.NewGraph(da)}
 		}
 	}
-	var recs []dovRecord
-	for i := range f.shards {
-		for _, dr := range f.shards[i] {
-			recs = append(recs, dr)
-		}
+	recs := make([]dovRecord, 0, len(f.recs))
+	for _, dr := range f.recs {
+		recs = append(recs, dr)
 	}
 	// Seq order: parents always precede children (a parent's Seq is
 	// allocated first), so graph inserts re-wire every derivation edge
 	// exactly as replay would.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
+	if err := validatePayloads(recs, r.decodeWorkers()); err != nil {
+		return err
+	}
 	for i := range recs {
-		// Parsed as a validity check only, as replay does: the record's
-		// encoding is what stays resident.
-		if _, err := catalog.DecodeObject(recs[i].Object); err != nil {
-			return err
-		}
-		if err := r.installRecovered(&recs[i], staging); err != nil {
+		if err := r.installRecovered(&recs[i], staging, 0); err != nil {
 			return err
 		}
 	}
@@ -377,9 +448,31 @@ func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) err
 	return nil
 }
 
+// validatePayloads decodes every record's payload on a pool of workers and
+// reports the first failure; the decoded objects are dropped.
+func validatePayloads(recs []dovRecord, workers int) error {
+	var next atomic.Int64
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(recs)); i = next.Add(1) - 1 {
+				if _, err := catalog.DecodeObject(recs[i].Object); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // loadSnapshotChain restores repository state from the durable snapshot
-// chain into the recovery staging map and returns the chain plus the log
-// position it covers. Resolution order:
+// chain into the recovery staging map and records the chain it loaded, its
+// bytes and the log position it covers. Resolution order:
 //
 //   - manifest present: fold its longest loadable prefix (parse stops at a
 //     torn tail; loading stops at a missing/corrupt payload file or a delta
@@ -389,7 +482,11 @@ func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) err
 //   - no manifest, legacy single snapshot file: load it as a one-element
 //     chain (pre-chain format compatibility).
 //   - neither: full replay from LSN 0.
-func (r *Repository) loadSnapshotChain(staging map[version.ID]*dovEntry) (wal.LSN, []manifestEntry, int64, error) {
+//
+// Only a chain that is the whole manifest leaves the next checkpoint free
+// to append a delta; after a shortened one it rebases, rewriting the
+// manifest without the unloadable tail.
+func (r *Repository) loadSnapshotChain(staging map[version.ID]*dovEntry) error {
 	os.Remove(filepath.Join(r.dir, manifestTmpName)) //nolint:errcheck // stray tmp from a crashed rebase
 	os.Remove(filepath.Join(r.dir, snapTmpName))     //nolint:errcheck // stray tmp from a pre-chain crash
 
@@ -398,76 +495,67 @@ func (r *Repository) loadSnapshotChain(staging map[version.ID]*dovEntry) (wal.LS
 		return r.loadLegacySnapshot(staging)
 	}
 	if err != nil {
-		return 0, nil, 0, fmt.Errorf("repo: read manifest: %w", err)
+		return fmt.Errorf("repo: read manifest: %w", err)
 	}
-	entries, epoch := parseManifest(data)
+	entries, epoch, valid := parseManifest(data)
 	r.epoch.Store(epoch)
 	var fold chainFold
-	var kept []manifestEntry
-	var keptBytes int64
 	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(r.dir, e.file))
-		if err != nil {
+		p, size, err := readSnapFile(filepath.Join(r.dir, e.file))
+		// A delta whose predecessor link lies at or below the folded
+		// coverage is safe: its records are those changed since an older
+		// cut, a superset of the changes since the fold. A link beyond the
+		// coverage would leave a gap.
+		if err != nil || p.snapLSN != e.lsn || p.base != (e.kind == manifestKindBase) ||
+			!p.base && p.prevLSN > fold.coverage {
 			break
 		}
-		payload, err := checkCRC(raw)
-		if err != nil {
-			break
+		fold.fold(p)
+		r.chain = append(r.chain, e)
+		r.chainBytes += size
+		if p.base {
+			r.baseBytes = size
 		}
-		if e.kind == manifestKindBase {
-			b, err := decodeBasePayload(payload)
-			if err != nil || b.snapLSN != e.lsn {
-				break
-			}
-			fold.foldBase(b)
-		} else {
-			s, err := decodeIncPayload(payload)
-			// A delta whose predecessor link lies at or below the folded
-			// coverage is safe: its dirty set is relative to an older
-			// generation vector, i.e. a superset of the changes since the
-			// fold. A link beyond the coverage would leave a gap.
-			if err != nil || s.snapLSN != e.lsn || s.prevLSN > fold.coverage {
-				break
-			}
-			fold.foldInc(s)
-		}
-		kept = append(kept, e)
-		keptBytes += int64(len(raw))
 	}
-	if len(kept) == 0 {
-		return 0, nil, 0, nil
+	if len(r.chain) == 0 {
+		return nil
 	}
 	if err := fold.install(r, staging); err != nil {
-		return 0, nil, 0, err
+		return err
 	}
-	return fold.coverage, kept, keptBytes, nil
+	r.snapLSN = fold.coverage
+	if len(r.chain) == len(entries) && valid == len(data) {
+		// Chain-loaded records carry generation 0, so diffing against the
+		// zero vector makes the first checkpoint a delta of what the log
+		// suffix replays on top of them.
+		r.lastGens = &ckptGens{}
+	}
+	return nil
 }
 
 // loadLegacySnapshot loads the pre-chain single snapshot file, if present,
-// as a one-element chain.
-func (r *Repository) loadLegacySnapshot(staging map[version.ID]*dovEntry) (wal.LSN, []manifestEntry, int64, error) {
-	raw, err := os.ReadFile(filepath.Join(r.dir, legacySnapName))
+// as a one-element chain. The first checkpoint then rebases, migrating the
+// directory to the manifest scheme.
+func (r *Repository) loadLegacySnapshot(staging map[version.ID]*dovEntry) error {
+	p, size, err := readSnapFile(filepath.Join(r.dir, legacySnapName))
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil, 0, nil
+		return nil
 	}
+	// The legacy snapshot was only ever installed by a completed atomic
+	// rename, so corruption is an error, not a tear to tolerate.
 	if err != nil {
-		return 0, nil, 0, fmt.Errorf("repo: read snapshot: %w", err)
+		return err
 	}
-	payload, err := checkCRC(raw)
-	if err != nil {
-		// The legacy snapshot was only ever installed by a completed atomic
-		// rename, so corruption is an error, not a tear to tolerate.
-		return 0, nil, 0, err
-	}
-	b, err := decodeBasePayload(payload)
-	if err != nil {
-		return 0, nil, 0, err
+	if !p.base {
+		return errors.New("repo: legacy snapshot is not a full snapshot")
 	}
 	var fold chainFold
-	fold.foldBase(b)
+	fold.fold(p)
 	if err := fold.install(r, staging); err != nil {
-		return 0, nil, 0, err
+		return err
 	}
-	chain := []manifestEntry{{kind: manifestKindBase, file: legacySnapName, lsn: b.snapLSN}}
-	return b.snapLSN, chain, int64(len(raw)), nil
+	r.snapLSN = p.snapLSN
+	r.chain = []manifestEntry{{kind: manifestKindBase, file: legacySnapName, lsn: p.snapLSN}}
+	r.chainBytes, r.baseBytes = size, size
+	return nil
 }

@@ -58,6 +58,11 @@ type dovEntry struct {
 	// allowed). Snapshots must preserve the distinction so rebuilt graphs
 	// wire exactly the edges replay would.
 	root bool
+	// gen is the shard generation this record was published at — its dirty
+	// mark: an incremental checkpoint writes exactly the records newer than
+	// the previous cut's generation for their shard (DESIGN.md §3.8). 0 is
+	// a record restored from the snapshot chain, clean by definition.
+	gen uint64
 }
 
 // contentHash returns the memoized content hash of the entry's payload,
@@ -84,11 +89,12 @@ type idxShard struct {
 	// The channel is closed when the claim resolves (publish or unclaim),
 	// waking racers blocked in claim.
 	claims map[version.ID]chan struct{}
-	// gen counts publications into this shard — the incremental
-	// checkpointer's dirty mark (DESIGN.md §3.8). Written under mu by
-	// writers (who also hold the quiesce lock shared); read by the snapshot
-	// cut, which holds the quiesce lock exclusively, so the RWMutex
-	// ordering makes the plain read race-free.
+	// gen counts publications into this shard; each published record
+	// carries the value it was published at (dovEntry.gen), which is what
+	// the incremental checkpointer diffs against (DESIGN.md §3.8). Written
+	// under mu by writers (who also hold the quiesce lock shared); read by
+	// the snapshot cut, which holds the quiesce lock exclusively, so the
+	// RWMutex ordering makes the plain read race-free.
 	gen uint64
 }
 
@@ -194,8 +200,9 @@ func (x *dovIndex) put(id version.ID, e *dovEntry) {
 	for k, v := range *old {
 		next[k] = v
 	}
-	next[id] = e
 	s.gen++
+	e.gen = s.gen
+	next[id] = e
 	s.p.Store(&next)
 	s.mu.Unlock()
 }
@@ -223,14 +230,18 @@ func (x *dovIndex) each(fn func(version.ID, *dovEntry)) {
 
 // rebuild bulk-publishes the whole index in one pass per shard — recovery
 // inserts thousands of versions, and per-record copy-on-write would cost
-// O(n²/shards). Caller must own the repository exclusively (as at Open).
+// O(n²/shards). Each shard's generation starts at the highest its recovered
+// records carry, so a shard holding only chain-loaded records is clean.
+// Caller must own the repository exclusively (as at Open).
 func (x *dovIndex) rebuild(entries map[version.ID]*dovEntry) {
 	maps := make([]map[version.ID]*dovEntry, idxShards)
 	for i := range maps {
 		maps[i] = make(map[version.ID]*dovEntry)
 	}
 	for id, e := range entries {
-		maps[shardOf(id)][id] = e
+		i := shardOf(id)
+		maps[i][id] = e
+		x.shards[i].gen = max(x.shards[i].gen, e.gen)
 	}
 	for i := range maps {
 		m := maps[i]

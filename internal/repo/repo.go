@@ -85,17 +85,16 @@ type Options struct {
 	// pipelined replay is checked against (the scenario twin-replay oracle,
 	// the replay-equivalence tests); production leaves it unset.
 	SerialReplay bool
-	// ReplayWorkers is the decode worker count of the pipelined replay
-	// (0 = GOMAXPROCS, capped at 8). Ignored with SerialReplay.
+	// ReplayWorkers is the decode worker count at restart — the pipelined
+	// replay (not used with SerialReplay) and the snapshot chain's payload
+	// validity check (0 = GOMAXPROCS, capped at 8).
 	ReplayWorkers int
-	// CheckpointMaxChain bounds the snapshot chain length: once a full
-	// snapshot has this many incremental deltas stacked on it, the next
-	// checkpoint rebases (writes a fresh full snapshot). 0 uses
-	// DefaultCheckpointMaxChain.
+	// CheckpointMaxChain additionally bounds the snapshot chain length: once
+	// the chain holds this many elements, the next checkpoint rebases (writes
+	// a fresh full snapshot) even if its deltas are still smaller than the
+	// base. 0 sets no count bound — the byte rule alone decides (DESIGN.md
+	// §3.8); tests and scenarios set 1 or 2 to force the rebase path.
 	CheckpointMaxChain int
-	// CheckpointMaxChainBytes bounds the chain's total payload bytes before
-	// a rebase is forced. 0 uses DefaultCheckpointMaxChainBytes.
-	CheckpointMaxChainBytes int64
 	// DegradedOnWALFailure turns a durability failure (failed WAL
 	// append/fsync, e.g. disk full) into read-only degraded mode instead
 	// of a repository-wide fail-stop: reads keep serving from the MVCC
@@ -196,18 +195,19 @@ type Repository struct {
 
 	// ckptMu serializes checkpoints and guards the chain state below:
 	// snapLSN (the log position the durable chain covers), the manifest
-	// chain itself, its payload byte total, and the generation vector of
-	// the last committed cut (nil forces the next checkpoint to be a full
-	// rebase — always the case right after Open, since dirty marks are
-	// volatile).
+	// chain itself, its payload byte total and its base's share of it, and
+	// the generation vector of the last committed cut. A nil vector forces
+	// the next checkpoint to be a full rebase: after Open without a chain,
+	// and after a failed checkpoint. Open with a chain starts from the zero
+	// vector, since chain-loaded records carry generation 0.
 	ckptMu     sync.Mutex
 	snapLSN    wal.LSN
 	chain      []manifestEntry
 	chainBytes int64
+	baseBytes  int64
 	lastGens   *ckptGens
-	// Checkpoint policy (from Options; fixed after Open).
-	maxChain      int
-	maxChainBytes int64
+	// maxChain is Options.CheckpointMaxChain (0: no count bound).
+	maxChain int
 	// lastPauseNs/maxPauseNs instrument the exclusive-lock window of the
 	// snapshot cut — the writer stall E19 bounds.
 	lastPauseNs atomic.Int64
@@ -334,29 +334,19 @@ func Open(cat *catalog.Catalog, opts Options) (*Repository, error) {
 		replayWorkers: opts.ReplayWorkers,
 		degradedOnWAL: opts.DegradedOnWALFailure,
 		maxChain:      opts.CheckpointMaxChain,
-		maxChainBytes: opts.CheckpointMaxChainBytes,
 		das:           make(map[string]*daState),
 		meta:          make(map[string][]byte),
 	}
 	r.follower.Store(opts.Follower)
-	if r.maxChain <= 0 {
-		r.maxChain = DefaultCheckpointMaxChain
-	}
-	if r.maxChainBytes <= 0 {
-		r.maxChainBytes = DefaultCheckpointMaxChainBytes
-	}
 	r.idx.init()
 	// staging collects recovered versions outside the published index so the
 	// bulk rebuild below costs one pass instead of per-record copy-on-write.
 	staging := make(map[version.ID]*dovEntry)
 	if opts.Dir != "" {
-		snapLSN, chain, chainBytes, err := r.loadSnapshotChain(staging)
-		if err != nil {
+		if err := r.loadSnapshotChain(staging); err != nil {
 			return nil, err
 		}
-		r.snapLSN = snapLSN
-		r.chain = chain
-		r.chainBytes = chainBytes
+		snapLSN := r.snapLSN
 		l, err := wal.Open(filepath.Join(opts.Dir, "repo.wal"), wal.Options{
 			SyncOnAppend: opts.Sync,
 			SegmentBytes: opts.SegmentBytes,
@@ -438,6 +428,16 @@ type dovRecord struct {
 // encodes into a pooled writer; the bytes only need to survive until the WAL
 // frames them.
 func (d dovRecord) encodeInto(w *binenc.Writer) {
+	d.encodeHead(w)
+	w.Raw(d.Object)
+	d.encodeTail(w)
+}
+
+// encodeHead writes the fields before the payload, ending with the payload's
+// length prefix; encodeTail writes the fields after it. Split so the
+// snapshot writer can stream a resident payload without copying it
+// (payloadWriter.record).
+func (d dovRecord) encodeHead(w *binenc.Writer) {
 	w.Str(string(d.ID))
 	w.Str(d.DOT)
 	w.Str(d.DA)
@@ -445,20 +445,19 @@ func (d dovRecord) encodeInto(w *binenc.Writer) {
 	for _, p := range d.Parents {
 		w.Str(string(p))
 	}
-	w.Blob(d.Object)
+	w.U64(uint64(len(d.Object)))
+}
+
+func (d dovRecord) encodeTail(w *binenc.Writer) {
 	w.Byte(byte(d.Status))
 	w.Strs(d.Fulfilled)
 	w.U64(d.Seq)
 	w.Bool(d.Root)
 }
 
-// encode is encodeInto with a fresh buffer (snapshot path).
-func (d dovRecord) encode() []byte {
-	w := binenc.NewWriter(96 + len(d.Object))
-	d.encodeInto(w)
-	return w.Bytes()
-}
-
+// decodeDOVRecord decodes one record. Its Object aliases data: the snapshot
+// loader reads each record into a buffer of its own, so that buffer becomes
+// the resident encoding with no further copy.
 func decodeDOVRecord(data []byte) (dovRecord, error) {
 	r := binenc.NewReader(data)
 	d := dovRecord{ID: version.ID(r.Str()), DOT: r.Str(), DA: r.Str()}
@@ -466,7 +465,7 @@ func decodeDOVRecord(data []byte) (dovRecord, error) {
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		d.Parents = append(d.Parents, version.ID(r.Str()))
 	}
-	d.Object = r.Blob()
+	d.Object = r.BlobView()
 	d.Status = version.Status(r.Byte())
 	d.Fulfilled = r.Strs()
 	d.Seq = r.U64()
@@ -477,8 +476,8 @@ func decodeDOVRecord(data []byte) (dovRecord, error) {
 // decodeInsert is the CPU-heavy half of recovering one DOV record — record
 // decode plus a full decode of the payload as a validity check — which the
 // pipelined replay runs on a worker pool (§3.7). The decoded object is
-// dropped: the record's own copy of the encoding (Reader.Blob copies)
-// becomes the resident form.
+// dropped and the encoding copied out of the log record, which may share a
+// read buffer or a shipped batch; the copy becomes the resident form.
 func decodeInsert(data []byte) (*dovRecord, error) {
 	dr, err := decodeDOVRecord(data)
 	if err != nil {
@@ -487,6 +486,7 @@ func decodeInsert(data []byte) (*dovRecord, error) {
 	if _, err := catalog.DecodeObject(dr.Object); err != nil {
 		return nil, err
 	}
+	dr.Object = append([]byte(nil), dr.Object...)
 	return &dr, nil
 }
 
@@ -498,10 +498,15 @@ func (d *dovRecord) meta() *version.DOV {
 	}
 }
 
+// replayedGen is the publication generation of a record recovered from the
+// log suffix rather than the snapshot chain (generation 0): the first
+// checkpoint after Open must write it, and only it.
+const replayedGen = 1
+
 // installRecovered inserts one validated DOV record exactly as the original
 // checkin did, into the recovery staging map and the (not yet shared)
-// graphs.
-func (r *Repository) installRecovered(dr *dovRecord, staging map[version.ID]*dovEntry) error {
+// graphs, marked with publication generation gen.
+func (r *Repository) installRecovered(dr *dovRecord, staging map[version.ID]*dovEntry, gen uint64) error {
 	v := dr.meta()
 	st, ok := r.das[dr.DA]
 	if !ok {
@@ -515,27 +520,20 @@ func (r *Repository) installRecovered(dr *dovRecord, staging map[version.ID]*dov
 	} else if err := st.g.InsertDerived(v); err != nil {
 		return err
 	}
-	staging[v.ID] = &dovEntry{dov: v, enc: dr.Object, root: dr.Root}
+	staging[v.ID] = &dovEntry{dov: v, enc: dr.Object, root: dr.Root, gen: gen}
 	if dr.Seq > r.seq.Load() {
 		r.seq.Store(dr.Seq)
 	}
 	return nil
 }
 
-// applyDOVRecord decodes and installs one durable DOV record (snapshot
-// load and serial replay path).
-func (r *Repository) applyDOVRecord(data []byte, staging map[version.ID]*dovEntry) error {
-	d, err := decodeInsert(data)
-	if err != nil {
-		return err
-	}
-	return r.installRecovered(d, staging)
-}
-
 // recover replays the redo-log suffix behind the loaded snapshot. Records
 // below snapLSN are already reflected in the snapshot state (the WAL's own
 // low-water mark normally equals snapLSN, but a crash between snapshot
-// install and log mark can leave older records in the log).
+// install and log mark can leave older records in the log). Everything the
+// suffix touches — inserted versions, status changes of chain-loaded ones,
+// the metadata store — is marked dirty, so the first checkpoint after Open
+// is an incremental delta of exactly that.
 //
 // By default the replay is pipelined (§3.7): the WAL streams records through
 // a large read buffer and a worker pool runs decodeInsert — the dominant
@@ -553,10 +551,14 @@ func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) 
 				r.das[da] = &daState{g: version.NewGraph(da)}
 			}
 		case recDOVInsert:
-			if d, ok := pre.(*dovRecord); ok {
-				return r.installRecovered(d, staging)
+			d, ok := pre.(*dovRecord)
+			if !ok {
+				var err error
+				if d, err = decodeInsert(rec.Payload); err != nil {
+					return err
+				}
 			}
-			return r.applyDOVRecord(rec.Payload, staging)
+			return r.installRecovered(d, staging, replayedGen)
 		case recDOVStatus:
 			parts := strings.SplitN(string(rec.Payload), "\x00", 2)
 			if len(parts) != 2 || len(parts[1]) != 1 {
@@ -566,6 +568,7 @@ func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) 
 			}
 			if e, ok := staging[version.ID(parts[0])]; ok {
 				e.dov.Status = version.Status(parts[1][0])
+				e.gen = replayedGen
 			}
 		case recMetaPut:
 			parts := bytes.SplitN(rec.Payload, []byte{0}, 2)
@@ -573,20 +576,15 @@ func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) 
 				return errors.New("repo: recover meta: bad payload")
 			}
 			r.meta[string(parts[0])] = append([]byte(nil), parts[1]...)
+			r.metaGen = replayedGen
 		case recMetaDel:
 			delete(r.meta, string(rec.Payload))
+			r.metaGen = replayedGen
 		}
 		return nil
 	}
 	if r.serialReplay {
 		return r.log.Replay(func(rec wal.Record) error { return apply(rec, nil) })
-	}
-	workers := r.replayWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
 	}
 	decode := func(rec wal.Record) (any, error) {
 		if rec.Type != recDOVInsert || rec.LSN < snapLSN {
@@ -594,7 +592,17 @@ func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) 
 		}
 		return decodeInsert(rec.Payload)
 	}
-	return r.log.ReplayPipelined(workers, decode, apply)
+	return r.log.ReplayPipelined(r.decodeWorkers(), decode, apply)
+}
+
+// decodeWorkers is the worker count of the restart decode pools — pipelined
+// replay and the snapshot chain's validity check: Options.ReplayWorkers, or
+// GOMAXPROCS capped at 8.
+func (r *Repository) decodeWorkers() int {
+	if r.replayWorkers > 0 {
+		return r.replayWorkers
+	}
+	return min(runtime.GOMAXPROCS(0), 8)
 }
 
 // noWait is the wait function of volatile repositories (no log).

@@ -2,6 +2,7 @@ package repo
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,17 +11,24 @@ import (
 // fuzzSeedCorpus builds a real chained checkpoint and returns the raw bytes
 // of its manifest and payload files — genuine CCSNAP01/CCINCR01/manifest
 // framings as seeds, so the fuzzer starts from the valid format rather than
-// discovering the magic by brute force.
+// discovering the magic by brute force. The base holds enough versions that
+// the two one-version deltas stay below its size, so the default rebase
+// rule keeps all three elements in the chain.
 func fuzzSeedCorpus(f *testing.F) [][]byte {
 	f.Helper()
 	dir := f.TempDir()
-	r, err := Open(testCatalog(f), Options{Dir: dir, Sync: true, SegmentBytes: 4 << 10, CheckpointMaxChain: 4})
+	r, err := Open(testCatalog(f), Options{Dir: dir, Sync: true, SegmentBytes: 4 << 10})
 	if err != nil {
 		f.Fatal(err)
 	}
 	defer r.Close()
 	if err := r.CreateGraph("da"); err != nil {
 		f.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := r.Checkin(mkDOV(fmt.Sprintf("base-v%d", i), "da", float64(i)), true); err != nil {
+			f.Fatal(err)
+		}
 	}
 	for round := 0; round < 3; round++ {
 		v := mkDOV(string(rune('a'+round))+"-v0", "da", float64(round))
@@ -50,17 +58,17 @@ func fuzzSeedCorpus(f *testing.F) [][]byte {
 		}
 		corpus = append(corpus, data)
 	}
-	if len(corpus) < 3 { // manifest + base + at least one inc
-		f.Fatalf("seed corpus has %d files, want manifest+base+inc", len(corpus))
+	if len(corpus) != 4 { // manifest + base + two incs
+		f.Fatalf("seed corpus has %d files, want manifest+base+2 incs", len(corpus))
 	}
 	return corpus
 }
 
 // FuzzSnapshotDecode throws arbitrary bytes at every decoder on the recovery
-// path: the manifest parser and both payload decoders must never panic, the
-// manifest parser must be a projection (parse∘encode∘parse = parse — valid
-// prefixes of corrupted inputs reparse identically), and payloads that pass
-// the CRC must decode deterministically.
+// path: the manifest parser and the streaming payload decoder must never
+// panic, the manifest parser must be a projection (parse∘encode∘parse =
+// parse — valid prefixes of corrupted inputs reparse identically), and
+// payloads the decoder accepts must decode deterministically.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, seed := range fuzzSeedCorpus(f) {
 		f.Add(seed)
@@ -77,8 +85,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte("CCINCR01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Manifest: never panics, and parsing is idempotent on its own output.
-		entries, epoch := parseManifest(data)
-		re, _ := parseManifest(encodeManifest(entries))
+		entries, epoch, valid := parseManifest(data)
+		if valid > len(data) {
+			t.Fatalf("manifest valid prefix %d beyond %d input bytes", valid, len(data))
+		}
+		re, _, _ := parseManifest(encodeManifest(entries))
 		if len(re) != len(entries) {
 			t.Fatalf("manifest reparse kept %d of %d entries", len(re), len(entries))
 		}
@@ -89,27 +100,20 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		// Epoch entries survive a rebase-style re-encode alongside the chain.
 		if epoch > 0 {
-			re2, ep2 := parseManifest(encodeManifest(append([]manifestEntry{epochEntry(epoch)}, entries...)))
+			re2, ep2, _ := parseManifest(encodeManifest(append([]manifestEntry{epochEntry(epoch)}, entries...)))
 			if ep2 != epoch || len(re2) != len(entries) {
 				t.Fatalf("epoch %d + %d entries re-encoded to epoch %d + %d entries", epoch, len(entries), ep2, len(re2))
 			}
 		}
-		// Payloads: never panic; CRC-valid inputs decode the same way twice.
-		payload, err := checkCRC(data)
+		// Payloads: never panic; accepted inputs decode the same way twice.
+		p1, err := readPayload(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
-		if b1, err := decodeBasePayload(payload); err == nil {
-			b2, err := decodeBasePayload(payload)
-			if err != nil || b1.snapLSN != b2.snapLSN || b1.seq != b2.seq || len(b1.recs) != len(b2.recs) {
-				t.Fatalf("base payload decode not deterministic: %v", err)
-			}
-		}
-		if s1, err := decodeIncPayload(payload); err == nil {
-			s2, err := decodeIncPayload(payload)
-			if err != nil || s1.snapLSN != s2.snapLSN || s1.prevLSN != s2.prevLSN || len(s1.shards) != len(s2.shards) {
-				t.Fatalf("inc payload decode not deterministic: %v", err)
-			}
+		p2, err := readPayload(bytes.NewReader(data), int64(len(data)))
+		if err != nil || p1.base != p2.base || p1.snapLSN != p2.snapLSN || p1.prevLSN != p2.prevLSN ||
+			p1.seq != p2.seq || len(p1.recs) != len(p2.recs) || len(p1.meta) != len(p2.meta) {
+			t.Fatalf("payload decode not deterministic: %v", err)
 		}
 	})
 }

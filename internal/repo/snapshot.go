@@ -1,9 +1,12 @@
 package repo
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,42 +19,44 @@ import (
 
 // Checkpointing (DESIGN.md §3.5, §3.8): the repository bounds restart time
 // and log disk usage by periodically capturing its state in snapshot files,
-// then telling the segmented WAL to drop the covered prefix. Since PR 8 the
-// capture is non-quiescent and incremental:
+// then telling the segmented WAL to drop the covered prefix. The capture is
+// non-quiescent and incremental:
 //
 //  1. Cut. Holding the quiesce lock exclusively for microseconds only, the
 //     checkpointer notes the log position L (= log.Size()), captures the 64
 //     published shard pointers of the copy-on-write MVCC index plus their
-//     dirty generations, the DA directory, and a shallow copy of the
-//     metadata store. Mutators hold the quiesce lock shared for the span
-//     [WAL reservation, publication] (§3.7), so the captured pointers are
+//     generations, the DA directory, and a shallow copy of the metadata
+//     store. Mutators hold the quiesce lock shared for the span [WAL
+//     reservation, publication] (§3.7), so the captured pointers are
 //     exactly the effect of all records below L; and because published
 //     records and shard maps are immutable (mvcc.go), the cut stays frozen
 //     while writers proceed — encoding happens entirely off-lock.
-//  2. Encode + install. A *full* checkpoint writes every shard to
+//  2. Encode + install. A *full* checkpoint streams every record to
 //     snap-<L>.base and atomically rewrites the manifest to reference it. An
-//     *incremental* checkpoint writes only the shards whose generation moved
-//     since the previous checkpoint to snap-<L>.inc and appends one entry to
-//     the manifest. Either way the payload file is fsynced (file + dirent)
-//     strictly before the manifest references it.
+//     *incremental* checkpoint streams only the records published since the
+//     previous cut — each record carries the shard generation it was
+//     published at — to snap-<L>.inc and appends one entry to the manifest.
+//     Either way the payload file is fsynced (file + dirent) strictly before
+//     the manifest references it, and neither path holds more than a buffer
+//     of it in memory.
 //  3. wal.Checkpoint(L): durably mark L as the log's low-water mark, then
 //     delete the segments lying entirely below it. The manifest entry
 //     covering L is fsync-durable first (step 2), so the mark never exceeds
 //     surviving chain coverage — the invariant segment deletion relies on.
 //
-// Recovery folds the manifest chain (base + incremental deltas, per-shard
-// replacement; manifest.go) and replays the log suffix from the chain's
+// Recovery folds the manifest chain (base + incremental deltas merged by
+// version ID; manifest.go) and replays the log suffix from the chain's
 // coverage LSN. A crash at any step loses nothing: payload files are
 // uniquely named and unreferenced until the manifest points at them, the
 // manifest rebase is an atomic rename, the incremental append is a single
 // fsynced frame whose torn tail parses as a shorter valid prefix, and the
 // log mark only moves after the covering entry is durable.
 //
-// Chains are rebased (full checkpoint) when they grow past
-// Options.CheckpointMaxChain elements or CheckpointMaxChainBytes payload
-// bytes, and always on the first checkpoint after Open (dirty generations
-// are volatile). CheckpointMaxChain 1 makes every checkpoint a full
-// rebase.
+// A chain is rebased (full checkpoint) once its deltas' bytes reach its
+// base's, so rebase work stays proportional to the state, amortized; also
+// when Options.CheckpointMaxChain is set and reached, after a failed
+// checkpoint, and on the first checkpoint of a repository opened without a
+// chain. CheckpointMaxChain 1 makes every checkpoint a full rebase.
 const (
 	legacySnapName = "snapshot"
 	snapTmpName    = "snapshot.tmp"
@@ -59,17 +64,11 @@ const (
 	incMagic       = "CCINCR01"
 )
 
-// Default rebase thresholds (Options.CheckpointMaxChain{,Bytes}).
-const (
-	DefaultCheckpointMaxChain      = 8
-	DefaultCheckpointMaxChainBytes = 256 << 20
-)
-
 // Crash points traversed on Options.Faults during Checkpoint, in protocol
 // order (the wal.Crash* points fire inside wal.Checkpoint).
 const (
-	// CrashSnapshotPartial fires halfway through writing a full snapshot's
-	// payload file.
+	// CrashSnapshotPartial fires once a full snapshot's payload file holds
+	// everything but its CRC trailer.
 	CrashSnapshotPartial = "repo:snapshot-partial"
 	// CrashSnapshotWritten fires after the full payload file is written and
 	// synced, before the manifest references it.
@@ -80,8 +79,8 @@ const (
 	// CrashSnapshotInstalled fires after the manifest rebase rename, before
 	// the WAL low-water mark is moved.
 	CrashSnapshotInstalled = "repo:snapshot-installed"
-	// CrashIncPartial fires halfway through writing an incremental delta
-	// file.
+	// CrashIncPartial fires once an incremental delta file holds everything
+	// but its CRC trailer.
 	CrashIncPartial = "repo:inc-delta-partial"
 	// CrashIncWritten fires after the delta file is written and synced,
 	// before its manifest entry is appended.
@@ -114,10 +113,10 @@ var CrashPoints = []string{
 	CrashSnapGC,
 }
 
-// ckptGens is the dirty-mark vector captured at a cut: one publication
+// ckptGens is the generation vector captured at a cut: one publication
 // generation per index shard plus the metadata store's. A checkpoint records
-// the vector it captured; the next incremental emits exactly the components
-// that moved.
+// the vector it captured; the next incremental writes exactly the records
+// published after it.
 type ckptGens struct {
 	shards [idxShards]uint64
 	meta   uint64
@@ -125,8 +124,9 @@ type ckptGens struct {
 
 // snapCut is a consistent copy-on-write cut of the repository at snapLSN:
 // frozen shard maps (nil for shards clean since the previous checkpoint on
-// the incremental path), the DA directory, a shallow metadata copy (nil when
-// clean), and the generation vector the cut was taken at.
+// the incremental path), the generation each dirty shard had at the previous
+// cut, the DA directory, a shallow metadata copy (nil when clean), and the
+// generation vector the cut was taken at.
 type snapCut struct {
 	full    bool
 	snapLSN wal.LSN
@@ -134,6 +134,7 @@ type snapCut struct {
 	seq     uint64
 	daNames []string
 	shards  [idxShards]*map[version.ID]*dovEntry
+	since   [idxShards]uint64
 	meta    map[string][]byte
 	gens    ckptGens
 }
@@ -146,21 +147,21 @@ func (r *Repository) captureCutLocked(full bool) *snapCut {
 	if snapLSN <= r.snapLSN {
 		return nil
 	}
-	last := r.lastGens
-	if last == nil {
-		full = true // dirty marks are volatile: nothing to diff against
-	}
 	c := &snapCut{full: full, snapLSN: snapLSN, prevLSN: r.snapLSN, seq: r.seq.Load()}
 	das := *r.dasPub.Load()
 	for da := range das {
 		c.daNames = append(c.daNames, da)
 	}
 	sort.Strings(c.daNames)
+	last := r.lastGens
 	for i := range r.idx.shards {
 		s := &r.idx.shards[i]
 		c.gens.shards[i] = s.gen
 		if full || s.gen != last.shards[i] {
 			c.shards[i] = s.p.Load()
+		}
+		if !full {
+			c.since[i] = last.shards[i]
 		}
 	}
 	r.metaMu.Lock()
@@ -176,6 +177,26 @@ func (r *Repository) captureCutLocked(full bool) *snapCut {
 	return c
 }
 
+// dirty returns the records of captured shard i published after the
+// previous cut, in Seq order.
+func (c *snapCut) dirty(i int) []*dovEntry {
+	var out []*dovEntry
+	for _, e := range *c.shards[i] {
+		if e.gen > c.since[i] {
+			out = append(out, e)
+		}
+	}
+	sortBySeq(out)
+	return out
+}
+
+// sortBySeq puts records in Seq order — the original log order, so a
+// rebuild inserts parents before children and re-wires every derivation
+// edge exactly as replay would.
+func sortBySeq(entries []*dovEntry) {
+	sort.Slice(entries, func(i, j int) bool { return entries[i].dov.Seq < entries[j].dov.Seq })
+}
+
 // Checkpoint captures the repository state and compacts the redo log behind
 // it. Concurrent mutators are blocked only for the pointer-capture cut
 // (microseconds), never while state is encoded or written out. Safe to call
@@ -188,7 +209,8 @@ func (r *Repository) Checkpoint() error {
 	defer r.ckptMu.Unlock()
 
 	full := r.lastGens == nil ||
-		len(r.chain) >= r.maxChain || r.chainBytes >= r.maxChainBytes
+		r.maxChain > 0 && len(r.chain) >= r.maxChain ||
+		r.chainBytes-r.baseBytes >= r.baseBytes
 
 	start := time.Now()
 	r.mu.Lock()
@@ -207,9 +229,9 @@ func (r *Repository) Checkpoint() error {
 	}
 	var err error
 	if cut.full {
-		err = r.installBase(cut, encodeBaseCut(cut))
+		err = r.installBase(cut)
 	} else {
-		err = r.installIncremental(cut, encodeIncCut(cut))
+		err = r.installIncremental(cut)
 	}
 	if err != nil {
 		// The protocol may have stopped after a durable step (delta file on
@@ -225,9 +247,10 @@ func (r *Repository) Checkpoint() error {
 
 // installBase runs the full-rebase install protocol: payload file, manifest
 // rewrite, log mark, GC of the superseded chain.
-func (r *Repository) installBase(cut *snapCut, payload []byte) error {
+func (r *Repository) installBase(cut *snapCut) error {
 	entry := manifestEntry{kind: manifestKindBase, file: snapFileName(cut.snapLSN, true), lsn: cut.snapLSN}
-	if err := r.writeSnapFile(entry.file, payload, CrashSnapshotPartial); err != nil {
+	size, err := r.writeSnapFile(entry.file, CrashSnapshotPartial, cut.writeBase)
+	if err != nil {
 		return err
 	}
 	if err := r.hookAt(CrashSnapshotWritten); err != nil {
@@ -250,7 +273,7 @@ func (r *Repository) installBase(cut *snapCut, payload []byte) error {
 	}
 	r.snapLSN = cut.snapLSN
 	r.chain = []manifestEntry{entry}
-	r.chainBytes = int64(len(payload))
+	r.chainBytes, r.baseBytes = size, size
 	gens := cut.gens
 	r.lastGens = &gens
 	// The checkpoint is committed; only the cleanup of now-unreferenced
@@ -264,9 +287,10 @@ func (r *Repository) installBase(cut *snapCut, payload []byte) error {
 
 // installIncremental runs the delta install protocol: delta file, manifest
 // append, log mark.
-func (r *Repository) installIncremental(cut *snapCut, payload []byte) error {
+func (r *Repository) installIncremental(cut *snapCut) error {
 	entry := manifestEntry{kind: manifestKindInc, file: snapFileName(cut.snapLSN, false), lsn: cut.snapLSN}
-	if err := r.writeSnapFile(entry.file, payload, CrashIncPartial); err != nil {
+	size, err := r.writeSnapFile(entry.file, CrashIncPartial, cut.writeInc)
+	if err != nil {
 		return err
 	}
 	if err := r.hookAt(CrashIncWritten); err != nil {
@@ -283,7 +307,7 @@ func (r *Repository) installIncremental(cut *snapCut, payload []byte) error {
 	}
 	r.snapLSN = cut.snapLSN
 	r.chain = append(r.chain, entry)
-	r.chainBytes += int64(len(payload))
+	r.chainBytes += size
 	gens := cut.gens
 	r.lastGens = &gens
 	return nil
@@ -340,144 +364,188 @@ func snapFileName(lsn wal.LSN, base bool) string {
 	return fmt.Sprintf("snap-%016x.inc", uint64(lsn))
 }
 
-// appendCRC appends the crc32-IEEE trailer shared by all snapshot payloads.
-func appendCRC(payload []byte) []byte {
-	crc := make([]byte, 4)
-	binary.LittleEndian.PutUint32(crc, crc32.ChecksumIEEE(payload))
-	return append(payload, crc...)
+// payloadWriter streams one chain payload file: fields are staged in a
+// small buffer, resident payloads go to the file as they lie, and a running
+// CRC-32 over everything written becomes the 4-byte trailer every payload
+// ends with. Memory stays at the buffers' size, whatever the state's.
+type payloadWriter struct {
+	bw  *bufio.Writer
+	w   *binenc.Writer // field bytes not yet written out
+	rec *binenc.Writer // head and tail of the record being written
+	crc hash.Hash32
+	n   int64
+	err error
 }
 
-// checkCRC verifies and strips the trailer.
-func checkCRC(data []byte) ([]byte, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("repo: snapshot payload too short")
+func newPayloadWriter(dst io.Writer) *payloadWriter {
+	return &payloadWriter{
+		bw: bufio.NewWriterSize(dst, 256<<10), w: binenc.NewWriter(4 << 10), rec: binenc.NewWriter(256),
+		crc: crc32.NewIEEE(),
 	}
-	payload, crc := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crc) {
-		return nil, fmt.Errorf("repo: snapshot checksum mismatch")
-	}
-	return payload, nil
 }
 
-// encodeRecords appends the cut's captured DOV records from the given shards
-// in Seq order (the original log order, so rebuilding preserves every
-// derivation edge). Payloads are written as stored: the resident encoding is
-// already the record's canonical form.
-func encodeRecords(w *binenc.Writer, shards []*map[version.ID]*dovEntry) {
-	var entries []*dovEntry
-	for _, m := range shards {
-		for _, e := range *m {
-			entries = append(entries, e)
-		}
+// raw writes b, covering it with the CRC. Errors are sticky.
+func (pw *payloadWriter) raw(b []byte) {
+	if pw.err != nil || len(b) == 0 {
+		return
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].dov.Seq < entries[j].dov.Seq })
-	w.U64(uint64(len(entries)))
+	pw.crc.Write(b) //nolint:errcheck // a hash never fails
+	n, err := pw.bw.Write(b)
+	pw.n += int64(n)
+	pw.err = err
+}
+
+// spill writes the staged field bytes out.
+func (pw *payloadWriter) spill() {
+	pw.raw(pw.w.Bytes())
+	pw.w.Reset()
+}
+
+// flush hands everything written so far to the destination.
+func (pw *payloadWriter) flush() error {
+	pw.spill()
+	if pw.err == nil {
+		pw.err = pw.bw.Flush()
+	}
+	return pw.err
+}
+
+// trailer returns the CRC-32 of everything written so far, encoded as the
+// payload's 4-byte trailer.
+func (pw *payloadWriter) trailer() []byte {
+	return binary.LittleEndian.AppendUint32(nil, pw.crc.Sum32())
+}
+
+// records writes a count-prefixed record list. Each record is framed as a
+// length-prefixed dovRecord exactly as dovRecord.encodeInto lays it out,
+// with the payload written straight from the resident encoding.
+func (pw *payloadWriter) records(entries []*dovEntry) {
+	pw.w.U64(uint64(len(entries)))
 	for _, e := range entries {
 		v := e.dov
-		w.Blob(dovRecord{
+		d := dovRecord{
 			ID: v.ID, DOT: v.DOT, DA: v.DA, Parents: v.Parents,
 			Object: e.enc, Status: v.Status, Fulfilled: v.Fulfilled, Seq: v.Seq,
 			Root: e.root,
-		}.encode())
+		}
+		pw.rec.Reset()
+		d.encodeHead(pw.rec)
+		head := len(pw.rec.Bytes())
+		d.encodeTail(pw.rec)
+		b := pw.rec.Bytes()
+		pw.w.U64(uint64(len(b) + len(e.enc)))
+		pw.spill()
+		pw.raw(b[:head])
+		pw.raw(e.enc)
+		pw.raw(b[head:])
 	}
 }
 
-// encodeMeta appends the metadata store in key order.
-func encodeMeta(w *binenc.Writer, meta map[string][]byte) {
+// meta writes the metadata store in key order.
+func (pw *payloadWriter) meta(meta map[string][]byte) {
 	keys := make([]string, 0, len(meta))
 	for k := range meta {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w.U64(uint64(len(keys)))
+	pw.w.U64(uint64(len(keys)))
 	for _, k := range keys {
-		w.Str(k)
-		w.Blob(meta[k])
+		pw.w.Str(k)
+		pw.w.Blob(meta[k])
+		pw.spill()
 	}
 }
 
-// encodeBaseCut serializes a full cut in the CCSNAP01 format (identical to
-// the pre-chain single-snapshot format, so legacy snapshots load as a
-// one-element chain).
-func encodeBaseCut(c *snapCut) []byte {
-	w := binenc.NewWriter(1 << 16)
-	w.Str(snapMagic)
-	w.U64(uint64(c.snapLSN))
-	w.U64(c.seq)
-	w.Strs(c.daNames)
-	all := make([]*map[version.ID]*dovEntry, 0, idxShards)
+// writeBase streams a full cut in the CCSNAP01 format (identical to the
+// pre-chain single-snapshot format, so legacy snapshots load as a
+// one-element chain): header, every record in Seq order, metadata store.
+func (c *snapCut) writeBase(pw *payloadWriter) {
+	pw.w.Str(snapMagic)
+	pw.w.U64(uint64(c.snapLSN))
+	pw.w.U64(c.seq)
+	pw.w.Strs(c.daNames)
+	var all []*dovEntry
 	for i := range c.shards {
-		if c.shards[i] != nil {
-			all = append(all, c.shards[i])
+		for _, e := range *c.shards[i] {
+			all = append(all, e)
 		}
 	}
-	encodeRecords(w, all)
-	encodeMeta(w, c.meta)
-	return appendCRC(w.Bytes())
+	sortBySeq(all)
+	pw.records(all)
+	pw.meta(c.meta)
 }
 
-// encodeIncCut serializes an incremental cut in the CCINCR01 format: header
+// writeInc streams an incremental cut in the CCINCR01 format: header
 // (coverage LSN, predecessor LSN, sequence counter, complete DA list), the
-// metadata store when dirty, then each dirty shard as a complete replacement
-// record set. Emitting whole shards — not per-record diffs — keeps the fold
-// a plain per-shard replacement with no tombstone machinery.
-func encodeIncCut(c *snapCut) []byte {
-	w := binenc.NewWriter(1 << 14)
-	w.Str(incMagic)
-	w.U64(uint64(c.snapLSN))
-	w.U64(uint64(c.prevLSN))
-	w.U64(c.seq)
-	w.Strs(c.daNames)
-	w.Bool(c.meta != nil)
+// metadata store when dirty, then per shard the records published since the
+// previous cut. The loader merges records by ID, so the same layout also
+// reads deltas that carried each dirty shard whole.
+func (c *snapCut) writeInc(pw *payloadWriter) {
+	pw.w.Str(incMagic)
+	pw.w.U64(uint64(c.snapLSN))
+	pw.w.U64(uint64(c.prevLSN))
+	pw.w.U64(c.seq)
+	pw.w.Strs(c.daNames)
+	pw.w.Bool(c.meta != nil)
 	if c.meta != nil {
-		encodeMeta(w, c.meta)
+		pw.meta(c.meta)
 	}
-	var dirty []int
+	type shardRecs struct {
+		idx  int
+		recs []*dovEntry
+	}
+	var dirty []shardRecs
 	for i := range c.shards {
-		if c.shards[i] != nil {
-			dirty = append(dirty, i)
+		if c.shards[i] == nil {
+			continue
+		}
+		if recs := c.dirty(i); len(recs) > 0 {
+			dirty = append(dirty, shardRecs{i, recs})
 		}
 	}
-	w.U64(uint64(len(dirty)))
-	for _, i := range dirty {
-		w.U64(uint64(i))
-		encodeRecords(w, []*map[version.ID]*dovEntry{c.shards[i]})
+	pw.w.U64(uint64(len(dirty)))
+	for _, s := range dirty {
+		pw.w.U64(uint64(s.idx))
+		pw.records(s.recs)
 	}
-	return appendCRC(w.Bytes())
 }
 
-// writeSnapFile durably writes one chain payload file: write (traversing
-// partialPoint halfway), fsync, close, fsync the directory — the file must
-// be fully durable before any manifest entry references it.
-func (r *Repository) writeSnapFile(name string, payload []byte, partialPoint string) error {
+// writeSnapFile durably writes one chain payload file and returns its size:
+// the body streamed by encode and flushed, partialPoint traversed (the file
+// then lacks only its CRC trailer), the trailer, fsync, close, fsync of the
+// directory — the file must be fully durable before any manifest entry
+// references it.
+func (r *Repository) writeSnapFile(name, partialPoint string, encode func(*payloadWriter)) (int64, error) {
 	f, err := os.OpenFile(filepath.Join(r.dir, name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("repo: snapshot create: %w", err)
+		return 0, fmt.Errorf("repo: snapshot create: %w", err)
 	}
-	half := len(payload) / 2
-	if _, err := f.Write(payload[:half]); err != nil {
+	pw := newPayloadWriter(f)
+	encode(pw)
+	if err := pw.flush(); err != nil {
 		f.Close()
-		return fmt.Errorf("repo: snapshot write: %w", err)
+		return 0, fmt.Errorf("repo: snapshot write: %w", err)
 	}
 	if err := r.hookAt(partialPoint); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
-	if _, err := f.Write(payload[half:]); err != nil {
+	trailer := pw.trailer()
+	if _, err := f.Write(trailer); err != nil {
 		f.Close()
-		return fmt.Errorf("repo: snapshot write: %w", err)
+		return 0, fmt.Errorf("repo: snapshot write: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("repo: snapshot sync: %w", err)
+		return 0, fmt.Errorf("repo: snapshot sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("repo: snapshot close: %w", err)
+		return 0, fmt.Errorf("repo: snapshot close: %w", err)
 	}
 	if err := wal.SyncDir(r.dir); err != nil {
-		return fmt.Errorf("repo: snapshot dir sync: %w", err)
+		return 0, fmt.Errorf("repo: snapshot dir sync: %w", err)
 	}
-	return nil
+	return pw.n + int64(len(trailer)), nil
 }
 
 // gcSnapshots removes snapshot payload files no chain entry references (the

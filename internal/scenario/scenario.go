@@ -75,11 +75,11 @@ type Topology struct {
 	// deleted during the run, so the late checkpoint-protocol fault
 	// points are traversed.
 	SegmentBytes int64
-	// CheckpointMaxChain overrides the incremental snapshot chain bound
-	// before a full rebase (0 uses the repository default). Small values
-	// make checkpoints alternate the full and incremental protocol paths,
-	// so both sets of fault points are traversed; 1 rebases on every
-	// checkpoint.
+	// CheckpointMaxChain bounds the incremental snapshot chain's length
+	// before a full rebase, on top of the repository's byte rule (0 sets
+	// no count bound). Small values make checkpoints alternate the full
+	// and incremental protocol paths, so both sets of fault points are
+	// traversed; 1 rebases on every checkpoint.
 	CheckpointMaxChain int
 	// LeaseTTL overrides the workstation session lease lifetime (0 uses
 	// txn.DefaultLeaseTTL). The vanish/partition entries shrink it so the

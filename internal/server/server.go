@@ -160,6 +160,11 @@ func (s *Site) Checkpoint() error {
 // the log size.
 const checkpointPollInterval = 250 * time.Millisecond
 
+// DefaultCheckpointLogBytes is the log growth past the low-water mark at
+// which every deployment's background checkpointer runs a checkpoint:
+// concordd in both roles, and core.System unless its options say otherwise.
+const DefaultCheckpointLogBytes int64 = 8 << 20
+
 // StartCheckpointer launches the background compaction loop: whenever the
 // repository log has grown thresholdBytes past its low-water mark, it runs
 // Checkpoint, keeping restart time and disk usage bounded by live state

@@ -30,6 +30,7 @@ func TestMain(m *testing.M) {
 // node is one durable server process of a test: the state a daemon opens
 // under its data directory plus its listening transport.
 type node struct {
+	dir   string
 	repo  *repo.Repository
 	plog  *wal.Log
 	trans *rpc.TCP
@@ -48,7 +49,7 @@ func openNode(t *testing.T, follower bool) *node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := &node{repo: r, plog: plog, trans: rpc.NewTCP()}
+	n := &node{dir: dir, repo: r, plog: plog, trans: rpc.NewTCP()}
 	t.Cleanup(func() {
 		n.trans.Close()
 		n.plog.Close()
@@ -387,5 +388,99 @@ func TestForceTableServerRows(t *testing.T) {
 		}
 		check("repo.wal", state(n.repo.Log()), r0, st.repo, st.copies*payload)
 		check("participant.wal", state(n.plog), p0, st.part, 0)
+	}
+}
+
+// checkinBulk commits n root versions of da, each carrying cellBytes bytes
+// of payload.
+func checkinBulk(t *testing.T, tm *txn.ClientTM, da string, n, cellBytes int) {
+	t.Helper()
+	cell := strings.Repeat("c", cellBytes)
+	for i := 0; i < n; i++ {
+		dop, err := tm.Begin("", da)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj := catalog.NewObject(vlsi.DOTFloorplan).Set("cell", catalog.Str(cell)).Set("area", catalog.Float(float64(i)))
+		if err := dop.SetWorkspace(obj); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dop.Checkin(version.StatusWorking, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := dop.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// walBytes sums the segment files of the repository log under dir.
+func walBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, "repo.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, e := range ents {
+		if fi, err := e.Info(); err == nil {
+			total += fi.Size()
+		}
+	}
+	return total
+}
+
+// TestPromotedStandbyCheckpoints is the promoted half of the daemon's
+// checkpointing (concordd's own test covers the primary): a standby whose
+// OnPromoted starts the checkpointer at DefaultCheckpointLogBytes, as
+// concordd's does, writes its snapshot chain and compacts its log once more
+// than that has been checked in at it after the failover, and a restart
+// from its directory recovers every version.
+func TestPromotedStandbyCheckpoints(t *testing.T) {
+	const n, cellBytes = 64, 256 << 10 // 16 MiB of payload, logged twice
+	pn, sn := openNode(t, false), openNode(t, true)
+	primary, err := Assemble(pn.repo, pn.plog, rpc.NewClient(pn.trans, "primary-cb"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	pAddr := pn.listen(t, primary.Handler())
+	standby := NewStandby(sn.repo, sn.plog, rpc.NewClient(sn.trans, "standby-cb"), Options{})
+	defer standby.Close()
+	standby.OnPromoted = func(s *Site) { s.StartCheckpointer(DefaultCheckpointLogBytes) }
+	sAddr := sn.listen(t, standby.Handler())
+	primary.ReplicateTo(rpc.NewClient(pn.trans, "repl"), sAddr, repl.SenderOptions{Sync: true})
+	await(t, "sync mode", func() bool { return primary.SenderStats().Mode == repl.ModeSync })
+	if err := pn.repo.CreateGraph("da1"); err != nil {
+		t.Fatal(err)
+	}
+	ws, _ := workstation(t, "ws1", pAddr)
+	defer ws.Close()
+	ws.SetStandbyAddr(sAddr)
+	checkinRoot(t, ws, "da1")
+	if err := ws.Failover(); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+
+	checkinBulk(t, ws, "da1", n, cellBytes)
+	// The log holds two copies of every payload until a checkpoint drops
+	// the prefix it covers; after it, at most the threshold plus the
+	// segment the mark falls in.
+	await(t, "the promoted standby's checkpoint", func() bool {
+		_, err := os.Stat(filepath.Join(sn.dir, repo.ManifestFileName))
+		return err == nil && walBytes(t, sn.dir) < n*cellBytes
+	})
+	want := sn.repo.DOVCount()
+	standby.Close()
+	restarted, err := repo.Open(vlsi.NewCatalog(), repo.Options{Dir: sn.dir, Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if got := restarted.DOVCount(); got != want || got != n+1 {
+		t.Fatalf("restart recovered %d DOVs, the promoted standby held %d (want %d)", got, want, n+1)
+	}
+	if restarted.SnapshotLSN() == 0 {
+		t.Fatal("restart loaded no snapshot chain")
 	}
 }
