@@ -17,9 +17,11 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Reproduces the intermittent lock-manager deadlock report of
-# TestConcurrentWorkstationsOverTCP (ROADMAP 4b): 200 race-detector runs.
-# Not part of CI; count the failures with `make race-loop 2>&1 | grep -c -- '--- FAIL'`.
+# 200 race-detector runs of TestConcurrentWorkstationsOverTCP, which used to
+# die about one run in 12 on a phantom deadlock report (a waiter counted the
+# requests queued behind it). CI runs a 50-run loop of it and
+# TestConcurrentCheckinsSameDA; count failures here with
+# `make race-loop 2>&1 | grep -c -- '--- FAIL'`.
 race-loop:
 	$(GO) test -race -count=200 -run TestConcurrentWorkstationsOverTCP ./...
 

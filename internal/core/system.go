@@ -546,17 +546,10 @@ func (s *System) RestartServer() error {
 	// Resolve in-doubt checkins against all known coordinators.
 	s.mu.Lock()
 	site := s.server
-	wss := make([]*Workstation, 0, len(s.ws))
+	tms := make([]*txn.ClientTM, 0, len(s.ws))
 	for _, w := range s.ws {
-		wss = append(wss, w)
+		tms = append(tms, w.tm)
 	}
 	s.mu.Unlock()
-	return site.Participant.Resolve(func(txid string) rpc.Outcome {
-		for _, w := range wss {
-			if w.tm.Coordinator().Outcome(txid) == rpc.OutcomeCommitted {
-				return rpc.OutcomeCommitted
-			}
-		}
-		return rpc.OutcomeAborted
-	})
+	return site.Participant.Resolve(txn.InDoubtOutcome(tms))
 }

@@ -387,11 +387,12 @@ func (m *Manager) Holders(resource string) []string {
 	return out
 }
 
-// setWaitEdges records owner as waiting for the current holders of e plus
-// the queued waiters ahead of owner's position (later waiters cannot block
-// owner, so counting them would manufacture phantom cycles). The caller
-// holds the entry's shard mutex.
-func (m *Manager) setWaitEdges(owner string, e *entry) {
+// ownersAhead returns the owners owner waits for on e: the current holders
+// plus the queued waiters ahead of owner's position (all of them when owner
+// is not queued yet: it joins at the tail). Later waiters cannot block owner,
+// so counting them would manufacture phantom cycles. The caller holds the
+// entry's shard mutex.
+func ownersAhead(owner string, e *entry) map[string]bool {
 	edges := make(map[string]bool)
 	for o := range e.granted {
 		if o != owner {
@@ -404,6 +405,13 @@ func (m *Manager) setWaitEdges(owner string, e *entry) {
 		}
 		edges[q.owner] = true
 	}
+	return edges
+}
+
+// setWaitEdges records owner as waiting for ownersAhead(owner, e). The caller
+// holds the entry's shard mutex.
+func (m *Manager) setWaitEdges(owner string, e *entry) {
+	edges := ownersAhead(owner, e)
 	m.wfMu.Lock()
 	m.waitFor[owner] = edges
 	m.wfMu.Unlock()
@@ -427,18 +435,7 @@ func (m *Manager) refreshWaitEdges(e *entry) {
 // The caller holds the entry's shard mutex; the graph itself is global, so
 // cycles through resources on other shards are found too.
 func (m *Manager) wouldDeadlock(owner string, e *entry) bool {
-	// Hypothetical edges of owner.
-	targets := make(map[string]bool)
-	for o := range e.granted {
-		if o != owner {
-			targets[o] = true
-		}
-	}
-	for _, q := range e.queue {
-		if q.owner != owner {
-			targets[q.owner] = true
-		}
-	}
+	targets := ownersAhead(owner, e)
 	m.wfMu.Lock()
 	defer m.wfMu.Unlock()
 	// DFS from each target through waitFor; a path back to owner is a cycle.

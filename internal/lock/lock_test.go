@@ -267,3 +267,68 @@ func TestModeString(t *testing.T) {
 		t.Error("unknown mode name wrong")
 	}
 }
+
+// TestQueuedWaiterSeesNoPhantomCycle: a queued waiter re-checks for a cycle
+// on every wake-up, and the re-check used to count the waiters queued behind
+// it as owners it waits for. Behind H's X lock, A is queued and B behind A, so
+// B waits for H and A; any broadcast on the shard woke A, which followed B→A
+// back to itself and was rejected with ErrDeadlock although no cycle exists.
+func TestQueuedWaiterSeesNoPhantomCycle(t *testing.T) {
+	m := NewManagerWithShards(1)
+	if err := m.Acquire("H", "r", X, tmo); err != nil {
+		t.Fatal(err)
+	}
+	sh := m.shardFor("r")
+	// queued waits until n requests are queued on r; the shard mutex is held
+	// from a request's enqueue until its cond.Wait, so each one observed has
+	// run its first cycle check and sleeps.
+	queued := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(tmo); ; time.Sleep(time.Millisecond) {
+			sh.mu.Lock()
+			got := len(sh.table["r"].queue)
+			sh.mu.Unlock()
+			if got == n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d requests queued on r, want %d", got, n)
+			}
+		}
+	}
+	errA, errB := make(chan error, 1), make(chan error, 1)
+	go func() { errA <- m.Acquire("A", "r", X, tmo) }()
+	queued(1)
+	go func() { errB <- m.Acquire("B", "r", X, tmo) }()
+	queued(2)
+
+	// An unrelated acquire/release on the same shard broadcasts its cond.
+	if err := m.Acquire("C", "other", X, tmo); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Release("C", "other"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errA:
+		t.Fatalf("A left the queue on an unrelated wake-up: %v", err)
+	case err := <-errB:
+		t.Fatalf("B left the queue on an unrelated wake-up: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	queued(2)
+
+	// FIFO: H's release grants A, A's grants B.
+	if err := m.Release("H", "r"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errA; err != nil {
+		t.Fatalf("A after H's release: %v", err)
+	}
+	if err := m.Release("A", "r"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errB; err != nil {
+		t.Fatalf("B after A's release: %v", err)
+	}
+}

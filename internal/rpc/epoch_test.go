@@ -187,6 +187,9 @@ func TestResendDecisions(t *testing.T) {
 		t.Fatalf("in-doubt commit outcome = %v", o)
 	}
 	co.Faults.Disarm(FaultDecisionLogged)
+	if co.Outcome("tx-indoubt") != OutcomeCommitted {
+		t.Fatal("the unacknowledged decision is not remembered")
+	}
 
 	serve("new") // the promoted standby's participant endpoint
 	if err := co.ResendDecisions("new"); err != nil {
@@ -201,7 +204,9 @@ func TestResendDecisions(t *testing.T) {
 	if commits["new"]["tx-indoubt"] != 1 {
 		t.Fatal("acknowledged resend was re-delivered")
 	}
-	if co.Outcome("tx-indoubt") != OutcomeCommitted {
-		t.Fatal("resend forgot the durable outcome")
+	// Acknowledged, the decision leaves memory as a restart's replay of its
+	// end record would drop it.
+	if len(co.decisions) != 0 {
+		t.Fatalf("coordinator still holds %v after every decision was acknowledged", co.decisions)
 	}
 }

@@ -192,16 +192,6 @@ func TestTCPConcurrentCalls(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSplitList(t *testing.T) {
-	got := SplitList(" a , b ,, c ")
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("SplitList = %v", got)
-	}
-	if SplitList("") != nil {
-		t.Fatal("empty list should be nil")
-	}
-}
-
 // TestAppendEnvelopeZeroAllocs pins the pooled request framing: with a
 // destination of adequate capacity (what the envelope pool provides at
 // steady state), framing allocates nothing.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"concord/internal/binenc"
@@ -110,12 +109,11 @@ type Coordinator struct {
 	// (nil-safe). Set it before the first Commit; tests only.
 	Faults *fault.Registry
 
-	mu        sync.Mutex
-	decisions map[string]Outcome
-	// ended marks committed transactions every participant has acknowledged
-	// (decision-end logged): ResendDecisions skips them so a failover resend
-	// only re-delivers the genuinely unacknowledged tail.
-	ended map[string]bool
+	mu sync.Mutex
+	// decisions holds the committed transactions not every participant has
+	// acknowledged yet; an acknowledged one is forgotten as a replay of its
+	// end record forgets it, so Outcome answers the same after a restart.
+	decisions map[string]bool
 	// Stats counts protocol messages for the E10 experiment.
 	stats Stats
 }
@@ -128,20 +126,32 @@ type Stats struct {
 // NewCoordinator returns a coordinator using client for participant calls
 // and log (optional) for durable commit decisions.
 func NewCoordinator(client *Client, log *wal.Log) (*Coordinator, error) {
-	c := &Coordinator{client: client, log: log, decisions: make(map[string]Outcome), ended: make(map[string]bool)}
-	if log != nil {
-		err := log.Replay(func(r wal.Record) error {
-			switch r.Type {
-			case recDecisionCommit:
-				c.decisions[string(r.Payload)] = OutcomeCommitted
-			case recDecisionEnd:
-				delete(c.decisions, string(r.Payload))
+	return OpenCoordinator(client, log, nil)
+}
+
+// OpenCoordinator is NewCoordinator over a log the coordinator shares with
+// its owner: the one replay that rebuilds the pending decisions hands every
+// record of another type to other (nil skips them).
+func OpenCoordinator(client *Client, log *wal.Log, other func(wal.Record) error) (*Coordinator, error) {
+	c := &Coordinator{client: client, log: log, decisions: make(map[string]bool)}
+	if log == nil {
+		return c, nil
+	}
+	err := log.Replay(func(r wal.Record) error {
+		switch r.Type {
+		case recDecisionCommit:
+			c.decisions[string(r.Payload)] = true
+		case recDecisionEnd:
+			delete(c.decisions, string(r.Payload))
+		default:
+			if other != nil {
+				return other(r)
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -153,13 +163,13 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
-// Outcome reports the logged fate of txid. Unknown transactions are aborted
-// by presumption.
+// Outcome reports the logged fate of txid, aborted by presumption when txid
+// is unknown or every participant has acknowledged its commit (none asks).
 func (c *Coordinator) Outcome(txid string) Outcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if o, ok := c.decisions[txid]; ok {
-		return o
+	if c.decisions[txid] {
+		return OutcomeCommitted
 	}
 	return OutcomeAborted
 }
@@ -201,7 +211,7 @@ func (c *Coordinator) Commit(txid string, participants []string) (Outcome, error
 		}
 	}
 	c.mu.Lock()
-	c.decisions[txid] = OutcomeCommitted
+	c.decisions[txid] = true
 	c.mu.Unlock()
 	if err := c.Faults.At(FaultDecisionLogged); err != nil {
 		// Simulated coordinator death between the durable decision and
@@ -220,17 +230,37 @@ func (c *Coordinator) Commit(txid string, participants []string) (Outcome, error
 		}
 	}
 	if firstErr == nil {
-		if c.log != nil {
-			// All acks in: the decision record may be forgotten.
-			c.log.Append(recDecisionEnd, "coordinator", []byte(txid)) //nolint:errcheck // cleanup only
-		}
-		c.mu.Lock()
-		c.ended[txid] = true
-		c.mu.Unlock()
+		c.forget(txid)
 	}
 	// The transaction is committed even if some participant is temporarily
 	// unreachable; it will learn the outcome on recovery (Resolve).
 	return OutcomeCommitted, firstErr
+}
+
+// forget drops an acknowledged decision from memory, then logs its end
+// record (forced, though cleanup only): a Checkpoint that re-logged txid
+// before the delete did so below the end record.
+func (c *Coordinator) forget(txid string) {
+	c.mu.Lock()
+	delete(c.decisions, txid)
+	c.mu.Unlock()
+	if c.log != nil {
+		c.log.Append(recDecisionEnd, "coordinator", []byte(txid)) //nolint:errcheck // cleanup only
+	}
+}
+
+// Checkpoint moves the (non-nil) decision log's low-water mark to floor,
+// which the log's owner chose below every record it still needs, a decision
+// being logged included. Each unacknowledged decision is first logged again
+// above floor; the cut forces those records before it moves the mark, or
+// fails. No participant is asked, and no outcome is lost.
+func (c *Coordinator) Checkpoint(floor wal.LSN) error {
+	c.mu.Lock()
+	for txid := range c.decisions {
+		c.log.AppendAsync(recDecisionCommit, "coordinator", []byte(txid)) //nolint:errcheck // see above
+	}
+	c.mu.Unlock()
+	return c.log.Checkpoint(floor)
 }
 
 // ResendDecisions re-delivers every committed, not-yet-acknowledged decision
@@ -239,15 +269,13 @@ func (c *Coordinator) Commit(txid string, participants []string) (Outcome, error
 // vote log knows the prepared branches but never heard phase 2 from the dead
 // primary's window — pushing the durable outcomes re-applies them (Commit is
 // idempotent, so branches the old server already applied and replicated are
-// harmless re-deliveries). Successful re-deliveries are acknowledged with a
-// decision-end record exactly as in Commit.
+// harmless re-deliveries). Successful re-deliveries are forgotten exactly as
+// in Commit.
 func (c *Coordinator) ResendDecisions(addr string) error {
 	c.mu.Lock()
 	pending := make([]string, 0, len(c.decisions))
-	for txid, o := range c.decisions {
-		if o == OutcomeCommitted && !c.ended[txid] {
-			pending = append(pending, txid)
-		}
+	for txid := range c.decisions {
+		pending = append(pending, txid)
 	}
 	c.mu.Unlock()
 	sort.Strings(pending)
@@ -263,12 +291,7 @@ func (c *Coordinator) ResendDecisions(addr string) error {
 			}
 			continue
 		}
-		if c.log != nil {
-			c.log.Append(recDecisionEnd, "coordinator", []byte(txid)) //nolint:errcheck // cleanup only
-		}
-		c.mu.Lock()
-		c.ended[txid] = true
-		c.mu.Unlock()
+		c.forget(txid)
 	}
 	return firstErr
 }
@@ -518,19 +541,4 @@ func (p *Participant) Resolve(outcome func(txid string) Outcome) error {
 		}
 	}
 	return firstErr
-}
-
-// SplitList splits a comma-separated participant list (CLI convenience).
-func SplitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -506,14 +506,7 @@ func (s *tcpSite) crashRestartServer(tornTail, tornManifest bool) error {
 	s.mu.Lock()
 	participant := s.site.Participant
 	s.mu.Unlock()
-	return participant.Resolve(func(txid string) rpc.Outcome {
-		for _, tm := range s.tms {
-			if tm.Coordinator().Outcome(txid) == rpc.OutcomeCommitted {
-				return rpc.OutcomeCommitted
-			}
-		}
-		return rpc.OutcomeAborted
-	})
+	return participant.Resolve(txn.InDoubtOutcome(s.tms))
 }
 
 func (s *tcpSite) crashRestartWS(int) error { return errUnsupported }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -19,9 +20,10 @@ import (
 	"concord/internal/wal"
 )
 
-// Client-side WAL record types (the "workstation disk", client-tm.wal); the
-// payloads are in wire.go. 0x41 and 0x42 were the gob snapshots these records
-// replaced, and a log that still holds them is refused at open.
+// Client-side WAL record types (the "workstation disk", client-tm.wal, which
+// the 2PC coordinator's 0x21/0x22 share); the payloads are in wire.go. 0x41
+// and 0x42 were the gob snapshots these records replaced, and a log that
+// still holds them is refused at open.
 const (
 	// recContext is a DOP's full context, inputs by reference. Forced,
 	// except for the one Begin writes.
@@ -156,11 +158,10 @@ type ClientTM struct {
 	client     *rpc.Client
 	serverAddr string
 	coord      *rpc.Coordinator
-	// log is client-tm.wal, coordLog the coordinator's client-coord.wal (both
-	// nil on a volatile workstation). The client-TM opened both and closes
-	// both; the coordinator only appends to and replays its log.
-	log, coordLog *wal.Log
-	cache         *ObjectCache
+	// log is client-tm.wal (nil on a volatile workstation), which the
+	// coordinator's decision records share; the client-TM opens and closes it.
+	log   *wal.Log
+	cache *ObjectCache
 	// OpBudget is the per-call time budget for bulk transfers (checkout,
 	// staged checkin) — generous, since multi-MiB payloads are legitimate
 	// (DefaultOpBudget when zero). Propagated to the server, where it
@@ -221,58 +222,61 @@ func NewClientTM(id string, client *rpc.Client, serverAddr, dir string) (*Client
 		return nil, nil, err
 	}
 	tm.cache = cache
-	recovered, err := tm.openLogs(dir)
+	recovered, err := tm.openLog(dir)
 	if err != nil {
-		tm.closeLogs() //nolint:errcheck // the open error is the one to report
+		tm.closeLog() //nolint:errcheck // the open error is the one to report
 		return nil, nil, err
 	}
 	return tm, recovered, nil
 }
 
-// openLogs opens the two workstation logs under dir ("" = volatile: no logs),
-// builds the coordinator over its decision log and recovers the DOP contexts
-// from the client log. On error the caller closes whatever was opened.
-func (tm *ClientTM) openLogs(dir string) ([]*DOP, error) {
-	var err error
+// openLog opens the workstation log under dir ("" = volatile: no log) and
+// recovers from it. On error the caller closes whatever was opened.
+func (tm *ClientTM) openLog(dir string) ([]*DOP, error) {
 	if dir != "" {
-		opts := wal.Options{SyncOnAppend: true}
-		if tm.log, err = wal.Open(filepath.Join(dir, "client-tm.wal"), opts); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, "client-coord.wal")); err == nil {
+			return nil, errSeparateCoordLog
+		}
+		var err error
+		if tm.log, err = wal.Open(filepath.Join(dir, "client-tm.wal"), wal.Options{SyncOnAppend: true}); err != nil {
 			return nil, err
 		}
-		if tm.coordLog, err = wal.Open(filepath.Join(dir, "client-coord.wal"), opts); err != nil {
-			return nil, err
-		}
-	}
-	if tm.coord, err = rpc.NewCoordinator(tm.client, tm.coordLog); err != nil {
-		return nil, err
 	}
 	return tm.recover()
 }
 
-// closeLogs closes both workstation logs, flushing any unforced record.
-func (tm *ClientTM) closeLogs() error {
-	var err error
-	for _, l := range []*wal.Log{tm.log, tm.coordLog} {
-		if l == nil {
-			continue
-		}
-		if cerr := l.Close(); err == nil {
-			err = cerr
-		}
+// closeLog closes the workstation log, flushing any unforced record.
+func (tm *ClientTM) closeLog() error {
+	if tm.log == nil {
+		return nil
 	}
-	return err
+	return tm.log.Close()
 }
 
 // Close stops the heartbeat (waiting for the goroutine to exit) and releases
-// the workstation logs.
+// the workstation log.
 func (tm *ClientTM) Close() error {
 	tm.StopHeartbeat()
-	return tm.closeLogs()
+	return tm.closeLog()
 }
 
 // Coordinator exposes the 2PC coordinator (for in-doubt resolution by a
 // restarting server participant).
 func (tm *ClientTM) Coordinator() *rpc.Coordinator { return tm.coord }
+
+// InDoubtOutcome answers a restarting server participant's in-doubt question
+// (rpc.Participant.Resolve) from the workstation coordinators: committed if
+// any of them holds the commit decision, aborted by presumption otherwise.
+func InDoubtOutcome(tms []*ClientTM) func(txid string) rpc.Outcome {
+	return func(txid string) rpc.Outcome {
+		for _, tm := range tms {
+			if tm.coord.Outcome(txid) == rpc.OutcomeCommitted {
+				return rpc.OutcomeCommitted
+			}
+		}
+		return rpc.OutcomeAborted
+	}
+}
 
 // Cache exposes the workstation object cache.
 func (tm *ClientTM) Cache() *ObjectCache { return tm.cache }
@@ -375,18 +379,16 @@ func (tm *ClientTM) WireStats() WireStats {
 	return tm.stats
 }
 
-// recover rebuilds DOP contexts from the client log: per DOP the latest
-// context record plus the inputs added after it, unless an end record follows.
+// recover builds the coordinator and the DOP contexts in one replay of the
+// client log: per DOP the latest context record plus the inputs added after
+// it, unless an end record follows.
 func (tm *ClientTM) recover() ([]*DOP, error) {
-	if tm.log == nil {
-		return nil, nil
-	}
 	type logged struct {
 		ctx ctxRecord
 		lsn wal.LSN
 	}
 	live := make(map[string]*logged)
-	err := tm.log.Replay(func(r wal.Record) error {
+	coord, err := rpc.OpenCoordinator(tm.client, tm.log, func(r wal.Record) error {
 		var err error
 		switch r.Type {
 		case recContext:
@@ -418,6 +420,7 @@ func (tm *ClientTM) recover() ([]*DOP, error) {
 	if err != nil {
 		return nil, err
 	}
+	tm.coord = coord
 	names := make([]string, 0, len(live))
 	for n := range live {
 		names = append(names, n)
@@ -437,9 +440,13 @@ func (tm *ClientTM) recover() ([]*DOP, error) {
 }
 
 // errForeignClientLog refuses a client-tm.wal holding records this build does
-// not write. Its DOPs must be ended by the build that wrote it (or the log
-// removed): recovery never guesses at another format.
-var errForeignClientLog = errors.New("txn: client-tm.wal was not written by this format of the client-TM (end its DOPs with the build that wrote it, or remove it)")
+// not write, errSeparateCoordLog a directory that still holds the separate
+// coordinator log of older builds. Either must be ended by the build that
+// wrote it (or removed): recovery never guesses at another format.
+var (
+	errForeignClientLog = errors.New("txn: client-tm.wal was not written by this format of the client-TM (end its DOPs with the build that wrote it, or remove it)")
+	errSeparateCoordLog = errors.New("txn: client-coord.wal is the coordinator log of an older build (resolve its checkins with the build that wrote it, or remove it)")
+)
 
 // restore rebuilds a DOP from its logged context. Inputs are resolved from
 // the workstation cache, each under the hash the log recorded; one the cache
@@ -554,7 +561,7 @@ func (tm *ClientTM) Crash() {
 	defer tm.mu.Unlock()
 	tm.dops = make(map[string]*DOP)
 	tm.ctxLSN = make(map[string]wal.LSN)
-	tm.closeLogs() //nolint:errcheck // a crash reports nothing
+	tm.closeLog() //nolint:errcheck // a crash reports nothing
 }
 
 // logRecord reserves one record in the client log and returns the wait for
@@ -584,7 +591,9 @@ func (tm *ClientTM) logRecord(t wal.RecordType, dop string, payload []byte) (fun
 // end record itself when none is) is dead, and once that is a segment's worth
 // beyond the low-water mark the log is checkpointed there — at most one
 // marker install per segment written, and none while a parked DOP pins the
-// floor. The trim is best effort: an untrimmed log is merely longer.
+// floor. A decision being logged lies above its Checkin's context record, and
+// the coordinator re-logs pending ones above the floor. The trim is best
+// effort: an untrimmed log is merely longer.
 func (tm *ClientTM) logEnd(dop string) error {
 	wait, err := tm.logRecord(recDOPEnd, dop, nil)
 	if err != nil {
@@ -600,7 +609,7 @@ func (tm *ClientTM) logEnd(dop string) error {
 	}
 	tm.mu.Unlock()
 	if floor >= tm.log.LowWater()+wal.DefaultSegmentBytes {
-		tm.log.Checkpoint(floor) //nolint:errcheck // best effort, see above
+		tm.coord.Checkpoint(floor) //nolint:errcheck // best effort, see above
 	}
 	return nil
 }

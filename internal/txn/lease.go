@@ -22,7 +22,7 @@ import (
 // Durable long-transaction state deliberately survives: persisted DOP
 // contexts (client log), checked-out DOV history, scope grants, and —
 // critically — *prepared* checkin branches. A prepared branch may correspond
-// to a durable commit decision in the dead workstation's coordinator log, and
+// to a durable commit decision in the dead workstation's client log, and
 // ServerTM.Commit treats an unknown transaction as already-committed, so
 // reaping it would silently lose a committed checkin. Prepared branches stay
 // pinned until the recovered coordinator resolves them.

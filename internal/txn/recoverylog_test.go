@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"concord/internal/catalog"
+	"concord/internal/fault"
 	"concord/internal/lock"
 	"concord/internal/rpc"
 	"concord/internal/version"
@@ -112,9 +113,11 @@ func openFDs(t *testing.T) int {
 	return len(ents)
 }
 
-// TestClientTMOwnsBothLogs: client-coord.wal used to be closed by nobody —
-// not by Close, not by Crash, not on NewClientTM's error paths.
-func TestClientTMOwnsBothLogs(t *testing.T) {
+// TestClientTMOwnsItsLog: a durable workstation keeps one log, client-tm.wal,
+// which the coordinator shares; Close, Crash and every error path of
+// NewClientTM release it. A directory that still holds the separate
+// client-coord.wal of older builds is refused, not read beside it.
+func TestClientTMOwnsItsLog(t *testing.T) {
 	s := newStack(t, "")
 	open := func(dir, id string) (*ClientTM, error) {
 		client := rpc.NewClient(s.trans, id)
@@ -123,17 +126,24 @@ func TestClientTMOwnsBothLogs(t *testing.T) {
 		return tm, err
 	}
 	good := filepath.Join(t.TempDir(), "ws1")
-	// A workstation whose client log NewClientTM refuses after both logs and
-	// the coordinator are up: the error path that opened the most.
+	// A workstation whose client log NewClientTM refuses after the log is
+	// open and half replayed: the error path that opened the most.
 	foreign := filepath.Join(t.TempDir(), "ws1")
 	l, err := wal.Open(filepath.Join(foreign, "client-tm.wal"), wal.Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(0x21, "coordinator", []byte("ws1/dop-0001/ci1")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append(0x41, "dop", []byte("gob")); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
+	twoLogs := filepath.Join(t.TempDir(), "ws1")
+	if err := os.MkdirAll(filepath.Join(twoLogs, "client-coord.wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 
 	round := func(i int) {
 		tm, err := open(good, fmt.Sprintf("fd-%d", i))
@@ -151,6 +161,9 @@ func TestClientTMOwnsBothLogs(t *testing.T) {
 		if _, err := open(foreign, fmt.Sprintf("fd-foreign-%d", i)); !errors.Is(err, errForeignClientLog) {
 			t.Fatalf("foreign log: %v, want errForeignClientLog", err)
 		}
+		if _, err := open(twoLogs, fmt.Sprintf("fd-two-%d", i)); !errors.Is(err, errSeparateCoordLog) {
+			t.Fatalf("directory with client-coord.wal: %v, want errSeparateCoordLog", err)
+		}
 	}
 	round(0) // whatever is opened once and kept is open before the count
 	before := openFDs(t)
@@ -159,6 +172,17 @@ func TestClientTMOwnsBothLogs(t *testing.T) {
 	}
 	if after := openFDs(t); after != before {
 		t.Fatalf("open descriptors %d → %d over 50 open/close rounds", before, after)
+	}
+	ents, err := os.ReadDir(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if got := fmt.Sprint(names); got != "[cache client-tm.wal]" {
+		t.Fatalf("workstation directory holds %s, want [cache client-tm.wal]", got)
 	}
 }
 
@@ -179,12 +203,14 @@ func TestClientLogStaysBounded(t *testing.T) {
 	wsDir := filepath.Join(t.TempDir(), "ws1")
 	tm, _ := openWS(t, s, wsDir, "bounded-1")
 	tip := s.seedDOV(t, "v0", 1)
+	var acked []string // the checkins' 2PC transactions
 	cycle := func(i int) {
 		t.Helper()
 		d, err := tm.Begin("", "da1")
 		if err != nil {
 			t.Fatal(err)
 		}
+		acked = append(acked, d.ID()+"/ci1")
 		obj, err := d.Checkout(tip, true)
 		if err != nil {
 			t.Fatal(err)
@@ -257,7 +283,7 @@ func TestClientLogStaysBounded(t *testing.T) {
 	if err := tm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recovered := openWS(t, s, wsDir, "bounded-2")
+	tm2, recovered := openWS(t, s, wsDir, "bounded-2")
 	var got []string
 	for _, d := range recovered {
 		got = append(got, fmt.Sprintf("%s/%s%s", d.ID(), d.Phase(), inputIDs(d)))
@@ -265,6 +291,19 @@ func TestClientLogStaysBounded(t *testing.T) {
 	want := fmt.Sprintf("[live-active/active[%s] live-suspended/suspended[]]", tip)
 	if fmt.Sprint(got) != want {
 		t.Fatalf("recovered %v, want %s", got, want)
+	}
+	// Every checkin's decision was acknowledged, so the coordinator holds none
+	// of them, before the restart or after it.
+	for _, co := range []*rpc.Coordinator{tm.coord, tm2.coord} {
+		pending := 0
+		for _, txid := range acked {
+			if co.Outcome(txid) == rpc.OutcomeCommitted {
+				pending++
+			}
+		}
+		if pending != 0 {
+			t.Fatalf("coordinator still holds %d of %d acknowledged decisions", pending, len(acked))
+		}
 	}
 }
 
@@ -468,6 +507,82 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 	}
 }
 
+// TestPendingDecisionSurvivesLogCut is the crash-matrix row of a coordinator
+// that dies between its durable commit decision and phase 2
+// (rpc.FaultDecisionLogged). The decision shares client-tm.wal with the DOP
+// records, and the cycles after it cut the log past the decision record; the
+// cut re-logs the still unacknowledged decision above its floor, so after a
+// restart the coordinator still answers committed and the server
+// participant's Resolve installs the branch.
+func TestPendingDecisionSurvivesLogCut(t *testing.T) {
+	dir := t.TempDir()
+	s := newStack(t, dir)
+	v0 := s.seedDOV(t, "v0", 100)
+	dop, err := s.tm.Begin("dop-p", "da1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := dop.Checkout(v0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj.Set("area", catalog.Float(42))
+	dop.SetWorkspace(obj) //nolint:errcheck // the DOP is active
+	co := s.tm.Coordinator()
+	co.Faults = fault.New()
+	co.Faults.Arm(rpc.FaultDecisionLogged, errors.New("coordinator died after the decision"))
+	mark := wal.LSN(s.tm.log.Size()) // the decision record lies above it
+	if _, err := dop.Checkin(version.StatusWorking, false); err == nil {
+		t.Fatal("checkin should surface the phase-2 failure")
+	}
+	co.Faults.Disarm(rpc.FaultDecisionLogged)
+	if err := dop.Abort(); err != nil { // its context record no longer pins the floor
+		t.Fatal(err)
+	}
+
+	tip := v0
+	for i := 0; s.tm.log.LowWater() <= mark; i++ {
+		if i == 100 {
+			t.Fatalf("no cut passed the decision at LSN %d in %d cycles (low-water %d)", mark, i, s.tm.log.LowWater())
+		}
+		d, err := s.tm.Begin("", "da1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := d.Checkout(tip, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Set("cell", bigCell(256<<10, fmt.Sprint(i)))
+		d.SetWorkspace(o) //nolint:errcheck // the DOP is active
+		if tip, err = d.Checkin(version.StatusWorking, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.tm.Crash()
+
+	tm2, _ := openWS(t, s, filepath.Join(dir, "ws1"), "ws1-incarnation-2")
+	if got := tm2.Coordinator().Outcome("dop-p/ci1"); got != rpc.OutcomeCommitted {
+		t.Fatalf("outcome of the unacknowledged decision after the cut and a restart = %s", got)
+	}
+	if doubt := s.part.InDoubt(); fmt.Sprint(doubt) != "[dop-p/ci1]" {
+		t.Fatalf("participant in doubt about %v, want [dop-p/ci1]", doubt)
+	}
+	if err := s.part.Resolve(tm2.Coordinator().Outcome); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.repo.Object("dop-p/v1")
+	if err != nil {
+		t.Fatalf("the committed branch was not installed: %v", err)
+	}
+	if catalog.NumAttr(got, "area") != 42 {
+		t.Fatalf("area = %g, want 42", catalog.NumAttr(got, "area"))
+	}
+}
+
 func mustHash(t *testing.T, o *catalog.Object) []byte {
 	t.Helper()
 	h, err := catalog.HashObject(o)
@@ -538,8 +653,9 @@ func (a logDelta) sub(b logDelta) logDelta {
 
 // TestForceTable pins the workstation rows of the force table in DESIGN.md
 // §4.4: per step of one durable cycle, the records appended, the forces
-// (fsyncs) paid and the bytes logged, on each of the two workstation logs.
-// The coordinator's own two are pinned next to it in internal/rpc.
+// (fsyncs) paid and the bytes logged on the one workstation log, the
+// coordinator's decision and end records included (the standalone
+// coordinator's are pinned next to it in internal/rpc).
 func TestForceTable(t *testing.T) {
 	s := newStack(t, t.TempDir())
 	v0 := s.seedDOV(t, "v0", 100)
@@ -549,16 +665,16 @@ func TestForceTable(t *testing.T) {
 	steps := []struct {
 		name string
 		do   func() error
-		// want per log; bytes is an upper bound, wsBytes adds len(ws) to it
-		// and makes len(ws) the lower bound.
-		tm, coord logDelta
-		wsBytes   bool
+		// want; bytes is an upper bound, wsBytes adds len(ws) to it and makes
+		// len(ws) the lower bound.
+		want    logDelta
+		wsBytes bool
 	}{
-		{name: "Begin", tm: logDelta{1, 0, 64}, do: func() (err error) {
+		{name: "Begin", want: logDelta{1, 0, 64}, do: func() (err error) {
 			dop, err = tm.Begin("dop-f", "da1")
 			return err
 		}},
-		{name: "Checkout", tm: logDelta{1, 0, 96}, do: func() error {
+		{name: "Checkout", want: logDelta{1, 0, 96}, do: func() error {
 			obj, err := dop.Checkout(v0, true)
 			if err != nil {
 				return err
@@ -569,31 +685,33 @@ func TestForceTable(t *testing.T) {
 			}
 			return dop.SetWorkspace(obj)
 		}},
-		{name: "Checkin", tm: logDelta{1, 1, 128}, wsBytes: true, coord: logDelta{2, 2, 96}, do: func() error {
+		// The decision, its end record, the post-checkin context.
+		{name: "Checkin", want: logDelta{3, 3, 224}, wsBytes: true, do: func() error {
 			_, err := dop.Checkin(version.StatusWorking, false)
 			return err
 		}},
-		{name: "Commit", tm: logDelta{1, 1, 32}, do: func() error { return dop.Commit() }},
+		{name: "Commit", want: logDelta{1, 1, 32}, do: func() error { return dop.Commit() }},
 	}
+	var total logDelta
 	for _, st := range steps {
-		tm0, coord0 := logState(tm.log), logState(tm.coordLog)
+		before := logState(tm.log)
 		if err := st.do(); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		check := func(log string, got, want logDelta, lo int64) {
-			t.Helper()
-			if got.appends != want.appends || got.forces != want.forces {
-				t.Errorf("%s on %s: %d records, %d forces; want %d, %d", st.name, log, got.appends, got.forces, want.appends, want.forces)
-			}
-			if got.bytes < lo || got.bytes > lo+want.bytes {
-				t.Errorf("%s on %s: %d bytes logged, want %d..%d", st.name, log, got.bytes, lo, lo+want.bytes)
-			}
+		got := logState(tm.log).sub(before)
+		total = logDelta{total.appends + got.appends, total.forces + got.forces, 0}
+		if got.appends != st.want.appends || got.forces != st.want.forces {
+			t.Errorf("%s: %d records, %d forces; want %d, %d", st.name, got.appends, got.forces, st.want.appends, st.want.forces)
 		}
 		var lo int64
 		if st.wsBytes {
 			lo = int64(len(ws)) // the workspace once — and no input beside it
 		}
-		check("client-tm.wal", logState(tm.log).sub(tm0), st.tm, lo)
-		check("client-coord.wal", logState(tm.coordLog).sub(coord0), st.coord, 0)
+		if got.bytes < lo || got.bytes > lo+st.want.bytes {
+			t.Errorf("%s: %d bytes logged, want %d..%d", st.name, got.bytes, lo, lo+st.want.bytes)
+		}
+	}
+	if total.appends != 6 || total.forces != 4 {
+		t.Errorf("per cycle: %d records, %d forces; want 6, 4", total.appends, total.forces)
 	}
 }

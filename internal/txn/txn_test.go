@@ -20,6 +20,7 @@ type stack struct {
 	locks  *lock.Manager
 	scopes *lock.ScopeTable
 	server *ServerTM
+	part   *rpc.Participant
 	trans  *rpc.InProc
 	tm     *ClientTM
 	dir    string
@@ -65,7 +66,7 @@ func newStack(t *testing.T, dir string) *stack {
 		t.Fatal(err)
 	}
 	tm := newTM(t, trans, dir)
-	return &stack{cat: cat, repo: r, locks: locks, scopes: scopes, server: server, trans: trans, tm: tm, dir: dir}
+	return &stack{cat: cat, repo: r, locks: locks, scopes: scopes, server: server, part: participant, trans: trans, tm: tm, dir: dir}
 }
 
 func newTM(t *testing.T, trans *rpc.InProc, dir string) *ClientTM {
