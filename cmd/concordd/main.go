@@ -33,7 +33,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -43,7 +42,6 @@ import (
 	"concord/internal/rpc"
 	"concord/internal/server"
 	"concord/internal/vlsi"
-	"concord/internal/wal"
 )
 
 // methodAttach is the standby's self-announcement to its primary: the payload
@@ -97,11 +95,6 @@ func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, 
 		return err
 	}
 	defer r.Close()
-	plog, err := wal.Open(filepath.Join(data, "participant.wal"), wal.Options{SyncOnAppend: true})
-	if err != nil {
-		return err
-	}
-	defer plog.Close()
 
 	banner := "serving"
 	var handler rpc.DeadlineHandler
@@ -109,7 +102,7 @@ func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, 
 	var recv *repl.Receiver
 	if standbyOf != "" {
 		banner = "standby of " + standbyOf + " serving replication"
-		sb := server.NewStandby(r, plog, newClient(trans, "standby-cb"), server.Options{})
+		sb := server.NewStandby(r, newClient(trans, "standby-cb"), server.Options{})
 		sb.OnPromoted = startCheckpointer
 		defer sb.Close()
 		handler, recv = sb.Handler(), sb.Receiver()
@@ -122,7 +115,7 @@ func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, 
 			return fmt.Sprintf("role=%s epoch=%d mode=%s applied=%drec/%dB", role, r.Epoch(), r.Health().Mode, st.Records, st.Bytes)
 		}
 	} else {
-		site, err := server.Assemble(r, plog, newClient(trans, "concordd-cb"), server.Options{})
+		site, err := server.Assemble(r, newClient(trans, "concordd-cb"), server.Options{})
 		if err != nil {
 			return err
 		}

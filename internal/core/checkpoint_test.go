@@ -16,9 +16,9 @@ const stagedKey = "tm/staged/tx-indoubt"
 
 // TestCheckpointPreservesInDoubt2PC stages and prepares a checkin, takes a
 // checkpoint while the transaction is in doubt, crashes the server, and
-// verifies that (a) the staged record and the prepared vote survive via the
-// snapshot and compacted participant log, and (b) the restarted participant
-// resolves the transaction (presumed abort here: no coordinator logged a
+// verifies that (a) the staged record, which is the prepared vote, survives
+// in the snapshot, and (b) the restarted participant finds the transaction in
+// doubt and resolves it (presumed abort here: no coordinator logged a
 // commit), after which normal work continues.
 func TestCheckpointPreservesInDoubt2PC(t *testing.T) {
 	dir := t.TempDir()
@@ -51,7 +51,7 @@ func TestCheckpointPreservesInDoubt2PC(t *testing.T) {
 	}
 
 	// Checkpoint with the transaction in doubt: the staged record rides in
-	// the repository snapshot, the vote in the participant-log snapshot.
+	// the repository snapshot, and with it the vote.
 	if err := sys.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestCheckpointPreservesInDoubt2PC(t *testing.T) {
 	}
 	insp.Close()
 
-	// Restart: the participant recovers its vote from the compacted log
-	// and resolves the in-doubt transaction against the coordinators — no
-	// coordinator logged a commit, so presumed abort applies and the
-	// staged record is dropped.
+	// Restart: the server-TM recovers the staged record in doubt, and the
+	// participant resolves it against the coordinators — no coordinator
+	// logged a commit, so presumed abort applies and the staged record is
+	// dropped.
 	if err := sys.RestartServer(); err != nil {
 		t.Fatal(err)
 	}

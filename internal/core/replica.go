@@ -1,10 +1,10 @@
 // Warm-standby server replication (DESIGN.md §5.4): a second server site
 // follows the primary through synchronous WAL shipping and takes over on a
 // client-driven, epoch-fenced promotion. The standby runs the repository in
-// follower mode (live apply of shipped batches) and accretes a raw copy of
-// the participant log; promotion replays the latter to recover in-doubt 2PC
-// branches and assembles the full server role — lock manager, scope table,
-// server-TM, cooperation manager — over the replicated state.
+// follower mode (live apply of shipped batches); promotion assembles the full
+// server role — lock manager, scope table, server-TM recovering in-doubt 2PC
+// branches from the replicated staged records, cooperation manager — over
+// the replicated state.
 
 package core
 
@@ -18,7 +18,6 @@ import (
 	"concord/internal/rpc"
 	"concord/internal/server"
 	"concord/internal/txn"
-	"concord/internal/wal"
 )
 
 // StandbyAddr is the transport address of the warm-standby server site. With
@@ -34,7 +33,6 @@ type standbySite struct {
 	mu   sync.Mutex
 	sb   *server.Standby
 	repo *repo.Repository
-	plog *wal.Log
 	// everPromoted survives a crash of the promoted site: the state under
 	// Dir/standby carries a bumped epoch and direct mutations, so it can
 	// never rejoin as a follower.
@@ -69,35 +67,25 @@ func (ss *standbySite) healthInfo() txn.ServerHealthInfo {
 }
 
 // bootStandby opens (or recovers) the standby's durable state under
-// Dir/standby — the follower-mode repository replays its shipped redo log,
-// the participant-log copy resumes where shipping left off — and serves a
-// fresh server.Standby over it at StandbyAddr.
+// Dir/standby — the follower-mode repository replays its shipped redo log —
+// and serves a fresh server.Standby over it at StandbyAddr.
 func (s *System) bootStandby(ss *standbySite) error {
-	dir := filepath.Join(s.opts.Dir, "standby")
 	r, err := repo.Open(s.cat, repo.Options{
-		Dir: dir, Sync: true, Follower: true,
+		Dir: filepath.Join(s.opts.Dir, "standby"), Sync: true, Follower: true,
 		SegmentBytes: s.opts.SegmentBytes,
 		Faults:       s.opts.Faults,
 	})
 	if err != nil {
 		return err
 	}
-	plog, err := wal.Open(filepath.Join(dir, "participant.wal"), wal.Options{
-		SyncOnAppend: true, SegmentBytes: s.opts.SegmentBytes,
-	})
-	if err != nil {
-		r.Close()
-		return err
-	}
-	sb := server.NewStandby(r, plog, s.incarnationClient("standby-cb"), s.siteOptions())
+	sb := server.NewStandby(r, s.incarnationClient("standby-cb"), s.siteOptions())
 	sb.OnPromoted = s.startCheckpointer
 	if err := rpc.ServeWithDeadline(s.trans, StandbyAddr, sb.Handler()); err != nil {
-		plog.Close()
 		r.Close()
 		return err
 	}
 	ss.mu.Lock()
-	ss.sb, ss.repo, ss.plog = sb, r, plog
+	ss.sb, ss.repo = sb, r
 	ss.mu.Unlock()
 	return nil
 }
@@ -107,8 +95,8 @@ func (s *System) bootStandby(ss *standbySite) error {
 // error, or an error when the standby is already down.
 func (ss *standbySite) shutdown() error {
 	ss.mu.Lock()
-	sb, r, plog := ss.sb, ss.repo, ss.plog
-	ss.sb, ss.repo, ss.plog = nil, nil, nil
+	sb, r := ss.sb, ss.repo
+	ss.sb, ss.repo = nil, nil
 	if sb != nil && sb.Site() != nil {
 		ss.everPromoted = true
 	}
@@ -117,9 +105,7 @@ func (ss *standbySite) shutdown() error {
 		return errors.New("core: standby already down")
 	}
 	sb.Close()
-	err := r.Close()
-	plog.Close()
-	return err
+	return r.Close()
 }
 
 // Promote asks the standby to take over as primary (what a workstation's
@@ -156,8 +142,8 @@ func (s *System) CrashStandby() error {
 }
 
 // RestartStandby recovers the standby from its durable state: the follower
-// repository replays the shipped redo log, the participant-log copy reopens,
-// and a fresh receiver resumes ingest. The primary's sender reconnects on its
+// repository replays the shipped redo log, and a fresh receiver resumes
+// ingest. The primary's sender reconnects on its
 // own (the standby's authoritative tail steers catch-up), returning a
 // synchronous configuration to sync mode once the gap closes. A standby that
 // was promoted cannot restart as a follower again.

@@ -26,7 +26,6 @@ import (
 	"concord/internal/script"
 	"concord/internal/server"
 	"concord/internal/txn"
-	"concord/internal/wal"
 )
 
 // ServerAddr is the transport address of the server site.
@@ -55,12 +54,12 @@ type Options struct {
 	VolatileWorkstations bool
 	// CheckpointLogBytes is the background checkpointer's trigger: once the
 	// repository log has grown this many bytes past its low-water mark, a
-	// checkpoint (repository snapshot + participant-log compaction) runs.
+	// checkpoint (repository snapshot + log compaction) runs.
 	// 0 uses server.DefaultCheckpointLogBytes. Explicit System.Checkpoint
 	// calls work regardless.
 	CheckpointLogBytes int64
 	// SegmentBytes is the WAL segment rotation threshold for the server
-	// logs (0 uses wal.DefaultSegmentBytes).
+	// log (0 uses wal.DefaultSegmentBytes).
 	SegmentBytes int64
 	// CheckpointMaxChain is repo.Options.CheckpointMaxChain: a chain length
 	// that forces a full rebase on top of the repository's byte rule (0 sets
@@ -109,7 +108,7 @@ type System struct {
 	trans *rpc.InProc
 
 	mu     sync.Mutex
-	server *serverSite
+	server *server.Site
 	// standby is the warm-standby site (nil unless Options.Replicated). It
 	// outlives primary crashes: CrashServer leaves it running so a failover
 	// target exists exactly when it is needed.
@@ -124,23 +123,11 @@ type System struct {
 	serverEpochs int
 }
 
-// serverSite is an assembled server site plus the durable state core opened
-// for it (the participant log is nil in a volatile system).
-type serverSite struct {
-	*server.Site
-	plog *wal.Log
-}
-
-// shutdown tears the site down, then closes the durable state under it.
-// Returns the repository's close error (the one that can report lost
-// durability).
-func (site *serverSite) shutdown() error {
+// shutdownSite tears the site down, then closes the repository under it,
+// returning the close error (the one that can report lost durability).
+func shutdownSite(site *server.Site) error {
 	site.Close()
-	err := site.Repo.Close()
-	if site.plog != nil {
-		site.plog.Close()
-	}
-	return err
+	return site.Repo.Close()
 }
 
 // NewSystem boots a system: catalog registration, server recovery (if Dir
@@ -228,21 +215,8 @@ func (s *System) startServer() error {
 	if err != nil {
 		return err
 	}
-	site := &serverSite{}
-	if dir != "" {
-		site.plog, err = wal.Open(filepath.Join(dir, "participant.wal"), wal.Options{
-			SyncOnAppend: true, SegmentBytes: s.opts.SegmentBytes,
-		})
-		if err != nil {
-			r.Close()
-			return err
-		}
-	}
-	site.Site, err = server.Assemble(r, site.plog, s.incarnationClient("server-cb"), s.siteOptions())
+	site, err := server.Assemble(r, s.incarnationClient("server-cb"), s.siteOptions())
 	if err != nil {
-		if site.plog != nil {
-			site.plog.Close()
-		}
 		r.Close()
 		return err
 	}
@@ -255,11 +229,11 @@ func (s *System) startServer() error {
 		})
 	}
 	if err := rpc.ServeWithDeadline(s.trans, ServerAddr, site.Handler()); err != nil {
-		site.shutdown() //nolint:errcheck // reporting the serve error
+		shutdownSite(site) //nolint:errcheck // reporting the serve error
 		return err
 	}
 	if dir != "" {
-		s.startCheckpointer(site.Site)
+		s.startCheckpointer(site)
 	}
 	s.mu.Lock()
 	s.server = site
@@ -267,7 +241,7 @@ func (s *System) startServer() error {
 	return nil
 }
 
-// Checkpoint snapshots the repository and compacts the server logs now,
+// Checkpoint snapshots the repository and compacts the server log now,
 // regardless of the background threshold. It returns an error when the
 // server is down.
 func (s *System) Checkpoint() error {
@@ -275,7 +249,7 @@ func (s *System) Checkpoint() error {
 	if site == nil {
 		return errors.New("core: server is down")
 	}
-	return site.Checkpoint()
+	return site.Repo.Checkpoint()
 }
 
 // Catalog returns the shared DOT catalog.
@@ -291,10 +265,7 @@ func (s *System) activeSite() *server.Site {
 	if psite := sb.promotedSite(); psite != nil {
 		return psite
 	}
-	if site == nil {
-		return nil
-	}
-	return site.Site
+	return site
 }
 
 // CM returns the cooperation manager (centralized at the server site).
@@ -369,7 +340,7 @@ func (s *System) Close() error {
 	}
 	var err error
 	if s.server != nil {
-		err = s.server.shutdown()
+		err = shutdownSite(s.server)
 	}
 	if s.standby != nil {
 		s.standby.shutdown() //nolint:errcheck // closing; already down is fine
@@ -524,7 +495,7 @@ func (s *System) CrashServer() error {
 		return errors.New("core: server already down")
 	}
 	s.trans.Partition(ServerAddr)
-	return site.shutdown()
+	return shutdownSite(site)
 }
 
 // RestartServer recovers the server site from its durable state: the

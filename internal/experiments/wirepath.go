@@ -120,7 +120,7 @@ func RunWireScaling(n, rounds int, mode WirePathMode) (WireScalingResult, error)
 	defer r.Close()
 	srv := rpc.NewTCP()
 	defer srv.Close()
-	site, err := server.Assemble(r, nil, rpc.NewClient(srv, "e18-cb"), server.Options{})
+	site, err := server.Assemble(r, rpc.NewClient(srv, "e18-cb"), server.Options{})
 	if err != nil {
 		return res, err
 	}

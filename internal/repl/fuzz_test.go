@@ -45,7 +45,7 @@ func FuzzReplFrameDecode(f *testing.F) {
 		f.Add(w.Bytes())
 	}
 	seed(shipMsg{Stream: StreamRepo, Epoch: 5, Start: 0, Records: 3, Frames: frames})
-	seed(shipMsg{Stream: StreamPart, Epoch: 0, Start: 128, Records: 1, Frames: frames[:len(frames)/2]})
+	seed(shipMsg{Stream: StreamRepo + 1, Epoch: 0, Start: 128, Records: 1, Frames: frames[:len(frames)/2]})
 	seed(shipMsg{Stream: StreamRepo, Epoch: 1, Start: 0, Records: 0, Frames: nil})
 	mut := bytes.Clone(frames)
 	mut[len(mut)/2] ^= 0x20
@@ -79,7 +79,7 @@ func FuzzReplFrameDecode(f *testing.F) {
 		// Epoch fencing: a standby on a higher epoch refuses the batch.
 		if m.Epoch < math.MaxUint64 {
 			fol := &fakeFollower{follower: true, epoch: m.Epoch + 1}
-			rec := NewReceiver(fol, nil, ReceiverOptions{})
+			rec := NewReceiver(fol, ReceiverOptions{})
 			if _, err := rec.Handler()(MethodShip, data); !errors.Is(err, rpc.ErrStaleEpoch) {
 				t.Fatalf("batch below the standby epoch not fenced: %v", err)
 			}
@@ -91,7 +91,7 @@ func FuzzReplFrameDecode(f *testing.F) {
 		// Same epoch: the handler must not panic; if it ingested anything,
 		// the batch was wholly valid frames landing exactly at the tail.
 		fol := &fakeFollower{follower: true, epoch: m.Epoch}
-		rec := NewReceiver(fol, nil, ReceiverOptions{})
+		rec := NewReceiver(fol, ReceiverOptions{})
 		resp, err := rec.Handler()(MethodShip, data)
 		if err == nil {
 			if _, aerr := decodeAck(resp); aerr != nil {

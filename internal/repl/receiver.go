@@ -36,19 +36,17 @@ type ReceiverOptions struct {
 	Faults *fault.Registry
 	// OnPromote runs after the follower's epoch is durably bumped and
 	// follower mode ended, with the new epoch: the embedding server
-	// assembles its primary role here (locks, server-TM, 2PC participant
-	// from the replicated vote log). A failure leaves the promotion
-	// retryable.
+	// assembles its primary role here (locks, server-TM recovering in-doubt
+	// 2PC branches from the replicated staged records). A failure leaves the
+	// promotion retryable.
 	OnPromote func(epoch uint64) error
 }
 
 // Receiver is the standby half of WAL shipping: it serves MethodHello,
 // MethodShip and MethodPromote, ingesting the repository stream through the
-// Follower (live apply) and the participant stream into a raw log whose
-// replay at promotion recovers in-doubt 2PC branches.
+// Follower (live apply).
 type Receiver struct {
 	follower Follower
-	plog     *wal.Log // participant stream store; nil when not replicated
 	opts     ReceiverOptions
 
 	mu       sync.Mutex
@@ -59,10 +57,9 @@ type Receiver struct {
 }
 
 // NewReceiver returns a receiver applying the repository stream through
-// follower and storing the participant stream in plog (nil to serve only
-// the repository stream).
-func NewReceiver(follower Follower, plog *wal.Log, opts ReceiverOptions) *Receiver {
-	return &Receiver{follower: follower, plog: plog, opts: opts}
+// follower.
+func NewReceiver(follower Follower, opts ReceiverOptions) *Receiver {
+	return &Receiver{follower: follower, opts: opts}
 }
 
 // Handler returns the transport handler serving the replication protocol.
@@ -139,9 +136,6 @@ func (rc *Receiver) handleHello(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	h := helloResp{Epoch: rc.follower.Epoch(), Tails: map[uint8]wal.LSN{StreamRepo: rc.follower.ReplTail()}}
-	if rc.plog != nil {
-		h.Tails[StreamPart] = wal.LSN(rc.plog.Size())
-	}
 	w := binenc.GetWriter(64)
 	encodeHello(w, h)
 	return w.Detach(), nil
@@ -163,10 +157,10 @@ func (rc *Receiver) handleShip(payload []byte) ([]byte, error) {
 	if err := rc.fence(m.Epoch); err != nil {
 		return nil, err
 	}
-	tail, apply, err := rc.stream(m.Stream)
-	if err != nil {
-		return nil, err
+	if m.Stream != StreamRepo {
+		return nil, fmt.Errorf("repl: unknown stream %d", m.Stream)
 	}
+	tail := rc.follower.ReplTail()
 	start, frames := m.Start, m.Frames
 	end := start + wal.LSN(len(frames))
 	switch {
@@ -179,7 +173,7 @@ func (rc *Receiver) handleShip(payload []byte) ([]byte, error) {
 			frames = frames[tail-start:]
 			start = tail
 		}
-		if err := apply(start, frames); err != nil {
+		if err := rc.follower.ApplyShipped(start, frames); err != nil {
 			return nil, err
 		}
 		rc.mu.Lock()
@@ -187,26 +181,11 @@ func (rc *Receiver) handleShip(payload []byte) ([]byte, error) {
 		rc.records += uint64(m.Records)
 		rc.bytes += uint64(len(frames))
 		rc.mu.Unlock()
-		tail, _, _ = rc.stream(m.Stream)
+		tail = rc.follower.ReplTail()
 	}
 	w := binenc.GetWriter(24)
 	encodeAck(w, ackMsg{Epoch: rc.follower.Epoch(), Tail: tail})
 	return w.Detach(), nil
-}
-
-// stream resolves a stream ID to its current tail and ingest function.
-func (rc *Receiver) stream(id uint8) (wal.LSN, func(wal.LSN, []byte) error, error) {
-	switch id {
-	case StreamRepo:
-		return rc.follower.ReplTail(), rc.follower.ApplyShipped, nil
-	case StreamPart:
-		if rc.plog == nil {
-			return 0, nil, fmt.Errorf("repl: participant stream not replicated here")
-		}
-		return wal.LSN(rc.plog.Size()), rc.plog.AppendRaw, nil
-	default:
-		return 0, nil, fmt.Errorf("repl: unknown stream %d", id)
-	}
 }
 
 // Promote performs the epoch-fenced takeover: the epoch is durably bumped

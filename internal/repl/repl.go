@@ -2,12 +2,13 @@
 // synchronous WAL shipping from a primary to a standby, epoch-fenced
 // failover, and client-driven takeover.
 //
-// The primary's write-ahead logs hand every durable group-commit batch to a
+// The primary's repository log hands every durable group-commit batch to a
 // Sender (via the wal.Shipper hook) in its exact on-disk framing; the Sender
 // forwards the bytes over the ordinary RPC substrate to the standby's
-// Receiver, which lands them in its own logs at identical LSNs and — for the
-// repository stream — applies each record to the live MVCC state, keeping
-// the standby hot so promotion is O(shipped tail), not O(history).
+// Receiver, which lands them in its own log at identical LSNs and applies
+// each record to the live MVCC state, keeping the standby hot so promotion
+// is O(shipped tail), not O(history). The log is the server's only one: the
+// server-TM's staged 2PC records, which are its commit votes, ride in it.
 //
 // Modes. With synchronous replication the commit path waits for the
 // standby's acknowledgement before group-commit waiters are released: a
@@ -48,16 +49,10 @@ const (
 	MethodPromote = "repl/promote"
 )
 
-// Replication stream identifiers. Each stream is one WAL replicated
-// independently at its own LSN cursor.
-const (
-	// StreamRepo is the repository's log: shipped records are applied live
-	// to the follower's MVCC state.
-	StreamRepo uint8 = 0
-	// StreamPart is the 2PC participant's vote log: shipped records are
-	// stored raw; promotion replays them to recover in-doubt branches.
-	StreamPart uint8 = 1
-)
+// StreamRepo identifies the repository's log on the wire, the one stream a
+// server replicates: shipped records are applied live to the follower's MVCC
+// state, the server-TM's staged 2PC records among them.
+const StreamRepo uint8 = 0
 
 // Fault points traversed by the replication layer (armed by the scenario
 // harness).

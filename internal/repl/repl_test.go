@@ -91,7 +91,7 @@ func newPair(t *testing.T, opts SenderOptions) *pair {
 	p := &pair{follower: &fakeFollower{follower: true}, faults: fault.New()}
 	tr := rpc.NewInProc(rpc.FaultPlan{})
 	t.Cleanup(func() { tr.Close() })
-	p.receiver = NewReceiver(p.follower, nil, ReceiverOptions{})
+	p.receiver = NewReceiver(p.follower, ReceiverOptions{})
 	if err := tr.Serve("standby", rpc.Dedup(p.receiver.Handler())); err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +108,9 @@ func newPair(t *testing.T, opts SenderOptions) *pair {
 	if opts.RetryEvery == 0 {
 		opts.RetryEvery = 2 * time.Millisecond
 	}
-	p.sender = NewSender(client, "standby", []Stream{{ID: StreamRepo, Log: log}}, opts)
+	p.sender = NewSender(client, "standby", log, opts)
 	t.Cleanup(func() { p.sender.Close() })
-	log.SetShipper(p.sender.Shipper(StreamRepo))
+	log.SetShipper(p.sender)
 	return p
 }
 
@@ -226,7 +226,7 @@ func TestPromoteIdempotentAndRetryable(t *testing.T) {
 	fol := &fakeFollower{follower: true}
 	faults := fault.New()
 	var assembled atomic.Int64
-	rec := NewReceiver(fol, nil, ReceiverOptions{
+	rec := NewReceiver(fol, ReceiverOptions{
 		Faults:    faults,
 		OnPromote: func(epoch uint64) error { assembled.Add(1); return nil },
 	})
@@ -250,52 +250,6 @@ func TestPromoteIdempotentAndRetryable(t *testing.T) {
 	}
 	if assembled.Load() != 1 {
 		t.Fatalf("OnPromote ran %d times, want 1", assembled.Load())
-	}
-}
-
-// TestParticipantStreamRawReplication replicates a second stream into a raw
-// standby log and checks the shipped bytes replay to identical records.
-func TestParticipantStreamRawReplication(t *testing.T) {
-	tr := rpc.NewInProc(rpc.FaultPlan{})
-	defer tr.Close()
-	fol := &fakeFollower{follower: true}
-	standbyPlog, err := wal.Open(t.TempDir(), wal.Options{SyncOnAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer standbyPlog.Close()
-	rec := NewReceiver(fol, standbyPlog, ReceiverOptions{})
-	if err := tr.Serve("standby", rpc.Dedup(rec.Handler())); err != nil {
-		t.Fatal(err)
-	}
-	plog, err := wal.Open(t.TempDir(), wal.Options{SyncOnAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plog.Close()
-	client := rpc.NewClient(tr, "primary")
-	client.Retries, client.Backoff = 2, 0
-	s := NewSender(client, "standby", []Stream{{ID: StreamPart, Log: plog}}, SenderOptions{Sync: true, RetryEvery: 2 * time.Millisecond})
-	defer s.Close()
-	plog.SetShipper(s.Shipper(StreamPart))
-	waitFor(t, "sync mode", func() bool { return s.Stats().Mode == ModeSync })
-	for i := 0; i < 4; i++ {
-		if _, err := plog.Append(0x31, "tx", []byte(fmt.Sprintf("tx-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if standbyPlog.Size() != plog.Size() {
-		t.Fatalf("standby plog at %d, primary at %d", standbyPlog.Size(), plog.Size())
-	}
-	var got []string
-	if err := standbyPlog.Replay(func(r wal.Record) error {
-		got = append(got, string(r.Payload))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 || got[0] != "tx-0" || got[3] != "tx-3" {
-		t.Fatalf("replicated participant records = %v", got)
 	}
 }
 

@@ -44,14 +44,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
-// Stream declares one WAL to replicate under a stream ID.
-type Stream struct {
-	// ID identifies the stream on the wire (StreamRepo, StreamPart).
-	ID uint8
-	// Log is the primary-side log whose batches are shipped.
-	Log *wal.Log
-}
-
 // SenderOptions configures a Sender.
 type SenderOptions struct {
 	// Sync selects synchronous replication: commits wait for the standby's
@@ -73,31 +65,29 @@ type SenderOptions struct {
 	Faults *fault.Registry
 }
 
-// senderStream is a Stream plus its send serialization: the commit path and
-// the pump may both ship on the same stream, and sendMu keeps their batches
-// ordered. The lock is never held while reading the log (wal.ReadRaw briefly
-// takes the log's write slot, which the commit path holds while shipping —
-// holding sendMu across a read would deadlock the two).
-type senderStream struct {
-	Stream
-	sendMu sync.Mutex
-}
-
 // Sender is the primary half of WAL shipping: it implements wal.Shipper for
-// each declared stream and pushes batches to the standby's Receiver.
+// the repository log (StreamRepo on the wire) and pushes its batches to the
+// standby's Receiver.
 type Sender struct {
-	client  *rpc.Client
-	addr    string
-	opts    SenderOptions
-	streams []*senderStream
+	client *rpc.Client
+	addr   string
+	opts   SenderOptions
+	log    *wal.Log
+
+	// sendMu serializes sends: the commit path and the pump may both ship,
+	// and it keeps their batches ordered. It is never held while reading the
+	// log (wal.ReadRaw briefly takes the log's write slot, which the commit
+	// path holds while shipping — holding sendMu across a read would
+	// deadlock the two).
+	sendMu sync.Mutex
 
 	mu        sync.Mutex
 	mode      Mode
 	needHello bool
 	compacted bool
-	acked     map[uint8]wal.LSN
-	recsIn    map[uint8]uint64 // records appended locally (Ship calls)
-	recsOut   map[uint8]uint64 // records acknowledged by the standby
+	acked     wal.LSN
+	recsIn    uint64 // records appended locally (Ship calls)
+	recsOut   uint64 // records acknowledged by the standby
 	batches   uint64
 	bytesOut  uint64
 	degrades  uint64
@@ -108,11 +98,12 @@ type Sender struct {
 	stopOnce sync.Once
 }
 
-// NewSender starts a sender replicating streams to the Receiver served at
-// addr through client. It begins in trailing mode; the background pump
-// performs the hello handshake, catches the standby up and — for synchronous
-// configurations — flips to ModeSync once every stream is level.
-func NewSender(client *rpc.Client, addr string, streams []Stream, opts SenderOptions) *Sender {
+// NewSender starts a sender replicating log to the Receiver served at addr
+// through client; install it on log with SetShipper. It begins in trailing
+// mode; the background pump performs the hello handshake, catches the
+// standby up and — for synchronous configurations — flips to ModeSync once
+// the standby is level.
+func NewSender(client *rpc.Client, addr string, log *wal.Log, opts SenderOptions) *Sender {
 	if opts.RetryEvery <= 0 {
 		opts.RetryEvery = 20 * time.Millisecond
 	}
@@ -123,49 +114,21 @@ func NewSender(client *rpc.Client, addr string, streams []Stream, opts SenderOpt
 		client:    client,
 		addr:      addr,
 		opts:      opts,
+		log:       log,
 		mode:      ModeTrailing,
 		needHello: true,
-		acked:     make(map[uint8]wal.LSN),
-		recsIn:    make(map[uint8]uint64),
-		recsOut:   make(map[uint8]uint64),
 		kick:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
-	}
-	for _, st := range streams {
-		s.streams = append(s.streams, &senderStream{Stream: st})
 	}
 	go s.run()
 	s.kickPump()
 	return s
 }
 
-// Shipper returns the wal.Shipper for stream id, to be installed on the
-// matching primary log with SetShipper. It panics on an undeclared id
-// (wiring bug).
-func (s *Sender) Shipper(id uint8) wal.Shipper {
-	for _, st := range s.streams {
-		if st.ID == id {
-			return &streamShipper{s: s, st: st}
-		}
-	}
-	panic(fmt.Sprintf("repl: no stream %d declared", id))
-}
-
-// streamShipper binds a Sender to one stream for the wal.Shipper hook.
-type streamShipper struct {
-	s  *Sender
-	st *senderStream
-}
-
-// Ship implements wal.Shipper.
-func (ss *streamShipper) Ship(start wal.LSN, frames []byte, records int) error {
-	return ss.s.ship(ss.st, start, frames, records)
-}
-
-// Close stops the background pump. Installed Shippers keep functioning in
-// degraded form (every batch trails and nothing drains it), so detach them
-// (SetShipper(nil)) or close the logs first.
+// Close stops the background pump. An installed Sender keeps functioning in
+// degraded form (every batch trails and nothing drains it), so detach it
+// (SetShipper(nil)) or close the log first.
 func (s *Sender) Close() {
 	s.stopOnce.Do(func() { close(s.stop) })
 	<-s.done
@@ -177,11 +140,10 @@ type SenderStats struct {
 	Mode Mode
 	// SyncConfigured reports whether the sender aims for ModeSync.
 	SyncConfigured bool
-	// LagBytes is how many durable bytes the standby is behind, summed over
-	// streams.
+	// LagBytes is how many durable bytes the standby is behind.
 	LagBytes int64
-	// LagRecords is how many records the standby is behind, summed over
-	// streams (approximate across restarts).
+	// LagRecords is how many records the standby is behind (approximate
+	// across restarts).
 	LagRecords int64
 	// Batches counts acknowledged shipments.
 	Batches uint64
@@ -205,35 +167,25 @@ func (s *Sender) Stats() SenderStats {
 		Degrades:       s.degrades,
 		Compacted:      s.compacted,
 	}
-	for _, str := range s.streams {
-		if in, out := s.recsIn[str.ID], s.recsOut[str.ID]; in > out {
-			st.LagRecords += int64(in - out)
-		}
-	}
-	acked := make(map[uint8]wal.LSN, len(s.acked))
-	for id, a := range s.acked {
-		acked[id] = a
+	if s.recsIn > s.recsOut {
+		st.LagRecords = int64(s.recsIn - s.recsOut)
 	}
 	s.mu.Unlock()
-	for _, str := range s.streams {
-		if size := str.Log.Size(); size > int64(acked[str.ID]) {
-			st.LagBytes += size - int64(acked[str.ID])
-		}
-	}
+	st.LagBytes = s.lagBytes()
 	return st
 }
 
-// ship is the Shipper hook body: inline send in sync mode (and for
-// contiguous batches past the lag bound), otherwise hand off to the pump.
-// It is called on the commit path holding the log's write slot, so it must
-// never wait on the pump (which needs that slot to read the log).
-func (s *Sender) ship(st *senderStream, start wal.LSN, frames []byte, records int) error {
+// Ship implements wal.Shipper: inline send in sync mode (and for contiguous
+// batches past the lag bound), otherwise hand off to the pump. It is called
+// on the commit path holding the log's write slot, so it must never wait on
+// the pump (which needs that slot to read the log).
+func (s *Sender) Ship(start wal.LSN, frames []byte, records int) error {
 	s.mu.Lock()
 	if s.mode == ModeDeposed {
 		s.mu.Unlock()
 		return rpc.ErrStaleEpoch
 	}
-	s.recsIn[st.ID] += uint64(records)
+	s.recsIn += uint64(records)
 	if err := s.opts.Faults.At(FaultShipDrop); err != nil {
 		s.degradeLocked()
 		s.mu.Unlock()
@@ -241,7 +193,7 @@ func (s *Sender) ship(st *senderStream, start wal.LSN, frames []byte, records in
 		return nil
 	}
 	inline := s.mode == ModeSync && !s.needHello
-	contiguous := s.acked[st.ID] == start
+	contiguous := s.acked == start
 	s.mu.Unlock()
 	if !inline && contiguous && s.opts.LagMax > 0 && s.lagBytes() > s.opts.LagMax {
 		// Bounded async lag: the standby is reachable enough to have acked
@@ -253,7 +205,7 @@ func (s *Sender) ship(st *senderStream, start wal.LSN, frames []byte, records in
 		s.kickPump()
 		return nil
 	}
-	err := s.send(st, start, frames, records)
+	err := s.send(start, frames, records)
 	switch {
 	case err == nil:
 		return nil
@@ -268,21 +220,12 @@ func (s *Sender) ship(st *senderStream, start wal.LSN, frames []byte, records in
 	}
 }
 
-// lagBytes sums the durable bytes not yet acknowledged across streams.
+// lagBytes is how many durable bytes the standby has not acknowledged.
 func (s *Sender) lagBytes() int64 {
 	s.mu.Lock()
-	acked := make(map[uint8]wal.LSN, len(s.acked))
-	for id, a := range s.acked {
-		acked[id] = a
-	}
+	acked := s.acked
 	s.mu.Unlock()
-	var lag int64
-	for _, str := range s.streams {
-		if size := str.Log.Size(); size > int64(acked[str.ID]) {
-			lag += size - int64(acked[str.ID])
-		}
-	}
-	return lag
+	return max(s.log.Size()-int64(acked), 0)
 }
 
 // degradeLocked drops sync mode to trailing. Caller holds s.mu.
@@ -310,15 +253,15 @@ func (s *Sender) kickPump() {
 	}
 }
 
-// send transmits one batch on st and processes the acknowledgement. Batches
+// send transmits one batch and processes the acknowledgement. Batches
 // already acknowledged (races between the commit path and the pump) are
 // trimmed or skipped; a batch starting past the acknowledged tail is a gap
 // the pump must fill first.
-func (s *Sender) send(st *senderStream, start wal.LSN, frames []byte, records int) error {
-	st.sendMu.Lock()
-	defer st.sendMu.Unlock()
+func (s *Sender) send(start wal.LSN, frames []byte, records int) error {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
 	s.mu.Lock()
-	acked := s.acked[st.ID]
+	acked := s.acked
 	deposed := s.mode == ModeDeposed
 	s.mu.Unlock()
 	if deposed {
@@ -336,14 +279,14 @@ func (s *Sender) send(st *senderStream, start wal.LSN, frames []byte, records in
 		_, records = wal.ValidFrames(frames)
 	}
 	if start > acked {
-		return fmt.Errorf("repl: send gap on stream %d: acked %d, batch starts %d", st.ID, acked, start)
+		return fmt.Errorf("repl: send gap: acked %d, batch starts %d", acked, start)
 	}
 	var epoch uint64
 	if s.opts.Epoch != nil {
 		epoch = s.opts.Epoch()
 	}
 	w := binenc.GetWriter(40 + len(frames))
-	encodeShip(w, shipMsg{Stream: st.ID, Epoch: epoch, Start: start, Records: uint32(records), Frames: frames})
+	encodeShip(w, shipMsg{Stream: StreamRepo, Epoch: epoch, Start: start, Records: uint32(records), Frames: frames})
 	resp, err := s.client.Call(s.addr, MethodShip, w.Bytes())
 	w.Free()
 	if err != nil {
@@ -365,15 +308,15 @@ func (s *Sender) send(st *senderStream, start wal.LSN, frames []byte, records in
 	// The ack's tail is authoritative in both directions: forward when the
 	// pump raced ahead, backward when the standby restarted behind our
 	// cursor and refused the batch.
-	s.acked[st.ID] = ack.Tail
+	s.acked = ack.Tail
 	if ack.Tail >= end {
-		s.recsOut[st.ID] += uint64(records)
+		s.recsOut += uint64(records)
 		s.batches++
 		s.bytesOut += uint64(len(frames))
 	}
 	s.mu.Unlock()
 	if ack.Tail < end {
-		return fmt.Errorf("repl: standby behind on stream %d (tail %d, batch ended %d)", st.ID, ack.Tail, end)
+		return fmt.Errorf("repl: standby behind (tail %d, batch ended %d)", ack.Tail, end)
 	}
 	return nil
 }
@@ -413,10 +356,8 @@ func (s *Sender) tick() {
 	if needHello && !s.hello() {
 		return
 	}
-	for _, st := range s.streams {
-		if !s.catchUp(st) {
-			return
-		}
+	if !s.catchUp() {
+		return
 	}
 	s.mu.Lock()
 	if s.mode == ModeTrailing && s.opts.Sync && !s.compacted {
@@ -425,8 +366,8 @@ func (s *Sender) tick() {
 	s.mu.Unlock()
 }
 
-// hello performs the handshake, adopting the receiver's tails as the
-// catch-up cursors. A receiver on a higher epoch deposes this sender.
+// hello performs the handshake, adopting the receiver's tail as the catch-up
+// cursor. A receiver on a higher epoch deposes this sender.
 func (s *Sender) hello() bool {
 	var epoch uint64
 	if s.opts.Epoch != nil {
@@ -453,36 +394,33 @@ func (s *Sender) hello() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.compacted = false
-	for _, st := range s.streams {
-		tail := h.Tails[st.ID]
-		if int64(tail) > st.Log.Size() {
-			// The standby holds bytes this log never wrote: divergent
-			// histories (it belongs to a different lineage). Catch-up cannot
-			// reconcile that; a full reseed is required.
-			s.compacted = true
-			continue
-		}
-		s.acked[st.ID] = tail
+	if tail := h.Tails[StreamRepo]; int64(tail) > s.log.Size() {
+		// The standby holds bytes this log never wrote: divergent histories
+		// (it belongs to a different lineage). Catch-up cannot reconcile
+		// that; a full reseed is required.
+		s.compacted = true
+	} else {
+		s.acked = tail
 	}
 	s.needHello = false
 	return true
 }
 
-// catchUp drains st's backlog, returning true when the stream is level with
-// its log's durable tail.
-func (s *Sender) catchUp(st *senderStream) bool {
+// catchUp drains the backlog, returning true when the standby is level with
+// the log's durable tail.
+func (s *Sender) catchUp() bool {
 	for {
 		s.mu.Lock()
-		acked := s.acked[st.ID]
+		acked := s.acked
 		compacted := s.compacted
 		s.mu.Unlock()
 		if compacted {
 			return false
 		}
-		if int64(acked) >= st.Log.Size() {
+		if int64(acked) >= s.log.Size() {
 			return true
 		}
-		buf, records, err := st.Log.ReadRaw(acked, s.opts.ChunkBytes)
+		buf, records, err := s.log.ReadRaw(acked, s.opts.ChunkBytes)
 		if errors.Is(err, wal.ErrCompacted) {
 			s.mu.Lock()
 			s.compacted = true
@@ -495,7 +433,7 @@ func (s *Sender) catchUp(st *senderStream) bool {
 		if len(buf) == 0 {
 			return true // durable tail reached (reservations may be in flight)
 		}
-		if err := s.send(st, acked, buf, records); err != nil {
+		if err := s.send(acked, buf, records); err != nil {
 			return false
 		}
 	}

@@ -1,9 +1,9 @@
 // Package rpc provides the communication substrate of CONCORD's
 // workstation/server architecture (Sect. 5.1): message transports, a
 // reliable ("transactional RPC") client achieving exactly-once effects over
-// unreliable delivery, and a presumed-abort two-phase commit engine with
-// persistent coordinator and participant logs (Sects. 5.2, 5.5, 6 and
-// [GR93, SBCM93]).
+// unreliable delivery, and a presumed-abort two-phase commit engine with a
+// persistent coordinator log, whose participants vote through their
+// resources' durable prepare (Sects. 5.2, 5.5, 6 and [GR93, SBCM93]).
 //
 // Two transports are provided: an in-process transport with deterministic
 // fault injection (drop, duplicate, delay) for simulation and tests, and a

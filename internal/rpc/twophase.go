@@ -1,12 +1,10 @@
 package rpc
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
-	"concord/internal/binenc"
 	"concord/internal/fault"
 	"concord/internal/wal"
 )
@@ -17,9 +15,9 @@ import (
 // optimizations for LAN communication (Sect. 6, [SBCM93]).
 //
 // The engine here is presumed-abort: the coordinator force-logs only commit
-// decisions; absence of a decision record means abort. Participants
-// force-log their prepare vote and resolve in-doubt transactions by asking
-// the coordinator after a crash.
+// decisions; absence of a decision record means abort. A participant's vote
+// is its resource's durable Prepare (it logs nothing of its own), and it
+// resolves in-doubt transactions by asking the coordinator after a crash.
 
 // Vote is a participant's answer to prepare.
 type Vote uint8
@@ -42,6 +40,14 @@ type Resource interface {
 	// Abort rolls a transaction back. It must be idempotent and tolerate
 	// unknown txids (presumed abort).
 	Abort(txid string) error
+}
+
+// InDoubtLister is a Resource whose promises outlive the process: each
+// VoteCommit of its Prepare is durable, and InDoubt lists the transactions it
+// prepared and has not resolved, those recovered from its durable state after
+// a restart included. The server-TM is one: its staged record is the vote.
+type InDoubtLister interface {
+	InDoubt() []string
 }
 
 // Outcome is the decided fate of a distributed transaction.
@@ -77,9 +83,9 @@ const (
 	// decision is durable, before any participant hears it — the classic
 	// in-doubt window on the participant side.
 	FaultDecisionLogged = "rpc:2pc-decision-logged"
-	// FaultPrepareVoteLogged fires in the participant after its commit
-	// vote is durable, before the vote reaches the coordinator — the
-	// reply is lost and the participant stays in doubt.
+	// FaultPrepareVoteLogged fires in the participant after its resource
+	// prepared durably, before the vote reaches the coordinator — the reply
+	// is lost and the participant stays in doubt.
 	FaultPrepareVoteLogged = "rpc:2pc-prepare-vote-logged"
 	// FaultCommitApply fires in the participant when the commit decision
 	// arrives, before the resource applies it — committed at the
@@ -237,15 +243,18 @@ func (c *Coordinator) Commit(txid string, participants []string) (Outcome, error
 	return OutcomeCommitted, firstErr
 }
 
-// forget drops an acknowledged decision from memory, then logs its end
-// record (forced, though cleanup only): a Checkpoint that re-logged txid
-// before the delete did so below the end record.
+// forget drops an acknowledged decision from memory, then reserves its end
+// record without waiting for it: a Checkpoint that re-logged txid before the
+// delete did so below the end record. The record is cleanup only and rides
+// the log's next force. Lost in a crash, the decision comes back pending:
+// Outcome still answers committed, which is true, and a resend of it is an
+// idempotent commit at the participant.
 func (c *Coordinator) forget(txid string) {
 	c.mu.Lock()
 	delete(c.decisions, txid)
 	c.mu.Unlock()
 	if c.log != nil {
-		c.log.Append(recDecisionEnd, "coordinator", []byte(txid)) //nolint:errcheck // cleanup only
+		c.log.AppendAsync(recDecisionEnd, "coordinator", []byte(txid)) //nolint:errcheck // cleanup only
 	}
 }
 
@@ -266,11 +275,11 @@ func (c *Coordinator) Checkpoint(floor wal.LSN) error {
 // ResendDecisions re-delivers every committed, not-yet-acknowledged decision
 // to addr: the client-driven half of in-doubt resolution after a failover.
 // The participant endpoint moved to the promoted standby, whose replicated
-// vote log knows the prepared branches but never heard phase 2 from the dead
-// primary's window — pushing the durable outcomes re-applies them (Commit is
-// idempotent, so branches the old server already applied and replicated are
-// harmless re-deliveries). Successful re-deliveries are forgotten exactly as
-// in Commit.
+// repository holds the prepared branches as staged records but never heard
+// phase 2 from the dead primary's window — pushing the durable outcomes
+// re-applies them (Commit is idempotent, so branches the old server already
+// applied and replicated are harmless re-deliveries). Successful
+// re-deliveries are forgotten exactly as in Commit.
 func (c *Coordinator) ResendDecisions(addr string) error {
 	c.mu.Lock()
 	pending := make([]string, 0, len(c.decisions))
@@ -305,124 +314,38 @@ func (c *Coordinator) abortAll(txid string, participants []string) {
 	}
 }
 
-// Participant adapts a Resource to the 2PC wire protocol with a persistent
-// vote log. Register its Handler on the transport address the coordinator
-// calls.
+// Participant adapts a Resource to the 2PC wire protocol. It logs nothing:
+// the resource's durable Prepare is the vote. Register its Handler on the
+// transport address the coordinator calls.
 type Participant struct {
 	res Resource
-	log *wal.Log
 
 	// Faults is the fault-point registry traversed at FaultPrepareVoteLogged
 	// and FaultCommitApply (nil-safe). Set it before serving; tests only.
 	Faults *fault.Registry
 
-	// ckMu orders vote/done log records against checkpoint snapshots: state
-	// changes hold it for read across (log append + map update), Checkpoint
-	// holds it for write, so a snapshot can never miss a vote whose record
-	// lies below the new low-water mark. Lock order: ckMu before mu.
-	ckMu     sync.RWMutex
-	mu       sync.Mutex
+	mu sync.Mutex
+	// prepared holds the transactions this incarnation voted commit on and
+	// has not resolved: a re-prepare is answered from it, and it is the
+	// in-doubt list of a resource that keeps none (not an InDoubtLister).
 	prepared map[string]bool
-	done     map[string]bool
 }
 
-// Participant log record types.
-const (
-	recVotePrepared wal.RecordType = 0x31
-	recTxDone       wal.RecordType = 0x32
-	// recPartSnap carries the full prepared/done state at its LSN; replay
-	// rebuilds from the latest one plus the records after it. Checkpoint
-	// writes it immediately before moving the log's low-water mark.
-	recPartSnap wal.RecordType = 0x33
-)
-
-// NewParticipant wraps res. log (optional) makes prepare votes durable so
-// in-doubt transactions survive a participant crash.
-func NewParticipant(res Resource, log *wal.Log) (*Participant, error) {
-	p := &Participant{res: res, log: log, prepared: make(map[string]bool), done: make(map[string]bool)}
-	if log != nil {
-		err := log.Replay(func(r wal.Record) error {
-			switch r.Type {
-			case recPartSnap:
-				prepared, done, err := decodePartSnap(r.Payload)
-				if err != nil {
-					return err
-				}
-				p.prepared, p.done = prepared, done
-			case recVotePrepared:
-				p.prepared[string(r.Payload)] = true
-			case recTxDone:
-				delete(p.prepared, string(r.Payload))
-				p.done[string(r.Payload)] = true
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+// NewParticipant wraps res. The log argument is ignored and never written: a
+// participant's promise is its resource's durable Prepare, so one that must
+// survive a crash implements InDoubtLister. The parameter stays for callers
+// that still open a participant log of their own.
+func NewParticipant(res Resource, _ *wal.Log) (*Participant, error) {
+	return &Participant{res: res, prepared: make(map[string]bool)}, nil
 }
 
-// encodePartSnap serializes the prepared and done transaction-ID sets.
-func encodePartSnap(prepared, done map[string]bool) []byte {
-	w := binenc.NewWriter(64 + 16*(len(prepared)+len(done)))
-	w.Strs(sortedKeys(prepared))
-	w.Strs(sortedKeys(done))
-	return w.Bytes()
-}
-
-func decodePartSnap(data []byte) (prepared, done map[string]bool, err error) {
-	r := binenc.NewReader(data)
-	prepared, done = make(map[string]bool), make(map[string]bool)
-	for _, tx := range r.Strs() {
-		prepared[tx] = true
-	}
-	for _, tx := range r.Strs() {
-		done[tx] = true
-	}
-	if err := r.Err(); err != nil {
-		return nil, nil, fmt.Errorf("rpc: participant snapshot: %w", err)
-	}
-	return prepared, done, nil
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Checkpoint compacts the participant log: it writes one snapshot record
-// holding the current prepared/done sets and moves the log's low-water mark
-// to just below it, so recovery replays the snapshot plus the records after
-// it instead of the whole vote history. In-doubt transactions (prepared,
-// unresolved) are preserved verbatim.
-func (p *Participant) Checkpoint() error {
-	if p.log == nil {
-		return nil
-	}
-	p.ckMu.Lock()
-	defer p.ckMu.Unlock()
-	p.mu.Lock()
-	payload := encodePartSnap(p.prepared, p.done)
-	p.mu.Unlock()
-	// No state change can append between here and the snapshot record (we
-	// hold ckMu), so the record's LSN is exactly the current tail and the
-	// mark below it covers every earlier vote.
-	mark := wal.LSN(p.log.Size())
-	if _, err := p.log.Append(recPartSnap, "participant", payload); err != nil {
-		return fmt.Errorf("rpc: participant checkpoint: %w", err)
-	}
-	return p.log.Checkpoint(mark)
-}
-
-// InDoubt lists transactions prepared but not yet resolved, sorted order not
-// guaranteed.
+// InDoubt lists transactions prepared but not yet resolved, in no particular
+// order: the resource's own list when it keeps one, else those this
+// participant voted commit on since it started.
 func (p *Participant) InDoubt() []string {
+	if l, ok := p.res.(InDoubtLister); ok {
+		return l.InDoubt()
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]string, 0, len(p.prepared))
@@ -451,36 +374,22 @@ func (p *Participant) Handler() Handler {
 
 func (p *Participant) prepare(txid string) ([]byte, error) {
 	p.mu.Lock()
-	if p.done[txid] {
-		p.mu.Unlock()
-		return nil, errors.New("rpc: participant: transaction already resolved")
-	}
-	if p.prepared[txid] {
-		p.mu.Unlock()
+	again := p.prepared[txid]
+	p.mu.Unlock()
+	if again {
 		return []byte("commit"), nil // idempotent re-prepare
 	}
-	p.mu.Unlock()
-
 	vote, err := p.res.Prepare(txid)
 	if err != nil || vote != VoteCommit {
 		return []byte("abort"), nil
-	}
-	p.ckMu.RLock()
-	defer p.ckMu.RUnlock()
-	if p.log != nil {
-		if _, err := p.log.Append(recVotePrepared, txid, []byte(txid)); err != nil {
-			// Vote not durable: refuse to promise.
-			p.res.Abort(txid) //nolint:errcheck // best effort
-			return []byte("abort"), nil
-		}
 	}
 	p.mu.Lock()
 	p.prepared[txid] = true
 	p.mu.Unlock()
 	if err := p.Faults.At(FaultPrepareVoteLogged); err != nil {
-		// Simulated participant death after the durable vote: the reply
+		// Simulated participant death after the durable prepare: the reply
 		// never reaches the coordinator, which aborts by presumption; the
-		// vote stays in doubt here until Resolve.
+		// branch stays in doubt here until Resolve.
 		return nil, err
 	}
 	return []byte("commit"), nil
@@ -507,21 +416,13 @@ func (p *Participant) abort(txid string) ([]byte, error) {
 	return []byte("ok"), nil
 }
 
+// finish forgets a resolved transaction. The resource's own durable
+// resolution (the server-TM's install or staged-record delete) is the only
+// record of it: a re-prepare after resolution is the resource's to refuse.
 func (p *Participant) finish(txid string) {
-	p.ckMu.RLock()
-	defer p.ckMu.RUnlock()
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.log != nil && p.prepared[txid] {
-		// The done record is pure cleanup: if it never becomes durable the
-		// transaction is merely re-resolved against the coordinator at the
-		// next recovery (commit/abort are idempotent). Reserve it and let
-		// the next forced write or Close carry it, instead of stalling the
-		// commit acknowledgement on an extra fsync.
-		p.log.AppendAsync(recTxDone, txid, []byte(txid)) //nolint:errcheck // cleanup only
-	}
 	delete(p.prepared, txid)
-	p.done[txid] = true
+	p.mu.Unlock()
 }
 
 // Resolve settles every in-doubt transaction after a participant restart by

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"errors"
-	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -169,14 +168,30 @@ func TestTwoPhaseCommitUnderMessageLoss(t *testing.T) {
 	}
 }
 
-func TestParticipantRecoveryInDoubt(t *testing.T) {
-	dir := t.TempDir()
-	plog, err := wal.Open(filepath.Join(dir, "p.wal"), wal.Options{SyncOnAppend: true})
-	if err != nil {
-		t.Fatal(err)
+// durableResource is a memResource whose state stands for what a resource
+// keeps on disk: a participant built over it after a "restart" takes the
+// in-doubt list from it, as the server's participant takes it from the
+// server-TM's staged records.
+type durableResource struct{ *memResource }
+
+func (r durableResource) InDoubt() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []string
+	for tx := range r.prepared {
+		if !r.committed[tx] && !r.aborted[tx] {
+			out = append(out, tx)
+		}
 	}
-	res := newMemResource()
-	p, err := NewParticipant(res, plog)
+	return out
+}
+
+// TestParticipantRecoveryInDoubt: the participant logs nothing, so a
+// transaction it voted commit on is in doubt after a restart exactly when its
+// resource kept the prepare durable and lists it.
+func TestParticipantRecoveryInDoubt(t *testing.T) {
+	res := durableResource{newMemResource()}
+	p, err := NewParticipant(res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,16 +199,10 @@ func TestParticipantRecoveryInDoubt(t *testing.T) {
 	if resp, err := p.Handler()(MethodPrepare, []byte("tx1")); err != nil || string(resp) != "commit" {
 		t.Fatalf("prepare = %q, %v", resp, err)
 	}
-	plog.Close()
 
-	// Participant restarts: the vote must be recovered as in-doubt.
-	plog2, err := wal.Open(filepath.Join(dir, "p.wal"), wal.Options{SyncOnAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plog2.Close()
-	res2 := newMemResource()
-	p2, err := NewParticipant(res2, plog2)
+	// Participant restarts over the resource's durable state: the prepared
+	// branch is in doubt there, with nothing remembered by the participant.
+	p2, err := NewParticipant(res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +214,8 @@ func TestParticipantRecoveryInDoubt(t *testing.T) {
 	if err := p2.Resolve(func(string) Outcome { return OutcomeCommitted }); err != nil {
 		t.Fatal(err)
 	}
-	if res2.state("tx1") != "committed" {
-		t.Fatalf("after resolve = %s", res2.state("tx1"))
+	if res.state("tx1") != "committed" {
+		t.Fatalf("after resolve = %s", res.state("tx1"))
 	}
 	if len(p2.InDoubt()) != 0 {
 		t.Fatal("still in doubt after resolve")
@@ -328,23 +337,6 @@ func TestParticipantUnknownMethod(t *testing.T) {
 	}
 }
 
-func TestPrepareAfterResolveRejected(t *testing.T) {
-	p, err := NewParticipant(newMemResource(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := p.Handler()
-	if _, err := h(MethodPrepare, []byte("tx")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h(MethodCommit, []byte("tx")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h(MethodPrepare, []byte("tx")); err == nil {
-		t.Fatal("re-prepare of resolved transaction accepted")
-	}
-}
-
 func TestVoteAbortErrorFromResource(t *testing.T) {
 	res := newMemResource()
 	p, err := NewParticipant(&erroringResource{memResource: res}, nil)
@@ -366,90 +358,22 @@ func (e *erroringResource) Prepare(string) (Vote, error) {
 	return VoteAbort, errors.New("resource broken")
 }
 
-// TestParticipantCheckpointPreservesInDoubt runs a batch of resolved
-// transactions plus one in-doubt, compacts the participant log, crashes, and
-// verifies the recovered participant still knows the in-doubt vote (and the
-// resolved set — a finished transaction must not re-prepare) while the log
-// on disk shrank to the snapshot record.
-func TestParticipantCheckpointPreservesInDoubt(t *testing.T) {
-	dir := t.TempDir()
-	plog, err := wal.Open(filepath.Join(dir, "p.wal"), wal.Options{SyncOnAppend: true, SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := newMemResource()
-	p, err := NewParticipant(res, plog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		txid := fmt.Sprintf("tx-%02d", i)
-		if resp, err := p.Handler()(MethodPrepare, []byte(txid)); err != nil || string(resp) != "commit" {
-			t.Fatalf("prepare %s: %q, %v", txid, resp, err)
-		}
-		if _, err := p.Handler()(MethodCommit, []byte(txid)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if resp, err := p.Handler()(MethodPrepare, []byte("tx-open")); err != nil || string(resp) != "commit" {
-		t.Fatalf("prepare tx-open: %q, %v", resp, err)
-	}
-	before := plog.DiskBytes()
-	if err := p.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if after := plog.DiskBytes(); after >= before {
-		t.Fatalf("participant log %d -> %d bytes: checkpoint compacted nothing", before, after)
-	}
-
-	// Crash: abandon the log without Close and recover from disk.
-	plog2, err := wal.Open(filepath.Join(dir, "p.wal"), wal.Options{SyncOnAppend: true, SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plog2.Close()
-	res2 := newMemResource()
-	p2, err := NewParticipant(res2, plog2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doubt := p2.InDoubt(); len(doubt) != 1 || doubt[0] != "tx-open" {
-		t.Fatalf("InDoubt after checkpoint+crash = %v, want [tx-open]", doubt)
-	}
-	// A resolved transaction stays resolved across the compaction.
-	if _, err := p2.Handler()(MethodPrepare, []byte("tx-00")); err == nil {
-		t.Fatal("finished transaction re-prepared after checkpoint")
-	}
-	// The coordinator logged a commit for the open transaction: resolution
-	// must commit it.
-	if err := p2.Resolve(func(string) Outcome { return OutcomeCommitted }); err != nil {
-		t.Fatal(err)
-	}
-	if res2.state("tx-open") != "committed" {
-		t.Fatalf("in-doubt resolution after checkpoint = %s, want committed", res2.state("tx-open"))
-	}
-}
-
 // TestForceTableOf2PC pins the 2PC rows of the force table in DESIGN.md §4.4:
 // one committed transaction with one participant costs the coordinator two
-// forced records (the decision, and the end record that is "cleanup only" yet
-// forced) and the participant one (its vote; the done record rides the next
-// force). An aborted one costs the coordinator nothing — presumed abort.
+// records and one force — the decision; the end record is cleanup only and
+// rides the log's next force (here: the next decision). The participant
+// writes no log at all: its vote is its resource's durable prepare. An
+// aborted transaction costs the coordinator nothing — presumed abort.
 func TestForceTableOf2PC(t *testing.T) {
-	dir := t.TempDir()
-	open := func(name string) *wal.Log {
-		l, err := wal.Open(filepath.Join(dir, name), wal.Options{SyncOnAppend: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		return l
+	clog, err := wal.Open(filepath.Join(t.TempDir(), "c.wal"), wal.Options{SyncOnAppend: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	clog, plog := open("c.wal"), open("p.wal")
+	defer clog.Close()
 	tr := NewInProc(FaultPlan{})
 	defer tr.Close()
 	res := newMemResource()
-	p, err := NewParticipant(res, plog)
+	p, err := NewParticipant(res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,25 +384,19 @@ func TestForceTableOf2PC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func(l *wal.Log) [2]uint64 {
-		appends, _, syncs := l.Stats()
-		return [2]uint64{appends, syncs}
-	}
-	commit := func(txid string, want Outcome, wantCoord, wantPart [2]uint64) {
+	commit := func(txid string, want Outcome, wantRecords, wantForces uint64) {
 		t.Helper()
-		c0, p0 := count(clog), count(plog)
+		a0, _, s0 := clog.Stats()
 		if out, err := coord.Commit(txid, []string{"part"}); err != nil || out != want {
 			t.Fatalf("%s: %s, %v", txid, out, err)
 		}
-		c1, p1 := count(clog), count(plog)
-		if got := [2]uint64{c1[0] - c0[0], c1[1] - c0[1]}; got != wantCoord {
-			t.Errorf("%s: coordinator log took %d records, %d forces; want %d, %d", txid, got[0], got[1], wantCoord[0], wantCoord[1])
-		}
-		if got := [2]uint64{p1[0] - p0[0], p1[1] - p0[1]}; got != wantPart {
-			t.Errorf("%s: participant log took %d records, %d forces; want %d, %d", txid, got[0], got[1], wantPart[0], wantPart[1])
+		a1, _, s1 := clog.Stats()
+		if a1-a0 != wantRecords || s1-s0 != wantForces {
+			t.Errorf("%s: coordinator log took %d records, %d forces; want %d, %d", txid, a1-a0, s1-s0, wantRecords, wantForces)
 		}
 	}
-	commit("tx-commit", OutcomeCommitted, [2]uint64{2, 2}, [2]uint64{2, 1})
+	commit("tx-commit", OutcomeCommitted, 2, 1)
+	commit("tx-commit-2", OutcomeCommitted, 2, 1)
 	res.failPrepare = true
-	commit("tx-abort", OutcomeAborted, [2]uint64{0, 0}, [2]uint64{0, 0})
+	commit("tx-abort", OutcomeAborted, 0, 0)
 }

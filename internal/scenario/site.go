@@ -19,7 +19,6 @@ import (
 	"concord/internal/server"
 	"concord/internal/txn"
 	"concord/internal/vlsi"
-	"concord/internal/wal"
 )
 
 // errUnsupported reports a site operation the deployment cannot express
@@ -314,7 +313,6 @@ type tcpSite struct {
 
 	mu    sync.Mutex
 	site  *server.Site // nil while the server is crashed
-	plog  *wal.Log
 	srv   *rpc.TCP
 	epoch int
 
@@ -377,19 +375,13 @@ func newTCPSite(dir string, topo Topology, reg *fault.Registry) (*tcpSite, error
 // startServer opens (or recovers) the durable server state and serves it on
 // s.addr (chosen by the kernel on first boot, reused on restart).
 func (s *tcpSite) startServer() error {
-	sdir := filepath.Join(s.dir, "server")
 	r, err := repo.Open(s.cat, repo.Options{
-		Dir: sdir, Sync: true, SegmentBytes: s.segBytes,
+		Dir: s.serverRepoDir(), Sync: true, SegmentBytes: s.segBytes,
 		CheckpointMaxChain:   s.maxChain,
 		DegradedOnWALFailure: s.degradedWAL,
 		Faults:               s.reg,
 	})
 	if err != nil {
-		return err
-	}
-	plog, err := wal.Open(filepath.Join(sdir, "participant.wal"), wal.Options{SyncOnAppend: true})
-	if err != nil {
-		r.Close()
 		return err
 	}
 	// The callback channel shares the server's transport. The client ID is
@@ -401,12 +393,11 @@ func (s *tcpSite) startServer() error {
 	cbClient := rpc.NewClient(srv, fmt.Sprintf("server-cb@%d", s.epoch))
 	s.mu.Unlock()
 	cbClient.Backoff = time.Millisecond
-	site, err := server.Assemble(r, plog, cbClient, server.Options{
+	site, err := server.Assemble(r, cbClient, server.Options{
 		Faults: s.reg, LeaseTTL: s.leaseTTL, LockTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		srv.Close()
-		plog.Close()
 		r.Close()
 		return err
 	}
@@ -423,7 +414,7 @@ func (s *tcpSite) startServer() error {
 		}
 	}
 	s.mu.Lock()
-	s.site, s.plog, s.srv = site, plog, srv
+	s.site, s.srv = site, srv
 	listen := s.addr
 	s.mu.Unlock()
 	if listen == "" {
@@ -444,15 +435,14 @@ func (s *tcpSite) startServer() error {
 // listener, then the durable state.
 func (s *tcpSite) stopServer() {
 	s.mu.Lock()
-	site, plog, srv := s.site, s.plog, s.srv
-	s.site, s.plog, s.srv = nil, nil, nil
+	site, srv := s.site, s.srv
+	s.site, s.srv = nil, nil
 	s.mu.Unlock()
 	if site == nil {
 		return
 	}
 	site.Close()
 	srv.Close()
-	plog.Close()
 	site.Repo.Close()
 }
 
@@ -483,7 +473,7 @@ func (s *tcpSite) checkpoint() error {
 	if site == nil {
 		return errors.New("scenario: server down")
 	}
-	return site.Checkpoint()
+	return site.Repo.Checkpoint()
 }
 
 func (s *tcpSite) crashRestartServer(tornTail, tornManifest bool) error {
@@ -504,9 +494,9 @@ func (s *tcpSite) crashRestartServer(tornTail, tornManifest bool) error {
 	// Resolve in-doubt checkins against the workstation coordinators
 	// (presumed abort for unknown outcomes), as core.RestartServer does.
 	s.mu.Lock()
-	participant := s.site.Participant
+	site := s.site
 	s.mu.Unlock()
-	return participant.Resolve(txn.InDoubtOutcome(s.tms))
+	return site.Participant.Resolve(txn.InDoubtOutcome(s.tms))
 }
 
 func (s *tcpSite) crashRestartWS(int) error { return errUnsupported }

@@ -22,7 +22,6 @@ import (
 	"concord/internal/repo"
 	"concord/internal/rpc"
 	"concord/internal/txn"
-	"concord/internal/wal"
 )
 
 // Options carries what deployments set differently; everything else about a
@@ -54,12 +53,13 @@ type Site struct {
 	TM *txn.ServerTM
 	// CM is the cooperation manager.
 	CM *coop.CM
-	// Participant is the 2PC participant voting for TM.
+	// Participant is the 2PC participant voting for TM. Its votes are TM's
+	// durable staged records, so it has no log of its own, and its in-doubt
+	// list is TM's.
 	Participant *rpc.Participant
 	// Notifier is the server→workstation cache-invalidation channel.
 	Notifier *rpc.Notifier
 
-	plog   *wal.Log
 	faults *fault.Registry
 	// proto is the workstation/server protocol, verbs the deployment's own;
 	// both are served by dispatch from behind the fenced dedup.
@@ -74,14 +74,14 @@ type Site struct {
 	ckptDone   chan struct{}
 }
 
-// Assemble builds the server site over an opened repository and participant
-// log (nil for a volatile site): lock manager, scope table, feature registry,
-// server-TM, cooperation manager, 2PC participant and the cache-invalidation
-// notifier dialling back through callbacks, whose client ID must be unique per
-// server incarnation so workstation-side dedup never mistakes a restarted
-// server's callbacks for replays. The lease reaper is running on return. The
-// caller keeps ownership of r and plog and closes them after Site.Close.
-func Assemble(r *repo.Repository, plog *wal.Log, callbacks *rpc.Client, opts Options) (*Site, error) {
+// Assemble builds the server site over an opened repository: lock manager,
+// scope table, feature registry, server-TM, cooperation manager, 2PC
+// participant and the cache-invalidation notifier dialling back through
+// callbacks, whose client ID must be unique per server incarnation so
+// workstation-side dedup never mistakes a restarted server's callbacks for
+// replays. The lease reaper is running on return. The caller keeps ownership
+// of r and closes it after Site.Close.
+func Assemble(r *repo.Repository, callbacks *rpc.Client, opts Options) (*Site, error) {
 	scopes := lock.NewScopeTable()
 	reg := feature.NewRegistry()
 	stm := txn.NewServerTM(r, lock.NewManager(), scopes)
@@ -94,7 +94,7 @@ func Assemble(r *repo.Repository, plog *wal.Log, callbacks *rpc.Client, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	participant, err := rpc.NewParticipant(stm, plog)
+	participant, err := rpc.NewParticipant(stm, nil)
 	if err != nil {
 		cm.Close()
 		return nil, err
@@ -107,7 +107,7 @@ func Assemble(r *repo.Repository, plog *wal.Log, callbacks *rpc.Client, opts Opt
 	s := &Site{
 		Repo: r, Scopes: scopes, Registry: reg, TM: stm, CM: cm,
 		Participant: participant, Notifier: notifier,
-		plog: plog, faults: opts.Faults,
+		faults: opts.Faults,
 	}
 	stm.SetReplInfo(func() (string, uint64, uint64, uint64) {
 		st := s.SenderStats()
@@ -148,14 +148,6 @@ func (s *Site) Handle(method string, h rpc.Handler) {
 	s.verbs[method] = h
 }
 
-// Checkpoint snapshots the repository and compacts both server logs.
-func (s *Site) Checkpoint() error {
-	if err := s.Repo.Checkpoint(); err != nil {
-		return err
-	}
-	return s.Participant.Checkpoint()
-}
-
 // checkpointPollInterval is how often the background checkpointer samples
 // the log size.
 const checkpointPollInterval = 250 * time.Millisecond
@@ -166,8 +158,9 @@ const checkpointPollInterval = 250 * time.Millisecond
 const DefaultCheckpointLogBytes int64 = 8 << 20
 
 // StartCheckpointer launches the background compaction loop: whenever the
-// repository log has grown thresholdBytes past its low-water mark, it runs
-// Checkpoint, keeping restart time and disk usage bounded by live state
+// repository log — the site's one log, staged 2PC records included — has
+// grown thresholdBytes past its low-water mark, it runs a repository
+// checkpoint, keeping restart time and disk usage bounded by live state
 // instead of history length. Close stops it. Call at most once per site.
 func (s *Site) StartCheckpointer(thresholdBytes int64) {
 	stop, done := make(chan struct{}), make(chan struct{})
@@ -190,12 +183,12 @@ func (s *Site) StartCheckpointer(thresholdBytes int64) {
 			// A failed checkpoint is not fatal to the running server: the
 			// log keeps growing until the next attempt, and the fail-stop
 			// underneath is reported by every regular operation too.
-			_ = s.Checkpoint()
+			_ = s.Repo.Checkpoint()
 		}
 	}()
 }
 
-// ReplicateTo starts shipping both server logs to the standby whose
+// ReplicateTo starts shipping the repository log to the standby whose
 // repl.Receiver is served at addr, through client (DESIGN.md §5.4). The
 // sender stamps batches with the repository's epoch and traverses the site's
 // fault registry. Re-announcing the current address is a no-op (the sender
@@ -210,12 +203,8 @@ func (s *Site) ReplicateTo(client *rpc.Client, addr string, opts repl.SenderOpti
 	s.detachSenderLocked()
 	opts.Epoch = s.Repo.Epoch
 	opts.Faults = s.faults
-	sender := repl.NewSender(client, addr, []repl.Stream{
-		{ID: repl.StreamRepo, Log: s.Repo.Log()},
-		{ID: repl.StreamPart, Log: s.plog},
-	}, opts)
-	s.Repo.Log().SetShipper(sender.Shipper(repl.StreamRepo))
-	s.plog.SetShipper(sender.Shipper(repl.StreamPart))
+	sender := repl.NewSender(client, addr, s.Repo.Log(), opts)
+	s.Repo.Log().SetShipper(sender)
 	s.sender, s.senderAddr = sender, addr
 	return true
 }
@@ -225,7 +214,6 @@ func (s *Site) detachSenderLocked() {
 		return
 	}
 	s.Repo.Log().SetShipper(nil)
-	s.plog.SetShipper(nil)
 	s.sender.Close()
 	s.sender = nil
 }
@@ -243,9 +231,9 @@ func (s *Site) SenderStats() repl.SenderStats {
 }
 
 // Close tears the site down in dependency order — checkpointer, lease
-// reaper, notifier, CM dispatcher, WAL shippers — and returns once every
-// goroutine the site started has exited. The repository and participant log
-// stay open: they belong to the caller.
+// reaper, notifier, CM dispatcher, WAL shipper — and returns once every
+// goroutine the site started has exited. The repository stays open: it
+// belongs to the caller.
 func (s *Site) Close() {
 	s.mu.Lock()
 	stop, done := s.ckptStop, s.ckptDone

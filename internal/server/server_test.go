@@ -32,7 +32,6 @@ func TestMain(m *testing.M) {
 type node struct {
 	dir   string
 	repo  *repo.Repository
-	plog  *wal.Log
 	trans *rpc.TCP
 }
 
@@ -45,14 +44,9 @@ func openNode(t *testing.T, follower bool) *node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plog, err := wal.Open(filepath.Join(dir, "participant.wal"), wal.Options{SyncOnAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := &node{dir: dir, repo: r, plog: plog, trans: rpc.NewTCP()}
+	n := &node{dir: dir, repo: r, trans: rpc.NewTCP()}
 	t.Cleanup(func() {
 		n.trans.Close()
-		n.plog.Close()
 		n.repo.Close()
 	})
 	return n
@@ -113,7 +107,7 @@ func checkinRoot(t *testing.T, tm *txn.ClientTM, da string) version.ID {
 func TestAssembledSiteReapsCrashedWorkstation(t *testing.T) {
 	const ttl = 300 * time.Millisecond
 	n := openNode(t, false)
-	site, err := Assemble(n.repo, n.plog, rpc.NewClient(n.trans, "server-cb"), Options{LeaseTTL: ttl})
+	site, err := Assemble(n.repo, rpc.NewClient(n.trans, "server-cb"), Options{LeaseTTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +157,7 @@ func TestAssembledSiteReapsCrashedWorkstation(t *testing.T) {
 func TestHeartbeatKeepsDOPOpenPastLeaseTTL(t *testing.T) {
 	const ttl = 200 * time.Millisecond
 	n := openNode(t, false)
-	site, err := Assemble(n.repo, n.plog, rpc.NewClient(n.trans, "server-cb"), Options{LeaseTTL: ttl})
+	site, err := Assemble(n.repo, rpc.NewClient(n.trans, "server-cb"), Options{LeaseTTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +197,7 @@ func TestHeartbeatKeepsDOPOpenPastLeaseTTL(t *testing.T) {
 // epoch-fenced promotion, and the deposed primary fencing itself off.
 func TestPrimaryStandbyPromoteOverTCP(t *testing.T) {
 	pn, sn := openNode(t, false), openNode(t, true)
-	primary, err := Assemble(pn.repo, pn.plog, rpc.NewClient(pn.trans, "primary-cb"), Options{})
+	primary, err := Assemble(pn.repo, rpc.NewClient(pn.trans, "primary-cb"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +213,7 @@ func TestPrimaryStandbyPromoteOverTCP(t *testing.T) {
 		return nil, nil
 	})
 	pAddr := pn.listen(t, primary.Handler())
-	standby := NewStandby(sn.repo, sn.plog, rpc.NewClient(sn.trans, "standby-cb"), Options{})
+	standby := NewStandby(sn.repo, rpc.NewClient(sn.trans, "standby-cb"), Options{})
 	defer standby.Close()
 	promotedTo := make(chan *Site, 1)
 	standby.OnPromoted = func(s *Site) { promotedTo <- s }
@@ -319,15 +313,14 @@ func await(t *testing.T, what string, cond func() bool) {
 
 // TestForceTableServerRows pins the server rows of the force table in
 // DESIGN.md §4.4: what one derive-checkout/checkin cycle of a workstation
-// appends to and forces on repo.wal and participant.wal of an assembled site.
-// Only the checkin logs anything. On repo.wal: the staged record, forced at
-// prepare, then the install record and the staged record's deletion in one
-// force at commit — stage and install each carry the payload, so it is logged
-// twice. On participant.wal: the forced vote, and the done record that rides
-// the next force.
+// appends to and forces on repo.wal, an assembled site's one log. Only the
+// checkin logs anything: the staged record, forced at prepare, which is also
+// the commit vote, then the install record and the staged record's deletion
+// in one force at commit — stage and install each carry the payload, so it
+// is logged twice. The site's directory holds no other log.
 func TestForceTableServerRows(t *testing.T) {
 	n := openNode(t, false)
-	site, err := Assemble(n.repo, n.plog, rpc.NewClient(n.trans, "server-cb"), Options{})
+	site, err := Assemble(n.repo, rpc.NewClient(n.trans, "server-cb"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,10 +341,10 @@ func TestForceTableServerRows(t *testing.T) {
 	var dop *txn.DOP
 	var payload int64
 	steps := []struct {
-		name       string
-		do         func() error
-		repo, part delta // bytes: an upper bound beyond the payload copies
-		copies     int64 // payload copies the step logs on repo.wal
+		name   string
+		do     func() error
+		repo   delta // bytes: an upper bound beyond the payload copies
+		copies int64 // payload copies the step logs on repo.wal
 	}{
 		{name: "Begin", do: func() (err error) { dop, err = ws.Begin("", "da1"); return err }},
 		{name: "Checkout", do: func() error {
@@ -367,27 +360,32 @@ func TestForceTableServerRows(t *testing.T) {
 			}
 			return dop.SetWorkspace(obj)
 		}},
-		{name: "Checkin", repo: delta{3, 2, 512}, copies: 2, part: delta{2, 1, 128}, do: func() error {
+		{name: "Checkin", repo: delta{3, 2, 512}, copies: 2, do: func() error {
 			_, err := dop.Checkin(version.StatusWorking, false)
 			return err
 		}},
 		{name: "Commit", do: func() error { return dop.Commit() }},
 	}
 	for _, st := range steps {
-		r0, p0 := state(n.repo.Log()), state(n.plog)
+		before := state(n.repo.Log())
 		if err := st.do(); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		check := func(log string, now, before, want delta, lo int64) {
-			t.Helper()
-			got := delta{now.records - before.records, now.forces - before.forces, now.bytes - before.bytes}
-			if got.records != want.records || got.forces != want.forces || got.bytes < lo || got.bytes > lo+want.bytes {
-				t.Errorf("%s on %s: %d records, %d forces, %d bytes; want %d, %d, %d..%d",
-					st.name, log, got.records, got.forces, got.bytes, want.records, want.forces, lo, lo+want.bytes)
-			}
+		now, want, lo := state(n.repo.Log()), st.repo, st.copies*payload
+		got := delta{now.records - before.records, now.forces - before.forces, now.bytes - before.bytes}
+		if got.records != want.records || got.forces != want.forces || got.bytes < lo || got.bytes > lo+want.bytes {
+			t.Errorf("%s on repo.wal: %d records, %d forces, %d bytes; want %d, %d, %d..%d",
+				st.name, got.records, got.forces, got.bytes, want.records, want.forces, lo, lo+want.bytes)
 		}
-		check("repo.wal", state(n.repo.Log()), r0, st.repo, st.copies*payload)
-		check("participant.wal", state(n.plog), p0, st.part, 0)
+	}
+	ents, err := os.ReadDir(n.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".wal") && e.Name() != "repo.wal" {
+			t.Errorf("the site keeps a second log, %s", e.Name())
+		}
 	}
 }
 
@@ -439,13 +437,13 @@ func walBytes(t *testing.T, dir string) int64 {
 func TestPromotedStandbyCheckpoints(t *testing.T) {
 	const n, cellBytes = 64, 256 << 10 // 16 MiB of payload, logged twice
 	pn, sn := openNode(t, false), openNode(t, true)
-	primary, err := Assemble(pn.repo, pn.plog, rpc.NewClient(pn.trans, "primary-cb"), Options{})
+	primary, err := Assemble(pn.repo, rpc.NewClient(pn.trans, "primary-cb"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer primary.Close()
 	pAddr := pn.listen(t, primary.Handler())
-	standby := NewStandby(sn.repo, sn.plog, rpc.NewClient(sn.trans, "standby-cb"), Options{})
+	standby := NewStandby(sn.repo, rpc.NewClient(sn.trans, "standby-cb"), Options{})
 	defer standby.Close()
 	standby.OnPromoted = func(s *Site) { s.StartCheckpointer(DefaultCheckpointLogBytes) }
 	sAddr := sn.listen(t, standby.Handler())

@@ -9,17 +9,15 @@ import (
 	"concord/internal/repo"
 	"concord/internal/rpc"
 	"concord/internal/txn"
-	"concord/internal/wal"
 )
 
 // Standby is the warm-standby server role (DESIGN.md §5.4): a follower-mode
-// repository and a raw copy of the participant log, both fed by a
-// repl.Receiver. Before promotion it serves the replication protocol and
-// health probes and refuses client traffic; an epoch-fenced promotion
-// assembles the full Site over the replicated state — the server-TM recovers
-// prepared checkins from the replicated "tm/staged/" metadata and the
-// participant replays the replicated vote log, so the coordinators' decision
-// resend completes in-doubt 2PC branches.
+// repository fed by a repl.Receiver. Before promotion it serves the
+// replication protocol and health probes and refuses client traffic; an
+// epoch-fenced promotion assembles the full Site over the replicated state —
+// the server-TM recovers prepared checkins in doubt from the replicated
+// "tm/staged/" metadata (each is a commit vote), so the coordinators'
+// decision resend completes in-doubt 2PC branches.
 type Standby struct {
 	// OnPromoted, when set, runs at the end of a successful promotion with
 	// the site it assembled, for what Assemble leaves to the deployment
@@ -27,7 +25,6 @@ type Standby struct {
 	OnPromoted func(*Site)
 
 	repo      *repo.Repository
-	plog      *wal.Log
 	callbacks *rpc.Client
 	opts      Options
 	recv      *repl.Receiver
@@ -39,12 +36,11 @@ type Standby struct {
 }
 
 // NewStandby builds the standby role over a repository opened in follower
-// mode and the participant-log copy. callbacks and opts are what Assemble
-// receives at promotion. The caller keeps ownership of r and plog and closes
-// them after Standby.Close.
-func NewStandby(r *repo.Repository, plog *wal.Log, callbacks *rpc.Client, opts Options) *Standby {
-	sb := &Standby{repo: r, plog: plog, callbacks: callbacks, opts: opts}
-	sb.recv = repl.NewReceiver(r, plog, repl.ReceiverOptions{
+// mode. callbacks and opts are what Assemble receives at promotion. The
+// caller keeps ownership of r and closes it after Standby.Close.
+func NewStandby(r *repo.Repository, callbacks *rpc.Client, opts Options) *Standby {
+	sb := &Standby{repo: r, callbacks: callbacks, opts: opts}
+	sb.recv = repl.NewReceiver(r, repl.ReceiverOptions{
 		Faults:    opts.Faults,
 		OnPromote: sb.promote,
 	})
@@ -57,7 +53,7 @@ func NewStandby(r *repo.Repository, plog *wal.Log, callbacks *rpc.Client, opts O
 // already been promoted (mutations allowed) and the fencing epoch durably
 // bumped; a failure here leaves the promotion retryable.
 func (sb *Standby) promote(uint64) error {
-	site, err := Assemble(sb.repo, sb.plog, sb.callbacks, sb.opts)
+	site, err := Assemble(sb.repo, sb.callbacks, sb.opts)
 	if err != nil {
 		return err
 	}
@@ -117,8 +113,8 @@ func (sb *Standby) HealthInfo() txn.ServerHealthInfo {
 	return txn.ServerHealthInfo{Mode: h.Mode, Cause: h.Cause, Role: role, Epoch: sb.repo.Epoch()}
 }
 
-// Close tears down the promoted site, if any. The repository and participant
-// log stay open: they belong to the caller.
+// Close tears down the promoted site, if any. The repository stays open: it
+// belongs to the caller.
 func (sb *Standby) Close() {
 	if site := sb.Site(); site != nil {
 		site.Close()

@@ -31,7 +31,8 @@ const (
 	// recInputAdded is one checkout since the DOP's last context record.
 	// Never forced: it rides the next forced record of this log.
 	recInputAdded wal.RecordType = 0x44
-	// recDOPEnd is End-of-DOP (no payload). Forced.
+	// recDOPEnd is End-of-DOP (no payload). Never forced: it rides the next
+	// forced record of this log (logEnd says what losing it costs).
 	recDOPEnd wal.RecordType = 0x45
 )
 
@@ -331,7 +332,7 @@ func (tm *ClientTM) noteEpoch(e uint64) {
 // primary off), switch this client-TM to the new address, re-establish the
 // session (Rejoin re-registers every live DOP), and re-deliver any commit
 // decisions the old primary never acknowledged so in-doubt checkin branches
-// recovered from the replicated participant log resolve. The heartbeat loop
+// recovered from the replicated staged records resolve. The heartbeat loop
 // calls it when the primary stops answering; it is safe to call directly.
 func (tm *ClientTM) Failover() error {
 	tm.mu.Lock()
@@ -564,18 +565,18 @@ func (tm *ClientTM) Crash() {
 	tm.closeLog() //nolint:errcheck // a crash reports nothing
 }
 
-// logRecord reserves one record in the client log and returns the wait for
-// its force (which a record that may ride the next force never calls). The
-// reservation runs under tm.mu, so the log's size read just before it is the
-// record's LSN, and a context record is entered as its DOP's floor before any
-// logEnd can compute a floor above it.
-func (tm *ClientTM) logRecord(t wal.RecordType, dop string, payload []byte) (func() (wal.LSN, error), error) {
+// logRecord reserves one record in the client log and returns its LSN and
+// the wait for its force (which a record that may ride the next force never
+// calls). The reservation runs under tm.mu, so the log's size read just
+// before it is the record's LSN, and a context record is entered as its DOP's
+// floor before any logEnd can compute a floor above it.
+func (tm *ClientTM) logRecord(t wal.RecordType, dop string, payload []byte) (wal.LSN, func() (wal.LSN, error), error) {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
 	lsn := wal.LSN(tm.log.Size())
 	wait, err := tm.log.AppendAsync(t, dop, payload)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	switch t {
 	case recContext:
@@ -583,23 +584,25 @@ func (tm *ClientTM) logRecord(t wal.RecordType, dop string, payload []byte) (fun
 	case recDOPEnd:
 		delete(tm.ctxLSN, dop)
 	}
-	return wait, nil
+	return lsn, wait, nil
 }
 
-// logEnd forces the DOP's end record and then bounds the log and its replay:
-// everything below the oldest context record of a DOP still live (below the
-// end record itself when none is) is dead, and once that is a segment's worth
-// beyond the low-water mark the log is checkpointed there — at most one
-// marker install per segment written, and none while a parked DOP pins the
-// floor. A decision being logged lies above its Checkin's context record, and
-// the coordinator re-logs pending ones above the floor. The trim is best
-// effort: an untrimmed log is merely longer.
+// logEnd reserves the DOP's end record and then bounds the log and its
+// replay: everything below the oldest context record of a DOP still live
+// (below the end record itself when none is) is dead, and once that is a
+// segment's worth beyond the low-water mark the log is checkpointed there —
+// at most one marker install per segment written, and none while a parked
+// DOP pins the floor. A decision being logged lies above its Checkin's
+// context record, and the coordinator re-logs pending ones above the floor.
+// The trim is best effort: an untrimmed log is merely longer.
+//
+// The end record is not waited for. It rides the log's next force: the next
+// checkin's decision, a recovery point, or the cut itself, which forces what
+// is reserved before it moves the mark. Lost in a crash, it brings the DOP
+// back at its last context record, holding nothing at the server (the DOP
+// ended there first), and ending it again costs one tm/abort-dop.
 func (tm *ClientTM) logEnd(dop string) error {
-	wait, err := tm.logRecord(recDOPEnd, dop, nil)
-	if err != nil {
-		return err
-	}
-	floor, err := wait()
+	floor, _, err := tm.logRecord(recDOPEnd, dop, nil)
 	if err != nil || tm.log.SegmentCount() < 2 {
 		return err
 	}
@@ -632,7 +635,8 @@ func (d *DOP) logContextLocked() (func() (wal.LSN, error), error) {
 	pw := binenc.GetWriter(256 + len(ctx.Workspace))
 	defer pw.Free() // the log framed its own copy
 	ctx.encodeInto(pw)
-	return d.tm.logRecord(recContext, d.id, pw.Bytes())
+	_, wait, err := d.tm.logRecord(recContext, d.id, pw.Bytes())
+	return wait, err
 }
 
 // recoveryPointLocked forces the context to the client log ("recovery points
@@ -680,7 +684,7 @@ func (d *DOP) Checkout(dov version.ID, derive bool) (*catalog.Object, error) {
 	if d.tm.log != nil {
 		pw := binenc.GetWriter(64)
 		in.encodeInto(pw)
-		_, err := d.tm.logRecord(recInputAdded, d.id, pw.Bytes())
+		_, _, err := d.tm.logRecord(recInputAdded, d.id, pw.Bytes())
 		pw.Free()
 		if err != nil {
 			// The context is untouched: the DOP does not hold the version.

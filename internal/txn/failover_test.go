@@ -169,8 +169,8 @@ func TestHeartbeatDrivesFailoverWhenPrimaryFallsSilent(t *testing.T) {
 // TestFailoverResolvesInDoubtCheckin is the lost-committed-work oracle at the
 // TE level: the checkin's commit decision is durable in the workstation's
 // coordinator log, but the primary dies before phase 2 reaches it. The
-// standby holds the prepared branch (as the replicated participant log would
-// leave it); failover resends the decision and the checkin materializes.
+// standby holds the prepared branch (as its replicated staged record leaves
+// it); failover resends the decision and the checkin materializes.
 func TestFailoverResolvesInDoubtCheckin(t *testing.T) {
 	s := newStack(t, t.TempDir())
 	v0 := s.seedDOV(t, "v0", 100)

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"concord/internal/catalog"
 	"concord/internal/fault"
@@ -314,11 +315,14 @@ func TestClientLogStaysBounded(t *testing.T) {
 //
 // Every case runs the same prefix — Begin, derive-checkout of v0, workspace,
 // Save (the forced point), derive-checkout of v1 (unforced) — and differs in
-// how the workstation dies and what its disk loses.
+// how the workstation dies and what its disk loses. The last two rows lose
+// the records that ride the next force instead of being forced: a checkin's
+// decision end record, and the DOP's end record.
 func TestRecoveryLogCrashMatrix(t *testing.T) {
 	type run struct {
 		s     *stack
 		wsDir string // the disk the next incarnation boots from
+		dop   *DOP   // the first incarnation's DOP, dop-m
 	}
 	// die ends the first incarnation; flush lets its unforced tail reach disk
 	// (Crash closes the logs, which writes what was reserved), no flush boots
@@ -339,6 +343,9 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 		// to refetch from the server because the cache lost them.
 		inputs    string
 		refetched uint64
+		// after, when set, replaces the checkin every other row ends with:
+		// the DOP had already checked in before the crash.
+		after func(t *testing.T, r *run, tm2 *ClientTM, rdop *DOP)
 	}{
 		{
 			name:   "unforced input-added lost",
@@ -412,6 +419,95 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 			},
 			inputs: "[v0 v1]", refetched: 2,
 		},
+		{
+			// The disk is copied the moment the server has applied phase 2:
+			// the decision (and v1's input-added, which rode its force) is
+			// durable; the decision's end record and the post-checkin
+			// context are not. The DOP comes back at its Save point.
+			name: "decision end record lost",
+			crash: func(t *testing.T, r *run) {
+				image := filepath.Join(t.TempDir(), "ws1")
+				h := rpc.DedupDeadlineFenced(r.s.server.DeadlineHandler(r.s.part), nil)
+				snap := func(deadline time.Time, method string, payload []byte) ([]byte, error) {
+					resp, err := h(deadline, method, payload)
+					if method == rpc.MethodCommit {
+						copyTree(t, r.wsDir, image)
+					}
+					return resp, err
+				}
+				if err := rpc.ServeWithDeadline(r.s.trans, serverAddr, snap); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.dop.Checkin(version.StatusWorking, false); err != nil {
+					t.Fatal(err)
+				}
+				r.wsDir = image
+				r.s.tm.Crash()
+			},
+			inputs: "[v0 v1]",
+			after: func(t *testing.T, r *run, tm2 *ClientTM, rdop *DOP) {
+				// The decision is pending again, and committed is the truth.
+				co := tm2.Coordinator()
+				if got := co.Outcome("dop-m/ci1"); got != rpc.OutcomeCommitted {
+					t.Fatalf("outcome of the checkin whose end record was lost = %s", got)
+				}
+				// Re-sending it, as a failover does, is an idempotent commit
+				// at the server, which installed the version once already.
+				if err := co.ResendDecisions(serverAddr); err != nil {
+					t.Fatal(err)
+				}
+				if got := co.Outcome("dop-m/ci1"); got != rpc.OutcomeAborted {
+					t.Fatalf("acknowledged resend left the decision %s", got)
+				}
+				v, err := r.s.repo.Get("dop-m/v1")
+				if err != nil || fmt.Sprint(v.Parents) != "[v0 v1]" {
+					t.Fatalf("the committed checkin: %v, %v", v, err)
+				}
+				// The DOP is live at the server, derivation locks included.
+				for _, id := range []version.ID{"v0", "v1"} {
+					if m := r.s.locks.Holds("dop-m", "dov/"+string(id)); m != lock.D {
+						t.Fatalf("derivation lock on %s = %v, want D", id, m)
+					}
+				}
+			},
+		},
+		{
+			// The DOP checked in and ended; its end record was still waiting
+			// for the next force when the workstation died. The DOP comes back
+			// at its post-checkin context, holding nothing at the server, and
+			// ending it again is one tm/abort-dop that changes nothing.
+			name: "DOP end record lost",
+			crash: func(t *testing.T, r *run) {
+				if _, err := r.dop.Checkin(version.StatusWorking, false); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.dop.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				die(t, r, false)
+			},
+			inputs: "[v0 v1]",
+			after: func(t *testing.T, r *run, tm2 *ClientTM, rdop *DOP) {
+				for _, id := range []version.ID{"v0", "v1"} {
+					if m := r.s.locks.Holds("dop-m", "dov/"+string(id)); m != 0 {
+						t.Fatalf("the ended DOP holds %v on %s again", m, id)
+					}
+				}
+				versions := r.s.repo.DOVCount()
+				if err := rdop.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				if n := r.s.server.ActiveDOPs(); n != 0 {
+					t.Fatalf("%d DOPs registered at the server after the second end", n)
+				}
+				if n := r.s.repo.DOVCount(); n != versions {
+					t.Fatalf("the second end changed the repository: %d → %d versions", versions, n)
+				}
+				if _, err := r.s.repo.Get("dop-m/v1"); err != nil {
+					t.Fatalf("the ended DOP's checkin: %v", err)
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -436,6 +532,7 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 			if _, err := dop.Checkout(v1, true); err != nil {
 				t.Fatal(err)
 			}
+			r.dop = dop
 			tc.crash(t, r)
 
 			tm2, recovered := openWS(t, s, r.wsDir, "ws1-incarnation-2")
@@ -473,6 +570,10 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 				if h1, h2 := mustHash(t, in), mustHash(t, want); !bytes.Equal(h1, h2) {
 					t.Fatalf("input %s restored with hash %x, the repository holds %x", id, h1, h2)
 				}
+			}
+			if tc.after != nil {
+				tc.after(t, r, tm2, rdop)
+				return
 			}
 			// The derivation locks never left the server, and a checkout the
 			// crash rolled back is repeated under the same lock, re-entrantly.
@@ -685,12 +786,14 @@ func TestForceTable(t *testing.T) {
 			}
 			return dop.SetWorkspace(obj)
 		}},
-		// The decision, its end record, the post-checkin context.
-		{name: "Checkin", want: logDelta{3, 3, 224}, wsBytes: true, do: func() error {
+		// The decision (forced), its end record (rides), the post-checkin
+		// context (forced, carrying the end record and the input-added one).
+		{name: "Checkin", want: logDelta{3, 2, 224}, wsBytes: true, do: func() error {
 			_, err := dop.Checkin(version.StatusWorking, false)
 			return err
 		}},
-		{name: "Commit", want: logDelta{1, 1, 32}, do: func() error { return dop.Commit() }},
+		// The end record rides the next cycle's decision.
+		{name: "Commit", want: logDelta{1, 0, 32}, do: func() error { return dop.Commit() }},
 	}
 	var total logDelta
 	for _, st := range steps {
@@ -711,7 +814,7 @@ func TestForceTable(t *testing.T) {
 			t.Errorf("%s: %d bytes logged, want %d..%d", st.name, got.bytes, lo, lo+st.want.bytes)
 		}
 	}
-	if total.appends != 6 || total.forces != 4 {
-		t.Errorf("per cycle: %d records, %d forces; want 6, 4", total.appends, total.forces)
+	if total.appends != 6 || total.forces != 2 {
+		t.Errorf("per cycle: %d records, %d forces; want 6, 2", total.appends, total.forces)
 	}
 }

@@ -152,8 +152,9 @@ type stagedCheckin struct {
 
 // NewServerTM builds a server-TM over the repository, lock manager and scope
 // table (the latter shared with the cooperation manager). Checkin
-// transactions that were prepared (vote logged, staged DOV persisted) before
-// a server crash are recovered so the coordinator can resolve them.
+// transactions that were prepared before a server crash — their staged DOV
+// is durable, and that record is the commit vote — are recovered in doubt so
+// the coordinator's outcome can resolve them.
 func NewServerTM(r *repo.Repository, lm *lock.Manager, st *lock.ScopeTable) *ServerTM {
 	s := &ServerTM{
 		repo:        r,
@@ -473,7 +474,10 @@ func (s *ServerTM) expandStage(m *stageMsg) (wasDelta bool, err error) {
 }
 
 // Prepare implements rpc.Resource: validate the staged DOV (schema
-// consistency plus parent-scope membership) and promise to commit.
+// consistency plus parent-scope membership) and promise to commit. The
+// promise is the durable staged record itself: no vote is logged beside it.
+// A transaction already resolved has no staged entry and is refused with
+// ErrNotStaged.
 func (s *ServerTM) Prepare(txid string) (rpc.Vote, error) {
 	sh := s.stagedShard(txid)
 	sh.mu.Lock()
@@ -496,9 +500,10 @@ func (s *ServerTM) Prepare(txid string) (rpc.Vote, error) {
 			}
 		}
 	}
-	// Persist the staged version before promising: a prepared checkin must
-	// survive a server crash so the coordinator's decision can be applied
-	// at recovery. The wire payload is reused verbatim when possible.
+	// Persist the staged version, which is the promise: a prepared checkin
+	// must survive a server crash so the coordinator's decision can be
+	// applied at recovery, and every durable staged record is recovered in
+	// doubt. The wire payload is reused verbatim when possible.
 	stageData := sc.raw
 	if stageData == nil {
 		objData, err := catalog.EncodeObject(v.Object)
@@ -515,7 +520,8 @@ func (s *ServerTM) Prepare(txid string) (rpc.Vote, error) {
 	}
 	if err := s.Faults.At(FaultStagePersisted); err != nil {
 		// Simulated server death after the durable stage: the staged
-		// record survives restart and is resolved against the coordinator.
+		// record survives restart in doubt and is resolved against the
+		// coordinator, which heard no vote and presumes abort.
 		return rpc.VoteAbort, err
 	}
 	sh.mu.Lock()
@@ -608,6 +614,24 @@ func (s *ServerTM) Abort(txid string) error {
 	delete(sh.m, txid)
 	sh.mu.Unlock()
 	return nil
+}
+
+// InDoubt implements rpc.InDoubtLister: the checkins prepared and not yet
+// resolved, those recovered from durable staged records included, in no
+// particular order.
+func (s *ServerTM) InDoubt() []string {
+	var out []string
+	for i := range s.staged {
+		sh := &s.staged[i]
+		sh.mu.Lock()
+		for txid, sc := range sh.m {
+			if sc.prepared {
+				out = append(out, txid)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return out
 }
 
 // EndDOP finishes a DOP at the server: releases its derivation locks and

@@ -514,3 +514,39 @@ func TestPhaseStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareAfterResolveRejected: a participant keeps no record of a
+// resolved transaction, so the refusal of a re-prepare is the server-TM's —
+// resolution removed the staged entry a vote would stand on — and no second
+// version appears.
+func TestPrepareAfterResolveRejected(t *testing.T) {
+	s := newStack(t, "")
+	v0 := s.seedDOV(t, "v0", 100)
+	dop, err := s.tm.Begin("dop-r", "da1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := dop.Checkout(v0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dop.SetWorkspace(obj.Set("area", catalog.Float(80))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dop.Checkin(version.StatusWorking, false); err != nil {
+		t.Fatal(err)
+	}
+	versions := s.repo.DOVCount()
+	if resp, err := s.part.Handler()(rpc.MethodPrepare, []byte("dop-r/ci1")); err != nil || string(resp) != "abort" {
+		t.Fatalf("re-prepare of the resolved checkin = %q, %v; want an abort vote", resp, err)
+	}
+	if _, err := s.server.Prepare("dop-r/ci1"); !errors.Is(err, ErrNotStaged) {
+		t.Fatalf("server-TM re-prepare = %v, want ErrNotStaged", err)
+	}
+	if n := s.repo.DOVCount(); n != versions {
+		t.Fatalf("re-prepare changed the repository: %d → %d versions", versions, n)
+	}
+	if doubt := s.part.InDoubt(); len(doubt) != 0 {
+		t.Fatalf("in doubt after resolution: %v", doubt)
+	}
+}
