@@ -124,8 +124,7 @@ func (rc *Receiver) fence(senderEpoch uint64) error {
 	return nil
 }
 
-// handleHello answers the handshake with the standby's epoch and stream
-// tails.
+// handleHello answers the handshake with the standby's epoch and log tail.
 func (rc *Receiver) handleHello(payload []byte) ([]byte, error) {
 	r := binenc.NewReader(payload)
 	senderEpoch := r.U64()
@@ -135,14 +134,13 @@ func (rc *Receiver) handleHello(payload []byte) ([]byte, error) {
 	if err := rc.fence(senderEpoch); err != nil {
 		return nil, err
 	}
-	h := helloResp{Epoch: rc.follower.Epoch(), Tails: map[uint8]wal.LSN{StreamRepo: rc.follower.ReplTail()}}
-	w := binenc.GetWriter(64)
-	encodeHello(w, h)
+	w := binenc.GetWriter(24)
+	encodeAck(w, ackMsg{Epoch: rc.follower.Epoch(), Tail: rc.follower.ReplTail()})
 	return w.Detach(), nil
 }
 
 // handleShip ingests one shipped batch. Duplicates (bytes at or below the
-// stream tail — the sender and its pump may race) are trimmed or
+// log tail — the sender and its pump may race) are trimmed or
 // acknowledged outright. A batch starting past the tail (the standby
 // restarted behind the sender's cursor) is not ingested; the ack's
 // authoritative tail tells the sender where to resume catch-up.
@@ -156,9 +154,6 @@ func (rc *Receiver) handleShip(payload []byte) ([]byte, error) {
 	}
 	if err := rc.fence(m.Epoch); err != nil {
 		return nil, err
-	}
-	if m.Stream != StreamRepo {
-		return nil, fmt.Errorf("repl: unknown stream %d", m.Stream)
 	}
 	tail := rc.follower.ReplTail()
 	start, frames := m.Start, m.Frames

@@ -40,7 +40,7 @@ import (
 // RPC methods served by a standby's Receiver.
 const (
 	// MethodHello is the catch-up handshake: the sender learns the
-	// receiver's epoch and per-stream tails.
+	// receiver's epoch and log tail.
 	MethodHello = "repl/hello"
 	// MethodShip delivers one batch of raw WAL frames.
 	MethodShip = "repl/ship"
@@ -48,11 +48,6 @@ const (
 	// takeover; also invoked by operators via concordd -promote).
 	MethodPromote = "repl/promote"
 )
-
-// StreamRepo identifies the repository's log on the wire, the one stream a
-// server replicates: shipped records are applied live to the follower's MVCC
-// state, the server-TM's staged 2PC records among them.
-const StreamRepo uint8 = 0
 
 // Fault points traversed by the replication layer (armed by the scenario
 // harness).
@@ -75,10 +70,10 @@ const (
 // reports.
 var FaultPoints = []string{FaultShipDrop, FaultApplyDrop, FaultPromote}
 
-// shipMsg is the wire form of one shipped batch: raw WAL frames starting at
-// LSN Start on one stream, stamped with the sender's replication epoch.
+// shipMsg is the wire form of one shipped batch: raw WAL frames of the
+// repository log starting at LSN Start, stamped with the sender's replication
+// epoch.
 type shipMsg struct {
-	Stream  uint8
 	Epoch   uint64
 	Start   wal.LSN
 	Records uint32
@@ -87,7 +82,6 @@ type shipMsg struct {
 
 // encodeShip appends m's wire form to w.
 func encodeShip(w *binenc.Writer, m shipMsg) {
-	w.Byte(m.Stream)
 	w.U64(m.Epoch)
 	w.U64(uint64(m.Start))
 	w.U64(uint64(m.Records))
@@ -100,7 +94,6 @@ func encodeShip(w *binenc.Writer, m shipMsg) {
 func decodeShip(data []byte) (shipMsg, error) {
 	r := binenc.NewReader(data)
 	m := shipMsg{
-		Stream:  r.Byte(),
 		Epoch:   r.U64(),
 		Start:   wal.LSN(r.U64()),
 		Records: uint32(r.U64()),
@@ -115,10 +108,10 @@ func decodeShip(data []byte) (shipMsg, error) {
 	return m, nil
 }
 
-// ackMsg acknowledges a shipped batch (or answers a hello for one stream):
-// the receiver's current epoch and the stream's tail after ingest. A tail
-// ahead of the shipped range tells the sender the batch was a duplicate of
-// already-ingested bytes — still a success.
+// ackMsg acknowledges a shipped batch, and answers a hello: the receiver's
+// current epoch and its log tail (after ingest). A tail ahead of the shipped
+// range tells the sender the batch was a duplicate of already-ingested bytes —
+// still a success; a hello's tail is the sender's catch-up cursor.
 type ackMsg struct {
 	Epoch uint64
 	Tail  wal.LSN
@@ -130,7 +123,7 @@ func encodeAck(w *binenc.Writer, m ackMsg) {
 	w.U64(uint64(m.Tail))
 }
 
-// decodeAck parses a batch acknowledgement.
+// decodeAck parses a batch acknowledgement or a hello answer.
 func decodeAck(data []byte) (ackMsg, error) {
 	r := binenc.NewReader(data)
 	m := ackMsg{Epoch: r.U64(), Tail: wal.LSN(r.U64())}
@@ -138,39 +131,4 @@ func decodeAck(data []byte) (ackMsg, error) {
 		return ackMsg{}, fmt.Errorf("repl: ack message: %w", err)
 	}
 	return m, nil
-}
-
-// helloResp is the handshake answer: the receiver's epoch and the tail of
-// every stream it serves, from which the sender derives its catch-up
-// cursors.
-type helloResp struct {
-	Epoch uint64
-	Tails map[uint8]wal.LSN
-}
-
-// encodeHello appends h's wire form to w.
-func encodeHello(w *binenc.Writer, h helloResp) {
-	w.U64(h.Epoch)
-	w.U64(uint64(len(h.Tails)))
-	for id := 0; id < 256; id++ { // deterministic order
-		if tail, ok := h.Tails[uint8(id)]; ok {
-			w.Byte(uint8(id))
-			w.U64(uint64(tail))
-		}
-	}
-}
-
-// decodeHello parses a handshake answer.
-func decodeHello(data []byte) (helloResp, error) {
-	r := binenc.NewReader(data)
-	h := helloResp{Epoch: r.U64(), Tails: make(map[uint8]wal.LSN)}
-	n := r.U64()
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		id := r.Byte()
-		h.Tails[id] = wal.LSN(r.U64())
-	}
-	if err := r.Err(); err != nil {
-		return helloResp{}, fmt.Errorf("repl: hello message: %w", err)
-	}
-	return h, nil
 }

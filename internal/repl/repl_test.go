@@ -13,7 +13,7 @@ import (
 	"concord/internal/wal"
 )
 
-// fakeFollower is an in-memory Follower: it tracks the stream tail, counts
+// fakeFollower is an in-memory Follower: it tracks the log tail, counts
 // applied records and implements the epoch contract, without dragging the
 // repository into unit tests.
 type fakeFollower struct {

@@ -66,7 +66,7 @@ type SenderOptions struct {
 }
 
 // Sender is the primary half of WAL shipping: it implements wal.Shipper for
-// the repository log (StreamRepo on the wire) and pushes its batches to the
+// the repository log and pushes its batches to the
 // standby's Receiver.
 type Sender struct {
 	client *rpc.Client
@@ -286,7 +286,7 @@ func (s *Sender) send(start wal.LSN, frames []byte, records int) error {
 		epoch = s.opts.Epoch()
 	}
 	w := binenc.GetWriter(40 + len(frames))
-	encodeShip(w, shipMsg{Stream: StreamRepo, Epoch: epoch, Start: start, Records: uint32(records), Frames: frames})
+	encodeShip(w, shipMsg{Epoch: epoch, Start: start, Records: uint32(records), Frames: frames})
 	resp, err := s.client.Call(s.addr, MethodShip, w.Bytes())
 	w.Free()
 	if err != nil {
@@ -383,7 +383,7 @@ func (s *Sender) hello() bool {
 		}
 		return false
 	}
-	h, err := decodeHello(resp)
+	h, err := decodeAck(resp)
 	if err != nil {
 		return false
 	}
@@ -394,13 +394,13 @@ func (s *Sender) hello() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.compacted = false
-	if tail := h.Tails[StreamRepo]; int64(tail) > s.log.Size() {
+	if int64(h.Tail) > s.log.Size() {
 		// The standby holds bytes this log never wrote: divergent histories
 		// (it belongs to a different lineage). Catch-up cannot reconcile
 		// that; a full reseed is required.
 		s.compacted = true
 	} else {
-		s.acked = tail
+		s.acked = h.Tail
 	}
 	s.needHello = false
 	return true

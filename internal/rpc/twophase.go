@@ -314,21 +314,16 @@ func (c *Coordinator) abortAll(txid string, participants []string) {
 	}
 }
 
-// Participant adapts a Resource to the 2PC wire protocol. It logs nothing:
-// the resource's durable Prepare is the vote. Register its Handler on the
-// transport address the coordinator calls.
+// Participant adapts a Resource to the 2PC wire protocol. It logs nothing
+// and remembers nothing: the resource's durable Prepare is the vote, and the
+// resource lists what is in doubt. Register its Handler on the transport
+// address the coordinator calls.
 type Participant struct {
 	res Resource
 
 	// Faults is the fault-point registry traversed at FaultPrepareVoteLogged
 	// and FaultCommitApply (nil-safe). Set it before serving; tests only.
 	Faults *fault.Registry
-
-	mu sync.Mutex
-	// prepared holds the transactions this incarnation voted commit on and
-	// has not resolved: a re-prepare is answered from it, and it is the
-	// in-doubt list of a resource that keeps none (not an InDoubtLister).
-	prepared map[string]bool
 }
 
 // NewParticipant wraps res. The log argument is ignored and never written: a
@@ -336,23 +331,16 @@ type Participant struct {
 // survive a crash implements InDoubtLister. The parameter stays for callers
 // that still open a participant log of their own.
 func NewParticipant(res Resource, _ *wal.Log) (*Participant, error) {
-	return &Participant{res: res, prepared: make(map[string]bool)}, nil
+	return &Participant{res: res}, nil
 }
 
 // InDoubt lists transactions prepared but not yet resolved, in no particular
-// order: the resource's own list when it keeps one, else those this
-// participant voted commit on since it started.
+// order: the resource's list, or none when it keeps no list (InDoubtLister).
 func (p *Participant) InDoubt() []string {
 	if l, ok := p.res.(InDoubtLister); ok {
 		return l.InDoubt()
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.prepared))
-	for tx := range p.prepared {
-		out = append(out, tx)
-	}
-	return out
+	return nil
 }
 
 // Handler returns the transport handler speaking the 2PC protocol.
@@ -373,19 +361,10 @@ func (p *Participant) Handler() Handler {
 }
 
 func (p *Participant) prepare(txid string) ([]byte, error) {
-	p.mu.Lock()
-	again := p.prepared[txid]
-	p.mu.Unlock()
-	if again {
-		return []byte("commit"), nil // idempotent re-prepare
-	}
 	vote, err := p.res.Prepare(txid)
 	if err != nil || vote != VoteCommit {
 		return []byte("abort"), nil
 	}
-	p.mu.Lock()
-	p.prepared[txid] = true
-	p.mu.Unlock()
 	if err := p.Faults.At(FaultPrepareVoteLogged); err != nil {
 		// Simulated participant death after the durable prepare: the reply
 		// never reaches the coordinator, which aborts by presumption; the
@@ -404,7 +383,6 @@ func (p *Participant) commit(txid string) ([]byte, error) {
 	if err := p.res.Commit(txid); err != nil {
 		return nil, err
 	}
-	p.finish(txid)
 	return []byte("ok"), nil
 }
 
@@ -412,17 +390,7 @@ func (p *Participant) abort(txid string) ([]byte, error) {
 	if err := p.res.Abort(txid); err != nil {
 		return nil, err
 	}
-	p.finish(txid)
 	return []byte("ok"), nil
-}
-
-// finish forgets a resolved transaction. The resource's own durable
-// resolution (the server-TM's install or staged-record delete) is the only
-// record of it: a re-prepare after resolution is the resource's to refuse.
-func (p *Participant) finish(txid string) {
-	p.mu.Lock()
-	delete(p.prepared, txid)
-	p.mu.Unlock()
 }
 
 // Resolve settles every in-doubt transaction after a participant restart by

@@ -51,6 +51,22 @@ func (r *memResource) Abort(txid string) error {
 	return nil
 }
 
+// InDoubt lists what memResource prepared and has not resolved. Its state
+// stands for what a resource keeps on disk: a participant built over it
+// after a "restart" takes the in-doubt list from it, as the server's
+// participant takes it from the server-TM's staged records.
+func (r *memResource) InDoubt() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []string
+	for tx := range r.prepared {
+		if !r.committed[tx] && !r.aborted[tx] {
+			out = append(out, tx)
+		}
+	}
+	return out
+}
+
 func (r *memResource) state(txid string) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -168,29 +184,11 @@ func TestTwoPhaseCommitUnderMessageLoss(t *testing.T) {
 	}
 }
 
-// durableResource is a memResource whose state stands for what a resource
-// keeps on disk: a participant built over it after a "restart" takes the
-// in-doubt list from it, as the server's participant takes it from the
-// server-TM's staged records.
-type durableResource struct{ *memResource }
-
-func (r durableResource) InDoubt() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for tx := range r.prepared {
-		if !r.committed[tx] && !r.aborted[tx] {
-			out = append(out, tx)
-		}
-	}
-	return out
-}
-
 // TestParticipantRecoveryInDoubt: the participant logs nothing, so a
 // transaction it voted commit on is in doubt after a restart exactly when its
 // resource kept the prepare durable and lists it.
 func TestParticipantRecoveryInDoubt(t *testing.T) {
-	res := durableResource{newMemResource()}
+	res := newMemResource()
 	p, err := NewParticipant(res, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -353,11 +353,14 @@ func (tm *ClientTM) Failover() error {
 	}
 	addr := tm.serverAddr
 	tm.mu.Unlock()
-	if err := tm.Rejoin(); err != nil {
-		return fmt.Errorf("txn: failover: rejoin at %s: %w", addr, err)
-	}
+	// The decisions go out even if a DOP could not rejoin whole: the address
+	// has switched, so no later Failover would resend them.
+	rejoinErr := tm.Rejoin()
 	if err := tm.coord.ResendDecisions(addr); err != nil {
 		return fmt.Errorf("txn: failover: resend decisions to %s: %w", addr, err)
+	}
+	if rejoinErr != nil {
+		return fmt.Errorf("txn: failover: rejoin at %s: %w", addr, rejoinErr)
 	}
 	return nil
 }
@@ -524,26 +527,44 @@ func (tm *ClientTM) Begin(dopID, da string) (*DOP, error) {
 
 // Reattach re-registers a recovered DOP with the server-TM (idempotent at
 // the server) so processing can continue after a workstation restart, and
-// refetches every input the restore could not resolve from the cache — one
-// cache-blind checkout each, with the flags of the original (a derivation
-// lock is owner-reentrant and the server still holds it for this DOP),
-// accepted only under the content hash the log recorded.
+// takes its server footprint again (reacquire). A DOP the server forgot —
+// its end record was lost after the server ended it, or its lease was reaped
+// — comes back with its derivation locks, or not at all.
 func (tm *ClientTM) Reattach(d *DOP) error {
 	if _, err := tm.client.Call(tm.server(), MethodBegin, beginMsg{DOP: d.id, DA: d.da, WS: tm.id}.encode()); err != nil {
 		return err
 	}
+	return d.reacquire()
+}
+
+// reacquire takes a registered DOP's server footprint again: the derivation
+// lock of every derive input, owner-reentrant, so a lock the server still
+// holds costs one NotModified handshake; and every input the restore could
+// not resolve from the cache, one cache-blind checkout with the original's
+// flags. Each is accepted only under the content hash the log recorded. If
+// any fails — another DOP derives from the version now — the DOP is ended at
+// the server: it holds nothing there and cannot stage a checkin until a
+// later Reattach succeeds.
+func (d *DOP) reacquire() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.phase == PhaseCommitted || d.phase == PhaseAborted {
+		// It ended while a Rejoin was registering it again: end it there too.
+		_, err := d.tm.client.Call(d.tm.server(), MethodAbortDOP, []byte(d.id))
+		return err
+	}
 	for _, in := range d.inputs {
-		if _, ok := d.inputData[in.ID]; ok {
+		_, held := d.inputData[in.ID]
+		if held && !in.Derive {
 			continue
 		}
-		obj, hash, err := d.fetch(in.ID, in.Derive, false)
-		if err != nil {
-			return fmt.Errorf("txn: reattach %s: refetch input %s: %w", d.id, in.ID, err)
+		obj, hash, err := d.fetch(in.ID, in.Derive, held)
+		if err == nil && !bytes.Equal(hash, in.Hash) {
+			err = fmt.Errorf("now hashes %x, the log recorded %x", hash, in.Hash)
 		}
-		if !bytes.Equal(hash, in.Hash) {
-			return fmt.Errorf("txn: reattach %s: input %s now hashes %x, the log recorded %x", d.id, in.ID, hash, in.Hash)
+		if err != nil {
+			d.tm.client.Call(d.tm.server(), MethodAbortDOP, []byte(d.id)) //nolint:errcheck // best effort: the error below is the news
+			return fmt.Errorf("txn: reattach %s: input %s: %w", d.id, in.ID, err)
 		}
 		d.inputData[in.ID] = obj
 	}

@@ -99,18 +99,30 @@ func (tm *ClientTM) heartbeat(budget time.Duration) error {
 }
 
 // Rejoin re-establishes the workstation's lease and re-registers every DOP
-// this client-TM holds (recovered ones included) with the server. Safe to
-// call at any time — Begin is idempotent server-side.
+// this client-TM holds (recovered ones included) with the server, each with
+// its derivation locks (DOP.reacquire): a server that forgot the workstation
+// restarted, reaped it or was promoted, and holds none of them. Safe to call
+// at any time — Begin and the derivation locks are idempotent server-side.
 func (tm *ClientTM) Rejoin() error {
 	tm.mu.Lock()
-	m := rejoinMsg{WS: tm.id, DOPs: make([]dopPair, 0, len(tm.dops))}
+	dops := make([]*DOP, 0, len(tm.dops))
 	for _, d := range tm.dops {
-		m.DOPs = append(m.DOPs, dopPair{DOP: d.id, DA: d.da})
+		dops = append(dops, d)
 	}
 	tm.mu.Unlock()
-	sort.Slice(m.DOPs, func(i, j int) bool { return m.DOPs[i].DOP < m.DOPs[j].DOP })
-	_, err := tm.client.Call(tm.server(), MethodRejoin, m.encode())
-	return err
+	sort.Slice(dops, func(i, j int) bool { return dops[i].id < dops[j].id })
+	m := rejoinMsg{WS: tm.id, DOPs: make([]dopPair, len(dops))}
+	for i, d := range dops {
+		m.DOPs[i] = dopPair{DOP: d.id, DA: d.da}
+	}
+	if _, err := tm.client.Call(tm.server(), MethodRejoin, m.encode()); err != nil {
+		return err
+	}
+	var errs []error
+	for _, d := range dops {
+		errs = append(errs, d.reacquire())
+	}
+	return errors.Join(errs...)
 }
 
 // ServerHealth asks the server for its degradation mode: Mode is "ok",

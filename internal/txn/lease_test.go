@@ -7,6 +7,7 @@ import (
 
 	"concord/internal/catalog"
 	"concord/internal/fault"
+	"concord/internal/lock"
 	"concord/internal/rpc"
 	"concord/internal/version"
 )
@@ -162,6 +163,79 @@ func TestRejoinRestoresSessionAndResumesDOP(t *testing.T) {
 	}
 	if ok, err := s.repo.Exists(newID); err != nil || !ok {
 		t.Fatalf("checked-in version missing after rejoin (ok=%t err=%v)", ok, err)
+	}
+}
+
+// TestRejoinRetakesDerivationLocks: the reaper released a DOP's derivation
+// locks. Rejoin takes them again, or — when another DOP derives from one of
+// the versions by then — ends the DOP at the server, so it cannot check in a
+// derivation beside the other's; a later Reattach brings it back whole.
+func TestRejoinRetakesDerivationLocks(t *testing.T) {
+	s := newStack(t, "")
+	s.server.LeaseTTL = 40 * time.Millisecond
+	s.server.LockTimeout = 50 * time.Millisecond
+	v0 := s.seedDOV(t, "v0", 100)
+	v1 := s.seedDOV(t, "v1", 200)
+	dop, err := s.tm.Begin("d1", "da1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := dop.Checkout(v0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dop.Checkout(v1, true); err != nil {
+		t.Fatal(err)
+	}
+	dop.SetWorkspace(obj.Set("area", catalog.Float(80))) //nolint:errcheck // the DOP is active
+	held := func(want lock.Mode) {
+		t.Helper()
+		for _, id := range []version.ID{v0, v1} {
+			if m := s.locks.Holds("d1", "dov/"+string(id)); m != want {
+				t.Fatalf("d1's lock on %s = %v, want %v", id, m, want)
+			}
+		}
+	}
+	reap := func() {
+		t.Helper()
+		time.Sleep(80 * time.Millisecond)
+		if n := s.server.ReapExpiredLeases(); n != 1 {
+			t.Fatalf("reaped %d workstations, want 1", n)
+		}
+		held(0)
+	}
+
+	reap()
+	if err := s.tm.Rejoin(); err != nil {
+		t.Fatalf("Rejoin: %v", err)
+	}
+	held(lock.D)
+
+	reap()
+	rival, err := newSecondTM(t, s, "ws2").Begin("d2", "da1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rival.Checkout(v1, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.tm.Rejoin(); err == nil {
+		t.Fatal("Rejoin took back a derivation lock another DOP holds")
+	}
+	held(0)
+	if _, err := dop.Checkin(version.StatusWorking, false); !errors.Is(err, ErrUnknownDOP) {
+		t.Fatalf("Checkin of the DOP that lost its lock = %v, want %v", err, ErrUnknownDOP)
+	}
+
+	if err := rival.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.tm.Reattach(dop); err != nil {
+		t.Fatalf("Reattach once the rival ended: %v", err)
+	}
+	held(lock.D)
+	if _, err := dop.Checkin(version.StatusWorking, false); err != nil {
+		t.Fatalf("Checkin after Reattach: %v", err)
 	}
 }
 

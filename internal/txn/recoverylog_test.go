@@ -335,6 +335,17 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 		}
 		r.s.tm.Crash()
 	}
+	// endThenDie checks the DOP in and ends it, then dies while the end
+	// record still waits for the next force.
+	endThenDie := func(t *testing.T, r *run) {
+		if _, err := r.dop.Checkin(version.StatusWorking, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.dop.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		die(t, r, false)
+	}
 	cases := []struct {
 		name string
 		// crash kills the workstation and damages its disk.
@@ -346,6 +357,8 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 		// after, when set, replaces the checkin every other row ends with:
 		// the DOP had already checked in before the crash.
 		after func(t *testing.T, r *run, tm2 *ClientTM, rdop *DOP)
+		// refused rows expect Reattach to fail; after then runs at once.
+		refused bool
 	}{
 		{
 			name:   "unforced input-added lost",
@@ -474,23 +487,18 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 		{
 			// The DOP checked in and ended; its end record was still waiting
 			// for the next force when the workstation died. The DOP comes back
-			// at its post-checkin context, holding nothing at the server, and
-			// ending it again is one tm/abort-dop that changes nothing.
+			// at its post-checkin context; the server ended it first, so
+			// Reattach registers it afresh and takes its derivation locks
+			// again. Ending it again is one tm/abort-dop that changes nothing.
 			name: "DOP end record lost",
 			crash: func(t *testing.T, r *run) {
-				if _, err := r.dop.Checkin(version.StatusWorking, false); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.dop.Commit(); err != nil {
-					t.Fatal(err)
-				}
-				die(t, r, false)
+				endThenDie(t, r)
 			},
 			inputs: "[v0 v1]",
 			after: func(t *testing.T, r *run, tm2 *ClientTM, rdop *DOP) {
 				for _, id := range []version.ID{"v0", "v1"} {
-					if m := r.s.locks.Holds("dop-m", "dov/"+string(id)); m != 0 {
-						t.Fatalf("the ended DOP holds %v on %s again", m, id)
+					if m := r.s.locks.Holds("dop-m", "dov/"+string(id)); m != lock.D {
+						t.Fatalf("derivation lock of the resurrected DOP on %s = %v, want D", id, m)
 					}
 				}
 				versions := r.s.repo.DOVCount()
@@ -505,6 +513,47 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 				}
 				if _, err := r.s.repo.Get("dop-m/v1"); err != nil {
 					t.Fatalf("the ended DOP's checkin: %v", err)
+				}
+			},
+		},
+		{
+			// As above, and before the workstation is back another DOP takes
+			// the derivation lock on v1. The resurrected DOP must not derive
+			// from v1 beside it: Reattach cannot take the lock, ends the DOP
+			// at the server, and a Checkin then has nothing to stage under.
+			name: "DOP end record lost, another DOP derives from v1",
+			crash: func(t *testing.T, r *run) {
+				endThenDie(t, r)
+				r.s.server.LockTimeout = 50 * time.Millisecond
+				if err := r.s.server.Begin("dop-rival", "da1"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.s.server.Checkout("dop-rival", "v1", true); err != nil {
+					t.Fatal(err)
+				}
+			},
+			inputs: "[v0 v1]", refused: true,
+			after: func(t *testing.T, r *run, tm2 *ClientTM, rdop *DOP) {
+				for _, id := range []version.ID{"v0", "v1"} {
+					if m := r.s.locks.Holds("dop-m", "dov/"+string(id)); m != 0 {
+						t.Fatalf("the refused DOP holds %v on %s", m, id)
+					}
+				}
+				if m := r.s.locks.Holds("dop-rival", "dov/v1"); m != lock.D {
+					t.Fatalf("the rival's derivation lock on v1 = %v, want D", m)
+				}
+				versions := r.s.repo.DOVCount()
+				if _, err := rdop.Checkin(version.StatusWorking, false); !errors.Is(err, ErrUnknownDOP) {
+					t.Fatalf("Checkin of the refused DOP = %v, want %v", err, ErrUnknownDOP)
+				}
+				if n := r.s.repo.DOVCount(); n != versions {
+					t.Fatalf("the refused DOP checked in: %d → %d versions", versions, n)
+				}
+				if err := rdop.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				if n := r.s.server.ActiveDOPs(); n != 1 {
+					t.Fatalf("%d DOPs registered at the server, want the rival only", n)
 				}
 			},
 		},
@@ -550,13 +599,20 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 			if got := fmt.Sprint(rdop.Savepoints()); got != "[progress]" {
 				t.Fatalf("savepoints = %s", got)
 			}
-			if err := tm2.Reattach(rdop); err != nil {
+			err = tm2.Reattach(rdop)
+			if (err != nil) != tc.refused {
 				t.Fatalf("Reattach: %v", err)
 			}
-			// Exactly the inputs the cache lost went back to the server, each
-			// as one cache-blind full transfer.
-			if w := tm2.WireStats(); w.Checkouts != tc.refetched || w.FullCheckouts != tc.refetched {
-				t.Fatalf("Reattach made %d checkouts (%d full), want %d", w.Checkouts, w.FullCheckouts, tc.refetched)
+			if tc.refused {
+				tc.after(t, r, tm2, rdop)
+				return
+			}
+			// Every input is a derive input, so Reattach takes each lock again:
+			// the inputs the cache lost as one cache-blind full transfer each,
+			// the others as NotModified handshakes.
+			n := uint64(len(rdop.Inputs()))
+			if w := tm2.WireStats(); w.Checkouts != n || w.FullCheckouts != tc.refetched || w.NotModified != n-tc.refetched {
+				t.Fatalf("Reattach made %d checkouts (%d full, %d NotModified), want %d (%d full)", w.Checkouts, w.FullCheckouts, w.NotModified, n, tc.refetched)
 			}
 			for _, id := range rdop.Inputs() {
 				in, err := rdop.Input(id)
@@ -583,10 +639,11 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 				}
 			}
 			if tc.inputs == "[v0]" {
+				before := tm2.WireStats().NotModified
 				if _, err := rdop.Checkout(v1, true); err != nil {
 					t.Fatalf("re-checkout of the rolled-back input: %v", err)
 				}
-				if w := tm2.WireStats(); w.NotModified != 1 {
+				if w := tm2.WireStats(); w.NotModified != before+1 {
 					t.Fatalf("re-checkout cost %+v, want one NotModified handshake", w)
 				}
 			}
