@@ -21,9 +21,12 @@ test-race:
 # die about one run in 12 on a phantom deadlock report (a waiter counted the
 # requests queued behind it). CI runs a 50-run loop of it and
 # TestConcurrentCheckinsSameDA; count failures here with
-# `make race-loop 2>&1 | grep -c -- '--- FAIL'`.
+# `make race-loop 2>&1 | grep -c -- '--- FAIL'`. It also runs 50 race-detector
+# runs of TestReadersSurviveRebase: readers of cold versions racing the
+# rebases that close and delete the files they read from.
 race-loop:
 	$(GO) test -race -count=200 -run TestConcurrentWorkstationsOverTCP ./...
+	$(GO) test -race -count=50 -run 'TestReadersSurviveRebase$$' ./internal/repo/
 
 # Fuzz smoke: run each fuzz target for 10s (the committed seed corpora run
 # as plain tests under `make test` too).

@@ -1,7 +1,9 @@
 package catalog
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -237,6 +239,38 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.Type != "chip" || got.Attrs["name"].S != "cpu" || len(got.Parts["modules"]) != 1 {
 		t.Fatalf("round trip = %+v", got)
+	}
+}
+
+// TestCheckEncodedAgreesWithDecode: CheckEncoded accepts exactly what
+// DecodeObject accepts — for a nested object's encoding, every truncation of
+// it, and every single-byte corruption.
+func TestCheckEncodedAgreesWithDecode(t *testing.T) {
+	o := NewObject("chip").Set("name", Str("cpu")).Set("rev", Int(-3)).
+		Set("area", Float(1.5)).Set("ok", Bool(true))
+	o.AddPart("modules", NewObject("module").Set("name", Str("alu")))
+	o.AddPart("modules", NewObject("module").Set("name", Str("fpu")))
+	data, err := EncodeObject(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agree := func(what string, b []byte) {
+		t.Helper()
+		_, derr := DecodeObject(b)
+		if cerr := CheckEncoded(b); (cerr == nil) != (derr == nil) {
+			t.Fatalf("%s: CheckEncoded = %v, DecodeObject = %v", what, cerr, derr)
+		}
+	}
+	agree("whole", data)
+	for n := range data {
+		agree(fmt.Sprintf("truncated to %d", n), data[:n])
+	}
+	for i := range data {
+		for _, x := range []byte{0x01, 0x80, 0xff} {
+			b := bytes.Clone(data)
+			b[i] ^= x
+			agree(fmt.Sprintf("byte %d ^ %#x", i, x), b)
+		}
 	}
 }
 

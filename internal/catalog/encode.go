@@ -36,14 +36,20 @@ func HashObject(o *Object) ([]byte, error) {
 const objFmtV1 = 0xC1
 
 // EncodeObject serializes an object for durable storage or transmission.
+// The result is sized exactly (its capacity is its length): the object is
+// encoded into a pooled writer and copied out once, so a large payload
+// costs one allocation of its own size, not a doubling series.
 func EncodeObject(o *Object) ([]byte, error) {
 	if o == nil {
 		return nil, fmt.Errorf("catalog: encode nil object")
 	}
-	w := binenc.NewWriter(64)
+	w := binenc.GetWriter(64)
 	w.Byte(objFmtV1)
 	encodeObjectInto(w, o)
-	return w.Bytes(), nil
+	out := make([]byte, len(w.Bytes()))
+	copy(out, w.Bytes())
+	w.Free()
+	return out, nil
 }
 
 // encodeObjectInto writes one object (recursively). Map keys are sorted so
@@ -102,6 +108,62 @@ func DecodeObject(data []byte) (*Object, error) {
 		return nil, fmt.Errorf("catalog: decode object: empty")
 	}
 	return o, nil
+}
+
+// CheckEncoded reports whether DecodeObject would accept data, walking the
+// encoding without building the object: no allocation, and strings are
+// skipped rather than copied. Restart uses it as the validity check of
+// payloads it keeps only as bytes.
+func CheckEncoded(data []byte) error {
+	r := binenc.NewReader(data)
+	if r.Byte() != objFmtV1 {
+		return fmt.Errorf("catalog: decode object: unknown format")
+	}
+	ok := skipObject(r, 0)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("catalog: decode object: %w", err)
+	}
+	if !ok {
+		return fmt.Errorf("catalog: decode object: empty")
+	}
+	return nil
+}
+
+// skipObject is decodeObjectFrom without the object: it reads exactly what
+// decodeObjectFrom reads and fails exactly where it returns nil.
+func skipObject(r *binenc.Reader, depth int) bool {
+	if depth > maxObjectDepth {
+		return false
+	}
+	r.BlobView() // type
+	nAttrs := r.U64()
+	for i := uint64(0); i < nAttrs && r.Err() == nil; i++ {
+		r.BlobView() // name
+		switch Kind(r.Byte()) {
+		case KindInt:
+			r.I64()
+		case KindFloat:
+			r.F64()
+		case KindString:
+			r.BlobView()
+		case KindBool:
+			r.Bool()
+		}
+	}
+	nSlots := r.U64()
+	for i := uint64(0); i < nSlots && r.Err() == nil; i++ {
+		r.BlobView() // slot
+		nParts := r.U64()
+		if nParts > uint64(r.Remaining()) {
+			return false
+		}
+		for j := uint64(0); j < nParts && r.Err() == nil; j++ {
+			if !skipObject(r, depth+1) {
+				return false
+			}
+		}
+	}
+	return r.Err() == nil
 }
 
 // maxObjectDepth bounds recursion on corrupt input.

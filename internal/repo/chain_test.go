@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -170,6 +171,15 @@ func TestWholeShardDeltaFoldsLikePerRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := digest(t, r)
+	// Render the widened delta while r is open: its cold records read their
+	// payloads from r's chain files.
+	var wideBytes bytes.Buffer
+	pw := newPayloadWriter(&wideBytes)
+	wide.writeInc(pw)
+	if err := pw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	wideBytes.Write(pw.trailer())
 	r.Close()
 	r2 := openFast(t, dir)
 	if got := digest(t, r2); got != want {
@@ -182,19 +192,7 @@ func TestWholeShardDeltaFoldsLikePerRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(inc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw := newPayloadWriter(f)
-	wide.writeInc(pw)
-	if err := pw.flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(pw.trailer()); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(inc, wideBytes.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	whole, err := os.Stat(inc)
@@ -241,10 +239,11 @@ func TestFirstCheckpointAfterOpenIsIncremental(t *testing.T) {
 	if n, _ := r2.SnapshotChain(); n != 2 {
 		t.Fatalf("first checkpoint after reopen: chain of %d, want base + delta", n)
 	}
-	p, _, err := readSnapFile(filepath.Join(dir, snapFileName(r2.SnapshotLSN(), false)))
+	p, _, err := openSnapFile(filepath.Join(dir, snapFileName(r2.SnapshotLSN(), false)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.f.Close()
 	var got []string
 	for _, dr := range p.recs {
 		got = append(got, string(dr.ID))

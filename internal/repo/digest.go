@@ -10,7 +10,8 @@ import (
 
 // StateDigest renders the complete durable repository state
 // deterministically: sequence counter, derivation graph structure per DA,
-// DOV set (payload bytes included) and metadata store. Two repositories
+// DOV set (payload bytes included, cold ones read back and checked) and
+// metadata store. Two repositories
 // with equal digests are byte-identical as far as recovery is concerned —
 // the scenario harness's byte-identical-recovery and twin-replay oracles
 // compare digests taken before a crash and after the restarted twin
@@ -49,8 +50,12 @@ func (r *Repository) StateDigest() (string, error) {
 	for _, id := range ids {
 		e := entries[version.ID(id)]
 		v := e.dov
+		enc, err := e.body.bytes()
+		if err != nil {
+			return "", fmt.Errorf("%w (version %s)", err, id)
+		}
 		fmt.Fprintf(&b, "dov %s dot=%s da=%s parents=[%s] status=%d seq=%d root=%t obj=%x\n",
-			v.ID, v.DOT, v.DA, joinIDStrings(v.Parents), v.Status, v.Seq, e.root, e.enc)
+			v.ID, v.DOT, v.DA, joinIDStrings(v.Parents), v.Status, v.Seq, e.root, enc)
 	}
 	r.metaMu.Lock()
 	keys := make([]string, 0, len(r.meta))

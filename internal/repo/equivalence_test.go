@@ -59,7 +59,10 @@ func equivDigest(t *testing.T, r *repo.Repository) string {
 // checkpoint fault point) must recover to a state byte-identical to a
 // full-rebase twin (CheckpointMaxChain 1: a full snapshot at every
 // checkpoint) that ran the same history without faults —
-// right after the crash, and again at the end of the run.
+// right after the crash, and again at the end of the run. At the end both
+// must also match a resident twin that never checkpointed, so every payload
+// the checkpointed twins read back cold is compared with one that never left
+// memory.
 func TestCheckpointEquivalenceOpMix(t *testing.T) {
 	for _, point := range repo.CrashPoints {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -77,10 +80,13 @@ func testEquivalenceAt(t *testing.T, point string, seed int64) {
 	)
 	crash := errors.New("injected crash")
 	reg := fault.New()
-	dirA, dirB := t.TempDir(), t.TempDir()
+	dirA, dirB, dirC := t.TempDir(), t.TempDir(), t.TempDir()
 	incOpts := repo.Options{SegmentBytes: 1 << 10, CheckpointMaxChain: 2, Faults: reg}
 	a := equivOpen(t, dirA, incOpts)
 	b := equivOpen(t, dirB, repo.Options{CheckpointMaxChain: 1})
+	// The resident twin never checkpoints: every payload stays in memory,
+	// while a and b read their non-leaf versions back from chain files.
+	c := equivOpen(t, dirC, repo.Options{})
 
 	mix := sim.OpMix{Checkout: 2, Checkin: 5, Delegate: 1, HandOver: 1, SetStatus: 2, Seed: seed}
 	rng := rand.New(rand.NewSource(seed * 977)) // op arguments, shared by both twins
@@ -89,7 +95,7 @@ func testEquivalenceAt(t *testing.T, point string, seed int64) {
 	das := []string{"da0"}
 	apply := func(op func(r *repo.Repository) error) {
 		t.Helper()
-		for _, r := range []*repo.Repository{a, b} {
+		for _, r := range []*repo.Repository{a, b, c} {
 			if err := op(r); err != nil {
 				t.Fatal(err)
 			}
@@ -164,13 +170,19 @@ func testEquivalenceAt(t *testing.T, point string, seed int64) {
 	if !crashed {
 		t.Fatalf("fault point %s never fired (hits=%d) — the scenario proved nothing", point, reg.Hits(point))
 	}
-	// Final recovery equivalence across one more crash/restart of both twins.
+	// Final recovery equivalence across one more crash/restart of every
+	// twin; the resident twin replays its whole log serially.
 	a2 := equivOpen(t, dirA, repo.Options{SegmentBytes: 1 << 10})
 	b2 := equivOpen(t, dirB, repo.Options{})
+	c2 := equivOpen(t, dirC, repo.Options{SerialReplay: true})
 	if err := a2.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := equivDigest(t, a2), equivDigest(t, b2); got != want {
+	got, want := equivDigest(t, a2), equivDigest(t, b2)
+	if got != want {
 		t.Fatalf("crash at %s: final digest differs from full-rebase twin:\n--- full-rebase\n%s--- incremental\n%s", point, want, got)
+	}
+	if resident := equivDigest(t, c2); got != resident {
+		t.Fatalf("crash at %s: final digest differs from the resident twin:\n--- resident\n%s--- incremental\n%s", point, resident, got)
 	}
 }

@@ -177,7 +177,7 @@ func (r *Repository) installShippedInsert(dr *dovRecord) error {
 		r.idx.unclaim(v.ID)
 		return err
 	}
-	r.idx.put(v.ID, &dovEntry{dov: v, enc: dr.Object, root: dr.Root})
+	r.idx.put(v.ID, &dovEntry{dov: v, body: residentBody(dr.Object), root: dr.Root})
 	if dr.Seq > r.seq.Load() {
 		r.seq.Store(dr.Seq)
 	}

@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"concord/internal/binenc"
 	"concord/internal/catalog"
@@ -61,6 +59,10 @@ type manifestEntry struct {
 	kind byte
 	file string
 	lsn  wal.LSN
+	// f is the open payload file of a chain element the repository loaded
+	// or wrote — what cold versions' locations read from; nil in parsed
+	// entries.
+	f *os.File
 }
 
 // encodeManifest frames entries: u32 length | u32 crc32-IEEE | payload,
@@ -196,6 +198,8 @@ func (r *Repository) appendManifest(e manifestEntry) error {
 // snapPayload is one decoded chain element: a base (CCSNAP01) or an
 // incremental delta (CCINCR01).
 type snapPayload struct {
+	// f is the open payload file the element was read from (openSnapFile).
+	f       *os.File
 	base    bool
 	snapLSN wal.LSN
 	// prevLSN is a delta's predecessor link: the coverage of the chain
@@ -206,7 +210,17 @@ type snapPayload struct {
 	// meta is the whole metadata store; nil for a delta cut while the store
 	// was clean.
 	meta map[string][]byte
-	recs []dovRecord
+	recs []chainRec
+}
+
+// chainRec is one record of a chain payload: the decoded record, whose
+// Object the loader drops once it has seen a child of the version in the
+// same payload, where the payload file holds the payload, and the buffer the
+// record was read into (nil once dropped).
+type chainRec struct {
+	dovRecord
+	loc bodyLoc
+	buf []byte
 }
 
 // streamReader is binenc.Reader's counterpart over a stream, with the same
@@ -214,9 +228,10 @@ type snapPayload struct {
 // a corrupt prefix cannot make it allocate more than the file holds, and
 // every byte slice it returns is a fresh buffer the caller may keep.
 type streamReader struct {
-	br  *bufio.Reader
-	lr  *io.LimitedReader // the payload, trailer excluded, beneath br
-	err error
+	br   *bufio.Reader
+	lr   *io.LimitedReader // the payload, trailer excluded, beneath br
+	size int64             // payload bytes, trailer excluded
+	err  error
 }
 
 func (s *streamReader) fail(err error) {
@@ -227,6 +242,9 @@ func (s *streamReader) fail(err error) {
 
 // left reports the payload bytes not yet consumed.
 func (s *streamReader) left() uint64 { return uint64(s.lr.N) + uint64(s.br.Buffered()) }
+
+// pos reports the file offset of the next byte to be consumed.
+func (s *streamReader) pos() int64 { return s.size - int64(s.left()) }
 
 func (s *streamReader) u64() uint64 {
 	if s.err != nil {
@@ -250,7 +268,10 @@ func (s *streamReader) bool() bool {
 	return b != 0
 }
 
-func (s *streamReader) bytes(n uint64) []byte {
+func (s *streamReader) bytes(n uint64) []byte { return s.bytesInto(nil, n) }
+
+// bytesInto is bytes reading into buf instead when it is large enough.
+func (s *streamReader) bytesInto(buf []byte, n uint64) []byte {
 	if s.err != nil {
 		return nil
 	}
@@ -258,7 +279,12 @@ func (s *streamReader) bytes(n uint64) []byte {
 		s.fail(binenc.ErrCorrupt)
 		return nil
 	}
-	b := make([]byte, n)
+	b := buf[:0]
+	if uint64(cap(b)) >= n {
+		b = b[:n]
+	} else {
+		b = make([]byte, n)
+	}
 	if _, err := io.ReadFull(s.br, b); err != nil {
 		s.fail(err)
 		return nil
@@ -283,20 +309,47 @@ func (s *streamReader) strs() []string {
 
 // records appends a count-prefixed record list to dst. Each record is read
 // into a buffer of its own, which its Object aliases: that buffer becomes
-// the version's resident encoding.
-func (s *streamReader) records(dst []dovRecord) []dovRecord {
+// the version's resident encoding unless the version turns out to have a
+// child. Each payload is located and checked to decode, as replay does, as
+// it streams past. A parent read earlier in the same list
+// drops its Object as soon as its child arrives, and its buffer takes the
+// next record, so a base in Seq order allocates little more than its
+// leaves. (Children found elsewhere — a later chain element, a log record —
+// are settled once Open has seen everything.)
+func (s *streamReader) records(dst []chainRec) []chainRec {
 	n := s.u64()
+	at := make(map[version.ID]int)
+	var spare [][]byte
 	for i := uint64(0); i < n && s.err == nil; i++ {
-		b := s.bytes(s.u64())
+		size := s.u64()
+		start := s.pos()
+		var buf []byte
+		if k := len(spare); k > 0 {
+			buf, spare = spare[k-1], spare[:k-1]
+		}
+		b := s.bytesInto(buf, size)
 		if s.err != nil {
 			break
 		}
-		dr, err := decodeDOVRecord(b)
+		dr, objOff, err := decodeDOVRecord(b)
+		if err == nil {
+			err = catalog.CheckEncoded(dr.Object)
+		}
 		if err != nil {
 			s.fail(fmt.Errorf("DOV record: %w", err))
 			break
 		}
-		dst = append(dst, dr)
+		if !dr.Root {
+			for _, p := range dr.Parents {
+				if j, ok := at[p]; ok && dst[j].DA == dr.DA && dst[j].buf != nil {
+					spare = append(spare, dst[j].buf)
+					dst[j].Object, dst[j].buf = nil, nil
+				}
+			}
+		}
+		at[dr.ID] = len(dst)
+		loc := bodyLoc{off: start + int64(objOff), n: len(dr.Object), crc: crc32.Checksum(dr.Object, castagnoli)}
+		dst = append(dst, chainRec{dr, loc, b})
 	}
 	return dst
 }
@@ -320,7 +373,7 @@ func readPayload(src io.Reader, size int64) (*snapPayload, error) {
 	}
 	lr := &io.LimitedReader{R: src, N: size - 4}
 	crc := crc32.NewIEEE()
-	s := &streamReader{br: bufio.NewReaderSize(io.TeeReader(lr, crc), 256<<10), lr: lr}
+	s := &streamReader{br: bufio.NewReaderSize(io.TeeReader(lr, crc), 256<<10), lr: lr, size: size - 4}
 	p := &snapPayload{}
 	switch s.str() {
 	case snapMagic:
@@ -368,20 +421,29 @@ func readPayload(src io.Reader, size int64) (*snapPayload, error) {
 	return p, nil
 }
 
-// readSnapFile streams one chain payload file through readPayload and
-// returns it with the file's size.
-func readSnapFile(path string) (*snapPayload, int64, error) {
+// openSnapFile streams one chain payload file through readPayload and
+// returns it with the file's size. The file stays open as the payload's f,
+// which every record's location names; on error it is closed.
+func openSnapFile(path string) (*snapPayload, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("repo: read snapshot: %w", err)
 	}
-	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
+		f.Close()
 		return nil, 0, fmt.Errorf("repo: read snapshot: %w", err)
 	}
 	p, err := readPayload(f, fi.Size())
-	return p, fi.Size(), err
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	p.f = f
+	for i := range p.recs {
+		p.recs[i].loc.f = f
+	}
+	return p, fi.Size(), nil
 }
 
 // chainFold accumulates the effect of a manifest chain. A base resets it;
@@ -395,13 +457,13 @@ type chainFold struct {
 	seq      uint64
 	daNames  []string
 	meta     map[string][]byte
-	recs     map[version.ID]dovRecord
+	recs     map[version.ID]chainRec
 }
 
 // fold layers one chain element on top of the fold.
 func (f *chainFold) fold(p *snapPayload) {
 	if p.base {
-		f.recs = make(map[version.ID]dovRecord, len(p.recs))
+		f.recs = make(map[version.ID]chainRec, len(p.recs))
 	}
 	f.coverage = p.snapLSN
 	f.seq = p.seq
@@ -417,8 +479,8 @@ func (f *chainFold) fold(p *snapPayload) {
 // install materializes the folded state into the recovering repository:
 // DA graphs, staged index entries (in Seq order, so every derivation edge
 // re-wires exactly as replay would build it), metadata and the sequence
-// counter. Every payload is parsed first as a validity check, as replay
-// does, on a worker pool; the record's own buffer is what stays resident.
+// counter. Each version's body is located in the chain, and resident in the
+// record's own buffer unless the loader already dropped it.
 func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) error {
 	r.seq.Store(f.seq)
 	for _, da := range f.daNames {
@@ -426,19 +488,18 @@ func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) err
 			r.das[da] = &daState{g: version.NewGraph(da)}
 		}
 	}
-	recs := make([]dovRecord, 0, len(f.recs))
-	for _, dr := range f.recs {
-		recs = append(recs, dr)
+	recs := make([]chainRec, 0, len(f.recs))
+	for _, cr := range f.recs {
+		recs = append(recs, cr)
 	}
 	// Seq order: parents always precede children (a parent's Seq is
 	// allocated first), so graph inserts re-wire every derivation edge
 	// exactly as replay would.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	if err := validatePayloads(recs, r.decodeWorkers()); err != nil {
-		return err
-	}
 	for i := range recs {
-		if err := r.installRecovered(&recs[i], staging, 0); err != nil {
+		b := &body{}
+		b.at.Store(&bodyAt{enc: recs[i].Object, loc: recs[i].loc})
+		if err := r.installRecovered(&recs[i].dovRecord, b, staging, 0); err != nil {
 			return err
 		}
 	}
@@ -446,28 +507,6 @@ func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) err
 		r.meta[k] = v
 	}
 	return nil
-}
-
-// validatePayloads decodes every record's payload on a pool of workers and
-// reports the first failure; the decoded objects are dropped.
-func validatePayloads(recs []dovRecord, workers int) error {
-	var next atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range errs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(len(recs)); i = next.Add(1) - 1 {
-				if _, err := catalog.DecodeObject(recs[i].Object); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // loadSnapshotChain restores repository state from the durable snapshot
@@ -501,16 +540,21 @@ func (r *Repository) loadSnapshotChain(staging map[version.ID]*dovEntry) error {
 	r.epoch.Store(epoch)
 	var fold chainFold
 	for _, e := range entries {
-		p, size, err := readSnapFile(filepath.Join(r.dir, e.file))
+		p, size, err := openSnapFile(filepath.Join(r.dir, e.file))
+		if err != nil {
+			break
+		}
 		// A delta whose predecessor link lies at or below the folded
 		// coverage is safe: its records are those changed since an older
 		// cut, a superset of the changes since the fold. A link beyond the
 		// coverage would leave a gap.
-		if err != nil || p.snapLSN != e.lsn || p.base != (e.kind == manifestKindBase) ||
+		if p.snapLSN != e.lsn || p.base != (e.kind == manifestKindBase) ||
 			!p.base && p.prevLSN > fold.coverage {
+			p.f.Close()
 			break
 		}
 		fold.fold(p)
+		e.f = p.f
 		r.chain = append(r.chain, e)
 		r.chainBytes += size
 		if p.base {
@@ -537,7 +581,7 @@ func (r *Repository) loadSnapshotChain(staging map[version.ID]*dovEntry) error {
 // as a one-element chain. The first checkpoint then rebases, migrating the
 // directory to the manifest scheme.
 func (r *Repository) loadLegacySnapshot(staging map[version.ID]*dovEntry) error {
-	p, size, err := readSnapFile(filepath.Join(r.dir, legacySnapName))
+	p, size, err := openSnapFile(filepath.Join(r.dir, legacySnapName))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -546,6 +590,7 @@ func (r *Repository) loadLegacySnapshot(staging map[version.ID]*dovEntry) error 
 	if err != nil {
 		return err
 	}
+	r.chain = []manifestEntry{{kind: manifestKindBase, file: legacySnapName, lsn: p.snapLSN, f: p.f}}
 	if !p.base {
 		return errors.New("repo: legacy snapshot is not a full snapshot")
 	}
@@ -555,7 +600,6 @@ func (r *Repository) loadLegacySnapshot(staging map[version.ID]*dovEntry) error 
 		return err
 	}
 	r.snapLSN = p.snapLSN
-	r.chain = []manifestEntry{{kind: manifestKindBase, file: legacySnapName, lsn: p.snapLSN}}
 	r.chainBytes, r.baseBytes = size, size
 	return nil
 }

@@ -2,6 +2,12 @@ package repo
 
 import (
 	"crypto/sha256"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,35 +31,29 @@ import (
 // observe a claim: a version exists only once it is published, which happens
 // strictly after its WAL reservation (the §3.5/§3.7 ordering invariant).
 //
-// Immutability contract: a published *version.DOV and its encoding are never
+// Immutability contract: a published *version.DOV and its payload are never
 // mutated again. Status and Fulfilled updates install a fresh shallow copy
-// of the metadata sharing the same encoding; the superseded record stays
-// valid forever for any reader still holding it — multi-version concurrency
-// in its simplest form.
+// of the metadata sharing the same body; the superseded record stays valid
+// forever for any reader still holding it — multi-version concurrency in its
+// simplest form. A body changes only where it lives (resident bytes or a
+// chain file location), never what it holds.
 
 // idxShards is the copy-on-write fan-out. A write copies only its shard
 // (1/64th of the index on average), so installs stay cheap while readers
 // pay exactly one atomic load regardless of the shard count.
 const idxShards = 64
 
-// dovEntry is one published version in its resident form: the metadata
-// record, the canonical encoding of the payload and a lazily memoized
-// content hash. The repository keeps no decoded object — the checkout and
-// delta paths only ever ship the encoding, and the rare server-side reader
-// of the object itself (feature evaluation, tools) decodes a private copy
-// (Repository.Object). One resident copy per version, whether or not it
-// was ever checked out.
+// dovEntry is one published version: the metadata record, the version's
+// payload body and the graph and checkpoint marks. The repository keeps no
+// decoded object — the checkout and delta paths only ever ship the
+// encoding, and the rare server-side reader of the object itself (feature
+// evaluation, tools) decodes a private copy (Repository.Object).
 type dovEntry struct {
 	// dov is the immutable metadata record; its Object is always nil.
 	dov *version.DOV
-	// enc is the canonical payload encoding — exactly the bytes the
-	// version's log record carries. Immutable and shared across
-	// status/fulfilled re-publications of the same version.
-	enc []byte
-	// hash memoizes sha256(enc) on first use, so restart and checkin never
-	// pay a hash per version. Racing readers may compute it twice; the
-	// result is deterministic, so the duplicate store is harmless.
-	hash atomic.Pointer[[sha256.Size]byte]
+	// body holds the payload: shared by every record of the version, so
+	// status/fulfilled re-publications never copy or re-read it.
+	body *body
 	// root marks a version adopted as a graph root (foreign parents
 	// allowed). Snapshots must preserve the distinction so rebuilt graphs
 	// wire exactly the edges replay would.
@@ -65,15 +65,125 @@ type dovEntry struct {
 	gen uint64
 }
 
-// contentHash returns the memoized content hash of the entry's payload,
-// computing and publishing it on first use.
-func (e *dovEntry) contentHash() []byte {
-	if h := e.hash.Load(); h != nil {
+// body is a version's payload (DESIGN.md §3.6). It is resident — the
+// canonical encoding, exactly the bytes the version's log record carries —
+// until a committed checkpoint holds it in a chain payload file and the
+// version has a child in its derivation graph. From then on it is cold: only
+// its location remains, and a read fetches the bytes with pread and checks
+// them against the location's CRC-32C. Leaves stay resident, and so does
+// everything newer than the last checkpoint.
+type body struct {
+	// at is the current state. Transitions — a location set or moved, the
+	// resident bytes dropped — happen only when a checkpoint commits (under
+	// ckptMu) or at Open, each as one store of a fresh state.
+	at atomic.Pointer[bodyAt]
+	// hash memoizes sha256 of the payload on first use, so restart and
+	// checkin never pay a hash per version and a cold version answers a
+	// NotModified check without a read. Racing readers may compute it
+	// twice; the result is deterministic, so the duplicate store is
+	// harmless.
+	hash atomic.Pointer[[sha256.Size]byte]
+}
+
+// bodyAt is one immutable state of a body.
+type bodyAt struct {
+	// enc is the resident encoding; nil once the body is cold.
+	enc []byte
+	// loc is where the live snapshot chain holds the payload; zero until
+	// the first checkpoint writes it.
+	loc bodyLoc
+}
+
+// bodyLoc names a payload inside a chain payload file: the open handle, the
+// byte range and the CRC-32C of those bytes.
+type bodyLoc struct {
+	f   *os.File
+	off int64
+	n   int
+	crc uint32
+}
+
+// castagnoli is the CRC-32C table of the per-payload checksums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// residentBody returns the body of a freshly installed version.
+func residentBody(enc []byte) *body {
+	b := &body{}
+	b.at.Store(&bodyAt{enc: enc})
+	return b
+}
+
+// bytes returns the payload: the resident encoding itself, or a fresh
+// buffer read from the chain file and checked against its CRC. A rebase
+// moves every location to the new base before it closes the old files, so a
+// read that finds its file closed retries at the new location.
+func (b *body) bytes() ([]byte, error) {
+	s := b.at.Load()
+	for s.enc == nil {
+		enc, err := s.loc.read(nil)
+		if err == nil {
+			return enc, nil
+		}
+		next := b.at.Load()
+		if next == s || !errors.Is(err, os.ErrClosed) {
+			return nil, err
+		}
+		s = next
+	}
+	return s.enc, nil
+}
+
+// read preads the located payload into buf (grown as needed) and checks it.
+func (l bodyLoc) read(buf []byte) ([]byte, error) {
+	if l.f == nil {
+		return nil, errors.New("repo: cold payload has no location")
+	}
+	buf = slices.Grow(buf[:0], l.n)[:l.n]
+	if _, err := l.f.ReadAt(buf, l.off); err != nil {
+		return nil, fmt.Errorf("repo: read cold payload: %w", err)
+	}
+	if crc32.Checksum(buf, castagnoli) != l.crc {
+		return nil, fmt.Errorf("%w: %d bytes at offset %d of %s", ErrCorrupt, l.n, l.off, filepath.Base(l.f.Name()))
+	}
+	return buf, nil
+}
+
+// contentHash returns the memoized content hash, reading the payload to
+// compute it on first use.
+func (b *body) contentHash() ([]byte, error) {
+	if h := b.hash.Load(); h != nil {
+		return h[:], nil
+	}
+	enc, err := b.bytes()
+	if err != nil {
+		return nil, err
+	}
+	return b.hashOf(enc), nil
+}
+
+// hashOf returns the memoized content hash, computing it from enc (the
+// body's payload) and publishing it on first use.
+func (b *body) hashOf(enc []byte) []byte {
+	if h := b.hash.Load(); h != nil {
 		return h[:]
 	}
-	h := sha256.Sum256(e.enc)
-	e.hash.Store(&h)
+	h := sha256.Sum256(enc)
+	b.hash.Store(&h)
 	return h[:]
+}
+
+// locate records where a committed checkpoint wrote the payload, keeping
+// whatever is resident. Caller holds ckptMu or owns the repository.
+func (b *body) locate(loc bodyLoc) {
+	b.at.Store(&bodyAt{enc: b.at.Load().enc, loc: loc})
+}
+
+// evict drops the resident bytes of a located body. Caller holds ckptMu or
+// owns the repository.
+func (b *body) evict() {
+	if s := b.at.Load(); s.enc != nil && s.loc.f != nil {
+		b.at.Store(&bodyAt{loc: s.loc})
+	}
 }
 
 // idxShard is one shard of the version index: the atomically swapped
@@ -183,11 +293,11 @@ func (x *dovIndex) unclaim(id version.ID) {
 // shard mutex; writers of other shards proceed in parallel.
 //
 // Cost note: a write copies its shard — n/idxShards entries on average — so
-// install cost grows with resident history. At the repository sizes the
-// checkpointing work targets (§3.5 keeps live state, not history, resident)
-// this is microseconds against a WAL fsync; if writes ever dominate at much
-// larger version counts, swap the shard map for a persistent (HAMT-style)
-// structure behind the same surface.
+// install cost grows with the number of versions ever stored: every version
+// keeps its metadata record in the index, even once its payload is cold.
+// That is microseconds against a WAL fsync at the sizes measured so far; if
+// writes ever dominate at much larger version counts, swap the shard map for
+// a persistent (HAMT-style) structure behind the same surface.
 func (x *dovIndex) put(id version.ID, e *dovEntry) {
 	s := &x.shards[shardOf(id)]
 	s.mu.Lock()

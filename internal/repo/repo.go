@@ -61,6 +61,10 @@ var (
 	// changes arrive exclusively through ApplyShipped until Promote ends
 	// follower mode. Reads serve normally from the hot MVCC index.
 	ErrFollower = errors.New("repo: follower (standby replica, mutations arrive via replication)")
+	// ErrCorrupt reports a cold version whose payload, read back from its
+	// chain payload file, fails the checksum recorded when it was written.
+	// The read returns this error, never the bytes.
+	ErrCorrupt = errors.New("repo: stored payload fails its checksum")
 )
 
 // Options configures a Repository.
@@ -85,9 +89,8 @@ type Options struct {
 	// pipelined replay is checked against (the scenario twin-replay oracle,
 	// the replay-equivalence tests); production leaves it unset.
 	SerialReplay bool
-	// ReplayWorkers is the decode worker count at restart — the pipelined
-	// replay (not used with SerialReplay) and the snapshot chain's payload
-	// validity check (0 = GOMAXPROCS, capped at 8).
+	// ReplayWorkers is the decode worker count of the pipelined replay at
+	// restart (not used with SerialReplay; 0 = GOMAXPROCS, capped at 8).
 	ReplayWorkers int
 	// CheckpointMaxChain additionally bounds the snapshot chain length: once
 	// the chain holds this many elements, the next checkpoint rebases (writes
@@ -117,13 +120,17 @@ type Options struct {
 // Repository is the design data repository. All methods are safe for
 // concurrent use.
 //
-// Reads are multi-versioned (DESIGN.md §3.6): Get, Lookup, Exists,
-// EncodedObject and Graph never take the repository lock and never copy or
-// decode payloads — they return immutable records published through the
-// copy-on-write index in mvcc.go. A stored version is resident as its
-// metadata plus the canonical encoding of its payload; the DOVs Get and
-// Graph hand out carry no Object, and Object decodes a private copy on
-// request. Callers must treat every returned DOV and encoding as read-only.
+// Reads are multi-versioned (DESIGN.md §3.6): Get, Stat, Lookup, Exists,
+// EncodedObject and Graph never take the repository lock and never decode
+// payloads — they return immutable records published through the
+// copy-on-write index in mvcc.go. Every stored version keeps its metadata
+// in memory, but only leaves and versions newer than the last checkpoint
+// keep their payload there, as its canonical encoding. Any other version is
+// cold: its payload lives only in the checkpoint's chain payload file, and
+// Lookup and Object read it back with pread, checked against a CRC-32C. The
+// DOVs Get and Graph hand out carry no Object, and Object decodes a private
+// copy on request. Callers must treat every returned DOV and encoding as
+// read-only.
 //
 // Writes are sharded by design area (DESIGN.md §3.7): a checkin holds the
 // repository-wide quiesce lock shared plus its DA's write lock, so checkins
@@ -275,16 +282,34 @@ func (r *Repository) fireChange(ev ChangeEvent) {
 }
 
 // Lookup is the checkout read: a stored version's metadata record (no
-// Object), the canonical encoding of its payload and its content hash, in
-// one index load. The encoding is the resident form of the version and the
-// hash is memoized on first use, so after that first request the call takes
-// no lock and allocates nothing.
+// Object), the canonical encoding of its payload and its content hash. For
+// a resident version that is one index load, and once the hash is memoized
+// the call takes no lock and allocates nothing. A cold version's encoding is
+// a fresh buffer read from its chain payload file; a read error or a
+// checksum mismatch (ErrCorrupt) is returned as an error, never as bytes.
 func (r *Repository) Lookup(id version.ID) (meta *version.DOV, enc, hash []byte, err error) {
 	e, err := r.entry(id)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return e.dov, e.enc, e.contentHash(), nil
+	if enc, err = e.body.bytes(); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w (version %s)", err, id)
+	}
+	return e.dov, enc, e.body.hashOf(enc), nil
+}
+
+// Stat is Lookup without the encoding: the metadata record and the content
+// hash. A version whose hash is memoized answers without reading its
+// payload, resident or not — what a NotModified checkout needs.
+func (r *Repository) Stat(id version.ID) (meta *version.DOV, hash []byte, err error) {
+	e, err := r.entry(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	if hash, err = e.body.contentHash(); err != nil {
+		return nil, nil, fmt.Errorf("%w (version %s)", err, id)
+	}
+	return e.dov, hash, nil
 }
 
 // entry is the lock-free index read behind every version accessor.
@@ -308,20 +333,23 @@ func (r *Repository) EncodedObject(id version.ID) (enc, hash []byte, err error) 
 
 // Object decodes a stored version's payload into a fresh object the caller
 // owns and may mutate. The repository keeps only the encoding, so every call
-// pays a decode: it is for the rare server-side readers of design data
-// (feature evaluation, tools, tests), not for the checkout path.
+// pays a decode (and a cold version a read): it is for the rare server-side
+// readers of design data (feature evaluation, tools, tests), not for the
+// checkout path.
 func (r *Repository) Object(id version.ID) (*catalog.Object, error) {
-	e, err := r.entry(id)
+	_, enc, _, err := r.Lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	return catalog.DecodeObject(e.enc)
+	return catalog.DecodeObject(enc)
 }
 
 // Open creates or recovers a repository. When opts.Dir names a directory
 // containing prior repository state, recovery loads the last snapshot (if
 // any) and replays only the redo-log suffix behind it, so restart work is
-// bounded by live state plus the records since the last checkpoint.
+// bounded by live state plus the records since the last checkpoint. Only
+// leaves and the versions the log suffix replays keep their payload
+// resident; every other version is cold in the chain it was loaded from.
 func Open(cat *catalog.Catalog, opts Options) (*Repository, error) {
 	if cat == nil {
 		return nil, errors.New("repo: nil catalog")
@@ -343,51 +371,67 @@ func Open(cat *catalog.Catalog, opts Options) (*Repository, error) {
 	// bulk rebuild below costs one pass instead of per-record copy-on-write.
 	staging := make(map[version.ID]*dovEntry)
 	if opts.Dir != "" {
-		if err := r.loadSnapshotChain(staging); err != nil {
+		if err := r.recoverDir(opts, staging); err != nil {
+			r.closeChain(r.chain)
 			return nil, err
 		}
-		snapLSN := r.snapLSN
-		l, err := wal.Open(filepath.Join(opts.Dir, "repo.wal"), wal.Options{
-			SyncOnAppend: opts.Sync,
-			SegmentBytes: opts.SegmentBytes,
-			Faults:       opts.Faults,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.log = l
-		// A mark beyond the surviving chain coverage means records the chain
-		// was supposed to carry are gone from the log — genuine loss (e.g. a
-		// deleted manifest). Refuse to open rather than silently serve a
-		// truncated history. The checkpoint protocol makes this unreachable:
-		// the covering manifest entry is fsync-durable strictly before the
-		// mark moves.
-		if l.LowWater() > snapLSN {
-			l.Close()
-			return nil, fmt.Errorf("repo: checkpoint mark %d beyond snapshot chain coverage %d (manifest truncated or missing)",
-				l.LowWater(), snapLSN)
-		}
-		// Complete a checkpoint whose chain entry installed but whose log
-		// mark was lost to a crash: the chain's coverage is authoritative and
-		// wal.Checkpoint is idempotent and monotonic.
-		if snapLSN > l.LowWater() {
-			if err := l.Checkpoint(snapLSN); err != nil {
-				l.Close()
-				return nil, err
-			}
-		}
-		if err := r.recover(snapLSN, staging); err != nil {
-			l.Close()
-			return nil, err
-		}
-		// Collect leftovers of crashed checkpoint attempts (unreferenced
-		// payload files, stray tmps). The parsed chain matches the durable
-		// manifest prefix, so everything outside it is garbage.
-		r.gcSnapshots()
 	}
 	r.idx.rebuild(staging)
 	r.publishDAs()
 	return r, nil
+}
+
+// recoverDir loads the snapshot chain, opens the log and replays its suffix
+// into staging. On error the caller releases the chain's handles.
+func (r *Repository) recoverDir(opts Options, staging map[version.ID]*dovEntry) error {
+	if err := r.loadSnapshotChain(staging); err != nil {
+		return err
+	}
+	snapLSN := r.snapLSN
+	l, err := wal.Open(filepath.Join(opts.Dir, "repo.wal"), wal.Options{
+		SyncOnAppend: opts.Sync,
+		SegmentBytes: opts.SegmentBytes,
+		Faults:       opts.Faults,
+	})
+	if err != nil {
+		return err
+	}
+	r.log = l
+	// A mark beyond the surviving chain coverage means records the chain
+	// was supposed to carry are gone from the log — genuine loss (e.g. a
+	// deleted manifest). Refuse to open rather than silently serve a
+	// truncated history. The checkpoint protocol makes this unreachable:
+	// the covering manifest entry is fsync-durable strictly before the
+	// mark moves.
+	if l.LowWater() > snapLSN {
+		l.Close()
+		return fmt.Errorf("repo: checkpoint mark %d beyond snapshot chain coverage %d (manifest truncated or missing)",
+			l.LowWater(), snapLSN)
+	}
+	// Complete a checkpoint whose chain entry installed but whose log
+	// mark was lost to a crash: the chain's coverage is authoritative and
+	// wal.Checkpoint is idempotent and monotonic.
+	if snapLSN > l.LowWater() {
+		if err := l.Checkpoint(snapLSN); err != nil {
+			l.Close()
+			return err
+		}
+	}
+	if err := r.recover(snapLSN, staging); err != nil {
+		l.Close()
+		return err
+	}
+	// Leaves stay resident: a chain-loaded version with a child anywhere in
+	// what was loaded or replayed drops its payload bytes.
+	get := func(id version.ID) (*dovEntry, bool) { e, ok := staging[id]; return e, ok }
+	for _, e := range staging {
+		evictParents(e, get)
+	}
+	// Collect leftovers of crashed checkpoint attempts (unreferenced
+	// payload files, stray tmps). The parsed chain matches the durable
+	// manifest prefix, so everything outside it is garbage.
+	r.gcSnapshots()
+	return nil
 }
 
 // publishDAs swaps in a fresh copy of the DA directory. Callers hold dasMu
@@ -400,8 +444,12 @@ func (r *Repository) publishDAs() {
 	r.dasPub.Store(&m)
 }
 
-// Close releases the underlying log.
+// Close releases the underlying log and the snapshot chain's payload files.
+// Cold versions are unreadable afterwards.
 func (r *Repository) Close() error {
+	r.ckptMu.Lock()
+	r.closeChain(r.chain)
+	r.ckptMu.Unlock()
 	if r.log != nil {
 		return r.log.Close()
 	}
@@ -455,35 +503,37 @@ func (d dovRecord) encodeTail(w *binenc.Writer) {
 	w.Bool(d.Root)
 }
 
-// decodeDOVRecord decodes one record. Its Object aliases data: the snapshot
-// loader reads each record into a buffer of its own, so that buffer becomes
-// the resident encoding with no further copy.
-func decodeDOVRecord(data []byte) (dovRecord, error) {
+// decodeDOVRecord decodes one record and reports the offset of its payload
+// within data. Its Object aliases data: the snapshot loader reads each
+// record into a buffer of its own, so that buffer becomes the resident
+// encoding with no further copy.
+func decodeDOVRecord(data []byte) (d dovRecord, objOff int, err error) {
 	r := binenc.NewReader(data)
-	d := dovRecord{ID: version.ID(r.Str()), DOT: r.Str(), DA: r.Str()}
+	d = dovRecord{ID: version.ID(r.Str()), DOT: r.Str(), DA: r.Str()}
 	n := r.U64()
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		d.Parents = append(d.Parents, version.ID(r.Str()))
 	}
 	d.Object = r.BlobView()
+	objOff = len(data) - r.Remaining() - len(d.Object)
 	d.Status = version.Status(r.Byte())
 	d.Fulfilled = r.Strs()
 	d.Seq = r.U64()
 	d.Root = r.Bool()
-	return d, r.Err()
+	return d, objOff, r.Err()
 }
 
 // decodeInsert is the CPU-heavy half of recovering one DOV record — record
-// decode plus a full decode of the payload as a validity check — which the
-// pipelined replay runs on a worker pool (§3.7). The decoded object is
-// dropped and the encoding copied out of the log record, which may share a
-// read buffer or a shipped batch; the copy becomes the resident form.
+// decode plus a walk of the payload as a validity check — which the
+// pipelined replay runs on a worker pool (§3.7). The encoding is copied out
+// of the log record, which may share a read buffer or a shipped batch; the
+// copy becomes the resident form.
 func decodeInsert(data []byte) (*dovRecord, error) {
-	dr, err := decodeDOVRecord(data)
+	dr, _, err := decodeDOVRecord(data)
 	if err != nil {
 		return nil, fmt.Errorf("repo: recover DOV: %w", err)
 	}
-	if _, err := catalog.DecodeObject(dr.Object); err != nil {
+	if err := catalog.CheckEncoded(dr.Object); err != nil {
 		return nil, err
 	}
 	dr.Object = append([]byte(nil), dr.Object...)
@@ -505,8 +555,8 @@ const replayedGen = 1
 
 // installRecovered inserts one validated DOV record exactly as the original
 // checkin did, into the recovery staging map and the (not yet shared)
-// graphs, marked with publication generation gen.
-func (r *Repository) installRecovered(dr *dovRecord, staging map[version.ID]*dovEntry, gen uint64) error {
+// graphs, with payload body b and publication generation gen.
+func (r *Repository) installRecovered(dr *dovRecord, b *body, staging map[version.ID]*dovEntry, gen uint64) error {
 	v := dr.meta()
 	st, ok := r.das[dr.DA]
 	if !ok {
@@ -520,7 +570,7 @@ func (r *Repository) installRecovered(dr *dovRecord, staging map[version.ID]*dov
 	} else if err := st.g.InsertDerived(v); err != nil {
 		return err
 	}
-	staging[v.ID] = &dovEntry{dov: v, enc: dr.Object, root: dr.Root, gen: gen}
+	staging[v.ID] = &dovEntry{dov: v, body: b, root: dr.Root, gen: gen}
 	if dr.Seq > r.seq.Load() {
 		r.seq.Store(dr.Seq)
 	}
@@ -558,7 +608,7 @@ func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) 
 					return err
 				}
 			}
-			return r.installRecovered(d, staging, replayedGen)
+			return r.installRecovered(d, residentBody(d.Object), staging, replayedGen)
 		case recDOVStatus:
 			parts := strings.SplitN(string(rec.Payload), "\x00", 2)
 			if len(parts) != 2 || len(parts[1]) != 1 {
@@ -592,17 +642,11 @@ func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) 
 		}
 		return decodeInsert(rec.Payload)
 	}
-	return r.log.ReplayPipelined(r.decodeWorkers(), decode, apply)
-}
-
-// decodeWorkers is the worker count of the restart decode pools — pipelined
-// replay and the snapshot chain's validity check: Options.ReplayWorkers, or
-// GOMAXPROCS capped at 8.
-func (r *Repository) decodeWorkers() int {
-	if r.replayWorkers > 0 {
-		return r.replayWorkers
+	workers := r.replayWorkers
+	if workers <= 0 {
+		workers = min(runtime.GOMAXPROCS(0), 8)
 	}
-	return min(runtime.GOMAXPROCS(0), 8)
+	return r.log.ReplayPipelined(workers, decode, apply)
 }
 
 // noWait is the wait function of volatile repositories (no log).
@@ -831,15 +875,11 @@ func (r *Repository) CheckinCleanup(v *version.DOV, root bool, cleanupKey string
 	}
 
 	// Encoding does not need any lock; do it before entering the critical
-	// section (the object is the caller's copy). The encoding stays resident
-	// as the version's stored form, so it is clipped to its length: the
-	// writer's growth slack would otherwise stay pinned with it.
+	// section (the object is the caller's copy). The encoding, sized exactly
+	// by EncodeObject, stays resident as the version's stored form.
 	objBytes, err := catalog.EncodeObject(v.Object)
 	if err != nil {
 		return err
-	}
-	if cap(objBytes) > len(objBytes) {
-		objBytes = append(make([]byte, 0, len(objBytes)), objBytes...)
 	}
 
 	end, err := r.beginMutation()
@@ -907,7 +947,7 @@ func (r *Repository) CheckinCleanup(v *version.DOV, root bool, cleanupKey string
 	// Publish the immutable record for lock-free readers, consuming the
 	// claim: the metadata plus objBytes, the very encoding just logged. The
 	// content hash is left to the first checkout.
-	r.idx.put(v.ID, &dovEntry{dov: &meta, enc: objBytes, root: root})
+	r.idx.put(v.ID, &dovEntry{dov: &meta, body: residentBody(objBytes), root: root})
 	var cleanupWait func() (wal.LSN, error)
 	if cleanupKey != "" {
 		r.metaMu.Lock()
@@ -1027,16 +1067,14 @@ func (r *Repository) SetFulfilled(id version.ID, names []string) error {
 }
 
 // republish replaces a version's published record with an updated immutable
-// copy: derivation graph and read index both swing to nv. The encoding, any
-// memoized hash and the root marker carry over — payloads and graph shape
-// never change after checkin. Caller holds the DA's write lock.
+// copy: derivation graph and read index both swing to nv. The body (payload,
+// location and memoized hash) and the root marker carry over — payloads and
+// graph shape never change after checkin. Caller holds the DA's write lock.
 func (r *Repository) republish(st *daState, nv *version.DOV, old *dovEntry) error {
 	if err := st.g.Replace(nv); err != nil {
 		return err
 	}
-	e := &dovEntry{dov: nv, enc: old.enc, root: old.root}
-	e.hash.Store(old.hash.Load())
-	r.idx.put(nv.ID, e)
+	r.idx.put(nv.ID, &dovEntry{dov: nv, body: old.body, root: old.root})
 	return nil
 }
 
@@ -1140,7 +1178,9 @@ func (r *Repository) PutMeta(key string, value []byte) error {
 		end()
 		return err
 	}
-	r.meta[key] = append([]byte(nil), value...)
+	// The log copied the record, so the payload's tail is the store's
+	// private copy of the value.
+	r.meta[key] = payload[len(key)+1:]
 	r.metaGen++
 	return r.finishWrite(func() { r.metaMu.Unlock(); end() }, wait)
 }

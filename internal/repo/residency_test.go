@@ -21,12 +21,13 @@ func heapInuse() uint64 {
 }
 
 // TestResidencyIsOneCopyPerVersion pins the resident form of a stored
-// version (DESIGN.md §3.6): its encoding, once. N versions of 64 KiB are
-// checked in and each checked out once, then the repository is reopened
-// from its log and each version checked out once more; both times the heap
-// may grow by at most 1.25× the payload bytes. A decoded object kept beside
-// the encoding — or a second copy filled in by the first checkout — is
-// about 2× and fails.
+// version (DESIGN.md §3.6): at most one copy of its encoding. N root
+// versions of 64 KiB — all leaves, so all resident — are checked in and
+// each checked out once, then the repository is reopened from its log and
+// each version checked out once more; both times the heap may grow by at
+// most 1.25× the payload bytes. A decoded object kept beside the encoding —
+// or a second copy filled in by the first checkout — is about 2× and fails.
+// TestColdVersionsLeaveHeap covers the versions that hold no copy at all.
 func TestResidencyIsOneCopyPerVersion(t *testing.T) {
 	const n, size = 128, 64 << 10
 	dir := t.TempDir()

@@ -249,10 +249,38 @@ func (r *Repository) Checkpoint() error {
 // rewrite, log mark, GC of the superseded chain.
 func (r *Repository) installBase(cut *snapCut) error {
 	entry := manifestEntry{kind: manifestKindBase, file: snapFileName(cut.snapLSN, true), lsn: cut.snapLSN}
-	size, err := r.writeSnapFile(entry.file, CrashSnapshotPartial, cut.writeBase)
+	w, err := r.writeSnapFile(entry.file, CrashSnapshotPartial, cut.writeBase)
 	if err != nil {
 		return err
 	}
+	if err := r.commitBase(cut, entry); err != nil {
+		w.f.Close()
+		return err
+	}
+	r.snapLSN = cut.snapLSN
+	old := r.chain
+	entry.f = w.f
+	r.chain = []manifestEntry{entry}
+	r.chainBytes, r.baseBytes = w.size, w.size
+	gens := cut.gens
+	r.lastGens = &gens
+	// The checkpoint is committed. Every location now names the new base,
+	// so the superseded chain's handles can go: a reader that raced the
+	// close finds the moved location and retries there.
+	r.settle(w)
+	r.closeChain(old)
+	// Only the cleanup of now-unreferenced files remains (recovery tolerates
+	// the garbage and Open re-collects it).
+	if err := r.hookAt(CrashSnapGC); err != nil {
+		return err
+	}
+	r.gcSnapshots()
+	return nil
+}
+
+// commitBase makes a written base durable as the whole chain: manifest
+// rewrite, then the log mark.
+func (r *Repository) commitBase(cut *snapCut, entry manifestEntry) error {
 	if err := r.hookAt(CrashSnapshotWritten); err != nil {
 		return err
 	}
@@ -268,31 +296,34 @@ func (r *Repository) installBase(cut *snapCut) error {
 	if err := r.hookAt(CrashSnapshotInstalled); err != nil {
 		return err
 	}
-	if err := r.log.Checkpoint(cut.snapLSN); err != nil {
-		return err
-	}
-	r.snapLSN = cut.snapLSN
-	r.chain = []manifestEntry{entry}
-	r.chainBytes, r.baseBytes = size, size
-	gens := cut.gens
-	r.lastGens = &gens
-	// The checkpoint is committed; only the cleanup of now-unreferenced
-	// files remains (recovery tolerates the garbage and Open re-collects it).
-	if err := r.hookAt(CrashSnapGC); err != nil {
-		return err
-	}
-	r.gcSnapshots()
-	return nil
+	return r.log.Checkpoint(cut.snapLSN)
 }
 
 // installIncremental runs the delta install protocol: delta file, manifest
 // append, log mark.
 func (r *Repository) installIncremental(cut *snapCut) error {
 	entry := manifestEntry{kind: manifestKindInc, file: snapFileName(cut.snapLSN, false), lsn: cut.snapLSN}
-	size, err := r.writeSnapFile(entry.file, CrashIncPartial, cut.writeInc)
+	w, err := r.writeSnapFile(entry.file, CrashIncPartial, cut.writeInc)
 	if err != nil {
 		return err
 	}
+	if err := r.commitIncremental(cut, entry); err != nil {
+		w.f.Close()
+		return err
+	}
+	r.snapLSN = cut.snapLSN
+	entry.f = w.f
+	r.chain = append(r.chain, entry)
+	r.chainBytes += w.size
+	gens := cut.gens
+	r.lastGens = &gens
+	r.settle(w)
+	return nil
+}
+
+// commitIncremental makes a written delta durable as the chain's new tail:
+// manifest append, then the log mark.
+func (r *Repository) commitIncremental(cut *snapCut, entry manifestEntry) error {
 	if err := r.hookAt(CrashIncWritten); err != nil {
 		return err
 	}
@@ -302,15 +333,44 @@ func (r *Repository) installIncremental(cut *snapCut) error {
 	if err := r.hookAt(CrashIncAppended); err != nil {
 		return err
 	}
-	if err := r.log.Checkpoint(cut.snapLSN); err != nil {
-		return err
+	return r.log.Checkpoint(cut.snapLSN)
+}
+
+// settle runs once the checkpoint that wrote w has committed: every body w
+// holds moves its location there, and each located version that now has a
+// child in its derivation graph drops its resident bytes. Caller holds
+// ckptMu.
+func (r *Repository) settle(w *written) {
+	for _, p := range w.placed {
+		p.loc.f = w.f
+		p.e.body.locate(p.loc)
 	}
-	r.snapLSN = cut.snapLSN
-	r.chain = append(r.chain, entry)
-	r.chainBytes += size
-	gens := cut.gens
-	r.lastGens = &gens
-	return nil
+	for _, p := range w.placed {
+		evictParents(p.e, r.idx.get)
+	}
+}
+
+// evictParents drops the resident bytes of e's located parents in e's own
+// derivation graph — the versions e makes non-leaves there. A root has no
+// edges in its graph, and a parent in another DA's graph is a foreign input.
+func evictParents(e *dovEntry, get func(version.ID) (*dovEntry, bool)) {
+	if e.root {
+		return
+	}
+	for _, id := range e.dov.Parents {
+		if pe, ok := get(id); ok && pe.dov.DA == e.dov.DA {
+			pe.body.evict()
+		}
+	}
+}
+
+// closeChain releases the payload file handles of chain entries.
+func (r *Repository) closeChain(chain []manifestEntry) {
+	for _, e := range chain {
+		if e.f != nil {
+			e.f.Close() //nolint:errcheck // read-only use; written files were synced before the chain took them
+		}
+	}
 }
 
 // SnapshotLSN reports the log position covered by the installed snapshot
@@ -365,16 +425,28 @@ func snapFileName(lsn wal.LSN, base bool) string {
 }
 
 // payloadWriter streams one chain payload file: fields are staged in a
-// small buffer, resident payloads go to the file as they lie, and a running
+// small buffer, resident payloads go to the file as they lie, cold ones are
+// read from their old location through one reused buffer, and a running
 // CRC-32 over everything written becomes the 4-byte trailer every payload
-// ends with. Memory stays at the buffers' size, whatever the state's.
+// ends with. Memory stays at the buffers' size, whatever the state's. Each
+// record's payload is placed — offset, length, CRC-32C — for the locations
+// the commit publishes.
 type payloadWriter struct {
-	bw  *bufio.Writer
-	w   *binenc.Writer // field bytes not yet written out
-	rec *binenc.Writer // head and tail of the record being written
-	crc hash.Hash32
-	n   int64
-	err error
+	bw     *bufio.Writer
+	w      *binenc.Writer // field bytes not yet written out
+	rec    *binenc.Writer // head and tail of the record being written
+	cold   []byte         // read buffer for cold payloads
+	crc    hash.Hash32
+	n      int64
+	err    error
+	placed []placed
+}
+
+// placed is where a payload file holds one record's payload; the file
+// handle is filled in when the checkpoint commits.
+type placed struct {
+	e   *dovEntry
+	loc bodyLoc
 }
 
 func newPayloadWriter(dst io.Writer) *payloadWriter {
@@ -418,14 +490,18 @@ func (pw *payloadWriter) trailer() []byte {
 
 // records writes a count-prefixed record list. Each record is framed as a
 // length-prefixed dovRecord exactly as dovRecord.encodeInto lays it out,
-// with the payload written straight from the resident encoding.
+// with the payload written straight from where it lies.
 func (pw *payloadWriter) records(entries []*dovEntry) {
 	pw.w.U64(uint64(len(entries)))
 	for _, e := range entries {
+		enc, sum := pw.payload(e.body)
+		if pw.err != nil {
+			return
+		}
 		v := e.dov
 		d := dovRecord{
 			ID: v.ID, DOT: v.DOT, DA: v.DA, Parents: v.Parents,
-			Object: e.enc, Status: v.Status, Fulfilled: v.Fulfilled, Seq: v.Seq,
+			Object: enc, Status: v.Status, Fulfilled: v.Fulfilled, Seq: v.Seq,
 			Root: e.root,
 		}
 		pw.rec.Reset()
@@ -433,12 +509,32 @@ func (pw *payloadWriter) records(entries []*dovEntry) {
 		head := len(pw.rec.Bytes())
 		d.encodeTail(pw.rec)
 		b := pw.rec.Bytes()
-		pw.w.U64(uint64(len(b) + len(e.enc)))
+		pw.w.U64(uint64(len(b) + len(enc)))
 		pw.spill()
 		pw.raw(b[:head])
-		pw.raw(e.enc)
+		pw.placed = append(pw.placed, placed{e, bodyLoc{off: pw.n, n: len(enc), crc: sum}})
+		pw.raw(enc)
 		pw.raw(b[head:])
 	}
+}
+
+// payload returns a record's payload and its CRC-32C: the resident encoding,
+// or a cold payload read from its current location (its CRC checked there)
+// into the writer's buffer. Only the checkpointer moves locations or closes
+// chain files, and it is the caller, so the location cannot change under
+// the read.
+func (pw *payloadWriter) payload(b *body) ([]byte, uint32) {
+	s := b.at.Load()
+	if s.enc != nil {
+		return s.enc, crc32.Checksum(s.enc, castagnoli)
+	}
+	enc, err := s.loc.read(pw.cold)
+	if err != nil {
+		pw.err = err
+		return nil, 0
+	}
+	pw.cold = enc
+	return enc, s.loc.crc
 }
 
 // meta writes the metadata store in key order.
@@ -510,42 +606,49 @@ func (c *snapCut) writeInc(pw *payloadWriter) {
 	}
 }
 
-// writeSnapFile durably writes one chain payload file and returns its size:
-// the body streamed by encode and flushed, partialPoint traversed (the file
-// then lacks only its CRC trailer), the trailer, fsync, close, fsync of the
-// directory — the file must be fully durable before any manifest entry
-// references it.
-func (r *Repository) writeSnapFile(name, partialPoint string, encode func(*payloadWriter)) (int64, error) {
-	f, err := os.OpenFile(filepath.Join(r.dir, name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// written is a durably written chain payload file: its handle, kept open
+// for the cold reads its locations will serve, its size, and where it holds
+// each record's payload.
+type written struct {
+	f      *os.File
+	size   int64
+	placed []placed
+}
+
+// writeSnapFile durably writes one chain payload file: the body streamed by
+// encode and flushed, partialPoint traversed (the file then lacks only its
+// CRC trailer), the trailer, fsync, fsync of the directory — the file must
+// be fully durable before any manifest entry references it. The handle stays
+// open; the caller owns it.
+func (r *Repository) writeSnapFile(name, partialPoint string, encode func(*payloadWriter)) (*written, error) {
+	f, err := os.OpenFile(filepath.Join(r.dir, name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return 0, fmt.Errorf("repo: snapshot create: %w", err)
+		return nil, fmt.Errorf("repo: snapshot create: %w", err)
 	}
 	pw := newPayloadWriter(f)
 	encode(pw)
 	if err := pw.flush(); err != nil {
 		f.Close()
-		return 0, fmt.Errorf("repo: snapshot write: %w", err)
+		return nil, fmt.Errorf("repo: snapshot write: %w", err)
 	}
 	if err := r.hookAt(partialPoint); err != nil {
 		f.Close()
-		return 0, err
+		return nil, err
 	}
 	trailer := pw.trailer()
 	if _, err := f.Write(trailer); err != nil {
 		f.Close()
-		return 0, fmt.Errorf("repo: snapshot write: %w", err)
+		return nil, fmt.Errorf("repo: snapshot write: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return 0, fmt.Errorf("repo: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return 0, fmt.Errorf("repo: snapshot close: %w", err)
+		return nil, fmt.Errorf("repo: snapshot sync: %w", err)
 	}
 	if err := wal.SyncDir(r.dir); err != nil {
-		return 0, fmt.Errorf("repo: snapshot dir sync: %w", err)
+		f.Close()
+		return nil, fmt.Errorf("repo: snapshot dir sync: %w", err)
 	}
-	return pw.n + int64(len(trailer)), nil
+	return &written{f: f, size: pw.n + int64(len(trailer)), placed: pw.placed}, nil
 }
 
 // gcSnapshots removes snapshot payload files no chain entry references (the

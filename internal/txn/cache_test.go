@@ -793,3 +793,66 @@ func TestBaseChoiceFollowsDerivation(t *testing.T) {
 		t.Fatalf("checkin base = %q, want the most recent entry x", id)
 	}
 }
+
+// TestColdCheckoutDetectsCorruption: a version a checkpoint made cold (it
+// has a child) is read back from the chain file when a checkout ships it.
+// With one payload byte flipped in that file the wire checkout fails; the
+// workstation gets an error, never the bytes.
+func TestColdCheckoutDetectsCorruption(t *testing.T) {
+	dir := t.TempDir()
+	s := newStack(t, dir)
+	marker := "cold-victim-marker"
+	v0 := version.ID("v0")
+	if err := s.repo.Checkin(&version.DOV{ID: v0, DOT: "floorplan", DA: "da1", Object: bigObject(marker, 4<<10)}, true); err != nil {
+		t.Fatal(err)
+	}
+	v1 := &version.DOV{ID: "v1", DOT: "floorplan", DA: "da1", Parents: []version.ID{v0}, Object: bigObject("child", 4<<10)}
+	if err := s.repo.Checkin(v1, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"v0", "v1"} {
+		if err := s.scopes.Own("da1", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.repo.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(dir + "/server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	for _, fe := range files {
+		if !strings.HasPrefix(fe.Name(), "snap-") {
+			continue
+		}
+		name := dir + "/server/" + fe.Name()
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(data, []byte(marker)); i >= 0 {
+			data[i] ^= 0x20
+			if err := os.WriteFile(name, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			flipped = true
+		}
+	}
+	if !flipped {
+		t.Fatal("no chain file holds v0's payload")
+	}
+	dop, err := s.tm.Begin("", "da1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dop.Abort() //nolint:errcheck // cleanup
+	obj, err := dop.Checkout(v0, false)
+	if err == nil || obj != nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("checkout of a corrupted cold version = %v, %v; want a checksum error", obj, err)
+	}
+	if _, err := dop.Checkout("v1", false); err != nil {
+		t.Fatalf("checkout of the resident leaf: %v", err)
+	}
+}

@@ -135,12 +135,13 @@ type serverDOP struct {
 type stagedCheckin struct {
 	dop string
 	dov *version.DOV
-	// raw is the encoded stageMsg as received from the wire; Prepare
-	// persists it verbatim instead of re-encoding the version. Delta-form
-	// stage messages are expanded before staging, so raw (and with it every
-	// durable staged record) is always full-form — recovery never needs a
-	// delta base (§3.5 invariants untouched).
-	raw      []byte
+	// enc is the payload's full encoding as it arrived (nil: Prepare encodes
+	// dov.Object); Prepare persists it inside the staged record instead of
+	// encoding the object again. Delta-form stage messages are expanded
+	// before staging, so enc (and with it every durable staged record) is
+	// always full-form — recovery never needs a delta base (§3.5 invariants
+	// untouched).
+	enc      []byte
 	root     bool
 	prepared bool
 	// ws/cbAddr/epoch register the committing workstation's cache for the
@@ -248,7 +249,7 @@ func (s *ServerTM) lookupDOP(dop string) (*serverDOP, bool) {
 // payloads out in their stored encoding (the wire checkout ships it; an
 // in-process caller that needs the object asks Repo().Object).
 func (s *ServerTM) Checkout(dop string, dov version.ID, derive bool) (*version.DOV, error) {
-	v, _, _, err := s.checkoutEnc(dop, dov, derive, time.Time{})
+	v, _, err := s.checkoutStat(dop, dov, derive, time.Time{})
 	return v, err
 }
 
@@ -269,22 +270,22 @@ func (s *ServerTM) lockBudget(deadline time.Time) time.Duration {
 	return to
 }
 
-// checkoutEnc is Checkout plus the canonical payload encoding and content
-// hash of the version (the repository's resident form and its memoized
-// hash), which the wire layer needs for the NotModified/delta negotiation.
-// deadline bounds lock waits (zero = LockTimeout only).
-func (s *ServerTM) checkoutEnc(dop string, dov version.ID, derive bool, deadline time.Time) (*version.DOV, []byte, []byte, error) {
+// checkoutStat is Checkout plus the version's content hash (memoized by the
+// repository), which the wire layer needs for the NotModified/delta
+// negotiation; the payload itself is read only when it is shipped. deadline
+// bounds lock waits (zero = LockTimeout only).
+func (s *ServerTM) checkoutStat(dop string, dov version.ID, derive bool, deadline time.Time) (*version.DOV, []byte, error) {
 	st, ok := s.lookupDOP(dop)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: %s", ErrUnknownDOP, dop)
+		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownDOP, dop)
 	}
 	if err := s.scopes.CheckAccess(st.da, string(dov)); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	res := "dov/" + string(dov)
 	if derive {
 		if err := s.locks.Acquire(dop, res, lock.D, s.lockBudget(deadline)); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		sh := s.dopShard(dop)
 		sh.mu.Lock()
@@ -295,18 +296,18 @@ func (s *ServerTM) checkoutEnc(dop string, dov version.ID, derive bool, deadline
 		// S under its own D is a no-op grant whose Release would drop the
 		// owner's whole grant — the derivation lock included.
 		if err := s.locks.Acquire(dop, res, lock.S, s.lockBudget(deadline)); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		defer s.locks.Release(dop, res) //nolint:errcheck // short lock
 	}
-	v, enc, hash, err := s.repo.Lookup(dov)
+	v, hash, err := s.repo.Stat(dov)
 	if err == nil {
-		return v, enc, hash, nil
+		return v, hash, nil
 	}
 	if derive {
 		s.releaseDerivation(dop, dov)
 	}
-	return nil, nil, nil, err
+	return nil, nil, err
 }
 
 // checkoutWire serves one MethodCheckout call: perform the checkout, record
@@ -316,20 +317,32 @@ func (s *ServerTM) checkoutEnc(dop string, dov version.ID, derive bool, deadline
 // workstation's callback endpoint has lost invalidations since its last
 // negotiation, the answer additionally orders a cache-epoch bump.
 func (s *ServerTM) checkoutWire(m checkoutMsg, deadline time.Time) ([]byte, error) {
-	v, enc, hash, err := s.checkoutEnc(m.DOP, m.DOV, m.Derive, deadline)
+	v, hash, err := s.checkoutStat(m.DOP, m.DOV, m.Derive, deadline)
 	if err != nil {
 		return nil, err
+	}
+	// A NotModified answer needs only the memoized hash; the payload (which
+	// may be cold, read back from a checkpoint file) is read only to ship
+	// or diff it.
+	notModified := m.BaseID == m.DOV && bytes.Equal(m.BaseHash, hash)
+	var enc []byte
+	if !notModified {
+		if _, enc, _, err = s.repo.Lookup(m.DOV); err != nil {
+			if m.Derive {
+				s.releaseDerivation(m.DOP, m.DOV)
+			}
+			return nil, err
+		}
 	}
 	s.cdir.register(m.WS, m.CBAddr, m.Epoch, m.DOV)
 	resp := checkoutResp{Hash: hash, BumpEpoch: s.noteCallbackLoss(m.CBAddr)}
 	meta := dovMeta{ID: v.ID, DOT: v.DOT, DA: v.DA, Parents: v.Parents, Status: v.Status, Fulfilled: v.Fulfilled}
 	switch {
-	case m.BaseID == m.DOV && bytes.Equal(m.BaseHash, hash):
+	case notModified:
 		resp.Mode, resp.Meta = coNotModified, meta
 	default:
 		if m.BaseID != "" {
-			_, baseEnc, baseHash, err := s.repo.Lookup(m.BaseID)
-			if err == nil && bytes.Equal(baseHash, m.BaseHash) {
+			if baseEnc, ok := s.deltaBase(m.BaseID, m.BaseHash); ok {
 				if dw := binenc.DeltaPooled(baseEnc, enc); dw != nil {
 					resp.Mode, resp.Meta = coDelta, meta
 					resp.BaseID, resp.Delta = m.BaseID, dw.Bytes()
@@ -338,8 +351,9 @@ func (s *ServerTM) checkoutWire(m checkoutMsg, deadline time.Time) ([]byte, erro
 					return out, nil
 				}
 			}
-			// Unknown base, divergent hash or incompressible pair: fall
-			// through to a full transfer — the client's offer is advisory.
+			// Unknown or unreadable base, divergent hash or incompressible
+			// pair: fall through to a full transfer — the client's offer is
+			// advisory.
 		}
 		resp.Mode = coFull
 		resp.DOV = dovWire{
@@ -348,6 +362,17 @@ func (s *ServerTM) checkoutWire(m checkoutMsg, deadline time.Time) ([]byte, erro
 		}
 	}
 	return resp.encode(), nil
+}
+
+// deltaBase returns the payload of a base the client offered, if the
+// repository holds it under the offered hash. The hash is checked first
+// (memoized), so a divergent offer never reads a cold payload.
+func (s *ServerTM) deltaBase(id version.ID, hash []byte) ([]byte, bool) {
+	if _, h, err := s.repo.Stat(id); err != nil || !bytes.Equal(h, hash) {
+		return nil, false
+	}
+	_, enc, _, err := s.repo.Lookup(id)
+	return enc, err == nil
 }
 
 // noteCallbackLoss reports whether addr's callback endpoint has dropped
@@ -412,27 +437,27 @@ func (s *ServerTM) ReleaseDerivationLock(dop string, dov version.ID) error {
 }
 
 // Stage receives a derived DOV ahead of the checkin two-phase commit. The
-// version is validated at prepare time. raw, if non-nil, is the encoded
-// stageMsg exactly as received; Prepare persists it without re-encoding.
-func (s *ServerTM) Stage(dop, txid string, v *version.DOV, root bool, raw []byte) error {
-	return s.stage(dop, txid, v, root, raw, "", "", 0)
+// version is validated at prepare time. enc, if non-nil, is the canonical
+// encoding of v.Object, which the caller hands over; Prepare persists it
+// without encoding the object again.
+func (s *ServerTM) Stage(dop, txid string, v *version.DOV, root bool, enc []byte) error {
+	return s.stage(dop, txid, v, root, enc, "", "", 0)
 }
 
 // stage is Stage plus the committing workstation's cache identity, which
 // Commit registers for the new version (the workstation retains the bytes it
 // just shipped, so its next checkout of this version is a NotModified).
-func (s *ServerTM) stage(dop, txid string, v *version.DOV, root bool, raw []byte, ws, cbAddr string, epoch uint64) error {
+func (s *ServerTM) stage(dop, txid string, v *version.DOV, root bool, enc []byte, ws, cbAddr string, epoch uint64) error {
 	st, ok := s.lookupDOP(dop)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownDOP, dop)
 	}
 	if v.DA == "" {
 		v.DA = st.da
-		raw = nil // the wire form lacks the DA; fall back to re-encoding
 	}
 	sh := s.stagedShard(txid)
 	sh.mu.Lock()
-	sh.m[txid] = &stagedCheckin{dop: dop, dov: v, raw: raw, root: root, ws: ws, cbAddr: cbAddr, epoch: epoch}
+	sh.m[txid] = &stagedCheckin{dop: dop, dov: v, enc: enc, root: root, ws: ws, cbAddr: cbAddr, epoch: epoch}
 	sh.mu.Unlock()
 	return nil
 }
@@ -441,36 +466,37 @@ func (s *ServerTM) stage(dop, txid string, v *version.DOV, root bool, raw []byte
 // payloads are reconstructed from the named base and every content hash is
 // verified before anything reaches the staging table. A mismatch is a hard
 // ErrDeltaBase failure — wrong bases must never corrupt the repository.
-// It returns the full payload encoding and whether the message arrived in
-// delta form (in which case the caller must not reuse the wire bytes as the
-// durable staged record).
-func (s *ServerTM) expandStage(m *stageMsg) (wasDelta bool, err error) {
+func (s *ServerTM) expandStage(m *stageMsg) error {
 	if m.BaseID == "" {
 		if len(m.Hash) > 0 && !bytes.Equal(catalog.HashEncoded(m.DOV.Object), m.Hash) {
-			return false, fmt.Errorf("%w: full payload of %s does not match its declared hash", ErrDeltaBase, m.DOV.ID)
+			return fmt.Errorf("%w: full payload of %s does not match its declared hash", ErrDeltaBase, m.DOV.ID)
 		}
-		return false, nil
+		return nil
 	}
 	if len(m.Hash) == 0 {
-		return true, fmt.Errorf("%w: delta checkin of %s carries no content hash", ErrDeltaBase, m.DOV.ID)
+		return fmt.Errorf("%w: delta checkin of %s carries no content hash", ErrDeltaBase, m.DOV.ID)
 	}
-	_, baseEnc, baseHash, err := s.repo.Lookup(m.BaseID)
+	_, baseHash, err := s.repo.Stat(m.BaseID)
 	if err != nil {
-		return true, fmt.Errorf("%w: base %s: %w", ErrDeltaBase, m.BaseID, err)
+		return fmt.Errorf("%w: base %s: %w", ErrDeltaBase, m.BaseID, err)
 	}
 	if !bytes.Equal(baseHash, m.BaseHash) {
-		return true, fmt.Errorf("%w: base %s hash diverges from the client's", ErrDeltaBase, m.BaseID)
+		return fmt.Errorf("%w: base %s hash diverges from the client's", ErrDeltaBase, m.BaseID)
+	}
+	_, baseEnc, _, err := s.repo.Lookup(m.BaseID)
+	if err != nil {
+		return fmt.Errorf("%w: base %s: %w", ErrDeltaBase, m.BaseID, err)
 	}
 	full, err := binenc.ApplyDelta(baseEnc, m.Delta)
 	if err != nil {
-		return true, fmt.Errorf("%w: %w", ErrDeltaBase, err)
+		return fmt.Errorf("%w: %w", ErrDeltaBase, err)
 	}
 	if !bytes.Equal(catalog.HashEncoded(full), m.Hash) {
-		return true, fmt.Errorf("%w: reconstructed %s does not match its declared hash", ErrDeltaBase, m.DOV.ID)
+		return fmt.Errorf("%w: reconstructed %s does not match its declared hash", ErrDeltaBase, m.DOV.ID)
 	}
 	m.DOV.Object = full
 	m.BaseID, m.BaseHash, m.Delta = "", nil, nil
-	return true, nil
+	return nil
 }
 
 // Prepare implements rpc.Resource: validate the staged DOV (schema
@@ -503,19 +529,23 @@ func (s *ServerTM) Prepare(txid string) (rpc.Vote, error) {
 	// Persist the staged version, which is the promise: a prepared checkin
 	// must survive a server crash so the coordinator's decision can be
 	// applied at recovery, and every durable staged record is recovered in
-	// doubt. The wire payload is reused verbatim when possible.
-	stageData := sc.raw
-	if stageData == nil {
-		objData, err := catalog.EncodeObject(v.Object)
-		if err != nil {
+	// doubt. The record is encoded into a pooled writer, which PutMeta
+	// copies; the payload encoding that arrived is reused when staged.
+	enc := sc.enc
+	if enc == nil {
+		var err error
+		if enc, err = catalog.EncodeObject(v.Object); err != nil {
 			return rpc.VoteAbort, nil //nolint:nilerr // vote conveys the refusal
 		}
-		stageData = stageMsg{
-			DOP: sc.dop, TxID: txid, Root: sc.root,
-			DOV: dovWire{ID: v.ID, DOT: v.DOT, DA: v.DA, Parents: v.Parents, Object: objData, Status: v.Status, Fulfilled: v.Fulfilled},
-		}.encode()
 	}
-	if err := s.repo.PutMeta(stagedMetaPrefix+txid, stageData); err != nil {
+	w := binenc.GetWriter(192 + len(enc))
+	stageMsg{
+		DOP: sc.dop, TxID: txid, Root: sc.root,
+		DOV: dovWire{ID: v.ID, DOT: v.DOT, DA: v.DA, Parents: v.Parents, Object: enc, Status: v.Status, Fulfilled: v.Fulfilled},
+	}.encodeInto(w)
+	err := s.repo.PutMeta(stagedMetaPrefix+txid, w.Bytes())
+	w.Free()
+	if err != nil {
 		return rpc.VoteAbort, nil //nolint:nilerr // durability failed: refuse
 	}
 	if err := s.Faults.At(FaultStagePersisted); err != nil {
@@ -723,23 +753,18 @@ func (s *ServerTM) DeadlineHandler(participant *rpc.Participant) rpc.DeadlineHan
 			if err != nil {
 				return nil, err
 			}
-			wasDelta, err := s.expandStage(&m)
-			if err != nil {
+			if err := s.expandStage(&m); err != nil {
 				return nil, err
 			}
 			v, err := wireToDOV(m.DOV)
 			if err != nil {
 				return nil, err
 			}
-			var raw []byte
-			if !wasDelta {
-				// Copy before retaining: transport buffers are only valid for
-				// the duration of the call (the client pools its envelope;
-				// see rpc.Handler), and this staged record outlives it.
-				raw = append([]byte(nil), payload...)
-			}
-			// Delta-form wire bytes are never retained; Prepare re-encodes.
-			return nil, s.stage(m.DOP, m.TxID, v, m.Root, raw, m.WS, m.CBAddr, m.Epoch)
+			// Prepare persists the payload encoding, which outlives the
+			// call. It is a buffer of the message's own — decoded with a
+			// copy, since transport buffers are only valid for the call
+			// (see rpc.Handler), or expanded from a delta.
+			return nil, s.stage(m.DOP, m.TxID, v, m.Root, m.DOV.Object, m.WS, m.CBAddr, m.Epoch)
 		case MethodRelease:
 			m, err := decodeRelease(payload)
 			if err != nil {
