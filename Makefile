@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race-loop vet fmt-check doc-lint fuzz-short scenarios scenarios-short e14-short e15-short e16-short e18-short e19-short e20-short bench bench-delta bench-e2e experiments example-recovery check all
+.PHONY: build test test-race race-loop vet fmt-check doc-lint fuzz-short scenarios scenarios-short bench bench-delta bench-e2e experiments example-recovery check all
 
 all: check
 
@@ -62,46 +62,12 @@ vet:
 doc-lint:
 	$(GO) test . -run 'TestEveryPackageHasDocComment|TestLayerStatedInLevelPackages|TestExportedIdentifiersAreDocumented|TestSingleServerAssembly|TestTxnDoesNotImportGob' -count=1
 
-# E14 acceptance bounds (NotModified = O(hash) bytes, delta >= 5x smaller
-# than full) in short mode — one mid-size configuration.
-e14-short:
-	$(GO) test ./internal/experiments -run TestE14CacheDeltaBounds -count=1 -v
-
-# E15 acceptance bounds (MVCC read path: >=1.3x CI throughput floor, >=50%
-# fewer allocs/op vs the locked+clone baseline) in short mode.
-e15-short:
-	$(GO) test ./internal/experiments -run TestE15ReadScalingBounds -count=1 -v
-
-# E16 in short mode: the sharded write path packs >= 2 checkins into each
-# forced log write at 8 writer DAs (the group-commit factor it buys over
-# one fsync per checkin).
-e16-short:
-	$(GO) test ./internal/experiments -run TestE16WriteScalingBounds -count=1 -v
-
-# E18 in short mode: 8 goroutines x 120 concurrent calls on one client
-# transport share at most PoolSize connections (client pool and server
-# side), and the cold/big checkout loops run end to end over real sockets.
-e18-short:
-	$(GO) test ./internal/rpc -run TestTCPPoolBoundsConnections -count=1 -v
-	$(GO) test ./internal/experiments -run TestE18WireModes -count=1 -v
-
-# E19 acceptance bounds (non-quiescent checkpointing: p99 checkin latency
-# while checkpoints loop stays within 1.5x of steady state) in short mode.
-e19-short:
-	$(GO) test ./internal/experiments -run TestE19CheckpointLatencyBounds -count=1 -v
-
-# E20 acceptance bounds (warm-standby replication: sync-replicated checkin
-# p99 within 1.5x of unreplicated; client-driven takeover after a primary
-# kill within 2x the heartbeat period) in short mode.
-e20-short:
-	$(GO) test ./internal/experiments -run 'TestE20ReplicationLatencyBounds|TestE20FailoverTakeoverBound' -count=1 -v
-
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# All benchmark suites (root package plus wal/repo/experiments and the rest
-# of internal/); -run XXX skips the unit tests.
+# All benchmark suites (root package, E1-E12 included, plus wal/repo and the
+# rest of internal/); -run XXX skips the unit tests.
 bench:
 	$(GO) test -bench . -benchtime 1s -run XXX ./...
 
@@ -116,8 +82,8 @@ bench-delta:
 bench-e2e:
 	bash bench/run.sh $(ARGS)
 
-# Regenerate every experiment table (E1-E16, E18-E20); EXPERIMENTS.md records
-# the paper-vs-measured outcomes.
+# Regenerate every experiment table (E1-E12); EXPERIMENTS.md records the
+# paper-vs-measured outcomes and the pinned figures of E13-E16 and E18-E20.
 experiments:
 	$(GO) run ./cmd/concordbench
 

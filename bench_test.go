@@ -177,61 +177,7 @@ func BenchmarkE12MultiWorkstation(b *testing.B) {
 	b.ReportMetric(ops, "checkins/s")
 }
 
-// BenchmarkE13Restart times restart (repo.Open) after an 8k-operation churn
-// history, with and without the checkpoint subsystem, reporting the on-disk
-// log footprint alongside. The repo-level BenchmarkRestartAfterChurn in
-// internal/repo drills into the same pair at a larger history.
-func BenchmarkE13Restart(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		ckptEvery int
-	}{{"full-replay", 0}, {"checkpointed", 4096}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunRestart(8000, mode.ckptEvery)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Reopen.Microseconds()), "restart-us")
-				b.ReportMetric(float64(res.DiskBytes)/1024, "disk-KiB")
-			}
-		})
-	}
-}
-
-// BenchmarkE15ReadPath runs the E15 server-side checkout scaling scenario at
-// 8 readers, reporting aggregate checkout throughput and the per-checkout
-// allocation footprint.
-func BenchmarkE15ReadPath(b *testing.B) {
-	var res experiments.ReadScalingResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.RunCheckoutScaling(8, 500, experiments.ModeServer)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.OpsPerSec(), "checkouts/s")
-	b.ReportMetric(res.AllocsPerOp, "allocs/checkout")
-}
-
 // --- Substrate micro-benchmarks. -------------------------------------------
-
-// BenchmarkE14CacheDelta times the full E14 cycle (checkin, cold checkout,
-// cached re-checkout, delta checkin, delta checkout) over a ~128 KiB object
-// and reports the wire-byte metrics alongside.
-func BenchmarkE14CacheDelta(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunCacheDelta(256, 2, 480)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.NotModifiedBytes), "NM-bytes")
-		b.ReportMetric(float64(res.CheckinDeltaBytes), "ckinΔ-bytes")
-		b.ReportMetric(float64(res.CachedLatency.Microseconds()), "cached-checkout-us")
-		b.ReportMetric(float64(res.ColdLatency.Microseconds()), "cold-checkout-us")
-	}
-}
 
 func BenchmarkDOPRoundTrip(b *testing.B) {
 	sys, err := core.NewSystem(core.Options{RegisterTypes: vlsi.RegisterCatalog})

@@ -135,7 +135,7 @@ func RunMultiWorkstation(n, rounds int) (MultiWorkstationResult, error) {
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	res.WALAppends, res.WALBatches, _ = sys.Repo().LogStats()
+	res.WALAppends, res.WALBatches, _ = sys.Repo().Log().Stats()
 	close(errs)
 	if err := <-errs; err != nil {
 		return res, err

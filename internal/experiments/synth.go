@@ -10,7 +10,6 @@ import (
 	"concord/internal/core"
 	"concord/internal/rpc"
 	"concord/internal/sim"
-	"concord/internal/version"
 	"concord/internal/vlsi"
 )
 
@@ -204,7 +203,7 @@ func All() ([]Report, error) {
 		E1LevelStack, E2DesignPlane, E3ChipPlanning, E4DAHierarchy,
 		E5Delegation, E6Scripts, E7StateGraph, E8FailureMatrix,
 		E9Cooperation, E10CommitProtocols, E11RecoveryPoints,
-		E12MultiWorkstation, E13Restart, E14CacheDelta,
+		E12MultiWorkstation,
 	}
 	out := make([]Report, 0, len(runs))
 	for _, run := range runs {
@@ -216,5 +215,3 @@ func All() ([]Report, error) {
 	}
 	return out, nil
 }
-
-var _ = version.StatusWorking // doc-reference

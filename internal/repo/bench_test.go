@@ -76,7 +76,7 @@ func BenchmarkRestartAfterChurn(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			disk := r.DiskLogBytes()
+			disk := r.diskLogBytes()
 			if err := r.Close(); err != nil {
 				b.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func BenchmarkRestartAfterChurn(b *testing.B) {
 
 // BenchmarkCheckinParallelDAs measures aggregate checkin cost with one
 // writer goroutine per DA through the §3.7 sharded pipeline (per-DA locks +
-// group commit). The E16 experiment reports the full throughput curve; this
+// group commit). EXPERIMENTS.md E16 pins the full throughput curve; this
 // keeps the write path under `make bench`.
 func BenchmarkCheckinParallelDAs(b *testing.B) {
 	const writers = 8

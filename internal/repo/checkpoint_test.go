@@ -90,12 +90,12 @@ func TestCheckpointBoundsDiskAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	r := openRepoOpts(t, dir, Options{SegmentBytes: 4 << 10})
 	churn(t, r, "a-", 8, 400)
-	before := r.DiskLogBytes()
+	before := r.diskLogBytes()
 	want := digest(t, r)
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	after := r.DiskLogBytes()
+	after := r.diskLogBytes()
 	if after >= before/4 {
 		t.Fatalf("disk bytes %d -> %d: checkpoint did not compact the churn history", before, after)
 	}
@@ -119,6 +119,62 @@ func TestCheckpointBoundsDiskAndReplay(t *testing.T) {
 	}
 	if err := r2.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// churnFootprint logs history status flips and metadata overwrites over 24
+// live versions, checkpointing every ckptEvery operations (0: never), and
+// returns the on-disk footprint of the log segments plus the snapshot chain.
+func churnFootprint(t *testing.T, history, ckptEvery int) int64 {
+	t.Helper()
+	const live = 24
+	r, err := Open(testCatalog(t), Options{Dir: t.TempDir(), SegmentBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.CreateGraph("da"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < live; i++ {
+		v := mkDOV(fmt.Sprintf("v%03d", i), "da", float64(100+i))
+		if i > 0 {
+			v.Parents = []version.ID{version.ID(fmt.Sprintf("v%03d", i-1))}
+		}
+		if err := r.Checkin(v, i == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < history; i++ {
+		if err := r.SetStatus(version.ID(fmt.Sprintf("v%03d", i%live)), version.Status(1+i%3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.PutMeta(fmt.Sprintf("hot/%d", i%8), []byte(fmt.Sprintf("round-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if ckptEvery > 0 && (i+1)%ckptEvery == 0 {
+			if err := r.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return r.diskLogBytes()
+}
+
+// TestCheckpointedFootprintTracksLiveState is the bounded-restart gate on the
+// deterministic axis (disk bytes; restart latency is too noisy for CI): with
+// a checkpoint every 1024 operations, quadrupling the history must not grow
+// the on-disk footprint, while without checkpoints it scales with history.
+func TestCheckpointedFootprintTracksLiveState(t *testing.T) {
+	smallOn := churnFootprint(t, 4000, 1024)
+	largeOn := churnFootprint(t, 16000, 1024)
+	// Bounded by live state: allow slack for where the last checkpoint
+	// fell, but nothing near the 4x the history grew by.
+	if largeOn > 2*smallOn {
+		t.Fatalf("checkpointed footprint scales with history: %d -> %d bytes", smallOn, largeOn)
+	}
+	if largeOff := churnFootprint(t, 16000, 0); largeOff < 3*largeOn {
+		t.Fatalf("full-replay footprint %d not clearly above checkpointed %d", largeOff, largeOn)
 	}
 }
 

@@ -1,6 +1,6 @@
-//go:build race
+//go:build !race
 
-package experiments
+package repo
 
 // raceEnabled reports whether the race detector instruments this build.
-const raceEnabled = true
+const raceEnabled = false

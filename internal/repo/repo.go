@@ -1078,16 +1078,6 @@ func (r *Repository) republish(st *daState, nv *version.DOV, old *dovEntry) erro
 	return nil
 }
 
-// LogStats reports the repository WAL's append/batch/sync counters (all
-// zero for volatile repositories). The appends/batches ratio is the group-
-// commit factor achieved by concurrent transactions.
-func (r *Repository) LogStats() (appends, batches, syncs uint64) {
-	if r.log == nil {
-		return 0, 0, 0
-	}
-	return r.log.Stats()
-}
-
 // Log exposes the repository's redo log (nil for volatile repositories) so
 // the embedding server can attach replication: a repl.Sender reads it during
 // catch-up and installs its shipper with SetShipper. Callers must not append
@@ -1112,10 +1102,10 @@ func (r *Repository) LowWater() wal.LSN {
 	return r.log.LowWater()
 }
 
-// DiskLogBytes reports the on-disk footprint of the live log segments plus
+// diskLogBytes reports the on-disk footprint of the live log segments plus
 // the installed snapshot chain (manifest and every referenced payload file)
 // — what checkpointing keeps bounded by live state.
-func (r *Repository) DiskLogBytes() int64 {
+func (r *Repository) diskLogBytes() int64 {
 	if r.log == nil {
 		return 0
 	}

@@ -162,6 +162,53 @@ func TestConcurrentMultiDAWritersReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestShardedCheckinsGroupCommit is the write-path gate: eight writer DAs,
+// each chaining 150 forced checkins into its own graph, must pack at least 2
+// records into each forced log write on average (appends ÷ batches). That
+// group-commit factor is what the sharded pipeline buys over the serial write
+// path, which paid one fsync per checkin; unlike a throughput ratio it does
+// not move with CPU theft on a shared runner.
+func TestShardedCheckinsGroupCommit(t *testing.T) {
+	const writers, rounds = 8, 150
+	r := openRepo(t, t.TempDir())
+	for w := 0; w < writers; w++ {
+		da := fmt.Sprintf("da%d", w)
+		if err := r.CreateGraph(da); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Checkin(mkDOV(da+"/root", da, 0), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a0, b0, _ := r.log.Stats()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(da string) {
+			defer wg.Done()
+			prev := version.ID(da + "/root")
+			for j := 0; j < rounds; j++ {
+				v := mkDOV(fmt.Sprintf("%s/v%03d", da, j), da, float64(j), prev)
+				if err := r.Checkin(v, false); err != nil {
+					t.Errorf("%s: %v", v.ID, err)
+					return
+				}
+				prev = v.ID
+			}
+		}(fmt.Sprintf("da%d", w))
+	}
+	wg.Wait()
+	a1, b1, _ := r.log.Stats()
+	if b1 == b0 {
+		t.Fatal("no forced log writes")
+	}
+	factor := float64(a1-a0) / float64(b1-b0)
+	t.Logf("%d appends in %d batches (group factor %.1f)", a1-a0, b1-b0, factor)
+	if factor < 2 {
+		t.Fatalf("group-commit factor %.2f at %d writers, want >= 2", factor, writers)
+	}
+}
+
 // TestCheckpointCrashRacingMultiDAWriters injects a crash at every step of
 // the checkpoint protocol while checkins race across four DAs. Whatever the
 // interrupted checkpoint left behind, recovery must surface every committed

@@ -389,10 +389,11 @@ func (r *Repository) SnapshotChain() (elems int, bytes int64) {
 	return len(r.chain), r.chainBytes
 }
 
-// CheckpointPause reports the duration writers were blocked by the last
+// checkpointPause reports the duration writers were blocked by the last
 // snapshot cut and the maximum over the repository's lifetime — the
-// quantity E19 bounds: pointer capture only, never the state encoding.
-func (r *Repository) CheckpointPause() (last, max time.Duration) {
+// quantity TestCheckpointLatencyBounds bounds: pointer capture only, never
+// the state encoding.
+func (r *Repository) checkpointPause() (last, max time.Duration) {
 	return time.Duration(r.lastPauseNs.Load()), time.Duration(r.maxPauseNs.Load())
 }
 

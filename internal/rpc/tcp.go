@@ -31,9 +31,9 @@ type TCP struct {
 	// A timed-out call abandons its exchange, and kills its connection
 	// when no other call is in flight on it.
 	CallTimeout time.Duration
-	// ChunkBytes caps the payload bytes per frame (default
-	// DefaultChunkBytes); larger payloads are split so the connection
-	// stays fair under multiplexing.
+	// ChunkBytes caps the payload bytes per frame (default 256 KiB);
+	// larger payloads are split so the connection stays fair under
+	// multiplexing.
 	ChunkBytes int
 	// PoolSize is the number of persistent connections kept per peer
 	// (default DefaultPoolSize). Calls round-robin over the pool.
@@ -48,9 +48,9 @@ type TCP struct {
 
 // Wire defaults and frame layout bounds.
 const (
-	// DefaultChunkBytes is the default per-frame payload cap (large
+	// defaultChunkBytes is the default per-frame payload cap (large
 	// transfers are chunked at this grain).
-	DefaultChunkBytes = 256 << 10
+	defaultChunkBytes = 256 << 10
 	// DefaultPoolSize is the default persistent-connection count per peer.
 	DefaultPoolSize = 2
 	// maxFrameSlack bounds the non-chunk portion of a frame (ids, method,
@@ -81,7 +81,7 @@ func (t *TCP) chunkBytes() int {
 	if t.ChunkBytes > 0 {
 		return t.ChunkBytes
 	}
-	return DefaultChunkBytes
+	return defaultChunkBytes
 }
 
 func (t *TCP) maxFrame() int { return t.chunkBytes() + maxFrameSlack }

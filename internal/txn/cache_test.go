@@ -77,6 +77,10 @@ func TestRecheckoutNotModified(t *testing.T) {
 	if before.FullCheckouts != 1 || before.NotModified != 0 {
 		t.Fatalf("first checkout stats: %+v", before)
 	}
+	e1, _ := catalog.EncodeObject(first)
+	if before.CheckoutBytesIn < uint64(len(e1)) {
+		t.Fatalf("cold checkout transferred %d bytes for a %d-byte object", before.CheckoutBytesIn, len(e1))
+	}
 
 	dop2, err := s.tm.Begin("", "da1")
 	if err != nil {
@@ -95,7 +99,6 @@ func TestRecheckoutNotModified(t *testing.T) {
 	if respBytes > 1024 {
 		t.Fatalf("NotModified response was %d bytes for a %d-byte object", respBytes, size)
 	}
-	e1, _ := catalog.EncodeObject(first)
 	e2, _ := catalog.EncodeObject(second)
 	if !bytes.Equal(e1, e2) {
 		t.Fatal("cached re-checkout returned different content")

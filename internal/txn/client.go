@@ -134,7 +134,7 @@ func (d *DOP) LastResult() version.ID {
 
 // WireStats counts this client-TM's checkout/checkin wire traffic: how many
 // transfers the workstation cache downgraded to NotModified handshakes or
-// deltas, and the payload bytes that actually crossed the LAN. E14 reads it.
+// deltas, and the payload bytes that actually crossed the LAN.
 type WireStats struct {
 	// Checkouts is the total checkout count; the next three partition it.
 	Checkouts, NotModified, DeltaCheckouts, FullCheckouts uint64

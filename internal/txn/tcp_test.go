@@ -274,46 +274,59 @@ func TestScopeSentinelOverTCP(t *testing.T) {
 	}
 }
 
-// TestLargeObjectChunkedOverTCP round-trips a multi-megabyte design object
-// through checkin and checkout over the socket transport: the payload spans
-// many wire chunks in both directions and must reassemble bit-exact.
+// TestLargeObjectChunkedOverTCP round-trips a 64 KiB and a multi-megabyte
+// design object through checkin and a cold checkout over the socket
+// transport: each checkout is a full transfer (the cache entry the checkin
+// left is dropped first), the big payload spans many wire chunks in both
+// directions, and both must reassemble bit-exact.
 func TestLargeObjectChunkedOverTCP(t *testing.T) {
 	s := newTCPStack(t)
 	tm := s.newWS(t, "ws1")
-	dop, err := tm.Begin("", "da1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ~3 MiB of pseudo-random geometry in one string attribute.
-	raw := make([]byte, 3<<20)
-	rand.New(rand.NewSource(42)).Read(raw)
-	for i := range raw { // printable so the value behaves as a plain string
-		raw[i] = 'a' + raw[i]%26
-	}
-	big := catalog.NewObject("floorplan").
-		Set("cell", catalog.Str(string(raw))).
-		Set("area", catalog.Float(1))
-	if err := dop.SetWorkspace(big); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := dop.Checkin(version.StatusWorking, true)
-	if err != nil {
-		t.Fatalf("3 MiB checkin over TCP: %v", err)
-	}
-	if err := dop.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	dop2, err := tm.Begin("", "da1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dop2.Checkout(v1, false)
-	if err != nil {
-		t.Fatalf("3 MiB checkout over TCP: %v", err)
-	}
-	cell, ok := got.Get("cell")
-	if !ok || !bytes.Equal([]byte(cell.S), raw) {
-		t.Fatal("3 MiB object corrupted across chunked frames")
+	for _, size := range []int{64 << 10, 3 << 20} {
+		dop, err := tm.Begin("", "da1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Pseudo-random geometry in one string attribute.
+		raw := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(raw)
+		for i := range raw { // printable so the value behaves as a plain string
+			raw[i] = 'a' + raw[i]%26
+		}
+		big := catalog.NewObject("floorplan").
+			Set("cell", catalog.Str(string(raw))).
+			Set("area", catalog.Float(1))
+		if err := dop.SetWorkspace(big); err != nil {
+			t.Fatal(err)
+		}
+		v1, err := dop.Checkin(version.StatusWorking, true)
+		if err != nil {
+			t.Fatalf("%d-byte checkin over TCP: %v", size, err)
+		}
+		if err := dop.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tm.Cache().Drop(v1)
+		before := tm.WireStats()
+		dop2, err := tm.Begin("", "da1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dop2.Checkout(v1, false)
+		if err != nil {
+			t.Fatalf("%d-byte checkout over TCP: %v", size, err)
+		}
+		if err := dop2.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		after := tm.WireStats()
+		if after.FullCheckouts != before.FullCheckouts+1 || after.CheckoutBytesIn-before.CheckoutBytesIn < uint64(size) {
+			t.Fatalf("%d-byte cold checkout was not a full transfer: %+v", size, after)
+		}
+		cell, ok := got.Get("cell")
+		if !ok || !bytes.Equal([]byte(cell.S), raw) {
+			t.Fatalf("%d-byte object corrupted across chunked frames", size)
+		}
 	}
 }
 

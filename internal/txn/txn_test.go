@@ -2,7 +2,10 @@ package txn
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -464,6 +467,94 @@ func TestConcurrentCheckinsSameDA(t *testing.T) {
 	kids := g.Children(v0)
 	if len(kids) != n {
 		t.Fatalf("children of v0 = %d, want %d", len(kids), n)
+	}
+}
+
+// TestServerCheckoutScalingBounds is the gate on the MVCC read path: eight
+// readers, each in its own DA, check out a 96-part design object 500 times
+// through ServerTM.Checkout in parallel. The lock-free index must beat the
+// pinned throughput of the retired locked+clone read path (repository RWMutex
+// plus a deep payload clone per Get: 17,213 ops/s and 395.1 allocs/op at 8
+// readers, rev 7664ae9a32b1, EXPERIMENTS.md E15) by the 1.3x CI floor, and
+// at least halve its allocations per checkout.
+func TestServerCheckoutScalingBounds(t *testing.T) {
+	const readers, rounds = 8, 500
+	const pinnedOpsPerSec, pinnedAllocsPerOp = 17213, 395.1
+	cat := catalog.New()
+	for _, dot := range []*catalog.DOT{
+		{Name: "cell", Attrs: []catalog.AttrDef{
+			{Name: "name", Kind: catalog.KindString, Required: true},
+			{Name: "data", Kind: catalog.KindString},
+		}},
+		{Name: "lib", Attrs: []catalog.AttrDef{{Name: "title", Kind: catalog.KindString, Required: true}},
+			Components: []catalog.ComponentDef{{Name: "cells", DOT: "cell"}}},
+	} {
+		if err := cat.Register(dot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := repo.Open(cat, repo.Options{Dir: t.TempDir(), Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	scopes := lock.NewScopeTable()
+	stm := NewServerTM(r, lock.NewManager(), scopes)
+	dovs := make([]version.ID, readers)
+	for i := range dovs {
+		da := fmt.Sprintf("da-%d", i)
+		lib := catalog.NewObject("lib").Set("title", catalog.Str(da))
+		for p := 0; p < 96; p++ {
+			data := make([]byte, 48)
+			for j := range data {
+				data[j] = 'a' + byte((p+j)%26)
+			}
+			lib.AddPart("cells", catalog.NewObject("cell").
+				Set("name", catalog.Str(fmt.Sprintf("c%04d", p))).
+				Set("data", catalog.Str(string(data))))
+		}
+		dovs[i] = version.ID(da + "/root")
+		if err := r.CreateGraph(da); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Checkin(&version.DOV{ID: dovs[i], DOT: "lib", DA: da, Object: lib, Status: version.StatusWorking}, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := scopes.Own(da, string(dovs[i])); err != nil {
+			t.Fatal(err)
+		}
+		if err := stm.Begin(fmt.Sprintf("reader-%d", i), da); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i, id := range dovs {
+		wg.Add(1)
+		go func(reader string, id version.ID) {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				if _, err := stm.Checkout(reader, id, false); err != nil {
+					t.Errorf("%s round %d: %v", reader, n, err)
+					return
+				}
+			}
+		}(fmt.Sprintf("reader-%d", i), id)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	opsPerSec := readers * rounds / elapsed.Seconds()
+	allocsPerOp := float64(after.Mallocs-before.Mallocs) / (readers * rounds)
+	t.Logf("mvcc: %.0f ops/s, %.1f allocs/op (%.2fx the pinned locked+clone throughput)",
+		opsPerSec, allocsPerOp, opsPerSec/pinnedOpsPerSec)
+	if opsPerSec < 1.3*pinnedOpsPerSec {
+		t.Fatalf("mvcc read path %.0f ops/s vs pinned baseline %d ops/s: below the 1.3x CI floor", opsPerSec, pinnedOpsPerSec)
+	}
+	if allocsPerOp > pinnedAllocsPerOp/2 {
+		t.Fatalf("mvcc read path allocates %.1f/op vs pinned baseline %.1f/op: less than 50%% reduction", allocsPerOp, pinnedAllocsPerOp)
 	}
 }
 
