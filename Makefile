@@ -36,6 +36,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzSnapshotDecode -fuzztime=10s -run XXX ./internal/repo
 	$(GO) test -fuzz=FuzzReplFrameDecode -fuzztime=10s -run XXX ./internal/repl
 	$(GO) test -fuzz=FuzzClientRecordDecode -fuzztime=10s -run XXX ./internal/txn
+	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run XXX ./internal/txn
 	$(GO) test -fuzz=FuzzEnvelopeDecode -fuzztime=10s -run XXX ./internal/rpc
 
 # Short scenario matrix (the CI gate): every fault class once, full oracle

@@ -2,6 +2,7 @@ package repo
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -334,45 +335,70 @@ func TestOpenRejectsMarkBeyondChain(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotLoads keeps the pre-chain on-disk format readable: a
-// single CCSNAP01 file named "snapshot" (no manifest) loads as a one-element
-// chain, and the next checkpoint migrates it to the manifest scheme.
-func TestLegacySnapshotLoads(t *testing.T) {
+// TestPreChainSnapshotRefused: a directory in the layout before the
+// snapshot chain — one CCSNAP01 file named "snapshot", no manifest — is
+// refused with errPreChainSnapshot, and every file in it is left as it was.
+// Replaying the log from LSN 0 instead would drop the checkpointed prefix.
+func TestPreChainSnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
 	r := openRepoOpts(t, dir, Options{SegmentBytes: 4 << 10})
 	churn(t, r, "a-", 6, 60)
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	want := digest(t, r)
 	files := snapFiles(t, dir)
 	if len(files) != 1 || !strings.HasSuffix(files[0], ".base") {
 		t.Fatalf("payload files = %v, want one base", files)
 	}
 	r.Close()
 	// Devolve the directory to the pre-chain layout.
-	if err := os.Rename(filepath.Join(dir, files[0]), filepath.Join(dir, legacySnapName)); err != nil {
+	if err := os.Rename(filepath.Join(dir, files[0]), filepath.Join(dir, "snapshot")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
 		t.Fatal(err)
 	}
+	before := dirImage(t, dir)
 
-	r2 := openRepoOpts(t, dir, Options{SegmentBytes: 4 << 10})
-	if got := digest(t, r2); got != want {
-		t.Fatalf("legacy snapshot recovery differs:\n--- want\n%s--- got\n%s", want, got)
+	r2, err := Open(testCatalog(t), Options{Dir: dir, Sync: true, SegmentBytes: 4 << 10})
+	if !errors.Is(err, errPreChainSnapshot) {
+		if r2 != nil {
+			r2.Close()
+		}
+		t.Fatalf("Open of a pre-chain directory = %v, want errPreChainSnapshot", err)
 	}
-	// A checkpoint migrates to the manifest scheme and drops the legacy file.
-	churn(t, r2, "b-", 2, 10)
-	if err := r2.Checkpoint(); err != nil {
+	after := dirImage(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	for name, data := range before {
+		if after[name] != data {
+			t.Fatalf("refused Open changed %s", name)
+		}
+	}
+}
+
+// dirImage maps every regular file under dir (by relative path) to its
+// contents.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		img[rel] = string(data)
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, legacySnapName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot still present after migration (err=%v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("manifest missing after migration: %v", err)
-	}
+	return img
 }
 
 // TestFullRebaseEveryCheckpoint runs the same history through a repository

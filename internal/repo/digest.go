@@ -11,14 +11,14 @@ import (
 // StateDigest renders the complete durable repository state
 // deterministically: sequence counter, derivation graph structure per DA,
 // DOV set (payload bytes included, cold ones read back and checked) and
-// metadata store. Two repositories
-// with equal digests are byte-identical as far as recovery is concerned —
-// the scenario harness's byte-identical-recovery and twin-replay oracles
-// compare digests taken before a crash and after the restarted twin
-// recovers, and the checkpoint-equivalence battery (§3.8) compares an
-// incrementally checkpointed repository recovered at every catalogued
-// crash point against its full-rebase twin. The repository is quiesced
-// (writers excluded) for the duration of the call.
+// metadata store. Two repositories with equal digests are byte-identical as
+// far as recovery is concerned — the scenario harness's
+// byte-identical-recovery oracle compares digests taken before a crash and
+// after the restart, its reopen oracle those of two opens of the quiescent
+// directory, and the checkpoint-equivalence battery (§3.8) compares an
+// incrementally checkpointed repository recovered at every catalogued crash
+// point against its full-rebase twin. The repository is quiesced (writers
+// excluded) for the duration of the call.
 func (r *Repository) StateDigest() (string, error) {
 	var b strings.Builder
 	// Quiesce writers (exclusive side of the §3.7 lock order) for a stable

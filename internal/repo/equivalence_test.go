@@ -171,10 +171,10 @@ func testEquivalenceAt(t *testing.T, point string, seed int64) {
 		t.Fatalf("fault point %s never fired (hits=%d) — the scenario proved nothing", point, reg.Hits(point))
 	}
 	// Final recovery equivalence across one more crash/restart of every
-	// twin; the resident twin replays its whole log serially.
+	// twin; the resident twin replays its whole log.
 	a2 := equivOpen(t, dirA, repo.Options{SegmentBytes: 1 << 10})
 	b2 := equivOpen(t, dirB, repo.Options{})
-	c2 := equivOpen(t, dirC, repo.Options{SerialReplay: true})
+	c2 := equivOpen(t, dirC, repo.Options{})
 	if err := a2.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,11 @@ const (
 	manifestTmpName = "snapmanifest.tmp"
 )
 
+// errPreChainSnapshot refuses a directory that holds the single "snapshot"
+// file of the layout before the chain and no manifest. This build does not
+// read that file, and replaying the log alone would drop what it covers.
+var errPreChainSnapshot = errors.New(`repo: directory holds a pre-chain "snapshot" file and no manifest (open and checkpoint it with an older build, which migrates it to the chain, or remove it)`)
+
 // ManifestFileName is the on-disk name of the snapshot chain manifest inside
 // the repository directory. Chaos harnesses use it to corrupt the manifest
 // tail from outside the package.
@@ -518,24 +523,29 @@ func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) err
 //     whose predecessor link skips ahead of the folded coverage — the
 //     shortened chain plus the WAL suffix is still complete as long as the
 //     WAL mark does not exceed the surviving coverage, which Open checks).
-//   - no manifest, legacy single snapshot file: load it as a one-element
-//     chain (pre-chain format compatibility).
+//   - no manifest, but the single "snapshot" file of the layout before the
+//     chain: refused with errPreChainSnapshot, nothing touched. Replaying
+//     the log from LSN 0 instead would drop the prefix that file covers.
 //   - neither: full replay from LSN 0.
 //
 // Only a chain that is the whole manifest leaves the next checkpoint free
 // to append a delta; after a shortened one it rebases, rewriting the
 // manifest without the unloadable tail.
 func (r *Repository) loadSnapshotChain(staging map[version.ID]*dovEntry) error {
-	os.Remove(filepath.Join(r.dir, manifestTmpName)) //nolint:errcheck // stray tmp from a crashed rebase
-	os.Remove(filepath.Join(r.dir, snapTmpName))     //nolint:errcheck // stray tmp from a pre-chain crash
-
 	data, err := os.ReadFile(filepath.Join(r.dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
-		return r.loadLegacySnapshot(staging)
+		switch _, err := os.Lstat(filepath.Join(r.dir, "snapshot")); {
+		case err == nil:
+			return fmt.Errorf("%w: %s", errPreChainSnapshot, r.dir)
+		case !errors.Is(err, os.ErrNotExist):
+			return fmt.Errorf("repo: stat pre-chain snapshot: %w", err)
+		}
+		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("repo: read manifest: %w", err)
 	}
+	os.Remove(filepath.Join(r.dir, manifestTmpName)) //nolint:errcheck // stray tmp from a crashed rebase
 	entries, epoch, valid := parseManifest(data)
 	r.epoch.Store(epoch)
 	var fold chainFold
@@ -574,32 +584,5 @@ func (r *Repository) loadSnapshotChain(staging map[version.ID]*dovEntry) error {
 		// suffix replays on top of them.
 		r.lastGens = &ckptGens{}
 	}
-	return nil
-}
-
-// loadLegacySnapshot loads the pre-chain single snapshot file, if present,
-// as a one-element chain. The first checkpoint then rebases, migrating the
-// directory to the manifest scheme.
-func (r *Repository) loadLegacySnapshot(staging map[version.ID]*dovEntry) error {
-	p, size, err := openSnapFile(filepath.Join(r.dir, legacySnapName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	// The legacy snapshot was only ever installed by a completed atomic
-	// rename, so corruption is an error, not a tear to tolerate.
-	if err != nil {
-		return err
-	}
-	r.chain = []manifestEntry{{kind: manifestKindBase, file: legacySnapName, lsn: p.snapLSN, f: p.f}}
-	if !p.base {
-		return errors.New("repo: legacy snapshot is not a full snapshot")
-	}
-	var fold chainFold
-	fold.fold(p)
-	if err := fold.install(r, staging); err != nil {
-		return err
-	}
-	r.snapLSN = p.snapLSN
-	r.chainBytes, r.baseBytes = size, size
 	return nil
 }

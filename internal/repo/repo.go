@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -83,15 +82,6 @@ type Options struct {
 	// the wal.Crash* constants). An armed point aborts the operation
 	// there, simulating a crash. Tests only; see CrashPoints.
 	Faults *fault.Registry
-	// SerialReplay replays the log record at a time (decode and apply
-	// interleaved in one loop) instead of pipelining DOV decodes on a worker
-	// pool (DESIGN.md §3.7). It is the reference implementation the
-	// pipelined replay is checked against (the scenario twin-replay oracle,
-	// the replay-equivalence tests); production leaves it unset.
-	SerialReplay bool
-	// ReplayWorkers is the decode worker count of the pipelined replay at
-	// restart (not used with SerialReplay; 0 = GOMAXPROCS, capped at 8).
-	ReplayWorkers int
 	// CheckpointMaxChain additionally bounds the snapshot chain length: once
 	// the chain holds this many elements, the next checkpoint rebases (writes
 	// a fresh full snapshot) even if its deltas are still smaller than the
@@ -144,9 +134,6 @@ type Repository struct {
 	dir string
 	// faults is the crash-point fault-injection registry (tests only).
 	faults *fault.Registry
-	// serialReplay / replayWorkers configure restart replay (§3.7).
-	serialReplay  bool
-	replayWorkers int
 
 	// mu is the quiesce lock. Mutators hold it SHARED for the span
 	// [WAL reservation, in-memory publication]; the snapshot encoder (and
@@ -358,8 +345,6 @@ func Open(cat *catalog.Catalog, opts Options) (*Repository, error) {
 		cat:           cat,
 		dir:           opts.Dir,
 		faults:        opts.Faults,
-		serialReplay:  opts.SerialReplay,
-		replayWorkers: opts.ReplayWorkers,
 		degradedOnWAL: opts.DegradedOnWALFailure,
 		maxChain:      opts.CheckpointMaxChain,
 		das:           make(map[string]*daState),
@@ -523,11 +508,10 @@ func decodeDOVRecord(data []byte) (d dovRecord, objOff int, err error) {
 	return d, objOff, r.Err()
 }
 
-// decodeInsert is the CPU-heavy half of recovering one DOV record — record
-// decode plus a walk of the payload as a validity check — which the
-// pipelined replay runs on a worker pool (§3.7). The encoding is copied out
-// of the log record, which may share a read buffer or a shipped batch; the
-// copy becomes the resident form.
+// decodeInsert is the CPU-heavy half of recovering one DOV record: record
+// decode plus a walk of the payload as a validity check (§3.7). The encoding
+// is copied out of the log record, which carries the metadata around it or
+// shares a shipped batch; the exactly sized copy becomes the resident form.
 func decodeInsert(data []byte) (*dovRecord, error) {
 	dr, _, err := decodeDOVRecord(data)
 	if err != nil {
@@ -585,12 +569,10 @@ func (r *Repository) installRecovered(dr *dovRecord, b *body, staging map[versio
 // the metadata store — is marked dirty, so the first checkpoint after Open
 // is an incremental delta of exactly that.
 //
-// By default the replay is pipelined (§3.7): the WAL streams records through
-// a large read buffer and a worker pool runs decodeInsert — the dominant
-// restart cost — concurrently, while this applier installs records strictly
-// in LSN order, so the rebuilt state is identical to serial replay.
+// Each record is decoded and applied in LSN order on the calling goroutine
+// (§3.7); the WAL streams the segments through a large read buffer.
 func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) error {
-	apply := func(rec wal.Record, pre any) error {
+	return r.log.Replay(func(rec wal.Record) error {
 		if rec.LSN < snapLSN {
 			return nil
 		}
@@ -601,12 +583,9 @@ func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) 
 				r.das[da] = &daState{g: version.NewGraph(da)}
 			}
 		case recDOVInsert:
-			d, ok := pre.(*dovRecord)
-			if !ok {
-				var err error
-				if d, err = decodeInsert(rec.Payload); err != nil {
-					return err
-				}
+			d, err := decodeInsert(rec.Payload)
+			if err != nil {
+				return err
 			}
 			return r.installRecovered(d, residentBody(d.Object), staging, replayedGen)
 		case recDOVStatus:
@@ -632,21 +611,7 @@ func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) 
 			r.metaGen = replayedGen
 		}
 		return nil
-	}
-	if r.serialReplay {
-		return r.log.Replay(func(rec wal.Record) error { return apply(rec, nil) })
-	}
-	decode := func(rec wal.Record) (any, error) {
-		if rec.Type != recDOVInsert || rec.LSN < snapLSN {
-			return nil, nil
-		}
-		return decodeInsert(rec.Payload)
-	}
-	workers := r.replayWorkers
-	if workers <= 0 {
-		workers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	return r.log.ReplayPipelined(workers, decode, apply)
+	})
 }
 
 // noWait is the wait function of volatile repositories (no log).

@@ -18,7 +18,7 @@ import (
 // TestRecoverMalformedStatusRecord pins the recovery behaviour on a
 // truncated/corrupt status record: a payload whose status byte is missing
 // must fail recovery with an error (it used to index past the end of the
-// split and panic the restart). Both replay modes must agree.
+// split and panic the restart).
 func TestRecoverMalformedStatusRecord(t *testing.T) {
 	dir := t.TempDir()
 	r := openRepo(t, dir)
@@ -44,22 +44,20 @@ func TestRecoverMalformedStatusRecord(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, serial := range []bool{true, false} {
-		_, err := Open(testCatalog(t), Options{Dir: dir, Sync: true, SerialReplay: serial})
-		if err == nil {
-			t.Fatalf("serial=%t: Open accepted a status record with no status byte", serial)
-		}
-		if !strings.Contains(err.Error(), "recover status") {
-			t.Fatalf("serial=%t: unexpected recovery error: %v", serial, err)
-		}
+	_, err = Open(testCatalog(t), Options{Dir: dir, Sync: true})
+	if err == nil {
+		t.Fatal("Open accepted a status record with no status byte")
+	}
+	if !strings.Contains(err.Error(), "recover status") {
+		t.Fatalf("unexpected recovery error: %v", err)
 	}
 }
 
 // TestConcurrentMultiDAWritersReplayEquivalence races checkins across many
 // DAs — with cross-DA parents and status flips in the mix — then crashes and
-// recovers the directory through both replay modes. The sharded write path
-// must leave a log whose serial and pipelined replays rebuild identical
-// state, and every committed version must be present.
+// recovers the directory. The sharded write path must leave a log whose
+// replay rebuilds exactly the state the live repository held at the crash,
+// and every committed version must be present.
 func TestConcurrentMultiDAWritersReplayEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	r := openRepo(t, dir)
@@ -130,33 +128,24 @@ func TestConcurrentMultiDAWritersReplayEquivalence(t *testing.T) {
 	if r.DOVCount() != das*perDA {
 		t.Fatalf("count = %d, want %d", r.DOVCount(), das*perDA)
 	}
+	wantDigest := digest(t, r)
 	// Crash: no Close — Sync=true made every committed operation durable.
-	serial, err := Open(testCatalog(t), Options{Dir: dir, Sync: true, SerialReplay: true})
+	rec, err := Open(testCatalog(t), Options{Dir: dir, Sync: true})
 	if err != nil {
-		t.Fatalf("serial recovery: %v", err)
+		t.Fatalf("recovery: %v", err)
 	}
-	defer serial.Close()
-	wantDigest := digest(t, serial)
-	if err := serial.CheckConsistency(); err != nil {
-		t.Fatalf("serial recovery consistency: %v", err)
+	defer rec.Close()
+	if err := rec.CheckConsistency(); err != nil {
+		t.Fatalf("recovery consistency: %v", err)
 	}
-	serial.Close()
-	piped, err := Open(testCatalog(t), Options{Dir: dir, Sync: true, ReplayWorkers: 4})
-	if err != nil {
-		t.Fatalf("pipelined recovery: %v", err)
+	if got := digest(t, rec); got != wantDigest {
+		t.Fatalf("recovered state differs from the live repository at the crash:\n--- live\n%s--- recovered\n%s", wantDigest, got)
 	}
-	defer piped.Close()
-	if err := piped.CheckConsistency(); err != nil {
-		t.Fatalf("pipelined recovery consistency: %v", err)
-	}
-	if got := digest(t, piped); got != wantDigest {
-		t.Fatalf("pipelined replay state differs from serial replay:\n--- serial\n%s--- pipelined\n%s", wantDigest, got)
-	}
-	if piped.DOVCount() != das*perDA {
-		t.Fatalf("recovered %d DOVs, want %d", piped.DOVCount(), das*perDA)
+	if rec.DOVCount() != das*perDA {
+		t.Fatalf("recovered %d DOVs, want %d", rec.DOVCount(), das*perDA)
 	}
 	for _, id := range committed {
-		if ok, err := piped.Exists(id); err != nil || !ok {
+		if ok, err := rec.Exists(id); err != nil || !ok {
 			t.Fatalf("committed %s missing after recovery (ok=%t err=%v)", id, ok, err)
 		}
 	}

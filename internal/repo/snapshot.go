@@ -58,10 +58,8 @@ import (
 // checkpoint, and on the first checkpoint of a repository opened without a
 // chain. CheckpointMaxChain 1 makes every checkpoint a full rebase.
 const (
-	legacySnapName = "snapshot"
-	snapTmpName    = "snapshot.tmp"
-	snapMagic      = "CCSNAP01"
-	incMagic       = "CCINCR01"
+	snapMagic = "CCSNAP01"
+	incMagic  = "CCINCR01"
 )
 
 // Crash points traversed on Options.Faults during Checkpoint, in protocol
@@ -553,9 +551,8 @@ func (pw *payloadWriter) meta(meta map[string][]byte) {
 	}
 }
 
-// writeBase streams a full cut in the CCSNAP01 format (identical to the
-// pre-chain single-snapshot format, so legacy snapshots load as a
-// one-element chain): header, every record in Seq order, metadata store.
+// writeBase streams a full cut in the CCSNAP01 format: header, every record
+// in Seq order, metadata store.
 func (c *snapCut) writeBase(pw *payloadWriter) {
 	pw.w.Str(snapMagic)
 	pw.w.U64(uint64(c.snapLSN))
@@ -653,9 +650,9 @@ func (r *Repository) writeSnapFile(name, partialPoint string, encode func(*paylo
 }
 
 // gcSnapshots removes snapshot payload files no chain entry references (the
-// superseded chain after a rebase, leftovers of crashed attempts), the
-// legacy single-file snapshot and stray tmps. Only called when the in-memory
-// chain matches the durable manifest; best-effort.
+// superseded chain after a rebase, leftovers of crashed attempts) and a
+// stray manifest tmp. Only called when the in-memory chain matches the
+// durable manifest; best-effort.
 func (r *Repository) gcSnapshots() {
 	ref := make(map[string]bool, len(r.chain))
 	for _, e := range r.chain {
@@ -670,7 +667,7 @@ func (r *Repository) gcSnapshots() {
 		if ref[n] {
 			continue
 		}
-		if isSnapPayloadName(n) || n == legacySnapName || n == snapTmpName || n == manifestTmpName {
+		if isSnapPayloadName(n) || n == manifestTmpName {
 			os.Remove(filepath.Join(r.dir, n)) //nolint:errcheck // best-effort cleanup
 		}
 	}

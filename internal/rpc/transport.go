@@ -7,7 +7,9 @@
 //
 // Two transports are provided: an in-process transport with deterministic
 // fault injection (drop, duplicate, delay) for simulation and tests, and a
-// TCP transport (stdlib net + gob) for real LAN deployment via cmd/concordd.
+// TCP transport for real LAN deployment via cmd/concordd, which multiplexes
+// length-prefixed binenc frames over a small pool of persistent connections
+// (see TCP).
 package rpc
 
 import (

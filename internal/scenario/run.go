@@ -484,8 +484,9 @@ func doSetStatus(s site, st *runState, da string) error {
 //     server's canonical encoding of the same version.
 //  4. Byte-identical restart — StateDigest is unchanged across one more
 //     crash/recover cycle.
-//  5. Twin replay — after shutdown, serial record-at-a-time replay and the
-//     pipelined production replay recover byte-identical states.
+//  5. Reopen fixpoint — after shutdown, two opens of the quiescent
+//     directory each pass the consistency check and recover byte-identical
+//     states (this one also runs where a promoted standby skips 4).
 func runOracles(t *testing.T, sc Scenario, s site, st *runState) {
 	t.Helper()
 	r := s.repo()
@@ -556,8 +557,8 @@ func runOracles(t *testing.T, sc Scenario, s site, st *runState) {
 	// more crash/restart reproduces the exact repository state. A scenario
 	// whose failover promoted the warm standby skips this one: the promoted
 	// standby IS the recovery, and it cannot crash/restart in place (a
-	// promoted standby never rejoins as a follower) — the twin-replay oracle
-	// below still proves its on-disk state replays deterministically.
+	// promoted standby never rejoins as a follower) — the reopen oracle
+	// below still proves its on-disk state recovers deterministically.
 	if !sc.Fault.KillPrimary && !sc.Fault.SplitBrain {
 		if err := s.crashRestartServer(false, false); err != nil {
 			t.Fatalf("oracle restart: settling crash/restart: %v", err)
@@ -579,32 +580,31 @@ func runOracles(t *testing.T, sc Scenario, s site, st *runState) {
 		}
 	}
 
-	// Oracle 5: twin replay — serial and pipelined replay of the same
-	// directory are equivalent. Shut the site down first so the directory
-	// is quiescent; the first open may finish an interrupted checkpoint or
-	// truncate a torn tail, equivalence is on the final state.
+	// Oracle 5: reopen fixpoint — two opens of the quiescent directory each
+	// pass the consistency check and recover the same state. Shut the site
+	// down first so the directory is quiescent; the first open may finish an
+	// interrupted checkpoint or truncate a torn tail, and the second must
+	// then find exactly the state the first recovered.
 	cat := s.catalog()
 	repoDir := s.serverRepoDir()
 	s.close()
-	digestOf := func(serial bool) string {
+	digestOf := func(open int) string {
 		t.Helper()
-		tw, err := repo.Open(cat, repo.Options{Dir: repoDir, SerialReplay: serial})
+		tw, err := repo.Open(cat, repo.Options{Dir: repoDir})
 		if err != nil {
-			t.Fatalf("oracle twin-replay: open (serial=%t): %v", serial, err)
+			t.Fatalf("oracle reopen: open %d: %v", open, err)
 		}
 		defer tw.Close()
 		if err := tw.CheckConsistency(); err != nil {
-			t.Fatalf("oracle twin-replay: consistency (serial=%t): %v", serial, err)
+			t.Fatalf("oracle reopen: consistency (open %d): %v", open, err)
 		}
 		d, err := tw.StateDigest()
 		if err != nil {
-			t.Fatalf("oracle twin-replay: digest (serial=%t): %v", serial, err)
+			t.Fatalf("oracle reopen: digest (open %d): %v", open, err)
 		}
 		return d
 	}
-	serial := digestOf(true)
-	pipelined := digestOf(false)
-	if serial != pipelined {
-		t.Errorf("oracle twin-replay: serial and pipelined replay diverge:\n--- serial\n%s--- pipelined\n%s", serial, pipelined)
+	if first, second := digestOf(1), digestOf(2); first != second {
+		t.Errorf("oracle reopen: two opens of the quiescent directory recover different states:\n--- first\n%s--- second\n%s", first, second)
 	}
 }

@@ -9,9 +9,9 @@
 // standby crash) and runs a fixed oracle suite over the survivors: no
 // committed checkin is
 // ever lost, repository consistency holds, recovery is byte-identical
-// across a restart (StateDigest), serial and pipelined replay are
-// equivalent twins, and every workstation cache checkout revalidates to the
-// server's content hash.
+// across a restart (StateDigest), two opens of the quiescent directory
+// recover the same state, and every workstation cache checkout revalidates
+// to the server's content hash.
 //
 // The short matrix (Short) runs under plain `go test ./internal/scenario`
 // for CI; the long matrix (Long) is gated behind CONCORD_SCENARIOS_LONG=1

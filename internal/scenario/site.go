@@ -32,7 +32,7 @@ type site interface {
 	begin(ws int, dopID, da string) (*txn.DOP, error)
 	// repo returns the live server repository (nil while crashed).
 	repo() *repo.Repository
-	// catalog returns the shared DOT catalog (for twin replay).
+	// catalog returns the shared DOT catalog (for the reopen oracle).
 	catalog() *catalog.Catalog
 	// newDA creates and starts a top-level design area.
 	newDA(id string) error
@@ -83,7 +83,7 @@ type site interface {
 	wsServerAddr(ws int) (string, error)
 	// health reports the server's degradation mode and latched cause.
 	health() (mode, cause string)
-	// serverRepoDir is the repository directory for the twin-replay oracle.
+	// serverRepoDir is the repository directory for the reopen oracle.
 	serverRepoDir() string
 	// close shuts everything down (idempotent).
 	close()
@@ -193,8 +193,8 @@ func (s *inprocSite) repo() *repo.Repository    { return s.sys.Repo() }
 func (s *inprocSite) catalog() *catalog.Catalog { return s.sys.Catalog() }
 
 // serverRepoDir names the directory holding the ACTIVE repository: after a
-// failover scenario promoted the warm standby, the twin-replay oracle must
-// replay the replicated state it now serves, not the deposed primary's.
+// failover scenario promoted the warm standby, the reopen oracle must
+// recover the replicated state it now serves, not the deposed primary's.
 func (s *inprocSite) serverRepoDir() string {
 	if s.sys.ReplHealth().StandbyPromoted {
 		return filepath.Join(s.dir, "standby")

@@ -2,9 +2,11 @@ package txn
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"concord/internal/binenc"
+	"concord/internal/version"
 )
 
 // FuzzClientRecordDecode throws arbitrary bytes at the decoders of the client
@@ -54,4 +56,53 @@ func FuzzClientRecordDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzWireDecode throws arbitrary bytes at the decoders the server-TM runs
+// on network input (begin, checkout, stage, release) and the workstation
+// runs on the server's answers (checkout response, cache invalidation).
+// Nothing may panic, and whatever decodes must re-encode to bytes that
+// decode to the same value.
+func FuzzWireDecode(f *testing.F) {
+	hash := bytes.Repeat([]byte{0xCD}, 32)
+	meta := dovMeta{ID: "ws/dop/v2", DOT: "floorplan", DA: "da1", Parents: []version.ID{"v0", "v1"}, Status: version.StatusWorking, Fulfilled: []string{"area-limit"}}
+	dov := dovWire{ID: "ws/dop/v2", DOT: "floorplan", DA: "da1", Parents: []version.ID{"v1"}, Object: []byte("payload"), Status: version.StatusPropagated}
+	f.Add(beginMsg{DOP: "dop-1", DA: "da1", WS: "ws1"}.encode())
+	f.Add(checkoutMsg{DOP: "dop-1", DA: "da1", DOV: "v1", Derive: true, WS: "ws1", CBAddr: "127.0.0.1:7000", Epoch: 3, BaseID: "v0", BaseHash: hash}.encode())
+	f.Add(stageMsg{DOP: "dop-1", TxID: "dop-1/ci1", DOV: dov, Root: true, Hash: hash, WS: "ws1", CBAddr: "cb", Epoch: 2}.encode())
+	f.Add(stageMsg{DOP: "dop-1", TxID: "dop-1/ci2", DOV: dovWire{ID: "v3", DOT: "floorplan", DA: "da1"}, Hash: hash, BaseID: "v2", BaseHash: hash, Delta: []byte{1, 2, 3}}.encode())
+	f.Add(releaseMsg{DOP: "dop-1", DOV: "v1"}.encode())
+	f.Add(invalidateMsg{Epoch: 7, Entries: []invalidation{{DOV: "v1", Kind: invStatus, Status: version.StatusInvalid}, {DOV: "v2", Kind: invSuperseded, By: "v3"}}}.encode())
+	f.Add(checkoutResp{Mode: coFull, DOV: dov, Hash: hash}.encode())
+	f.Add(checkoutResp{Mode: coNotModified, Meta: meta, Hash: hash, BumpEpoch: true}.encode())
+	f.Add(checkoutResp{Mode: coDelta, Meta: meta, Hash: hash, BaseID: "v1", Delta: []byte{9, 8, 7}}.encode())
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		roundTrip(t, "begin", data, decodeBegin, beginMsg.encode)
+		roundTrip(t, "checkout", data, decodeCheckout, checkoutMsg.encode)
+		roundTrip(t, "stage", data, decodeStage, stageMsg.encode)
+		roundTrip(t, "release", data, decodeRelease, releaseMsg.encode)
+		roundTrip(t, "invalidate", data, decodeInvalidate, invalidateMsg.encode)
+		roundTrip(t, "checkout response", data, decodeCheckoutResp, checkoutResp.encode)
+	})
+}
+
+// roundTrip checks one wire decoder on data: if it accepts, the message must
+// re-encode to bytes that decode to an equal value. Decoders return nil for
+// empty slices, so reflect.DeepEqual compares values, not representations.
+func roundTrip[M any](t *testing.T, name string, data []byte, decode func([]byte) (M, error), encode func(M) []byte) {
+	t.Helper()
+	m, err := decode(data)
+	if err != nil {
+		return
+	}
+	again, err := decode(encode(m))
+	if err != nil {
+		t.Fatalf("%s %+v does not re-decode: %v", name, m, err)
+	}
+	if !reflect.DeepEqual(m, again) {
+		t.Fatalf("%s %+v re-decodes as %+v", name, m, again)
+	}
 }

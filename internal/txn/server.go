@@ -707,16 +707,6 @@ func (s *ServerTM) ActiveDOPs() int {
 	return n
 }
 
-// Handler returns the transport handler exposing the server-TM protocol
-// with no deadline propagation (handlers see zero deadlines). Prefer
-// DeadlineHandler on transports that deliver per-call budgets.
-func (s *ServerTM) Handler(participant *rpc.Participant) rpc.Handler {
-	dh := s.DeadlineHandler(participant)
-	return func(method string, payload []byte) ([]byte, error) {
-		return dh(time.Time{}, method, payload)
-	}
-}
-
 // DeadlineHandler returns the transport handler exposing the server-TM
 // protocol: Begin-of-DOP, checkout, staging, derivation-lock release, DOP
 // end, the lease lifecycle (heartbeat, rejoin, health) and the 2PC

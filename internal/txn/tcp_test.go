@@ -46,7 +46,7 @@ func TestDOPOverRealTCP(t *testing.T) {
 	}
 	srv := rpc.NewTCP()
 	defer srv.Close()
-	if err := srv.Serve("127.0.0.1:0", rpc.Dedup(server.Handler(participant))); err != nil {
+	if err := srv.ServeDeadline("127.0.0.1:0", rpc.DedupDeadlineFenced(server.DeadlineHandler(participant), rpc.EpochFence(r.Epoch))); err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
@@ -154,7 +154,7 @@ func newTCPStack(t *testing.T) *tcpStack {
 	}
 	srv := rpc.NewTCP()
 	t.Cleanup(func() { srv.Close() })
-	addr, err := srv.Listen("127.0.0.1:0", rpc.Dedup(server.Handler(participant)))
+	addr, err := srv.ListenDeadline("127.0.0.1:0", rpc.DedupDeadlineFenced(server.DeadlineHandler(participant), rpc.EpochFence(r.Epoch)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,8 +36,8 @@ func fuzzSeedSegment(f *testing.F) []byte {
 }
 
 // FuzzWALFrameDecode feeds arbitrary bytes to the log as an on-disk segment.
-// The serial and buffered segment scanners must agree on the valid prefix
-// record for record; Open must never panic, must recover exactly that prefix
+// The buffered segment scanner must agree with the unbuffered reference
+// scanner (iterateRecords, below) on the valid prefix record for record; Open must never panic, must recover exactly that prefix
 // (truncating torn or corrupt tails), and the recovered log must accept new
 // appends that survive a reopen.
 func FuzzWALFrameDecode(f *testing.F) {
@@ -57,15 +60,15 @@ func FuzzWALFrameDecode(f *testing.F) {
 		if err := os.WriteFile(path, seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		serial, serialValid := scanFile(t, path, iterateRecords)
+		ref, refValid := scanFile(t, path, iterateRecords)
 		bufd, bufdValid := scanFile(t, path, iterateRecordsBuffered)
-		if serialValid != bufdValid || len(serial) != len(bufd) {
-			t.Fatalf("serial scan kept %d bytes / %d records, buffered %d / %d",
-				serialValid, len(serial), bufdValid, len(bufd))
+		if refValid != bufdValid || len(ref) != len(bufd) {
+			t.Fatalf("reference scan kept %d bytes / %d records, buffered %d / %d",
+				refValid, len(ref), bufdValid, len(bufd))
 		}
-		for i := range serial {
-			if !sameRecord(serial[i], bufd[i]) {
-				t.Fatalf("record %d differs between serial and buffered scan", i)
+		for i := range ref {
+			if !sameRecord(ref[i], bufd[i]) {
+				t.Fatalf("record %d differs between reference and buffered scan", i)
 			}
 		}
 
@@ -77,11 +80,11 @@ func FuzzWALFrameDecode(f *testing.F) {
 		if err := l.Replay(func(r Record) error { recs = append(recs, cloneRecord(r)); return nil }); err != nil {
 			t.Fatalf("Replay: %v", err)
 		}
-		if len(recs) != len(serial) {
-			t.Fatalf("Open recovered %d records, the scan %d", len(recs), len(serial))
+		if len(recs) != len(ref) {
+			t.Fatalf("Open recovered %d records, the scan %d", len(recs), len(ref))
 		}
 		for i := range recs {
-			if !sameRecord(recs[i], serial[i]) {
+			if !sameRecord(recs[i], ref[i]) {
 				t.Fatalf("recovered record %d differs from the scanned one", i)
 			}
 		}
@@ -110,7 +113,7 @@ func FuzzWALFrameDecode(f *testing.F) {
 
 // scanFile runs one segment scanner over the file at path and returns the
 // records it delivered and the length of the valid prefix.
-func scanFile(t *testing.T, path string, scan recordIterator) ([]Record, int64) {
+func scanFile(t *testing.T, path string, scan func(f *os.File, base, limit, skipBelow int64, fn func(Record) error) (int64, error)) ([]Record, int64) {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -127,6 +130,50 @@ func scanFile(t *testing.T, path string, scan recordIterator) ([]Record, int64) 
 		t.Fatal(err)
 	}
 	return recs, valid
+}
+
+// iterateRecords is the reference frame decoder the fuzz target checks
+// iterateRecordsBuffered against: the same contract, read with two plain
+// read calls per record and no buffer reuse.
+func iterateRecords(f *os.File, base, limit, skipBelow int64, fn func(Record) error) (int64, error) {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return 0, fmt.Errorf("wal: seek: %w", err)
+	}
+	var off int64
+	hdr := make([]byte, recHeaderSize)
+	for off < limit {
+		if _, err := io.ReadFull(f, hdr); err != nil {
+			return off, nil // clean EOF or torn header
+		}
+		total := binary.LittleEndian.Uint32(hdr[0:4])
+		if total < recHeaderSize || total > maxRecordSize || off+int64(total) > limit {
+			return off, nil
+		}
+		body := make([]byte, total-recHeaderSize)
+		if _, err := io.ReadFull(f, body); err != nil {
+			return off, nil // torn body
+		}
+		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:8]) {
+			return off, nil // corrupt
+		}
+		ownerLen := int(binary.LittleEndian.Uint16(hdr[10:12]))
+		if ownerLen > len(body) {
+			return off, nil
+		}
+		if fn != nil && base+off >= skipBelow {
+			rec := Record{
+				LSN:     LSN(base + off),
+				Type:    RecordType(binary.LittleEndian.Uint16(hdr[8:10])),
+				Owner:   string(body[:ownerLen]),
+				Payload: body[ownerLen:],
+			}
+			if err := fn(rec); err != nil {
+				return off, err
+			}
+		}
+		off += int64(total)
+	}
+	return off, nil
 }
 
 func cloneRecord(r Record) Record {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -260,9 +261,10 @@ func TestCheckpointCrashPoints(t *testing.T) {
 	}
 }
 
-// TestMigrateSingleFileLog: a log written by the old single-file format is
-// adopted as the first segment.
-func TestMigrateSingleFileLog(t *testing.T) {
+// TestSingleFileLogRefused: a log in the single-file layout that preceded
+// segment directories is refused with errSingleFileLog and left exactly as
+// it was, with nothing created beside it.
+func TestSingleFileLogRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.wal")
 	var raw []byte
 	for i := 0; i < 3; i++ {
@@ -276,18 +278,21 @@ func TestMigrateSingleFileLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, err := Open(path, Options{SyncOnAppend: true})
+	if !errors.Is(err, errSingleFileLog) {
+		if l != nil {
+			l.Close()
+		}
+		t.Fatalf("Open over a single-file log = %v, want errSingleFileLog", err)
+	}
+	got, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("Open over single-file log: %v", err)
+		t.Fatalf("single-file log gone after the refusal: %v", err)
 	}
-	defer l.Close()
-	var owners []string
-	if err := l.Replay(func(r Record) error { owners = append(owners, r.Owner); return nil }); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got, raw) {
+		t.Fatal("single-file log changed by the refused Open")
 	}
-	if len(owners) != 3 || owners[0] != "legacy" {
-		t.Fatalf("migrated replay = %v", owners)
-	}
-	if _, err := l.Append(5, "new", []byte("post-migration")); err != nil {
-		t.Fatal(err)
+	ents, err := os.ReadDir(filepath.Dir(path))
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("directory holds %d entries after the refusal (err=%v), want only the log", len(ents), err)
 	}
 }

@@ -252,13 +252,18 @@ func SyncDir(dir string) error {
 	return err
 }
 
+// errSingleFileLog refuses a log path that is a regular file: the layout
+// before segment directories, which this build neither reads nor migrates.
+// The error names the layout so the operator knows the records are there.
+var errSingleFileLog = errors.New("wal: log is a single file, the layout before segment directories (open it once with an older build, which migrates it, or remove it)")
+
 // Open opens (creating if necessary) the log directory at path. Existing
 // segments are scanned so that new appends continue after the last valid
-// record; a torn tail is truncated. A log written by the old single-file
-// format is migrated to a directory with one segment.
+// record; a torn tail is truncated. A regular file at path is refused with
+// errSingleFileLog and left untouched.
 func Open(path string, opts Options) (*Log, error) {
-	if err := migrateSingleFile(path); err != nil {
-		return nil, err
+	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("%w: %s", errSingleFileLog, path)
 	}
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir: %w", err)
@@ -337,26 +342,6 @@ func Open(path string, opts Options) (*Log, error) {
 	l.size = size
 	l.written = size
 	return l, nil
-}
-
-// migrateSingleFile converts a log written by the old single-file format
-// into a directory holding that file as the segment starting at LSN 0.
-func migrateSingleFile(path string) error {
-	fi, err := os.Stat(path)
-	if err != nil || !fi.Mode().IsRegular() {
-		return nil //nolint:nilerr // absent or already a directory
-	}
-	tmp := path + ".migrate"
-	if err := os.Rename(path, tmp); err != nil {
-		return fmt.Errorf("wal: migrate: %w", err)
-	}
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		return fmt.Errorf("wal: migrate mkdir: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(path, segName(0))); err != nil {
-		return fmt.Errorf("wal: migrate segment: %w", err)
-	}
-	return SyncDir(filepath.Dir(path))
 }
 
 // createSegment creates an empty segment file and makes its directory entry
@@ -461,52 +446,6 @@ func (l *Log) scanSegments(starts []int64) (int64, []int64, error) {
 		return 0, nil, errors.New("wal: no usable segment")
 	}
 	return size, starts, nil
-}
-
-// iterateRecords scans the records of one segment file whose first byte sits
-// at global LSN base, reading at most limit bytes. For every valid record
-// with LSN >= skipBelow it invokes fn (when non-nil). It returns the byte
-// length of the valid record prefix; an invalid header, torn body or
-// checksum mismatch ends the scan without error.
-func iterateRecords(f *os.File, base, limit, skipBelow int64, fn func(Record) error) (int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("wal: seek: %w", err)
-	}
-	var off int64
-	hdr := make([]byte, recHeaderSize)
-	for off < limit {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			return off, nil // clean EOF or torn header
-		}
-		total := binary.LittleEndian.Uint32(hdr[0:4])
-		if total < recHeaderSize || total > maxRecordSize || off+int64(total) > limit {
-			return off, nil
-		}
-		body := make([]byte, total-recHeaderSize)
-		if _, err := io.ReadFull(f, body); err != nil {
-			return off, nil // torn body
-		}
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return off, nil // corrupt
-		}
-		ownerLen := int(binary.LittleEndian.Uint16(hdr[10:12]))
-		if ownerLen > len(body) {
-			return off, nil
-		}
-		if fn != nil && base+off >= skipBelow {
-			rec := Record{
-				LSN:     LSN(base + off),
-				Type:    RecordType(binary.LittleEndian.Uint16(hdr[8:10])),
-				Owner:   string(body[:ownerLen]),
-				Payload: body[ownerLen:],
-			}
-			if err := fn(rec); err != nil {
-				return off, err
-			}
-		}
-		off += int64(total)
-	}
-	return off, nil
 }
 
 // frameInto appends one record's on-disk form to dst (header, owner,
@@ -830,56 +769,6 @@ func (l *Log) Close() error {
 	// Append that reserved an LSN resolves before the descriptor closes.
 	l.commitBatch()
 	return l.f.Close()
-}
-
-// Replay reads every valid record from the low-water mark onward, invoking
-// fn in log order. A torn or corrupt tail terminates replay silently. Replay
-// holds the write slot: it must not be interleaved with appends by fn.
-func (l *Log) Replay(fn func(Record) error) error {
-	return l.replayWith(iterateRecords, fn)
-}
-
-// recordIterator scans one segment file (see iterateRecords and its
-// buffered sibling in replay.go).
-type recordIterator func(f *os.File, base, limit, skipBelow int64, fn func(Record) error) (int64, error)
-
-// replayWith is the segment walk shared by both replay modes; iter decides
-// how each segment is read. The caller-facing contract is Replay's.
-func (l *Log) replayWith(iter recordIterator, fn func(Record) error) error {
-	l.writeSem <- struct{}{}
-	defer func() { <-l.writeSem }()
-	l.commitBatch()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	starts := append([]int64(nil), l.starts...)
-	lowWater := l.lowWater
-	l.mu.Unlock()
-	written := l.written
-	for i, st := range starts {
-		end := written
-		if i+1 < len(starts) {
-			end = starts[i+1]
-		}
-		if end <= lowWater {
-			continue // fully checkpointed (not yet deleted)
-		}
-		f, err := os.Open(l.segPath(st))
-		if err != nil {
-			return fmt.Errorf("wal: open segment: %w", err)
-		}
-		valid, err := iter(f, st, end-st, lowWater, fn)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		if st+valid < end {
-			return nil // torn tail ends replay
-		}
-	}
-	return nil
 }
 
 // Checkpoint durably records lsn as the log's low-water mark and deletes

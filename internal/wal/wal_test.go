@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -45,6 +46,43 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		if got[i].LSN != want[i].LSN || got[i].Type != want[i].Type ||
 			got[i].Owner != want[i].Owner || !bytes.Equal(got[i].Payload, want[i].Payload) {
 			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestReplayStopsAtCallbackError: the first error the callback returns ends
+// Replay and is returned, nothing past the failing record is delivered, and
+// the payloads delivered before it stay intact after the scan has read on
+// (callers keep them). The log spans several segments, so the failure lands
+// past a segment boundary.
+func TestReplayStopsAtCallbackError(t *testing.T) {
+	l, err := Open(filepath.Join(t.TempDir(), "wal"), Options{SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	fill(t, l, 300, "r")
+	if len(l.starts) < 3 {
+		t.Fatalf("log spans %d segments, want several", len(l.starts))
+	}
+	boom := errors.New("boom")
+	var kept [][]byte
+	err = l.Replay(func(r Record) error {
+		if len(kept) == 200 {
+			return boom
+		}
+		kept = append(kept, r.Payload)
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Replay = %v, want the callback's error", err)
+	}
+	if len(kept) != 200 {
+		t.Fatalf("callback saw %d records before failing, want 200", len(kept))
+	}
+	for i, p := range kept {
+		if want := fmt.Sprintf("r-%04d-padpadpadpadpad", i); string(p) != want {
+			t.Fatalf("kept payload %d = %q, want %q", i, p, want)
 		}
 	}
 }
