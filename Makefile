@@ -23,10 +23,12 @@ test-race:
 # TestConcurrentCheckinsSameDA; count failures here with
 # `make race-loop 2>&1 | grep -c -- '--- FAIL'`. It also runs 50 race-detector
 # runs of TestReadersSurviveRebase: readers of cold versions racing the
-# rebases that close and delete the files they read from.
+# rebases that close and delete the files they read from, and 50 of the
+# transport tests whose handlers run on a connection's reused workers.
 race-loop:
 	$(GO) test -race -count=200 -run TestConcurrentWorkstationsOverTCP ./...
 	$(GO) test -race -count=50 -run 'TestReadersSurviveRebase$$' ./internal/repo/
+	$(GO) test -race -count=50 -run 'TestTCPPipelinedInterleave$$|TestTCPSharedConnBudgetRace$$|TestTCPWorkersReused$$|TestTCPIdleWorkersBounded$$' ./internal/rpc/
 
 # Fuzz smoke: run each fuzz target for 10s (the committed seed corpora run
 # as plain tests under `make test` too).
@@ -38,6 +40,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzClientRecordDecode -fuzztime=10s -run XXX ./internal/txn
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run XXX ./internal/txn
 	$(GO) test -fuzz=FuzzEnvelopeDecode -fuzztime=10s -run XXX ./internal/rpc
+	$(GO) test -fuzz=FuzzTCPFrameDecode -fuzztime=10s -run XXX ./internal/rpc
 
 # Short scenario matrix (the CI gate): every fault class once, full oracle
 # suite, fault-point coverage written to out/SCENARIO_COVERAGE.txt.

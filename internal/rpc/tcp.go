@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"concord/internal/binenc"
@@ -59,6 +60,11 @@ const (
 	// maxWireErrMsg truncates outgoing error messages so a pathological
 	// rendered error cannot produce an oversized frame.
 	maxWireErrMsg = 32 << 10
+	// maxIdleWorkers caps the worker goroutines a server connection keeps
+	// parked between requests (no workload has more than two calls in
+	// flight on one connection); a worker past the cap exits after its
+	// request.
+	maxIdleWorkers = 4
 )
 
 // Frame kinds (first body byte).
@@ -168,6 +174,7 @@ func (t *TCP) acceptLoop(ln net.Listener, h DeadlineHandler) {
 
 // partialReq accumulates the chunks of one in-flight inbound request.
 type partialReq struct {
+	id     uint64
 	method string
 	// deadline is the caller's propagated deadline (zero = no budget),
 	// decoded from the first chunk's budget field.
@@ -176,10 +183,18 @@ type partialReq struct {
 }
 
 // serveConn runs the server half of one persistent connection: a read loop
-// reassembling chunked requests and one goroutine per complete request, so a
-// slow handler never stalls requests pipelined behind it.
+// reassembling chunked requests and handing each complete one to an idle
+// worker goroutine of the connection, starting a worker only when none is
+// idle. A busy worker is never handed a request, so a slow handler never
+// stalls requests pipelined behind it. A worker outlives its request so the
+// stack the handler chain grows is grown once per worker, not once per call
+// (DESIGN.md §5.2). At most maxIdleWorkers stay parked, the rest exit after
+// their request, and every worker exits once the read loop ends.
 func (t *TCP) serveConn(conn net.Conn, h DeadlineHandler) {
+	reqs := make(chan *partialReq) // unbuffered: a send succeeds only on a parked worker
+	var idle atomic.Int32
 	defer func() {
+		close(reqs)
 		conn.Close()
 		t.mu.Lock()
 		delete(t.srvConns, conn)
@@ -195,30 +210,47 @@ func (t *TCP) serveConn(conn net.Conn, h DeadlineHandler) {
 		if err != nil {
 			return // peer gone or garbage; the connection is done
 		}
-		r := binenc.NewReader(buf)
-		kind := r.Byte()
-		id := r.U64()
-		last := r.Bool()
-		method := r.Str()
-		budgetMs := r.U64()
-		if r.Err() != nil || kind != frameRequest {
+		f, err := decodeRequestFrame(buf)
+		if err != nil {
 			return // protocol violation: no resync possible
 		}
-		chunk := buf[len(buf)-r.Remaining():]
-		p := partials[id]
+		p := partials[f.id]
 		if p == nil {
-			p = &partialReq{method: method}
-			if budgetMs > 0 {
-				p.deadline = time.Now().Add(time.Duration(budgetMs) * time.Millisecond)
+			p = &partialReq{id: f.id, method: f.method}
+			if f.budgetMs > 0 {
+				p.deadline = time.Now().Add(time.Duration(f.budgetMs) * time.Millisecond)
 			}
-			partials[id] = p
+			partials[f.id] = p
 		}
-		p.buf = append(p.buf, chunk...)
-		if !last {
+		p.buf = append(p.buf, f.chunk...)
+		if !f.last {
 			continue
 		}
-		delete(partials, id)
-		go t.serveRequest(fw, id, p, h)
+		delete(partials, f.id)
+		select {
+		case reqs <- p:
+		default:
+			go t.serveWorker(fw, h, reqs, &idle, p)
+		}
+	}
+}
+
+// serveWorker serves p, then parks on reqs for the connection's next
+// request while fewer than maxIdleWorkers others are parked; it exits when
+// the cap is full or the read loop closes reqs.
+func (t *TCP) serveWorker(fw *frameWriter, h DeadlineHandler, reqs <-chan *partialReq, idle *atomic.Int32, p *partialReq) {
+	for {
+		t.serveRequest(fw, p, h)
+		if idle.Add(1) > maxIdleWorkers {
+			idle.Add(-1)
+			return
+		}
+		var ok bool
+		p, ok = <-reqs
+		idle.Add(-1)
+		if !ok {
+			return
+		}
 	}
 }
 
@@ -227,7 +259,7 @@ func (t *TCP) serveConn(conn net.Conn, h DeadlineHandler) {
 // the frameWriter, so concurrent responses interleave at chunk granularity;
 // every response write carries a deadline so a stuck peer can never pin
 // handler goroutines forever.
-func (t *TCP) serveRequest(fw *frameWriter, id uint64, p *partialReq, h DeadlineHandler) {
+func (t *TCP) serveRequest(fw *frameWriter, p *partialReq, h DeadlineHandler) {
 	resp, herr := h(p.deadline, p.method, p.buf)
 	// Response writes are bounded by the call deadline when the client set
 	// one (a late response is worthless to it anyway) and by CallTimeout
@@ -242,17 +274,94 @@ func (t *TCP) serveRequest(fw *frameWriter, id uint64, p *partialReq, h Deadline
 			msg = msg[:maxWireErrMsg]
 		}
 		w := binenc.GetWriter(64 + len(msg))
-		w.Byte(frameResponse)
-		w.U64(id)
-		w.Bool(true) // last
-		w.Bool(true) // isErr
-		w.U64(wireCodeOf(herr))
-		w.Str(msg)
+		encodeResponseFrame(w, responseFrame{id: p.id, last: true, isErr: true, errCode: wireCodeOf(herr), errMsg: msg})
 		fw.writeFrame(w.Bytes(), wd) //nolint:errcheck // peer may be gone
 		w.Free()
 		return
 	}
-	fw.writeChunked(frameResponse, id, "", 0, resp, t.chunkBytes(), wd) //nolint:errcheck // peer may be gone
+	fw.writeChunked(frameResponse, p.id, "", 0, resp, t.chunkBytes(), wd) //nolint:errcheck // peer may be gone
+}
+
+// errMalformedFrame reports a frame body whose header does not decode or
+// whose kind is not the one expected.
+var errMalformedFrame = errors.New("rpc: malformed frame")
+
+// requestFrame is one request frame body,
+// [kind][id][last][method][budget][chunk]. method and budget (ms, 0 = no
+// bound) are set on the first chunk of a call, empty and 0 on the rest.
+type requestFrame struct {
+	id       uint64
+	last     bool
+	method   string
+	budgetMs uint64
+	chunk    []byte
+}
+
+// encodeRequestFrame appends f's body to w.
+func encodeRequestFrame(w *binenc.Writer, f requestFrame) {
+	w.Byte(frameRequest)
+	w.U64(f.id)
+	w.Bool(f.last)
+	w.Str(f.method)
+	w.U64(f.budgetMs)
+	w.Raw(f.chunk)
+}
+
+// decodeRequestFrame parses a request frame body; chunk aliases buf.
+func decodeRequestFrame(buf []byte) (requestFrame, error) {
+	r := binenc.NewReader(buf)
+	kind := r.Byte()
+	var f requestFrame
+	f.id = r.U64()
+	f.last = r.Bool()
+	f.method = r.Str()
+	f.budgetMs = r.U64()
+	if r.Err() != nil || kind != frameRequest {
+		return requestFrame{}, errMalformedFrame
+	}
+	f.chunk = buf[len(buf)-r.Remaining():]
+	return f, nil
+}
+
+// responseFrame is one response frame body,
+// [kind][id][last][isErr][errCode][errMsg][chunk]. An error response is one
+// frame with an empty chunk; an ok response carries isErr=false, code 0 and
+// an empty message on every chunk.
+type responseFrame struct {
+	id      uint64
+	last    bool
+	isErr   bool
+	errCode uint64
+	errMsg  string
+	chunk   []byte
+}
+
+// encodeResponseFrame appends f's body to w.
+func encodeResponseFrame(w *binenc.Writer, f responseFrame) {
+	w.Byte(frameResponse)
+	w.U64(f.id)
+	w.Bool(f.last)
+	w.Bool(f.isErr)
+	w.U64(f.errCode)
+	w.Str(f.errMsg)
+	w.Raw(f.chunk)
+}
+
+// decodeResponseFrame parses a response frame body; chunk aliases buf.
+func decodeResponseFrame(buf []byte) (responseFrame, error) {
+	r := binenc.NewReader(buf)
+	kind := r.Byte()
+	var f responseFrame
+	f.id = r.U64()
+	f.last = r.Bool()
+	f.isErr = r.Bool()
+	f.errCode = r.U64()
+	f.errMsg = r.Str()
+	if r.Err() != nil || kind != frameResponse {
+		return responseFrame{}, errMalformedFrame
+	}
+	f.chunk = buf[len(buf)-r.Remaining():]
+	return f, nil
 }
 
 // frameWriter serializes frame writes on a shared connection. Each frame
@@ -280,10 +389,8 @@ func (fw *frameWriter) writeFrame(frame []byte, deadline time.Time) error {
 
 // writeChunked frames payload as one or more frames of at most chunk body
 // bytes, taking the write lock per frame so other calls interleave between
-// chunks. Request frames carry method and the remaining budget (ms, 0 = no
-// bound) on the first chunk; response frames carry the ok-path error fields
-// (isErr=false, code 0, empty message) on every chunk. deadline bounds each
-// frame write.
+// chunks (requestFrame and responseFrame give each kind's fields). deadline
+// bounds each frame write.
 func (fw *frameWriter) writeChunked(kind byte, id uint64, method string, budgetMs uint64, payload []byte, chunk int, deadline time.Time) error {
 	w := binenc.GetWriter(64 + min(len(payload), chunk))
 	defer w.Free()
@@ -293,23 +400,15 @@ func (fw *frameWriter) writeChunked(kind byte, id uint64, method string, budgetM
 		n := min(chunk, len(rest))
 		last := n == len(rest)
 		w.Reset()
-		w.Byte(kind)
-		w.U64(id)
-		w.Bool(last)
 		if kind == frameRequest {
+			f := requestFrame{id: id, last: last, chunk: rest[:n]}
 			if first {
-				w.Str(method)
-				w.U64(budgetMs)
-			} else {
-				w.Str("")
-				w.U64(0)
+				f.method, f.budgetMs = method, budgetMs
 			}
+			encodeRequestFrame(w, f)
 		} else {
-			w.Bool(false) // isErr
-			w.U64(0)
-			w.Str("")
+			encodeResponseFrame(w, responseFrame{id: id, last: last, chunk: rest[:n]})
 		}
-		w.Raw(rest[:n])
 		if err := fw.writeFrame(w.Bytes(), deadline); err != nil {
 			return err
 		}
@@ -405,33 +504,26 @@ func (c *muxConn) readLoop(maxFrame int) {
 			c.fail(fmt.Errorf("%w: recv: %v", ErrDropped, err))
 			return
 		}
-		r := binenc.NewReader(buf)
-		kind := r.Byte()
-		id := r.U64()
-		last := r.Bool()
-		isErr := r.Bool()
-		errCode := r.U64()
-		errMsg := r.Str()
-		if r.Err() != nil || kind != frameResponse {
+		f, err := decodeResponseFrame(buf)
+		if err != nil {
 			c.fail(fmt.Errorf("%w: recv: malformed response frame", ErrDropped))
 			return
 		}
-		chunk := buf[len(buf)-r.Remaining():]
 		c.mu.Lock()
-		p := c.pending[id]
+		p := c.pending[f.id]
 		if p == nil {
 			c.mu.Unlock()
 			continue // late response of a timed-out call; drop
 		}
-		p.buf = append(p.buf, chunk...)
-		if !last {
+		p.buf = append(p.buf, f.chunk...)
+		if !f.last {
 			c.mu.Unlock()
 			continue
 		}
-		delete(c.pending, id)
+		delete(c.pending, f.id)
 		c.mu.Unlock()
-		if isErr {
-			p.isErr, p.errCode, p.errMsg = true, errCode, errMsg
+		if f.isErr {
+			p.isErr, p.errCode, p.errMsg = true, f.errCode, f.errMsg
 		}
 		close(p.done)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -246,6 +247,91 @@ func TestTCPPipelinedInterleave(t *testing.T) {
 	if err := <-slowDone; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// goroutineID returns the calling goroutine's id, read from the first line
+// of its stack trace ("goroutine 123 [running]:").
+func goroutineID() string {
+	var b [64]byte
+	return strings.Fields(string(b[:runtime.Stack(b[:], false)]))[1]
+}
+
+// serveWorkers counts the goroutines inside a server connection's worker
+// loop, busy or parked.
+func serveWorkers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "rpc.(*TCP).serveWorker(")
+}
+
+// TestTCPWorkersReused pins the serving hand-off: sequential calls over one
+// pooled connection are served by the connection's parked workers, not by a
+// fresh goroutine (and a freshly grown stack) per request.
+func TestTCPWorkersReused(t *testing.T) {
+	const calls = 1000
+	var mu sync.Mutex
+	served := make(map[string]int)
+	_, addr := startEcho(t, func(m string, p []byte) ([]byte, error) {
+		id := goroutineID()
+		mu.Lock()
+		served[id]++
+		mu.Unlock()
+		return p, nil
+	})
+	cli := NewTCP()
+	defer cli.Close()
+	cli.PoolSize = 1
+	for i := 0; i < calls; i++ {
+		if _, err := cli.Call(addr, "echo", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(served) > 2 {
+		t.Fatalf("%d sequential calls on one connection ran on %d distinct goroutines, want at most 2", calls, len(served))
+	}
+}
+
+// TestTCPIdleWorkersBounded pins the other side of reuse: a burst of calls
+// parked in the handler on one connection all run at once (no request waits
+// for a busy worker), and once they finish the connection keeps at most
+// maxIdleWorkers workers. Closing the server ends the rest.
+func TestTCPIdleWorkersBounded(t *testing.T) {
+	const burst = 32
+	release := make(chan struct{})
+	var entered atomic.Int32
+	srv, addr := startEcho(t, func(m string, p []byte) ([]byte, error) {
+		entered.Add(1)
+		<-release
+		return p, nil
+	})
+	cli := NewTCP()
+	defer cli.Close()
+	cli.PoolSize = 1
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := cli.Call(addr, "park", []byte{byte(i)}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+		}
+	}
+	waitFor("calls waited behind busy workers on the shared connection", func() bool { return entered.Load() == burst })
+	close(release)
+	wg.Wait()
+	waitFor("idle workers stayed above the cap", func() bool { return serveWorkers() <= maxIdleWorkers })
+	srv.Close()
+	waitFor("workers outlived the closed server", func() bool { return serveWorkers() == 0 })
 }
 
 // TestTCPPoolBoundsConnections pins what the multiplexed transport buys over
