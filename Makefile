@@ -17,16 +17,16 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# 200 race-detector runs of TestConcurrentWorkstationsOverTCP, which used to
-# die about one run in 12 on a phantom deadlock report (a waiter counted the
-# requests queued behind it). CI runs a 50-run loop of it and
-# TestConcurrentCheckinsSameDA; count failures here with
+# 200 race-detector runs each of TestConcurrentWorkstationsOverTCP, which
+# used to die about one run in 12 on a phantom deadlock report (a waiter
+# counted the requests queued behind it), and TestConcurrentCheckinsSameDA.
+# CI runs a 50-run loop of the same two; count failures here with
 # `make race-loop 2>&1 | grep -c -- '--- FAIL'`. It also runs 50 race-detector
 # runs of TestReadersSurviveRebase: readers of cold versions racing the
 # rebases that close and delete the files they read from, and 50 of the
 # transport tests whose handlers run on a connection's reused workers.
 race-loop:
-	$(GO) test -race -count=200 -run TestConcurrentWorkstationsOverTCP ./...
+	$(GO) test -race -count=200 -run 'TestConcurrentWorkstationsOverTCP$$|TestConcurrentCheckinsSameDA$$' ./internal/txn/
 	$(GO) test -race -count=50 -run 'TestReadersSurviveRebase$$' ./internal/repo/
 	$(GO) test -race -count=50 -run 'TestTCPPipelinedInterleave$$|TestTCPSharedConnBudgetRace$$|TestTCPWorkersReused$$|TestTCPIdleWorkersBounded$$' ./internal/rpc/
 

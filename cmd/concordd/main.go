@@ -54,8 +54,8 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	data := flag.String("data", "concord-data", "durable data directory")
 	standbyOf := flag.String("standby-of", "", "run as warm standby of the primary at this address: follow its WAL, refuse client traffic until promoted")
-	syncRepl := flag.Bool("sync-repl", false, "primary: ship synchronously — commits wait for the standby's acknowledgement (core.Options.SyncReplication)")
-	replLagMax := flag.Int64("repl-lag-max", 0, "primary: trailing-mode lag bound in bytes before batches ship inline again; 0 = unbounded (core.Options.ReplLagMax)")
+	syncRepl := flag.Bool("sync-repl", false, "primary: ship synchronously — commits wait for the standby's acknowledgement (repl.SenderOptions.Sync)")
+	replLagMax := flag.Int64("repl-lag-max", 0, "primary: trailing-mode lag bound in bytes before batches ship inline again; 0 = unbounded (repl.SenderOptions.LagMax)")
 	healthEvery := flag.Duration("health-every", 30*time.Second, "interval of the role/epoch/lag health log line; 0 disables")
 	promote := flag.Bool("promote", false, "one-shot: ask the standby at -addr to take over as primary, print the new epoch and exit")
 	flag.Parse()

@@ -106,12 +106,11 @@ func TestCheckpointPreservesInDoubt2PC(t *testing.T) {
 // threshold and waits for the background checkpointer to compact the log,
 // then verifies a crash+restart recovers everything from the snapshot.
 func TestBackgroundCheckpointer(t *testing.T) {
-	sys, err := NewSystem(Options{
-		Dir:                t.TempDir(),
-		RegisterTypes:      vlsi.RegisterCatalog,
-		CheckpointLogBytes: 8 << 10,
-		SegmentBytes:       4 << 10,
-	})
+	sys, err := bootSystem(Options{
+		Dir:           t.TempDir(),
+		RegisterTypes: vlsi.RegisterCatalog,
+		SegmentBytes:  4 << 10,
+	}, rpc.FaultPlan{}, 8<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

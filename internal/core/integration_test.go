@@ -6,6 +6,7 @@ import (
 	"concord/internal/coop"
 	"concord/internal/feature"
 	"concord/internal/rpc"
+	"concord/internal/server"
 	"concord/internal/version"
 	"concord/internal/vlsi"
 )
@@ -139,10 +140,9 @@ func TestRecursiveDelegationPlanning(t *testing.T) {
 // TestFaultyTransportStillCorrect runs a small workload through a lossy
 // in-process LAN: every DOP must still complete exactly once.
 func TestFaultyTransportStillCorrect(t *testing.T) {
-	sys, err := NewSystem(Options{
-		RegisterTypes: vlsi.RegisterCatalog,
-		Fault:         rpc.FaultPlan{DropRequest: 0.15, DropResponse: 0.15, Duplicate: 0.1, Seed: 99},
-	})
+	sys, err := bootSystem(Options{RegisterTypes: vlsi.RegisterCatalog},
+		rpc.FaultPlan{DropRequest: 0.15, DropResponse: 0.15, Duplicate: 0.1, Seed: 99},
+		server.DefaultCheckpointLogBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

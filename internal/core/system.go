@@ -18,7 +18,6 @@ import (
 	"concord/internal/catalog"
 	"concord/internal/coop"
 	"concord/internal/fault"
-	"concord/internal/feature"
 	"concord/internal/lock"
 	"concord/internal/repl"
 	"concord/internal/repo"
@@ -44,20 +43,12 @@ type Options struct {
 	// RegisterTypes populates the catalog (DOTs) before the repository
 	// opens. Required.
 	RegisterTypes func(*catalog.Catalog) error
-	// Fault injects message faults into the workstation/server transport.
-	Fault rpc.FaultPlan
 	// VolatileWorkstations keeps workstation sites in memory even when Dir
 	// is set: only the server persists. Workstation crash recovery is then
 	// unavailable, but server durability (the paper's correctness anchor)
 	// is unchanged. Load scenarios use it to measure the shared server
 	// core rather than each client's private disk.
 	VolatileWorkstations bool
-	// CheckpointLogBytes is the background checkpointer's trigger: once the
-	// repository log has grown this many bytes past its low-water mark, a
-	// checkpoint (repository snapshot + log compaction) runs.
-	// 0 uses server.DefaultCheckpointLogBytes. Explicit System.Checkpoint
-	// calls work regardless.
-	CheckpointLogBytes int64
 	// SegmentBytes is the WAL segment rotation threshold for the server
 	// log (0 uses wal.DefaultSegmentBytes).
 	SegmentBytes int64
@@ -92,12 +83,9 @@ type Options struct {
 	// SyncReplication makes commits wait for the standby's acknowledgement
 	// before releasing group-commit waiters: a promoted standby then holds
 	// every acknowledged write. With an unreachable standby the primary
-	// degrades to trailing (asynchronous) shipping and keeps committing.
+	// degrades to trailing (asynchronous) shipping and keeps committing;
+	// trailing shipping has no lag bound.
 	SyncReplication bool
-	// ReplLagMax bounds asynchronous shipping lag in bytes: once the standby
-	// trails further, contiguous batches ship inline on the commit path until
-	// the window drains. 0 means unbounded.
-	ReplLagMax int64
 }
 
 // System is a complete single-process CONCORD deployment: one server site
@@ -106,6 +94,9 @@ type System struct {
 	opts  Options
 	cat   *catalog.Catalog
 	trans *rpc.InProc
+	// ckptLogBytes is the background checkpointer's trigger: the repository
+	// log growth past its low-water mark at which a checkpoint runs.
+	ckptLogBytes int64
 
 	mu     sync.Mutex
 	server *server.Site
@@ -131,8 +122,16 @@ func shutdownSite(site *server.Site) error {
 }
 
 // NewSystem boots a system: catalog registration, server recovery (if Dir
-// holds prior state) and transport setup.
+// holds prior state) and transport setup. The in-process LAN is fault-free
+// and a durable server checkpoints every server.DefaultCheckpointLogBytes of
+// log growth.
 func NewSystem(opts Options) (*System, error) {
+	return bootSystem(opts, rpc.FaultPlan{}, server.DefaultCheckpointLogBytes)
+}
+
+// bootSystem is NewSystem with the transport's fault plan and the
+// checkpointer's log-growth trigger chosen by the caller.
+func bootSystem(opts Options, plan rpc.FaultPlan, ckptLogBytes int64) (*System, error) {
 	if opts.RegisterTypes == nil {
 		return nil, errors.New("core: Options.RegisterTypes is required")
 	}
@@ -144,11 +143,12 @@ func NewSystem(opts Options) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		opts:   opts,
-		cat:    cat,
-		trans:  rpc.NewInProc(opts.Fault),
-		ws:     make(map[string]*Workstation),
-		epochs: make(map[string]int),
+		opts:         opts,
+		cat:          cat,
+		trans:        rpc.NewInProc(plan),
+		ckptLogBytes: ckptLogBytes,
+		ws:           make(map[string]*Workstation),
+		epochs:       make(map[string]int),
 	}
 	// The standby boots first so the primary's sender finds its receiver on
 	// the very first handshake instead of burning a retry.
@@ -194,11 +194,7 @@ func (s *System) incarnationClient(role string) *rpc.Client {
 // startCheckpointer starts a durable site's background checkpointer at the
 // configured log-growth threshold.
 func (s *System) startCheckpointer(site *server.Site) {
-	threshold := s.opts.CheckpointLogBytes
-	if threshold <= 0 {
-		threshold = server.DefaultCheckpointLogBytes
-	}
-	site.StartCheckpointer(threshold)
+	site.StartCheckpointer(s.ckptLogBytes)
 }
 
 // startServer opens (or recovers) the server's durable state, assembles the
@@ -223,10 +219,7 @@ func (s *System) startServer() error {
 	if s.opts.Replicated {
 		// The sender's envelopes stay unstamped: epoch agreement travels
 		// inside the repl protocol, where the receiver can adopt newer terms.
-		site.ReplicateTo(s.incarnationClient("repl"), StandbyAddr, repl.SenderOptions{
-			Sync:   s.opts.SyncReplication,
-			LagMax: s.opts.ReplLagMax,
-		})
+		site.ReplicateTo(s.incarnationClient("repl"), StandbyAddr, repl.SenderOptions{Sync: s.opts.SyncReplication})
 	}
 	if err := rpc.ServeWithDeadline(s.trans, ServerAddr, site.Handler()); err != nil {
 		shutdownSite(site) //nolint:errcheck // reporting the serve error
@@ -268,47 +261,39 @@ func (s *System) activeSite() *server.Site {
 	return site
 }
 
-// CM returns the cooperation manager (centralized at the server site).
+// CM returns the cooperation manager (centralized at the server site); nil
+// while no site serves.
 func (s *System) CM() *coop.CM {
-	return s.activeSite().CM
+	if site := s.activeSite(); site != nil {
+		return site.CM
+	}
+	return nil
 }
 
 // Repo returns the active server repository (the promoted standby's after a
-// failover).
+// failover); nil while no site serves.
 func (s *System) Repo() *repo.Repository {
-	return s.activeSite().Repo
+	if site := s.activeSite(); site != nil {
+		return site.Repo
+	}
+	return nil
 }
 
-// Scopes returns the active server scope table.
+// Scopes returns the active server scope table; nil while no site serves.
 func (s *System) Scopes() *lock.ScopeTable {
-	return s.activeSite().Scopes
+	if site := s.activeSite(); site != nil {
+		return site.Scopes
+	}
+	return nil
 }
 
-// ServerTM returns the active server transaction manager.
+// ServerTM returns the active server transaction manager; nil while no site
+// serves.
 func (s *System) ServerTM() *txn.ServerTM {
-	return s.activeSite().TM
-}
-
-// CacheNotifier returns the server's cache-invalidation channel (nil when
-// the server is down).
-func (s *System) CacheNotifier() *rpc.Notifier {
-	site := s.activeSite()
-	if site == nil {
-		return nil
+	if site := s.activeSite(); site != nil {
+		return site.TM
 	}
-	return site.Notifier
-}
-
-// NotifierStats reports the cache-invalidation channel's delivery counters
-// (sent, dropped, failed) for scenario oracles: a reaped workstation's
-// callback deregistration must stop the failed counter from climbing. Zeros
-// when the server is down.
-func (s *System) NotifierStats() (sent, dropped, failed uint64) {
-	site := s.activeSite()
-	if site == nil {
-		return 0, 0, 0
-	}
-	return site.Notifier.Stats()
+	return nil
 }
 
 // Health reports the active server repository's degradation mode ("ok",
@@ -321,11 +306,6 @@ func (s *System) Health() (mode, cause string) {
 	}
 	h := site.Repo.Health()
 	return h.Mode, h.Cause
-}
-
-// Registry returns the feature-tool registry used by Evaluate.
-func (s *System) Registry() *feature.Registry {
-	return s.activeSite().Registry
 }
 
 // Transport exposes the in-process LAN (fault injection, partitions).

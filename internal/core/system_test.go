@@ -458,3 +458,25 @@ func TestSystemConfigErrors(t *testing.T) {
 }
 
 var _ = txn.PhaseActive // keep txn imported for doc-reference clarity
+
+// TestAccessorsNilWhileServerDown: between CrashServer and RestartServer no
+// site serves, and the site accessors answer nil (as Health answers "down")
+// instead of dereferencing the missing site.
+func TestAccessorsNilWhileServerDown(t *testing.T) {
+	sys := newSystem(t, t.TempDir())
+	if err := sys.CrashServer(); err != nil {
+		t.Fatal(err)
+	}
+	if r, cm, sc, tm := sys.Repo(), sys.CM(), sys.Scopes(), sys.ServerTM(); r != nil || cm != nil || sc != nil || tm != nil {
+		t.Fatalf("accessors while down: Repo=%v CM=%v Scopes=%v ServerTM=%v, want all nil", r, cm, sc, tm)
+	}
+	if mode, _ := sys.Health(); mode != "down" {
+		t.Fatalf("Health while down = %q, want down", mode)
+	}
+	if err := sys.RestartServer(); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Repo() == nil || sys.CM() == nil || sys.Scopes() == nil || sys.ServerTM() == nil {
+		t.Fatal("an accessor still answers nil after RestartServer")
+	}
+}

@@ -44,6 +44,9 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
+// catchUpChunkBytes bounds one catch-up read of the log.
+const catchUpChunkBytes = 256 << 10
+
 // SenderOptions configures a Sender.
 type SenderOptions struct {
 	// Sync selects synchronous replication: commits wait for the standby's
@@ -56,8 +59,6 @@ type SenderOptions struct {
 	// RetryEvery paces the background pump's catch-up and reconnect
 	// attempts (default 20ms).
 	RetryEvery time.Duration
-	// ChunkBytes bounds one catch-up read (default 256KiB).
-	ChunkBytes int
 	// Epoch supplies the primary's current replication epoch, stamped on
 	// every batch. Nil means epoch 0.
 	Epoch func() uint64
@@ -106,9 +107,6 @@ type Sender struct {
 func NewSender(client *rpc.Client, addr string, log *wal.Log, opts SenderOptions) *Sender {
 	if opts.RetryEvery <= 0 {
 		opts.RetryEvery = 20 * time.Millisecond
-	}
-	if opts.ChunkBytes <= 0 {
-		opts.ChunkBytes = 256 << 10
 	}
 	s := &Sender{
 		client:    client,
@@ -420,7 +418,7 @@ func (s *Sender) catchUp() bool {
 		if int64(acked) >= s.log.Size() {
 			return true
 		}
-		buf, records, err := s.log.ReadRaw(acked, s.opts.ChunkBytes)
+		buf, records, err := s.log.ReadRaw(acked, catchUpChunkBytes)
 		if errors.Is(err, wal.ErrCompacted) {
 			s.mu.Lock()
 			s.compacted = true

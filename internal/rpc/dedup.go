@@ -39,7 +39,7 @@ type dedupEntry struct {
 	done chan struct{} // closed once resp/err are valid
 	resp []byte
 	err  error
-	cost int           // bytes charged against MaxBytes
+	cost int           // bytes charged against maxBytes
 	elem *list.Element // nil while in flight (in-flight entries are not evictable)
 }
 
@@ -69,19 +69,17 @@ type clientMemo struct {
 //     the watermark with no entry is a late duplicate and is refused with
 //     ErrStaleDuplicate, never re-executed. A client that keeps calling
 //     therefore holds about as many entries as it has calls open.
-//   - Backstop: completed results live in an LRU capped by MaxEntries and
-//     MaxBytes, which binds only for clients that go silent with
+//   - Backstop: completed results live in an LRU capped by maxEntries and
+//     maxBytes, which binds only for clients that go silent with
 //     unacknowledged replies; the oldest results are evicted first, and a
 //     client whose last entry is evicted is forgotten with its watermark.
 //     In-flight entries are never evicted. An evicted ID that is redelivered
 //     re-executes, so the bounds must comfortably exceed what silent
 //     clients leave behind.
 type Deduper struct {
-	// MaxEntries caps memoized results (default DefaultDedupEntries).
-	MaxEntries int
-	// MaxBytes caps memoized bytes, responses plus client ids (default
-	// DefaultDedupBytes).
-	MaxBytes int
+	// maxEntries caps memoized results, maxBytes memoized bytes (responses
+	// plus client ids).
+	maxEntries, maxBytes int
 
 	h DeadlineHandler
 	// fence, when set, is consulted with the envelope's epoch stamp before
@@ -98,17 +96,10 @@ type Deduper struct {
 }
 
 // NewDeduper wraps h with a bounded exactly-once memo. Non-positive limits
-// select the defaults.
-func NewDeduper(h Handler, maxEntries, maxBytes int) *Deduper {
-	return NewDeadlineDeduper(func(_ time.Time, method string, payload []byte) ([]byte, error) {
-		return h(method, payload)
-	}, maxEntries, maxBytes)
-}
-
-// NewDeadlineDeduper is NewDeduper for a deadline-aware inner handler: the
-// per-call deadline passes through the memo untouched (a duplicate delivery
-// returns the memoized result regardless of its own deadline).
-func NewDeadlineDeduper(h DeadlineHandler, maxEntries, maxBytes int) *Deduper {
+// select DefaultDedupEntries and DefaultDedupBytes. The per-call deadline
+// passes through the memo untouched (a duplicate delivery returns the
+// memoized result regardless of its own deadline).
+func NewDeduper(h DeadlineHandler, maxEntries, maxBytes int) *Deduper {
 	if maxEntries <= 0 {
 		maxEntries = DefaultDedupEntries
 	}
@@ -116,8 +107,8 @@ func NewDeadlineDeduper(h DeadlineHandler, maxEntries, maxBytes int) *Deduper {
 		maxBytes = DefaultDedupBytes
 	}
 	return &Deduper{
-		MaxEntries: maxEntries,
-		MaxBytes:   maxBytes,
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
 		h:          h,
 		clients:    make(map[string]*clientMemo),
 		lru:        list.New(),
@@ -128,7 +119,7 @@ func NewDeadlineDeduper(h DeadlineHandler, maxEntries, maxBytes int) *Deduper {
 type DedupStats struct {
 	// Entries counts memoized and in-flight request IDs.
 	Entries int
-	// Bytes is the memoized cost currently charged against MaxBytes.
+	// Bytes is the memoized cost currently charged against the byte bound.
 	Bytes int
 	// Evicted counts results dropped by the backstop bounds since creation
 	// (not those dropped because their client acknowledged them).
@@ -142,15 +133,10 @@ func (d *Deduper) Stats() DedupStats {
 	return DedupStats{Entries: d.entries, Bytes: d.bytes, Evicted: d.evicted}
 }
 
-// Handle is the wrapped Handler: it decodes the request envelope and executes
-// the inner handler at most once per request ID.
-func (d *Deduper) Handle(method string, env []byte) ([]byte, error) {
-	return d.HandleDeadline(time.Time{}, method, env)
-}
-
-// HandleDeadline is Handle with the transport-propagated per-call deadline,
-// forwarded to the inner handler on first execution.
-func (d *Deduper) HandleDeadline(deadline time.Time, method string, env []byte) ([]byte, error) {
+// Handle is the wrapped DeadlineHandler: it decodes the request envelope and
+// executes the inner handler, with the transport-propagated deadline, at most
+// once per request ID.
+func (d *Deduper) Handle(deadline time.Time, method string, env []byte) ([]byte, error) {
 	hdr, payload, err := decodeEnvelope(env)
 	if err != nil {
 		return nil, err
@@ -188,12 +174,9 @@ func (d *Deduper) HandleDeadline(deadline time.Time, method string, env []byte) 
 	d.mu.Unlock()
 
 	if d.fence != nil {
-		if ferr := d.fence(hdr.epoch); ferr != nil {
-			e.err = ferr
-		} else {
-			e.resp, e.err = d.h(deadline, method, payload)
-		}
-	} else {
+		e.err = d.fence(hdr.epoch)
+	}
+	if e.err == nil {
 		e.resp, e.err = d.h(deadline, method, payload)
 	}
 
@@ -207,7 +190,7 @@ func (d *Deduper) HandleDeadline(deadline time.Time, method string, env []byte) 
 		e.cost = len(c.id) + len(e.resp)
 		d.bytes += e.cost
 		e.elem = d.lru.PushFront(e)
-		for d.lru.Len() > d.MaxEntries || d.bytes > d.MaxBytes {
+		for d.lru.Len() > d.maxEntries || d.bytes > d.maxBytes {
 			old := d.lru.Back().Value.(*dedupEntry)
 			d.removeLocked(old)
 			d.forgetIfIdleLocked(old.from)

@@ -19,11 +19,11 @@ import (
 func TestDedupConcurrentDuplicatesSingleFlight(t *testing.T) {
 	var calls atomic.Int64
 	gate := make(chan struct{})
-	h := Dedup(func(m string, p []byte) ([]byte, error) {
+	d := NewDeduper(func(_ time.Time, m string, p []byte) ([]byte, error) {
 		calls.Add(1)
 		<-gate // hold every concurrent duplicate in the in-flight window
 		return append([]byte("r:"), p...), nil
-	})
+	}, 0, 0)
 	const workers = 32
 	env := appendEnvelope(nil, reqHeader{client: "ws1", seq: 7}, []byte("payload"))
 	var wg sync.WaitGroup
@@ -33,7 +33,7 @@ func TestDedupConcurrentDuplicatesSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			responses[i], errs[i] = h("stage", env)
+			responses[i], errs[i] = d.Handle(time.Time{}, "stage", env)
 		}(i)
 	}
 	time.Sleep(50 * time.Millisecond) // let every worker reach the deduper
@@ -57,10 +57,10 @@ func TestDedupConcurrentDuplicatesSingleFlight(t *testing.T) {
 // -race and verify each ID executes once.
 func TestDedupConcurrentDistinctIDs(t *testing.T) {
 	var calls atomic.Int64
-	h := Dedup(func(m string, p []byte) ([]byte, error) {
+	d := NewDeduper(func(_ time.Time, m string, p []byte) ([]byte, error) {
 		calls.Add(1)
 		return p, nil
-	})
+	}, 0, 0)
 	const n = 200
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -69,7 +69,7 @@ func TestDedupConcurrentDistinctIDs(t *testing.T) {
 			defer wg.Done()
 			env := appendEnvelope(nil, reqHeader{client: fmt.Sprintf("ws%d", i%8), seq: uint64(i)}, []byte("x"))
 			for j := 0; j < 3; j++ { // redeliveries of the same ID
-				if _, err := h("m", env); err != nil {
+				if _, err := d.Handle(time.Time{}, "m", env); err != nil {
 					t.Error(err)
 				}
 			}
@@ -81,19 +81,19 @@ func TestDedupConcurrentDistinctIDs(t *testing.T) {
 	}
 }
 
-// TestDedupEntryBoundEvictsOldest fills the memo past MaxEntries and checks
+// TestDedupEntryBoundEvictsOldest fills the memo past its entry bound and checks
 // LRU order: the oldest IDs re-execute on redelivery, the newest stay
 // memoized, and the stats reflect the bound. The client never moves its
 // watermark (a silent client), so only the backstop bounds the memo.
 func TestDedupEntryBoundEvictsOldest(t *testing.T) {
 	var calls atomic.Int64
-	d := NewDeduper(func(m string, p []byte) ([]byte, error) {
+	d := NewDeduper(func(_ time.Time, m string, p []byte) ([]byte, error) {
 		calls.Add(1)
 		return p, nil
 	}, 4, 0)
 	env := func(i int) []byte { return appendEnvelope(nil, reqHeader{client: "ws1", seq: uint64(i)}, []byte("v")) }
 	for i := 0; i < 6; i++ { // IDs 0..5; 0 and 1 fall off the back
-		if _, err := d.Handle("m", env(i)); err != nil {
+		if _, err := d.Handle(time.Time{}, "m", env(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,13 +104,13 @@ func TestDedupEntryBoundEvictsOldest(t *testing.T) {
 	if st.Evicted != 2 {
 		t.Fatalf("evicted = %d, want 2", st.Evicted)
 	}
-	if _, err := d.Handle("m", env(5)); err != nil { // newest: memoized
+	if _, err := d.Handle(time.Time{}, "m", env(5)); err != nil { // newest: memoized
 		t.Fatal(err)
 	}
 	if c := calls.Load(); c != 6 {
 		t.Fatalf("redelivery of a memoized ID re-executed (calls = %d, want 6)", c)
 	}
-	if _, err := d.Handle("m", env(0)); err != nil { // evicted: re-executes
+	if _, err := d.Handle(time.Time{}, "m", env(0)); err != nil { // evicted: re-executes
 		t.Fatal(err)
 	}
 	if c := calls.Load(); c != 7 {
@@ -120,12 +120,12 @@ func TestDedupEntryBoundEvictsOldest(t *testing.T) {
 
 // TestDedupByteBoundEvicts bounds the memo by response bytes.
 func TestDedupByteBoundEvicts(t *testing.T) {
-	d := NewDeduper(func(m string, p []byte) ([]byte, error) {
+	d := NewDeduper(func(_ time.Time, m string, p []byte) ([]byte, error) {
 		return make([]byte, 1000), nil
 	}, 0, 2500)
 	for i := 0; i < 5; i++ {
 		env := appendEnvelope(nil, reqHeader{client: "ws1", seq: uint64(i)}, nil)
-		if _, err := d.Handle("m", env); err != nil {
+		if _, err := d.Handle(time.Time{}, "m", env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,22 +145,22 @@ func TestDedupByteBoundEvicts(t *testing.T) {
 // kept warm by retries survives eviction pressure that removes colder ones.
 func TestDedupLRUTouchOnRedelivery(t *testing.T) {
 	var calls atomic.Int64
-	d := NewDeduper(func(m string, p []byte) ([]byte, error) {
+	d := NewDeduper(func(_ time.Time, m string, p []byte) ([]byte, error) {
 		calls.Add(1)
 		return p, nil
 	}, 3, 0)
 	env := func(i int) []byte { return appendEnvelope(nil, reqHeader{client: "ws1", seq: uint64(i)}, []byte("v")) }
 	for i := 0; i < 3; i++ {
-		d.Handle("m", env(i)) //nolint:errcheck
+		d.Handle(time.Time{}, "m", env(i)) //nolint:errcheck
 	}
-	d.Handle("m", env(0)) //nolint:errcheck // touch 0: now 1 is the coldest
-	d.Handle("m", env(3)) //nolint:errcheck // evicts 1, not 0
+	d.Handle(time.Time{}, "m", env(0)) //nolint:errcheck // touch 0: now 1 is the coldest
+	d.Handle(time.Time{}, "m", env(3)) //nolint:errcheck // evicts 1, not 0
 	before := calls.Load()
-	d.Handle("m", env(0)) //nolint:errcheck
+	d.Handle(time.Time{}, "m", env(0)) //nolint:errcheck
 	if calls.Load() != before {
 		t.Fatal("touched ID was evicted; LRU must evict the coldest")
 	}
-	d.Handle("m", env(1)) //nolint:errcheck
+	d.Handle(time.Time{}, "m", env(1)) //nolint:errcheck
 	if calls.Load() != before+1 {
 		t.Fatal("coldest ID survived; eviction order is not LRU")
 	}
@@ -171,10 +171,10 @@ func TestDedupLRUTouchOnRedelivery(t *testing.T) {
 // sequential calls leave at most two memo entries for it — not the 10 000
 // the backstop caps alone would keep.
 func TestDedupMemoBoundedByWatermark(t *testing.T) {
-	d := NewDeduper(func(m string, p []byte) ([]byte, error) { return make([]byte, 512), nil }, 0, 0)
+	d := NewDeduper(func(time.Time, string, []byte) ([]byte, error) { return make([]byte, 512), nil }, 0, 0)
 	tr := NewInProc(FaultPlan{})
 	defer tr.Close()
-	if err := tr.Serve("srv", d.Handle); err != nil {
+	if err := tr.ServeDeadline("srv", d.Handle); err != nil {
 		t.Fatal(err)
 	}
 	c := NewClient(tr, "ws1")
@@ -197,10 +197,11 @@ func TestDedupMemoBoundedByWatermark(t *testing.T) {
 // handler never runs for it a second time.
 func TestDedupRefusesDuplicateBelowWatermark(t *testing.T) {
 	var calls atomic.Int64
-	h := Dedup(func(m string, p []byte) ([]byte, error) {
+	d := NewDeduper(func(_ time.Time, m string, p []byte) ([]byte, error) {
 		calls.Add(1)
 		return p, nil
-	})
+	}, 0, 0)
+	h := func(m string, env []byte) ([]byte, error) { return d.Handle(time.Time{}, m, env) }
 	_, addr := startEcho(t, h)
 	cli := NewTCP()
 	defer cli.Close()
@@ -312,5 +313,24 @@ func TestClientWatermarkOnlyPassesCompletedCalls(t *testing.T) {
 	}
 	if wm := seen[18]; wm != 18 {
 		t.Fatalf("with every earlier call returned, call 18 carried watermark %d, want 18", wm)
+	}
+}
+
+// TestDedupMemoizesErrors: a handler error is memoized like a response, so
+// a redelivery returns it without executing the handler again.
+func TestDedupMemoizesErrors(t *testing.T) {
+	var calls atomic.Int32
+	d := NewDeduper(func(time.Time, string, []byte) ([]byte, error) {
+		calls.Add(1)
+		return nil, errors.New("always fails")
+	}, 0, 0)
+	env := appendEnvelope(nil, reqHeader{client: "req", seq: 1}, nil)
+	for i := 0; i < 2; i++ {
+		if _, err := d.Handle(time.Time{}, "m", env); err == nil || err.Error() != "always fails" {
+			t.Fatalf("delivery %d: err = %v, want the memoized handler error", i, err)
+		}
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("handler executed %d times for same request ID", calls.Load())
 	}
 }

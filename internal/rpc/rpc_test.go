@@ -9,6 +9,12 @@ import (
 	"testing"
 )
 
+// Both transports satisfy the one contract the Client and the servers use.
+var (
+	_ Transport = (*InProc)(nil)
+	_ Transport = (*TCP)(nil)
+)
+
 func TestInProcBasicCall(t *testing.T) {
 	tr := NewInProc(FaultPlan{})
 	defer tr.Close()
@@ -83,20 +89,6 @@ func TestExactlyOnceUnderLoss(t *testing.T) {
 	}
 	if counter.Load() != calls {
 		t.Fatalf("effects = %d, want %d (exactly-once violated)", counter.Load(), calls)
-	}
-}
-
-func TestDedupMemoizesErrors(t *testing.T) {
-	var calls atomic.Int32
-	h := Dedup(func(string, []byte) ([]byte, error) {
-		calls.Add(1)
-		return nil, errors.New("always fails")
-	})
-	env := appendEnvelope(nil, reqHeader{client: "req", seq: 1}, nil)
-	h("m", env) //nolint:errcheck
-	h("m", env) //nolint:errcheck
-	if calls.Load() != 1 {
-		t.Fatalf("handler executed %d times for same request ID", calls.Load())
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // (DESIGN.md §5.2): each peer pair shares a small pool of persistent
 // connections carrying length-prefixed binenc frames, every frame tagged
 // with a connection-local request ID so responses correlate to pipelined
-// requests in any order, and payloads larger than ChunkBytes travel as
+// requests in any order, and payloads larger than chunkBytes travel as
 // chunk sequences — a multi-MiB checkout never monopolizes the connection,
 // small calls interleave between its chunks.
 //
@@ -26,16 +26,10 @@ import (
 // application sentinels unwrap with errors.Is exactly as over the
 // in-process transport.
 type TCP struct {
-	// DialTimeout bounds connection establishment (default 2s).
-	DialTimeout time.Duration
 	// CallTimeout bounds a whole request/response exchange (default 10s).
 	// A timed-out call abandons its exchange, and kills its connection
 	// when no other call is in flight on it.
 	CallTimeout time.Duration
-	// ChunkBytes caps the payload bytes per frame (default 256 KiB);
-	// larger payloads are split so the connection stays fair under
-	// multiplexing.
-	ChunkBytes int
 	// PoolSize is the number of persistent connections kept per peer
 	// (default DefaultPoolSize). Calls round-robin over the pool.
 	PoolSize int
@@ -49,14 +43,18 @@ type TCP struct {
 
 // Wire defaults and frame layout bounds.
 const (
-	// defaultChunkBytes is the default per-frame payload cap (large
-	// transfers are chunked at this grain).
-	defaultChunkBytes = 256 << 10
+	// chunkBytes caps the payload bytes per frame: larger payloads are
+	// split at this grain so the connection stays fair under multiplexing.
+	chunkBytes = 256 << 10
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 2 * time.Second
 	// DefaultPoolSize is the default persistent-connection count per peer.
 	DefaultPoolSize = 2
 	// maxFrameSlack bounds the non-chunk portion of a frame (ids, method,
-	// error message); a received frame may be at most ChunkBytes+slack.
+	// error message).
 	maxFrameSlack = 64 << 10
+	// maxFrame bounds a received frame.
+	maxFrame = chunkBytes + maxFrameSlack
 	// maxWireErrMsg truncates outgoing error messages so a pathological
 	// rendered error cannot produce an oversized frame.
 	maxWireErrMsg = 32 << 10
@@ -76,21 +74,11 @@ const (
 // NewTCP returns a TCP transport with default timeouts.
 func NewTCP() *TCP {
 	return &TCP{
-		DialTimeout: 2 * time.Second,
 		CallTimeout: 10 * time.Second,
 		srvConns:    make(map[net.Conn]struct{}),
 		pools:       make(map[string]*connPool),
 	}
 }
-
-func (t *TCP) chunkBytes() int {
-	if t.ChunkBytes > 0 {
-		return t.ChunkBytes
-	}
-	return defaultChunkBytes
-}
-
-func (t *TCP) maxFrame() int { return t.chunkBytes() + maxFrameSlack }
 
 func (t *TCP) poolSize() int {
 	if t.PoolSize > 0 {
@@ -206,7 +194,7 @@ func (t *TCP) serveConn(conn net.Conn, h DeadlineHandler) {
 	var buf []byte
 	for {
 		var err error
-		buf, err = binenc.ReadFrame(br, buf, t.maxFrame())
+		buf, err = binenc.ReadFrame(br, buf, maxFrame)
 		if err != nil {
 			return // peer gone or garbage; the connection is done
 		}
@@ -279,7 +267,7 @@ func (t *TCP) serveRequest(fw *frameWriter, p *partialReq, h DeadlineHandler) {
 		w.Free()
 		return
 	}
-	fw.writeChunked(frameResponse, p.id, "", 0, resp, t.chunkBytes(), wd) //nolint:errcheck // peer may be gone
+	fw.writeChunked(frameResponse, p.id, "", 0, resp, wd) //nolint:errcheck // peer may be gone
 }
 
 // errMalformedFrame reports a frame body whose header does not decode or
@@ -387,17 +375,17 @@ func (fw *frameWriter) writeFrame(frame []byte, deadline time.Time) error {
 	return err
 }
 
-// writeChunked frames payload as one or more frames of at most chunk body
-// bytes, taking the write lock per frame so other calls interleave between
-// chunks (requestFrame and responseFrame give each kind's fields). deadline
-// bounds each frame write.
-func (fw *frameWriter) writeChunked(kind byte, id uint64, method string, budgetMs uint64, payload []byte, chunk int, deadline time.Time) error {
-	w := binenc.GetWriter(64 + min(len(payload), chunk))
+// writeChunked frames payload as one or more frames of at most chunkBytes
+// body bytes, taking the write lock per frame so other calls interleave
+// between chunks (requestFrame and responseFrame give each kind's fields).
+// deadline bounds each frame write.
+func (fw *frameWriter) writeChunked(kind byte, id uint64, method string, budgetMs uint64, payload []byte, deadline time.Time) error {
+	w := binenc.GetWriter(64 + min(len(payload), chunkBytes))
 	defer w.Free()
 	rest := payload
 	first := true
 	for {
-		n := min(chunk, len(rest))
+		n := min(chunkBytes, len(rest))
 		last := n == len(rest)
 		w.Reset()
 		if kind == frameRequest {
@@ -459,13 +447,13 @@ type muxConn struct {
 	dead    bool
 }
 
-func newMuxConn(conn net.Conn, maxFrame int) *muxConn {
+func newMuxConn(conn net.Conn) *muxConn {
 	c := &muxConn{
 		conn:    conn,
 		fw:      &frameWriter{conn: conn, bw: bufio.NewWriter(conn)},
 		pending: make(map[uint64]*pendingCall),
 	}
-	go c.readLoop(maxFrame)
+	go c.readLoop()
 	return c
 }
 
@@ -494,7 +482,7 @@ func (c *muxConn) fail(err error) {
 	}
 }
 
-func (c *muxConn) readLoop(maxFrame int) {
+func (c *muxConn) readLoop() {
 	br := bufio.NewReader(c.conn)
 	var buf []byte
 	for {
@@ -534,7 +522,7 @@ func (c *muxConn) readLoop(maxFrame int) {
 // frameWriter, so one stuck call never wedges calls pipelined on the same
 // connection) and the response wait both count against it. budgetMs > 0
 // additionally travels to the server as the caller's deadline.
-func (c *muxConn) roundTrip(method string, payload []byte, timeout time.Duration, budgetMs uint64, chunk int) ([]byte, error) {
+func (c *muxConn) roundTrip(method string, payload []byte, timeout time.Duration, budgetMs uint64) ([]byte, error) {
 	p := &pendingCall{done: make(chan struct{})}
 	c.mu.Lock()
 	if c.dead {
@@ -550,7 +538,7 @@ func (c *muxConn) roundTrip(method string, payload []byte, timeout time.Duration
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
-	if err := c.fw.writeChunked(frameRequest, id, method, budgetMs, payload, chunk, deadline); err != nil {
+	if err := c.fw.writeChunked(frameRequest, id, method, budgetMs, payload, deadline); err != nil {
 		c.fail(fmt.Errorf("%w: send: %v", ErrDropped, err))
 		return nil, fmt.Errorf("%w: send: %v", ErrDropped, err)
 	}
@@ -645,12 +633,12 @@ func (t *TCP) getConn(addr string) (*muxConn, error) {
 
 // dial opens one multiplexed connection to addr.
 func (t *TCP) dial(addr string) (*muxConn, error) {
-	nd := net.Dialer{Timeout: t.DialTimeout}
+	nd := net.Dialer{Timeout: dialTimeout}
 	nc, err := nd.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %w", ErrUnreachable, addr, err)
 	}
-	c := newMuxConn(nc, t.maxFrame())
+	c := newMuxConn(nc)
 	t.mu.Lock()
 	closed := t.closed
 	t.mu.Unlock()
@@ -685,7 +673,7 @@ func (t *TCP) CallBudget(addr, method string, payload []byte, budget time.Durati
 	if err != nil {
 		return nil, err
 	}
-	return c.roundTrip(method, payload, timeout, budgetMs, t.chunkBytes())
+	return c.roundTrip(method, payload, timeout, budgetMs)
 }
 
 // Close stops all listeners, drops every server-side connection and kills

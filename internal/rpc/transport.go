@@ -39,43 +39,24 @@ type Handler func(method string, payload []byte) ([]byte, error)
 // Handler apply unchanged.
 type DeadlineHandler func(deadline time.Time, method string, payload []byte) ([]byte, error)
 
-// Transport delivers single request/response attempts. Delivery may fail;
-// the Client layers retries and deduplication on top.
+// Transport delivers single request/response attempts, each bounded by a
+// per-call time budget that travels to the serving DeadlineHandler as its
+// deadline. Delivery may fail; the Client layers retries and deduplication
+// on top.
 type Transport interface {
-	// Call performs one unreliable request attempt against addr.
-	Call(addr, method string, payload []byte) ([]byte, error)
-	// Serve registers the handler for addr. It replaces any previous
-	// handler for that address.
-	Serve(addr string, h Handler) error
+	// CallBudget performs one unreliable request attempt against addr,
+	// bounded by budget. A budget of 0 means "no per-call bound" (the
+	// transport's defaults apply and the handler sees a zero deadline).
+	CallBudget(addr, method string, payload []byte, budget time.Duration) ([]byte, error)
+	// ServeDeadline registers the handler for addr.
+	ServeDeadline(addr string, h DeadlineHandler) error
 	// Close releases transport resources.
 	Close() error
 }
 
-// BudgetCaller is implemented by transports that can attach a per-call time
-// budget: the call fails once the budget elapses, and the budget travels to
-// the peer so the serving DeadlineHandler sees the matching deadline. A
-// budget of 0 means "no per-call bound" (the transport's defaults apply).
-type BudgetCaller interface {
-	// CallBudget performs one request attempt bounded by budget.
-	CallBudget(addr, method string, payload []byte, budget time.Duration) ([]byte, error)
-}
-
-// DeadlineServer is implemented by transports that deliver per-call
-// deadlines to their handlers.
-type DeadlineServer interface {
-	// ServeDeadline registers a deadline-aware handler for addr.
-	ServeDeadline(addr string, h DeadlineHandler) error
-}
-
-// ServeWithDeadline registers h at addr, threading per-call deadlines when
-// the transport supports them and degrading to zero deadlines otherwise.
+// ServeWithDeadline registers h at addr on t.
 func ServeWithDeadline(t Transport, addr string, h DeadlineHandler) error {
-	if ds, ok := t.(DeadlineServer); ok {
-		return ds.ServeDeadline(addr, h)
-	}
-	return t.Serve(addr, func(method string, payload []byte) ([]byte, error) {
-		return h(time.Time{}, method, payload)
-	})
+	return t.ServeDeadline(addr, h)
 }
 
 // Transport-level errors.
@@ -131,8 +112,8 @@ func (t *InProc) Serve(addr string, h Handler) error {
 	})
 }
 
-// ServeDeadline registers a deadline-aware handler for addr: calls made with
-// CallBudget deliver their deadline to h.
+// ServeDeadline registers a deadline-aware handler for addr, replacing any
+// previous one: calls made with CallBudget deliver their deadline to h.
 func (t *InProc) ServeDeadline(addr string, h DeadlineHandler) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -248,12 +229,10 @@ type Client struct {
 	Retries int
 	// Backoff is the pause before the first retry (default 1ms; 0 disables
 	// sleeping entirely, which in-proc tests rely on). Subsequent retries
-	// double the pause up to MaxBackoff, with ±25% jitter so a fleet of
+	// double the pause up to maxBackoff, with ±25% jitter so a fleet of
 	// workstations retrying against a restarting server does not stampede
 	// in lockstep.
 	Backoff time.Duration
-	// MaxBackoff caps the exponential growth (default 100ms).
-	MaxBackoff time.Duration
 	// Epoch, when set, stamps every request envelope with the caller's
 	// current replication epoch (DESIGN.md §5.4): epoch-fenced servers
 	// compare it against their own term and refuse interactions that would
@@ -324,6 +303,9 @@ var envelopePool = sync.Pool{New: func() any { return new(envelope) }}
 // envelope is a pooled framing buffer.
 type envelope struct{ buf []byte }
 
+// maxBackoff caps the exponential growth of a Client's retry pause.
+const maxBackoff = 100 * time.Millisecond
+
 // maxPooledEnvelopeBytes caps what a released envelope may park in the pool
 // (bulk payload transfers should not pin worst-case memory).
 const maxPooledEnvelopeBytes = 256 << 10
@@ -339,10 +321,9 @@ func (c *Client) Call(addr, method string, payload []byte) ([]byte, error) {
 var ErrBudgetExceeded = errors.New("rpc: call budget exceeded")
 
 // CallBudget is Call with an end-to-end time budget covering every attempt
-// and backoff: no retry starts past the deadline, and on budget-aware
-// transports each attempt carries the remaining budget to the server, whose
-// handlers bound their own work by it (deadline propagation). budget 0 is
-// plain Call.
+// and backoff: no retry starts past the deadline, and each attempt carries
+// the remaining budget to the server, whose handlers bound their own work by
+// it (deadline propagation). budget 0 is plain Call.
 func (c *Client) CallBudget(addr, method string, payload []byte, budget time.Duration) ([]byte, error) {
 	var epoch uint64
 	if c.Epoch != nil {
@@ -362,7 +343,6 @@ func (c *Client) CallBudget(addr, method string, payload []byte, budget time.Dur
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
 	}
-	bc, budgeted := c.t.(BudgetCaller)
 	var lastErr error
 	retries := c.Retries
 	if retries <= 0 {
@@ -382,13 +362,7 @@ func (c *Client) CallBudget(addr, method string, payload []byte, budget time.Dur
 		c.mu.Lock()
 		c.attempts++
 		c.mu.Unlock()
-		var resp []byte
-		var err error
-		if budgeted {
-			resp, err = bc.CallBudget(addr, method, e.buf, remaining)
-		} else {
-			resp, err = c.t.Call(addr, method, e.buf)
-		}
+		resp, err := c.t.CallBudget(addr, method, e.buf, remaining)
 		if err == nil {
 			return resp, nil
 		}
@@ -404,22 +378,18 @@ func (c *Client) CallBudget(addr, method string, payload []byte, budget time.Dur
 }
 
 // backoffFor computes the pause after failed attempt number attempt (zero
-// based): Backoff doubled per attempt, capped at MaxBackoff, with ±25%
+// based): Backoff doubled per attempt, capped at maxBackoff, with ±25%
 // jitter. Backoff <= 0 disables sleeping.
 func (c *Client) backoffFor(attempt int) time.Duration {
 	if c.Backoff <= 0 {
 		return 0
 	}
-	maxB := c.MaxBackoff
-	if maxB <= 0 {
-		maxB = 100 * time.Millisecond
-	}
 	d := c.Backoff
-	for i := 0; i < attempt && d < maxB; i++ {
+	for i := 0; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > maxB {
-		d = maxB
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	// Jitter in [0.75d, 1.25d): desynchronizes retry storms without
 	// changing the expected pause.
@@ -500,9 +470,15 @@ func decodeEnvelope(env []byte) (h reqHeader, payload []byte, err error) {
 // Dedup wraps a handler with at-most-once execution per request ID: repeated
 // deliveries return the memoized first response. Combined with Client
 // retries this yields exactly-once effects. See Deduper for the mechanism
-// and the memo bounds; Dedup uses the default limits.
+// and the memo bounds; Dedup uses the default limits and serves with zero
+// deadlines.
 func Dedup(h Handler) Handler {
-	return NewDeduper(h, DefaultDedupEntries, DefaultDedupBytes).Handle
+	d := NewDeduper(func(_ time.Time, method string, payload []byte) ([]byte, error) {
+		return h(method, payload)
+	}, 0, 0)
+	return func(method string, env []byte) ([]byte, error) {
+		return d.Handle(time.Time{}, method, env)
+	}
 }
 
 // DedupDeadlineFenced is Dedup for a deadline-aware handler chain — the
@@ -513,7 +489,7 @@ func Dedup(h Handler) Handler {
 // client retries of a fenced request never slip through. Use EpochFence for
 // the standard stale-node rule.
 func DedupDeadlineFenced(h DeadlineHandler, fence func(clientEpoch uint64) error) DeadlineHandler {
-	d := NewDeadlineDeduper(h, DefaultDedupEntries, DefaultDedupBytes)
+	d := NewDeduper(h, 0, 0)
 	d.fence = fence
-	return d.HandleDeadline
+	return d.Handle
 }

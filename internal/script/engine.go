@@ -108,13 +108,6 @@ func (c *Ctx) SetVar(name, value string) {
 // Stop interrupts script execution at the next operation boundary.
 func (c *Ctx) Stop() { c.e.stop.Store(true) }
 
-// Completed reports how many times the named operation has completed.
-func (c *Ctx) Completed(op string) int {
-	c.e.mu.Lock()
-	defer c.e.mu.Unlock()
-	return c.e.completed[op]
-}
-
 // PostEvent enqueues a follow-up event (rules may chain).
 func (c *Ctx) PostEvent(ev Event) { c.e.PostEvent(ev) }
 

@@ -39,8 +39,6 @@ type ObjectCache struct {
 	// MaxEntries bounds the cache; the least recently used entry is evicted
 	// (set before concurrent use; DefaultCacheEntries when 0).
 	MaxEntries int
-
-	invalidations, supersessions uint64
 }
 
 // cacheEntry is one cached version.
@@ -270,14 +268,6 @@ func (c *ObjectCache) Len() int {
 	return len(c.entries)
 }
 
-// Invalidations reports how many callback entries this cache has applied
-// (status refreshes + supersession marks).
-func (c *ObjectCache) Invalidations() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.invalidations + c.supersessions
-}
-
 // Lookup returns the cached record of id. The returned meta is a copy; hash
 // and enc alias cache memory and must not be mutated.
 func (c *ObjectCache) Lookup(id version.ID) (meta dovMeta, hash, enc []byte, ok bool) {
@@ -437,7 +427,6 @@ func (c *ObjectCache) apply(m invalidateMsg) {
 		}
 		switch inv.Kind {
 		case invStatus:
-			c.invalidations++
 			if inv.Status == version.StatusInvalid {
 				delete(c.entries, inv.DOV)
 				if c.dir != "" {
@@ -450,7 +439,6 @@ func (c *ObjectCache) apply(m invalidateMsg) {
 				os.WriteFile(c.entryPath(inv.DOV), encodeCacheEntry(e), 0o644) //nolint:errcheck // best effort
 			}
 		case invSuperseded:
-			c.supersessions++
 			e.Superseded = inv.By
 			e.unsaved = c.dir != ""
 		}

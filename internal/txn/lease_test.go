@@ -55,6 +55,7 @@ func TestReaperReclaimsExpiredWorkstation(t *testing.T) {
 	s := newStack(t, "")
 	s.server.LeaseTTL = 40 * time.Millisecond
 	v0 := s.seedDOV(t, "v0", 100)
+	s.wireCallbacks(t, s.tm, "cb/ws1")
 
 	dop, err := s.tm.Begin("d1", "da1")
 	if err != nil {
@@ -63,6 +64,9 @@ func TestReaperReclaimsExpiredWorkstation(t *testing.T) {
 	// Hold the derivation lock on v0 and stage (but never prepare) a branch.
 	if _, err := dop.Checkout(v0, true); err != nil {
 		t.Fatal(err)
+	}
+	if s.server.CacheRegistrations() == 0 {
+		t.Fatal("the checkout registered no cache callback to reclaim")
 	}
 	obj := catalog.NewObject("floorplan").Set("cell", catalog.Str("O")).Set("area", catalog.Float(50))
 	orphan := &version.DOV{ID: "vorphan", DOT: "floorplan", DA: "da1", Object: obj, Status: version.StatusWorking}
@@ -79,6 +83,11 @@ func TestReaperReclaimsExpiredWorkstation(t *testing.T) {
 	}
 	if err := s.server.Heartbeat("ws1"); !errors.Is(err, ErrNoLease) {
 		t.Fatalf("heartbeat after reap = %v, want ErrNoLease", err)
+	}
+	// The dead endpoint's callback registrations are gone: no invalidation
+	// is queued for it any more.
+	if n := s.server.CacheRegistrations(); n != 0 {
+		t.Fatalf("%d cache registrations survived the reap", n)
 	}
 	// Presumed abort: the unprepared staged branch is gone.
 	sh := s.server.stagedShard("tx-orphan")

@@ -712,20 +712,6 @@ func (l *Log) SegmentCount() int {
 	return len(l.starts)
 }
 
-// SegmentFloor reports the LSN where the oldest retained segment starts —
-// the boundary below which Checkpoint has reclaimed the log. Every record at
-// or above the floor is still replayable, so a snapshot chain is safe
-// exactly when its coverage never falls below the mark (which itself never
-// falls below the floor).
-func (l *Log) SegmentFloor() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.starts) == 0 {
-		return LSN(l.lowWater)
-	}
-	return LSN(l.starts[0])
-}
-
 // DiskBytes reports the total size of all live segment files on disk — the
 // quantity checkpointing bounds (unlike Size, which is the lifetime LSN
 // high-water mark and never shrinks).
@@ -784,8 +770,7 @@ func (l *Log) Close() error {
 // not-yet-fsynced manifest entry would cover, because segment deletion below
 // the mark is immediate and unrecoverable. The inverse invariant (the mark
 // never exceeds surviving chain coverage) is what repo.Open verifies before
-// trusting a recovered chain; SegmentFloor exposes the deletion boundary so
-// callers can assert no live chain element references a reclaimed segment.
+// trusting a recovered chain.
 //
 // An lsn beyond the durable tail is accepted (it arises when a recovery
 // completes a checkpoint whose snapshot installed but whose log mark was
