@@ -23,11 +23,13 @@ test-race:
 # CI runs a 50-run loop of the same two; count failures here with
 # `make race-loop 2>&1 | grep -c -- '--- FAIL'`. It also runs 50 race-detector
 # runs of TestReadersSurviveRebase: readers of cold versions racing the
-# rebases that close and delete the files they read from, and 50 of the
+# rebases that close and delete the files they read from, 50 of a follower
+# checkpointing while shipped batches are appended and applied, and 50 of the
 # transport tests whose handlers run on a connection's reused workers.
 race-loop:
 	$(GO) test -race -count=200 -run 'TestConcurrentWorkstationsOverTCP$$|TestConcurrentCheckinsSameDA$$' ./internal/txn/
 	$(GO) test -race -count=50 -run 'TestReadersSurviveRebase$$' ./internal/repo/
+	$(GO) test -race -count=50 -run 'TestFollowerCheckpointRacesApplyShipped$$' ./internal/repo/
 	$(GO) test -race -count=50 -run 'TestTCPPipelinedInterleave$$|TestTCPSharedConnBudgetRace$$|TestTCPWorkersReused$$|TestTCPIdleWorkersBounded$$' ./internal/rpc/
 
 # Fuzz smoke: run each fuzz target for 10s (the committed seed corpora run

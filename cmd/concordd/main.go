@@ -15,10 +15,10 @@
 // (DESIGN.md §5.3) reclaims DOPs and locks of a session silent for 10 s.
 //
 // The server checkpoints (DESIGN.md §3.8): whenever the repository log has
-// grown server.DefaultCheckpointLogBytes (8 MiB) past its low-water mark,
-// the primary — a standby once promoted — writes what changed since the
-// last snapshot to the chain under -data and drops the covered log prefix,
-// so a restart loads the chain and replays at most that much log.
+// grown repo.DefaultCheckpointLogBytes (8 MiB) past its low-water mark, the
+// daemon — primary or standby alike — writes what changed since the last
+// snapshot to the chain under -data and drops the covered log prefix, so a
+// restart loads the chain and replays at most that much log.
 //
 // Usage:
 //
@@ -95,6 +95,7 @@ func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, 
 		return err
 	}
 	defer r.Close()
+	r.StartCheckpointer(repo.DefaultCheckpointLogBytes)
 
 	banner := "serving"
 	var handler rpc.DeadlineHandler
@@ -103,7 +104,6 @@ func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, 
 	if standbyOf != "" {
 		banner = "standby of " + standbyOf + " serving replication"
 		sb := server.NewStandby(r, newClient(trans, "standby-cb"), server.Options{})
-		sb.OnPromoted = startCheckpointer
 		defer sb.Close()
 		handler, recv = sb.Handler(), sb.Receiver()
 		health = func() string {
@@ -120,7 +120,6 @@ func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, 
 			return err
 		}
 		defer site.Close()
-		startCheckpointer(site)
 		replClient := newClient(trans, "repl")
 		site.Handle(methodAttach, func(_ string, payload []byte) ([]byte, error) {
 			rd := binenc.NewReader(payload)
@@ -154,13 +153,6 @@ func run(trans *rpc.TCP, addr, data, standbyOf string, ship repl.SenderOptions, 
 	}
 	serveUntilSignal(healthEvery, health)
 	return nil
-}
-
-// startCheckpointer runs the site's background checkpointer at the one
-// threshold every deployment uses: the primary from boot, a standby from
-// its promotion.
-func startCheckpointer(site *server.Site) {
-	site.StartCheckpointer(server.DefaultCheckpointLogBytes)
 }
 
 // attachLoop announces the standby's replication address to the primary until

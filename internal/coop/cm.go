@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"concord/internal/feature"
@@ -157,9 +159,6 @@ func NewCM(r *repo.Repository, scopes *lock.ScopeTable, reg *feature.Registry) (
 	return cm, nil
 }
 
-// Registry returns the feature-tool registry used by Evaluate.
-func (cm *CM) Registry() *feature.Registry { return cm.reg }
-
 // Close stops the event dispatcher after draining queued notifications.
 // Subsequent notifications are dropped. Safe to call more than once.
 func (cm *CM) Close() {
@@ -199,6 +198,15 @@ func (cm *CM) dispatch() {
 }
 
 func (cm *CM) recover() error {
+	// The protocol log continues after its highest entry (keys are
+	// zero-padded, so the sorted last is the highest).
+	if logs := cm.repo.ListMeta("cm/log/"); len(logs) > 0 {
+		seq, err := strconv.ParseUint(strings.TrimPrefix(logs[len(logs)-1], "cm/log/"), 10, 64)
+		if err != nil {
+			return fmt.Errorf("coop: recover protocol log position: %w", err)
+		}
+		cm.logSeq = seq
+	}
 	keys := cm.repo.ListMeta("cm/da/")
 	sort.Strings(keys)
 	for _, key := range keys {

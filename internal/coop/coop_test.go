@@ -784,7 +784,9 @@ func TestCMRecoveryAfterServerCrash(t *testing.T) {
 	if cm2.ProtocolLogLen() != logLen {
 		t.Fatalf("protocol log = %d, want %d", cm2.ProtocolLogLen(), logLen)
 	}
-	// The recovered CM keeps working: terminate the hierarchy.
+	// The recovered CM keeps working: terminate the hierarchy. Each
+	// operation appends one protocol log entry after the recovered ones
+	// instead of overwriting them.
 	final := version.ID("final-v")
 	obj := catalog.NewObject("cell").Set("name", catalog.Str("f")).Set("area", catalog.Float(10))
 	if err := r2.Checkin(&version.DOV{ID: final, DOT: "cell", DA: "supporter", Object: obj, Status: version.StatusWorking}, true); err != nil {
@@ -793,14 +795,17 @@ func TestCMRecoveryAfterServerCrash(t *testing.T) {
 	if err := scopes2.Own("supporter", string(final)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cm2.Evaluate("supporter", final); err != nil {
-		t.Fatal(err)
-	}
-	if err := cm2.SubDAReadyToCommit("supporter"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cm2.TerminateSubDA("super", "supporter"); err != nil {
-		t.Fatal(err)
+	for i, op := range []func() error{
+		func() error { _, err := cm2.Evaluate("supporter", final); return err },
+		func() error { return cm2.SubDAReadyToCommit("supporter") },
+		func() error { return cm2.TerminateSubDA("super", "supporter") },
+	} {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cm2.ProtocolLogLen(), logLen+i+1; got != want {
+			t.Fatalf("protocol log after %d operations of the recovered CM = %d, want %d", i+1, got, want)
+		}
 	}
 }
 

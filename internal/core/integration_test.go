@@ -5,8 +5,8 @@ import (
 
 	"concord/internal/coop"
 	"concord/internal/feature"
+	"concord/internal/repo"
 	"concord/internal/rpc"
-	"concord/internal/server"
 	"concord/internal/version"
 	"concord/internal/vlsi"
 )
@@ -142,7 +142,7 @@ func TestRecursiveDelegationPlanning(t *testing.T) {
 func TestFaultyTransportStillCorrect(t *testing.T) {
 	sys, err := bootSystem(Options{RegisterTypes: vlsi.RegisterCatalog},
 		rpc.FaultPlan{DropRequest: 0.15, DropResponse: 0.15, Duplicate: 0.1, Seed: 99},
-		server.DefaultCheckpointLogBytes)
+		repo.DefaultCheckpointLogBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,8 @@ func (ss *standbySite) healthInfo() txn.ServerHealthInfo {
 
 // bootStandby opens (or recovers) the standby's durable state under
 // Dir/standby — the follower-mode repository replays its shipped redo log —
-// and serves a fresh server.Standby over it at StandbyAddr.
+// starts its checkpointer and serves a fresh server.Standby over it at
+// StandbyAddr.
 func (s *System) bootStandby(ss *standbySite) error {
 	r, err := repo.Open(s.cat, repo.Options{
 		Dir: filepath.Join(s.opts.Dir, "standby"), Sync: true, Follower: true,
@@ -78,8 +79,8 @@ func (s *System) bootStandby(ss *standbySite) error {
 	if err != nil {
 		return err
 	}
+	r.StartCheckpointer(s.ckptLogBytes)
 	sb := server.NewStandby(r, s.incarnationClient("standby-cb"), s.siteOptions())
-	sb.OnPromoted = s.startCheckpointer
 	if err := rpc.ServeWithDeadline(s.trans, StandbyAddr, sb.Handler()); err != nil {
 		r.Close()
 		return err

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -442,5 +443,85 @@ func TestReplicationConfigAndLifecycleErrors(t *testing.T) {
 	}
 	if err := sys.RestartStandby(); err == nil {
 		t.Fatal("promoted standby restarted as follower")
+	}
+}
+
+// TestUnpromotedStandbyCheckpoints: the standby's repository runs the same
+// checkpointer as the primary's, so a follower that is never promoted
+// compacts its shipped log instead of keeping the whole history. A status
+// change made at the primary reaches the standby and survives a standby
+// restart from the compacted state.
+func TestUnpromotedStandbyCheckpoints(t *testing.T) {
+	const threshold, segment = 64 << 10, 16 << 10
+	sys, err := bootSystem(Options{
+		Dir: t.TempDir(), RegisterTypes: vlsi.RegisterCatalog,
+		Replicated: true, SyncReplication: true, SegmentBytes: segment,
+	}, rpc.FaultPlan{}, threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	startDA(t, sys, "da1", areaSpec(1000))
+	ws, err := sys.AddWorkstation("ws1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitf(t, 5*time.Second, "sync mode", func() bool { return sys.ReplHealth().Mode == "sync" })
+
+	cell := strings.Repeat("c", 8<<10)
+	var last version.ID
+	for i := 0; i < 64; i++ {
+		dop, err := ws.Begin("", "da1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj := catalog.NewObject(vlsi.DOTFloorplan).Set("cell", catalog.Str(cell)).Set("area", catalog.Float(float64(i)))
+		if err := dop.SetWorkspace(obj); err != nil {
+			t.Fatal(err)
+		}
+		if last, err = dop.Checkin(version.StatusWorking, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := dop.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sb := sys.StandbyRepo()
+	// Every payload is logged twice (staged, then installed): about 1 MiB
+	// reached the standby's log. Once the checkpointer has caught up, what
+	// is left on disk is below the threshold plus the segment the mark
+	// falls in.
+	awaitf(t, 10*time.Second, "the standby's checkpoint", func() bool {
+		return sb.Checkpoints() > 0 && sb.Log().DiskBytes() < threshold+2*segment
+	})
+	if logged := sb.LogSize(); logged < 16*threshold {
+		t.Fatalf("the standby logged %d bytes, too few to show compaction", logged)
+	}
+
+	if err := sys.PrimaryRepo().SetStatus(last, version.StatusFinal); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := sb.Get(last); err != nil || v.Status != version.StatusFinal {
+		t.Fatalf("standby copy after a synchronously shipped status change: %+v, %v", v, err)
+	}
+	want := sys.PrimaryRepo().DOVCount()
+	if err := sys.CrashStandby(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RestartStandby(); err != nil {
+		t.Fatal(err)
+	}
+	sb = sys.StandbyRepo()
+	if sb.SnapshotLSN() == 0 {
+		t.Fatal("the restarted standby loaded no snapshot chain")
+	}
+	if v, err := sb.Get(last); err != nil || v.Status != version.StatusFinal {
+		t.Fatalf("restarted standby copy: %+v, %v; want status final", v, err)
+	}
+	if got := sb.DOVCount(); got != want {
+		t.Fatalf("restarted standby holds %d DOVs, the primary %d", got, want)
+	}
+	if err := sb.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }

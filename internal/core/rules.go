@@ -27,9 +27,9 @@ func versionID(s string) version.ID { return version.ID(s) }
 //
 // Rule outcomes are recorded in script variables for diagnostics:
 // "rule:propagated", "rule:withdraw-affected", "rule:spec-modified",
-// "rule:negotiating".
+// "rule:negotiating". Actions resolve the CM when they run, so the rules
+// follow a server restart or a failover.
 func StandardRules(sys *System, da string) []script.Rule {
-	cm := sys.CM()
 	return []script.Rule{
 		{
 			Name:  "auto-propagate-on-require",
@@ -38,6 +38,10 @@ func StandardRules(sys *System, da string) []script.Rule {
 				// The pending request's features are recorded at the CM;
 				// AutoPropagate re-checks every pending request for this
 				// supporter by propagating a version that covers it.
+				cm := sys.CM()
+				if cm == nil {
+					return errServerDown
+				}
 				reqs, err := cm.PendingRequireFeatures(da)
 				if err != nil {
 					return err
@@ -56,6 +60,10 @@ func StandardRules(sys *System, da string) []script.Rule {
 			Name:  "analyze-withdrawal",
 			Event: coop.EventWithdraw,
 			Action: func(c *script.Ctx, ev script.Event) error {
+				cm := sys.CM()
+				if cm == nil {
+					return errServerDown
+				}
 				affected, err := cm.AffectedByWithdrawal(da, versionID(ev.Data["dov"]))
 				if err != nil {
 					return err

@@ -196,3 +196,66 @@ func TestStandardRuleNegotiationSuspends(t *testing.T) {
 		t.Fatalf("resume after agree: %v", err)
 	}
 }
+
+// TestDesignManagerSurvivesServerRestart: a design manager attached before a
+// server crash keeps working after the restart. Its script store resolves
+// the restarted repository, its event sink moves to the restarted CM, and
+// StandardRules act through that CM.
+func TestDesignManagerSurvivesServerRestart(t *testing.T) {
+	sys := newSystem(t, t.TempDir())
+	startDA(t, sys, "root", areaSpec(10000))
+	for _, id := range []string{"supporter", "requirer"} {
+		if err := sys.CM().CreateSubDA("root", coop.Config{ID: id, DOT: vlsi.DOTFloorplan, Spec: areaSpec(100), Designer: id}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.CM().Start(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws, err := sys.AddWorkstation("ws1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := script.Seq{Steps: []script.Node{script.Op{Name: "idle"}}}
+	runner := func(*script.Ctx, script.Op, map[string]string) (string, error) { return "", nil }
+	dm, err := ws.NewDesignManager(script.Config{
+		DA: "supporter", Script: idle, Runner: runner,
+		Rules: StandardRules(sys, "supporter"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CrashServer(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RestartServer(); err != nil {
+		t.Fatal(err)
+	}
+
+	v0 := planOnce(t, ws, "supporter", 60, "")
+	marker := make(chan script.Event, 4)
+	sys.CM().Subscribe("requirer", func(ev script.Event) { marker <- ev })
+	if _, ok, err := sys.CM().Require("requirer", "supporter", []string{"area-limit"}); err != nil || ok {
+		t.Fatalf("require = %t, %v", ok, err)
+	}
+	// One dispatcher delivers every CM event in order: once the requirer
+	// sees the spec change queued after the Require, the supporter's DM has
+	// been handed the Require.
+	if err := sys.CM().ModifySubDASpec("root", "requirer", areaSpec(100)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-marker:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the restarted CM delivered no event")
+	}
+	if err := dm.Run(); err != nil {
+		t.Fatalf("DM run after server restart: %v", err)
+	}
+	if dm.JournaledOps() != 1 {
+		t.Fatalf("journaled ops after restart = %d, want 1", dm.JournaledOps())
+	}
+	if !sys.Scopes().InScope("requirer", string(v0)) {
+		t.Fatal("the auto-propagate rule did not reach the restarted CM")
+	}
+}

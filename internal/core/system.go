@@ -112,6 +112,9 @@ type System struct {
 	// serverEpochs counts server incarnations for the same reason on the
 	// callback channel (workstation caches deduplicate by request ID too).
 	serverEpochs int
+	// subscribed is the CM the attached design managers receive events
+	// from; activeSite moves them to the CM of a restarted or promoted site.
+	subscribed *coop.CM
 }
 
 // shutdownSite tears the site down, then closes the repository under it,
@@ -123,10 +126,10 @@ func shutdownSite(site *server.Site) error {
 
 // NewSystem boots a system: catalog registration, server recovery (if Dir
 // holds prior state) and transport setup. The in-process LAN is fault-free
-// and a durable server checkpoints every server.DefaultCheckpointLogBytes of
-// log growth.
+// and every durable server site, a standby included, checkpoints every
+// repo.DefaultCheckpointLogBytes of log growth.
 func NewSystem(opts Options) (*System, error) {
-	return bootSystem(opts, rpc.FaultPlan{}, server.DefaultCheckpointLogBytes)
+	return bootSystem(opts, rpc.FaultPlan{}, repo.DefaultCheckpointLogBytes)
 }
 
 // bootSystem is NewSystem with the transport's fault plan and the
@@ -191,14 +194,8 @@ func (s *System) incarnationClient(role string) *rpc.Client {
 	return c
 }
 
-// startCheckpointer starts a durable site's background checkpointer at the
-// configured log-growth threshold.
-func (s *System) startCheckpointer(site *server.Site) {
-	site.StartCheckpointer(s.ckptLogBytes)
-}
-
-// startServer opens (or recovers) the server's durable state, assembles the
-// site over it and serves its handler.
+// startServer opens (or recovers) the server's durable state, starts its
+// checkpointer, assembles the site over it and serves its handler.
 func (s *System) startServer() error {
 	dir := s.serverDir()
 	r, err := repo.Open(s.cat, repo.Options{
@@ -211,6 +208,7 @@ func (s *System) startServer() error {
 	if err != nil {
 		return err
 	}
+	r.StartCheckpointer(s.ckptLogBytes)
 	site, err := server.Assemble(r, s.incarnationClient("server-cb"), s.siteOptions())
 	if err != nil {
 		r.Close()
@@ -225,9 +223,6 @@ func (s *System) startServer() error {
 		shutdownSite(site) //nolint:errcheck // reporting the serve error
 		return err
 	}
-	if dir != "" {
-		s.startCheckpointer(site)
-	}
 	s.mu.Lock()
 	s.server = site
 	s.mu.Unlock()
@@ -240,7 +235,7 @@ func (s *System) startServer() error {
 func (s *System) Checkpoint() error {
 	site := s.activeSite()
 	if site == nil {
-		return errors.New("core: server is down")
+		return errServerDown
 	}
 	return site.Repo.Checkpoint()
 }
@@ -250,15 +245,85 @@ func (s *System) Catalog() *catalog.Catalog { return s.cat }
 
 // activeSite resolves the server site currently in charge: the promoted
 // standby once a failover happened (it holds the highest fencing epoch),
-// otherwise the primary. Nil when no site serves.
+// otherwise the primary. Nil when no site serves. CM, Repo and the design
+// managers' store all resolve through here, so this is where the design
+// managers follow a restart or a promotion to the new site's CM before an
+// operation on it can emit an event.
 func (s *System) activeSite() *server.Site {
 	s.mu.Lock()
 	sb, site := s.standby, s.server
 	s.mu.Unlock()
 	if psite := sb.promotedSite(); psite != nil {
-		return psite
+		site = psite
+	}
+	if site != nil {
+		s.subscribeDMs(site.CM)
 	}
 	return site
+}
+
+// subscribeDMs registers every attached design manager's event sink with cm,
+// once per CM: a restarted or promoted site's CM starts with none.
+func (s *System) subscribeDMs(cm *coop.CM) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.subscribed == cm {
+		return
+	}
+	s.subscribed = cm
+	for _, w := range s.ws {
+		w.mu.Lock()
+		for da, dm := range w.dms {
+			cm.Subscribe(da, dm.PostEvent)
+		}
+		w.mu.Unlock()
+	}
+}
+
+// errServerDown answers a request while no server site serves.
+var errServerDown = errors.New("core: server is down")
+
+// activeMeta is the design managers' script.MetaStore: the active server
+// repository, resolved on every call, so a DM keeps its script and journal
+// across a server restart or a failover.
+type activeMeta struct{ s *System }
+
+func (m activeMeta) repo() (*repo.Repository, error) {
+	if r := m.s.Repo(); r != nil {
+		return r, nil
+	}
+	return nil, errServerDown
+}
+
+func (m activeMeta) PutMeta(key string, value []byte) error {
+	r, err := m.repo()
+	if err != nil {
+		return err
+	}
+	return r.PutMeta(key, value)
+}
+
+func (m activeMeta) GetMeta(key string) ([]byte, error) {
+	r, err := m.repo()
+	if err != nil {
+		return nil, err
+	}
+	return r.GetMeta(key)
+}
+
+func (m activeMeta) ListMeta(prefix string) []string {
+	if r := m.s.Repo(); r != nil {
+		return r.ListMeta(prefix)
+	}
+	return nil
+}
+
+func (m activeMeta) DeleteMeta(key string) error {
+	r, err := m.repo()
+	if err != nil {
+		return err
+	}
+	return r.DeleteMeta(key)
 }
 
 // CM returns the cooperation manager (centralized at the server site); nil
@@ -413,11 +478,12 @@ func (w *Workstation) Begin(dopID, da string) (*txn.DOP, error) {
 }
 
 // NewDesignManager builds (or recovers) the design manager of a DA on this
-// workstation and subscribes it to the DA's cooperation events. The
-// persistent script and journal live in the server repository, mirroring the
-// paper's placement of all level-specific context data there.
+// workstation and subscribes it to the DA's cooperation events, at whichever
+// server site is active now and after every restart or failover. The
+// persistent script and journal live in the active server repository,
+// mirroring the paper's placement of all level-specific context data there.
 func (w *Workstation) NewDesignManager(cfg script.Config) (*script.DesignManager, error) {
-	cfg.Store = w.sys.Repo()
+	cfg.Store = activeMeta{w.sys}
 	dm, err := script.NewDesignManager(cfg)
 	if err != nil {
 		return nil, err
@@ -425,7 +491,9 @@ func (w *Workstation) NewDesignManager(cfg script.Config) (*script.DesignManager
 	w.mu.Lock()
 	w.dms[cfg.DA] = dm
 	w.mu.Unlock()
-	w.sys.CM().Subscribe(cfg.DA, dm.PostEvent)
+	if cm := w.sys.CM(); cm != nil {
+		cm.Subscribe(cfg.DA, dm.PostEvent)
+	}
 	return dm, nil
 }
 
@@ -451,8 +519,10 @@ func (s *System) CrashWorkstation(id string) error {
 	if !ok {
 		return fmt.Errorf("core: unknown workstation %s", id)
 	}
-	for da := range w.dms {
-		s.CM().Subscribe(da, nil)
+	if cm := s.CM(); cm != nil {
+		for da := range w.dms {
+			cm.Subscribe(da, nil)
+		}
 	}
 	// The callback endpoint dies with the workstation; invalidations pushed
 	// at it are dropped by the transport until the next incarnation heals

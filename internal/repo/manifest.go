@@ -481,12 +481,13 @@ func (f *chainFold) fold(p *snapPayload) {
 	}
 }
 
-// install materializes the folded state into the recovering repository:
-// DA graphs, staged index entries (in Seq order, so every derivation edge
-// re-wires exactly as replay would build it), metadata and the sequence
-// counter. Each version's body is located in the chain, and resident in the
-// record's own buffer unless the loader already dropped it.
-func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) error {
+// install materializes the folded state into the recovering repository and
+// publishes it: DA graphs, the index (built in one bulk pass, with records
+// inserted in Seq order so every derivation edge re-wires exactly as replay
+// would build it), metadata and the sequence counter. Each version's body is
+// located in the chain, and resident in the record's own buffer unless the
+// loader already dropped it. Chain-loaded records carry generation 0.
+func (f *chainFold) install(r *Repository) error {
 	r.seq.Store(f.seq)
 	for _, da := range f.daNames {
 		if _, ok := r.das[da]; !ok {
@@ -498,25 +499,35 @@ func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) err
 		recs = append(recs, cr)
 	}
 	// Seq order: parents always precede children (a parent's Seq is
-	// allocated first), so graph inserts re-wire every derivation edge
-	// exactly as replay would.
+	// allocated first).
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
+	staging := make(map[version.ID]*dovEntry, len(recs))
 	for i := range recs {
-		b := &body{}
-		b.at.Store(&bodyAt{enc: recs[i].Object, loc: recs[i].loc})
-		if err := r.installRecovered(&recs[i].dovRecord, b, staging, 0); err != nil {
+		dr := &recs[i].dovRecord
+		v := dr.meta()
+		st, ok := r.das[dr.DA]
+		if !ok {
+			st = &daState{g: version.NewGraph(dr.DA)}
+			r.das[dr.DA] = st
+		}
+		if err := st.insert(v, dr.Root); err != nil {
 			return err
 		}
+		b := &body{}
+		b.at.Store(&bodyAt{enc: dr.Object, loc: recs[i].loc})
+		staging[v.ID] = &dovEntry{dov: v, body: b, root: dr.Root}
 	}
+	r.idx.rebuild(staging)
+	r.publishDAs()
 	for k, v := range f.meta {
 		r.meta[k] = v
 	}
 	return nil
 }
 
-// loadSnapshotChain restores repository state from the durable snapshot
-// chain into the recovery staging map and records the chain it loaded, its
-// bytes and the log position it covers. Resolution order:
+// loadSnapshotChain restores and publishes repository state from the durable
+// snapshot chain and records the chain it loaded, its bytes and the log
+// position it covers. Resolution order:
 //
 //   - manifest present: fold its longest loadable prefix (parse stops at a
 //     torn tail; loading stops at a missing/corrupt payload file or a delta
@@ -531,7 +542,7 @@ func (f *chainFold) install(r *Repository, staging map[version.ID]*dovEntry) err
 // Only a chain that is the whole manifest leaves the next checkpoint free
 // to append a delta; after a shortened one it rebases, rewriting the
 // manifest without the unloadable tail.
-func (r *Repository) loadSnapshotChain(staging map[version.ID]*dovEntry) error {
+func (r *Repository) loadSnapshotChain() error {
 	data, err := os.ReadFile(filepath.Join(r.dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
 		switch _, err := os.Lstat(filepath.Join(r.dir, "snapshot")); {
@@ -574,7 +585,7 @@ func (r *Repository) loadSnapshotChain(staging map[version.ID]*dovEntry) error {
 	if len(r.chain) == 0 {
 		return nil
 	}
-	if err := fold.install(r, staging); err != nil {
+	if err := fold.install(r); err != nil {
 		return err
 	}
 	r.snapLSN = fold.coverage

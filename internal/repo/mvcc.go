@@ -338,20 +338,18 @@ func (x *dovIndex) each(fn func(version.ID, *dovEntry)) {
 	}
 }
 
-// rebuild bulk-publishes the whole index in one pass per shard — recovery
-// inserts thousands of versions, and per-record copy-on-write would cost
-// O(n²/shards). Each shard's generation starts at the highest its recovered
-// records carry, so a shard holding only chain-loaded records is clean.
-// Caller must own the repository exclusively (as at Open).
+// rebuild bulk-publishes the snapshot chain's versions in one pass per shard
+// — a chain holds thousands of versions, and per-record copy-on-write would
+// cost O(n²/shards). The records carry generation 0 and the shards stay at
+// generation 0: clean until the log suffix publishes on top of them. Caller
+// must own the repository exclusively (as at Open).
 func (x *dovIndex) rebuild(entries map[version.ID]*dovEntry) {
 	maps := make([]map[version.ID]*dovEntry, idxShards)
 	for i := range maps {
 		maps[i] = make(map[version.ID]*dovEntry)
 	}
 	for id, e := range entries {
-		i := shardOf(id)
-		maps[i][id] = e
-		x.shards[i].gen = max(x.shards[i].gen, e.gen)
+		maps[shardOf(id)][id] = e
 	}
 	for i := range maps {
 		m := maps[i]

@@ -200,6 +200,9 @@ type Repository struct {
 	chainBytes int64
 	baseBytes  int64
 	lastGens   *ckptGens
+	// stopCheckpointer stops the background checkpointer and waits for it
+	// to exit; nil while none runs (StartCheckpointer).
+	stopCheckpointer func()
 	// maxChain is Options.CheckpointMaxChain (0: no count bound).
 	maxChain int
 	// lastPauseNs/maxPauseNs instrument the exclusive-lock window of the
@@ -219,6 +222,15 @@ type Repository struct {
 type daState struct {
 	mu sync.Mutex
 	g  *version.Graph
+}
+
+// insert adds a version to the graph: as an adopted root (foreign parents
+// allowed) or derived from its parents.
+func (st *daState) insert(v *version.DOV, root bool) error {
+	if root {
+		return st.g.AdoptRoot(v)
+	}
+	return st.g.InsertDerived(v)
 }
 
 // ChangeKind distinguishes version-change events pushed to the hook.
@@ -352,24 +364,21 @@ func Open(cat *catalog.Catalog, opts Options) (*Repository, error) {
 	}
 	r.follower.Store(opts.Follower)
 	r.idx.init()
-	// staging collects recovered versions outside the published index so the
-	// bulk rebuild below costs one pass instead of per-record copy-on-write.
-	staging := make(map[version.ID]*dovEntry)
+	r.publishDAs()
 	if opts.Dir != "" {
-		if err := r.recoverDir(opts, staging); err != nil {
+		if err := r.recoverDir(opts); err != nil {
 			r.closeChain(r.chain)
 			return nil, err
 		}
 	}
-	r.idx.rebuild(staging)
-	r.publishDAs()
 	return r, nil
 }
 
-// recoverDir loads the snapshot chain, opens the log and replays its suffix
-// into staging. On error the caller releases the chain's handles.
-func (r *Repository) recoverDir(opts Options, staging map[version.ID]*dovEntry) error {
-	if err := r.loadSnapshotChain(staging); err != nil {
+// recoverDir loads and publishes the snapshot chain, opens the log and
+// replays its suffix through applyRecord, the applier of shipped batches.
+// On error the caller releases the chain's handles.
+func (r *Repository) recoverDir(opts Options) error {
+	if err := r.loadSnapshotChain(); err != nil {
 		return err
 	}
 	snapLSN := r.snapLSN
@@ -402,16 +411,23 @@ func (r *Repository) recoverDir(opts Options, staging map[version.ID]*dovEntry) 
 			return err
 		}
 	}
-	if err := r.recover(snapLSN, staging); err != nil {
+	// Records below snapLSN are already reflected in the chain (the mark
+	// normally equals snapLSN, but a crash between chain install and log
+	// mark can leave older records in the log). Every record applied here
+	// publishes at a fresh generation, so the first checkpoint after Open
+	// is an incremental delta of exactly what the suffix touched.
+	if err := l.Replay(func(rec wal.Record) error {
+		if rec.LSN < snapLSN {
+			return nil
+		}
+		return r.applyRecord(rec)
+	}); err != nil {
 		l.Close()
 		return err
 	}
 	// Leaves stay resident: a chain-loaded version with a child anywhere in
 	// what was loaded or replayed drops its payload bytes.
-	get := func(id version.ID) (*dovEntry, bool) { e, ok := staging[id]; return e, ok }
-	for _, e := range staging {
-		evictParents(e, get)
-	}
+	r.idx.each(func(_ version.ID, e *dovEntry) { evictParents(e, r.idx.get) })
 	// Collect leftovers of crashed checkpoint attempts (unreferenced
 	// payload files, stray tmps). The parsed chain matches the durable
 	// manifest prefix, so everything outside it is garbage.
@@ -429,9 +445,17 @@ func (r *Repository) publishDAs() {
 	r.dasPub.Store(&m)
 }
 
-// Close releases the underlying log and the snapshot chain's payload files.
-// Cold versions are unreadable afterwards.
+// Close stops the background checkpointer, if one runs, and releases the
+// underlying log and the snapshot chain's payload files. Cold versions are
+// unreadable afterwards.
 func (r *Repository) Close() error {
+	r.ckptMu.Lock()
+	stop := r.stopCheckpointer
+	r.stopCheckpointer = nil
+	r.ckptMu.Unlock()
+	if stop != nil {
+		stop()
+	}
 	r.ckptMu.Lock()
 	r.closeChain(r.chain)
 	r.ckptMu.Unlock()
@@ -532,86 +556,102 @@ func (d *dovRecord) meta() *version.DOV {
 	}
 }
 
-// replayedGen is the publication generation of a record recovered from the
-// log suffix rather than the snapshot chain (generation 0): the first
-// checkpoint after Open must write it, and only it.
-const replayedGen = 1
+// applyRecord applies one redo record to the published state. It is the
+// one record applier: Open replays the log suffix behind the snapshot chain
+// through it, and a follower applies every shipped record with it
+// (DESIGN.md §5.4). Both callers exclude other mutators — Open owns the
+// repository, ApplyShipped holds the quiesce lock exclusively — yet every
+// change goes through the normal publication path, because a follower's
+// lock-free readers are watching.
+func (r *Repository) applyRecord(rec wal.Record) error {
+	switch rec.Type {
+	case recGraphNew:
+		da := string(rec.Payload)
+		r.dasMu.Lock()
+		if _, ok := r.das[da]; !ok {
+			r.das[da] = &daState{g: version.NewGraph(da)}
+			r.publishDAs()
+		}
+		r.dasMu.Unlock()
+	case recDOVInsert:
+		d, err := decodeInsert(rec.Payload)
+		if err != nil {
+			return err
+		}
+		return r.installRecord(d)
+	case recDOVStatus:
+		return r.applyStatus(rec.Payload)
+	case recMetaPut:
+		key, value, ok := bytes.Cut(rec.Payload, []byte{0})
+		if !ok {
+			return errors.New("repo: recover meta: bad payload")
+		}
+		r.metaMu.Lock()
+		r.meta[string(key)] = append([]byte(nil), value...)
+		r.metaGen++
+		r.metaMu.Unlock()
+	case recMetaDel:
+		r.metaMu.Lock()
+		if _, ok := r.meta[string(rec.Payload)]; ok {
+			delete(r.meta, string(rec.Payload))
+			r.metaGen++
+		}
+		r.metaMu.Unlock()
+	}
+	return nil
+}
 
-// installRecovered inserts one validated DOV record exactly as the original
-// checkin did, into the recovery staging map and the (not yet shared)
-// graphs, with payload body b and publication generation gen.
-func (r *Repository) installRecovered(dr *dovRecord, b *body, staging map[version.ID]*dovEntry, gen uint64) error {
+// installRecord publishes one logged DOV exactly as the original checkin
+// did: claim, graph insert, index publication.
+func (r *Repository) installRecord(dr *dovRecord) error {
 	v := dr.meta()
+	r.dasMu.Lock()
 	st, ok := r.das[dr.DA]
 	if !ok {
 		st = &daState{g: version.NewGraph(dr.DA)}
 		r.das[dr.DA] = st
+		r.publishDAs()
 	}
-	if dr.Root {
-		if err := st.g.AdoptRoot(v); err != nil {
-			return err
-		}
-	} else if err := st.g.InsertDerived(v); err != nil {
+	r.dasMu.Unlock()
+	if !r.idx.claim(v.ID) {
+		return fmt.Errorf("%w: recover %s", version.ErrDuplicateDOV, v.ID)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err := st.insert(v, dr.Root); err != nil {
+		r.idx.unclaim(v.ID)
 		return err
 	}
-	staging[v.ID] = &dovEntry{dov: v, body: b, root: dr.Root, gen: gen}
+	r.idx.put(v.ID, &dovEntry{dov: v, body: residentBody(dr.Object), root: dr.Root})
 	if dr.Seq > r.seq.Load() {
 		r.seq.Store(dr.Seq)
 	}
 	return nil
 }
 
-// recover replays the redo-log suffix behind the loaded snapshot. Records
-// below snapLSN are already reflected in the snapshot state (the WAL's own
-// low-water mark normally equals snapLSN, but a crash between snapshot
-// install and log mark can leave older records in the log). Everything the
-// suffix touches — inserted versions, status changes of chain-loaded ones,
-// the metadata store — is marked dirty, so the first checkpoint after Open
-// is an incremental delta of exactly that.
-//
-// Each record is decoded and applied in LSN order on the calling goroutine
-// (§3.7); the WAL streams the segments through a large read buffer.
-func (r *Repository) recover(snapLSN wal.LSN, staging map[version.ID]*dovEntry) error {
-	return r.log.Replay(func(rec wal.Record) error {
-		if rec.LSN < snapLSN {
-			return nil
-		}
-		switch rec.Type {
-		case recGraphNew:
-			da := string(rec.Payload)
-			if _, ok := r.das[da]; !ok {
-				r.das[da] = &daState{g: version.NewGraph(da)}
-			}
-		case recDOVInsert:
-			d, err := decodeInsert(rec.Payload)
-			if err != nil {
-				return err
-			}
-			return r.installRecovered(d, residentBody(d.Object), staging, replayedGen)
-		case recDOVStatus:
-			parts := strings.SplitN(string(rec.Payload), "\x00", 2)
-			if len(parts) != 2 || len(parts[1]) != 1 {
-				// A short second part means the status byte is missing: a
-				// corrupt record must fail recovery, not index past the end.
-				return errors.New("repo: recover status: bad payload")
-			}
-			if e, ok := staging[version.ID(parts[0])]; ok {
-				e.dov.Status = version.Status(parts[1][0])
-				e.gen = replayedGen
-			}
-		case recMetaPut:
-			parts := bytes.SplitN(rec.Payload, []byte{0}, 2)
-			if len(parts) != 2 {
-				return errors.New("repo: recover meta: bad payload")
-			}
-			r.meta[string(parts[0])] = append([]byte(nil), parts[1]...)
-			r.metaGen = replayedGen
-		case recMetaDel:
-			delete(r.meta, string(rec.Payload))
-			r.metaGen = replayedGen
-		}
-		return nil
-	})
+// applyStatus applies a logged status record through the normal
+// republication path (fresh immutable record, graph swap).
+func (r *Repository) applyStatus(payload []byte) error {
+	id, rest, ok := bytes.Cut(payload, []byte{0})
+	if !ok || len(rest) != 1 {
+		// A missing status byte is a corrupt record: it must fail the
+		// apply, not index past the end.
+		return errors.New("repo: recover status: bad payload")
+	}
+	e, found := r.idx.get(version.ID(id))
+	if !found {
+		return fmt.Errorf("repo: recover status: unknown DOV %s", id)
+	}
+	st, found := (*r.dasPub.Load())[e.dov.DA]
+	if !found {
+		return fmt.Errorf("%w: %s", ErrUnknownGraph, e.dov.DA)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e, _ = r.idx.get(version.ID(id))
+	nv := *e.dov
+	nv.Status = version.Status(rest[0])
+	return r.republish(st, &nv, e)
 }
 
 // noWait is the wait function of volatile repositories (no log).
@@ -900,12 +940,7 @@ func (r *Repository) CheckinCleanup(v *version.DOV, root bool, cleanupKey string
 		r.idx.unclaim(v.ID)
 		return fail(err)
 	}
-	if root {
-		if err := st.g.AdoptRoot(&meta); err != nil {
-			r.idx.unclaim(v.ID)
-			return fail(err)
-		}
-	} else if err := st.g.InsertDerived(&meta); err != nil {
+	if err := st.insert(&meta, root); err != nil {
 		r.idx.unclaim(v.ID)
 		return fail(err)
 	}

@@ -243,6 +243,51 @@ func (r *Repository) Checkpoint() error {
 	return nil
 }
 
+// checkpointPollInterval is how often the background checkpointer samples
+// the log size.
+const checkpointPollInterval = 250 * time.Millisecond
+
+// DefaultCheckpointLogBytes is the log growth past the low-water mark at
+// which the deployments' background checkpointer runs a checkpoint: concordd
+// and core.System, in every role.
+const DefaultCheckpointLogBytes int64 = 8 << 20
+
+// StartCheckpointer launches the background compaction loop: whenever the
+// log — staged 2PC records included — has grown thresholdBytes past its
+// low-water mark, it runs a checkpoint, keeping restart time and disk usage
+// bounded by live state instead of history length. A follower compacts its
+// shipped log the same way, so the loop is started once by whoever opens a
+// durable repository, whatever its role. Close stops it. Call at most once;
+// a volatile repository has nothing to compact and starts nothing.
+func (r *Repository) StartCheckpointer(thresholdBytes int64) {
+	if r.log == nil {
+		return
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	r.ckptMu.Lock()
+	r.stopCheckpointer = func() { close(stop); <-done }
+	r.ckptMu.Unlock()
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(checkpointPollInterval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			if r.LogSize()-int64(r.LowWater()) < thresholdBytes {
+				continue
+			}
+			// A failed checkpoint is not fatal to the running server: the
+			// log keeps growing until the next attempt, and the fail-stop
+			// underneath is reported by every regular operation too.
+			_ = r.Checkpoint()
+		}
+	}()
+}
+
 // installBase runs the full-rebase install protocol: payload file, manifest
 // rewrite, log mark, GC of the superseded chain.
 func (r *Repository) installBase(cut *snapCut) error {

@@ -43,8 +43,9 @@ type Transport uint8
 const (
 	// InProc uses the in-process transport (the core.System deployment).
 	InProc Transport = iota
-	// TCP uses real TCP sockets with gob envelopes (the cmd/concordd
-	// deployment, assembled manually per site).
+	// TCP uses real TCP sockets carrying the multiplexed binenc wire
+	// protocol (the cmd/concordd deployment: a server.Assemble site behind
+	// an rpc.TCP listener).
 	TCP
 )
 

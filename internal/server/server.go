@@ -70,8 +70,6 @@ type Site struct {
 	mu         sync.Mutex
 	sender     *repl.Sender
 	senderAddr string
-	ckptStop   chan struct{}
-	ckptDone   chan struct{}
 }
 
 // Assemble builds the server site over an opened repository: lock manager,
@@ -148,46 +146,6 @@ func (s *Site) Handle(method string, h rpc.Handler) {
 	s.verbs[method] = h
 }
 
-// checkpointPollInterval is how often the background checkpointer samples
-// the log size.
-const checkpointPollInterval = 250 * time.Millisecond
-
-// DefaultCheckpointLogBytes is the log growth past the low-water mark at
-// which every deployment's background checkpointer runs a checkpoint:
-// concordd in both roles, and core.System unless its options say otherwise.
-const DefaultCheckpointLogBytes int64 = 8 << 20
-
-// StartCheckpointer launches the background compaction loop: whenever the
-// repository log — the site's one log, staged 2PC records included — has
-// grown thresholdBytes past its low-water mark, it runs a repository
-// checkpoint, keeping restart time and disk usage bounded by live state
-// instead of history length. Close stops it. Call at most once per site.
-func (s *Site) StartCheckpointer(thresholdBytes int64) {
-	stop, done := make(chan struct{}), make(chan struct{})
-	s.mu.Lock()
-	s.ckptStop, s.ckptDone = stop, done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(checkpointPollInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			if s.Repo.LogSize()-int64(s.Repo.LowWater()) < thresholdBytes {
-				continue
-			}
-			// A failed checkpoint is not fatal to the running server: the
-			// log keeps growing until the next attempt, and the fail-stop
-			// underneath is reported by every regular operation too.
-			_ = s.Repo.Checkpoint()
-		}
-	}()
-}
-
 // ReplicateTo starts shipping the repository log to the standby whose
 // repl.Receiver is served at addr, through client (DESIGN.md §5.4). The
 // sender stamps batches with the repository's epoch and traverses the site's
@@ -230,19 +188,11 @@ func (s *Site) SenderStats() repl.SenderStats {
 	return sender.Stats()
 }
 
-// Close tears the site down in dependency order — checkpointer, lease
-// reaper, notifier, CM dispatcher, WAL shipper — and returns once every
-// goroutine the site started has exited. The repository stays open: it
+// Close tears the site down in dependency order — lease reaper, notifier, CM
+// dispatcher, WAL shipper — and returns once every goroutine the site started
+// has exited. The repository stays open, its checkpointer included: it
 // belongs to the caller.
 func (s *Site) Close() {
-	s.mu.Lock()
-	stop, done := s.ckptStop, s.ckptDone
-	s.ckptStop = nil
-	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
 	s.TM.StopLeaseReaper()
 	s.Notifier.Close()
 	s.CM.Close()

@@ -21,8 +21,8 @@ import (
 )
 
 // TestMain guards the package against leaked background goroutines: every
-// loop a Site or Standby starts — checkpointer, lease reaper, notifier, CM
-// dispatcher, WAL shipper — must have exited once Close returned.
+// loop a Site or Standby starts — lease reaper, notifier, CM dispatcher, WAL
+// shipper — must have exited once Close returned.
 func TestMain(m *testing.M) {
 	os.Exit(leakcheck.Main(m))
 }
@@ -112,7 +112,6 @@ func TestAssembledSiteReapsCrashedWorkstation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer site.Close()
-	site.StartCheckpointer(1 << 30)
 	addr := n.listen(t, site.Handler())
 	if err := n.repo.CreateGraph("da1"); err != nil {
 		t.Fatal(err)
@@ -215,8 +214,6 @@ func TestPrimaryStandbyPromoteOverTCP(t *testing.T) {
 	pAddr := pn.listen(t, primary.Handler())
 	standby := NewStandby(sn.repo, rpc.NewClient(sn.trans, "standby-cb"), Options{})
 	defer standby.Close()
-	promotedTo := make(chan *Site, 1)
-	standby.OnPromoted = func(s *Site) { promotedTo <- s }
 	sAddr := sn.listen(t, standby.Handler())
 
 	// Attach: a first announcement starts shipping, a repeated one is a
@@ -272,9 +269,7 @@ func TestPrimaryStandbyPromoteOverTCP(t *testing.T) {
 	if err := ws.Failover(); err != nil {
 		t.Fatalf("failover: %v", err)
 	}
-	if got := <-promotedTo; got != standby.Site() || got == nil {
-		t.Fatalf("OnPromoted saw site %p, Standby.Site() = %p", got, standby.Site())
-	}
+	await(t, "the promoted site", func() bool { return standby.Site() != nil })
 	if h, err := ws.ServerHealthFull(); err != nil || h.Role != "primary" || h.Epoch != 1 {
 		t.Fatalf("promoted health = %+v, %v; want role=primary epoch=1", h, err)
 	}
@@ -430,13 +425,14 @@ func walBytes(t *testing.T, dir string) int64 {
 
 // TestPromotedStandbyCheckpoints is the promoted half of the daemon's
 // checkpointing (concordd's own test covers the primary): a standby whose
-// OnPromoted starts the checkpointer at DefaultCheckpointLogBytes, as
+// repository runs the checkpointer from boot at DefaultCheckpointLogBytes, as
 // concordd's does, writes its snapshot chain and compacts its log once more
 // than that has been checked in at it after the failover, and a restart
 // from its directory recovers every version.
 func TestPromotedStandbyCheckpoints(t *testing.T) {
 	const n, cellBytes = 64, 256 << 10 // 16 MiB of payload, logged twice
 	pn, sn := openNode(t, false), openNode(t, true)
+	sn.repo.StartCheckpointer(repo.DefaultCheckpointLogBytes)
 	primary, err := Assemble(pn.repo, rpc.NewClient(pn.trans, "primary-cb"), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +441,6 @@ func TestPromotedStandbyCheckpoints(t *testing.T) {
 	pAddr := pn.listen(t, primary.Handler())
 	standby := NewStandby(sn.repo, rpc.NewClient(sn.trans, "standby-cb"), Options{})
 	defer standby.Close()
-	standby.OnPromoted = func(s *Site) { s.StartCheckpointer(DefaultCheckpointLogBytes) }
 	sAddr := sn.listen(t, standby.Handler())
 	primary.ReplicateTo(rpc.NewClient(pn.trans, "repl"), sAddr, repl.SenderOptions{Sync: true})
 	await(t, "sync mode", func() bool { return primary.SenderStats().Mode == repl.ModeSync })
@@ -470,6 +465,7 @@ func TestPromotedStandbyCheckpoints(t *testing.T) {
 	})
 	want := sn.repo.DOVCount()
 	standby.Close()
+	sn.repo.Close()
 	restarted, err := repo.Open(vlsi.NewCatalog(), repo.Options{Dir: sn.dir, Sync: true})
 	if err != nil {
 		t.Fatal(err)

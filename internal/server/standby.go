@@ -19,11 +19,6 @@ import (
 // "tm/staged/" metadata (each is a commit vote), so the coordinators'
 // decision resend completes in-doubt 2PC branches.
 type Standby struct {
-	// OnPromoted, when set, runs at the end of a successful promotion with
-	// the site it assembled, for what Assemble leaves to the deployment
-	// (core starts the site's checkpointer). Set it before serving Handler.
-	OnPromoted func(*Site)
-
 	repo      *repo.Repository
 	callbacks *rpc.Client
 	opts      Options
@@ -60,9 +55,6 @@ func (sb *Standby) promote(uint64) error {
 	sb.mu.Lock()
 	sb.site = site
 	sb.mu.Unlock()
-	if sb.OnPromoted != nil {
-		sb.OnPromoted(site)
-	}
 	return nil
 }
 

@@ -718,13 +718,13 @@ func (d *DOP) Checkout(dov version.ID, derive bool) (*catalog.Object, error) {
 }
 
 // fetch performs one cache-negotiated checkout transfer. useCache false runs
-// the degenerate (always-full) protocol — the retry path after a cache race
-// and the behaviour of cacheless clients. Beside the object it returns the
-// content hash the server stated for it. d.mu must be held.
+// the degenerate (always-full) protocol — the retry path after a cache race.
+// Beside the object it returns the content hash the server stated for it.
+// d.mu must be held.
 func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, []byte, error) {
 	tm := d.tm
 	m := checkoutMsg{DOP: d.id, DA: d.da, DOV: dov, Derive: derive}
-	if useCache && tm.cache != nil {
+	if useCache {
 		tm.mu.Lock()
 		m.WS, m.CBAddr = tm.id, tm.cbAddr
 		tm.mu.Unlock()
@@ -753,7 +753,7 @@ func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, []b
 	if err != nil {
 		return nil, nil, err
 	}
-	if cr.BumpEpoch && tm.cache != nil {
+	if cr.BumpEpoch {
 		// The server lost invalidations destined for this workstation; the
 		// cache incarnation ends before any of its (possibly stale) entries
 		// can serve this response. NotModified/delta answers then miss their
@@ -772,12 +772,10 @@ func (d *DOP) fetch(dov version.ID, derive, useCache bool) (*catalog.Object, []b
 		if err != nil {
 			return nil, nil, err
 		}
-		if tm.cache != nil {
-			tm.cache.Put(dovMeta{
-				ID: cr.DOV.ID, DOT: cr.DOV.DOT, DA: cr.DOV.DA,
-				Parents: cr.DOV.Parents, Status: cr.DOV.Status, Fulfilled: cr.DOV.Fulfilled,
-			}, cr.Hash, cr.DOV.Object)
-		}
+		tm.cache.Put(dovMeta{
+			ID: cr.DOV.ID, DOT: cr.DOV.DOT, DA: cr.DOV.DA,
+			Parents: cr.DOV.Parents, Status: cr.DOV.Status, Fulfilled: cr.DOV.Fulfilled,
+		}, cr.Hash, cr.DOV.Object)
 		return obj, cr.Hash, nil
 	case coNotModified:
 		count(&tm.stats.NotModified)
@@ -1000,20 +998,18 @@ func (d *DOP) Checkin(status version.Status, root bool) (version.ID, error) {
 		Hash: hash,
 	}
 	var dw *binenc.Writer // the delta form of the payload, when one ships
-	if tm.cache != nil {
-		tm.mu.Lock()
-		msg.WS, msg.CBAddr = tm.id, tm.cbAddr
-		tm.mu.Unlock()
-		msg.Epoch = tm.cache.Epoch()
-		// Ship the workspace as a delta against a cached relative — the
-		// most recent input is usually the version this one was derived
-		// from — whenever that is actually smaller. The server reapplies
-		// the delta and verifies the content hash before staging.
-		if baseID, baseHash, baseEnc, ok := d.checkinBase(); ok {
-			if dw = binenc.DeltaPooled(baseEnc, objData); dw != nil {
-				msg.DOV.Object = nil
-				msg.BaseID, msg.BaseHash, msg.Delta = baseID, baseHash, dw.Bytes()
-			}
+	tm.mu.Lock()
+	msg.WS, msg.CBAddr = tm.id, tm.cbAddr
+	tm.mu.Unlock()
+	msg.Epoch = tm.cache.Epoch()
+	// Ship the workspace as a delta against a cached relative — the most
+	// recent input is usually the version this one was derived from —
+	// whenever that is actually smaller. The server reapplies the delta and
+	// verifies the content hash before staging.
+	if baseID, baseHash, baseEnc, ok := d.checkinBase(); ok {
+		if dw = binenc.DeltaPooled(baseEnc, objData); dw != nil {
+			msg.DOV.Object = nil
+			msg.BaseID, msg.BaseHash, msg.Delta = baseID, baseHash, dw.Bytes()
 		}
 	}
 	pw := binenc.GetWriter(192 + len(msg.DOV.Object) + len(msg.Delta))
@@ -1053,14 +1049,12 @@ func (d *DOP) Checkin(status version.Status, root bool) (version.ID, error) {
 		// (Sect. 5.2).
 		return "", fmt.Errorf("%w: transaction %s", ErrCheckinFailed, txid)
 	}
-	if tm.cache != nil {
-		// The new version's bytes are already here; cache them so the next
-		// checkout of this version is a NotModified handshake.
-		tm.cache.Put(dovMeta{
-			ID: newID, DOT: d.workspace.Type, DA: d.da,
-			Parents: parents, Status: status,
-		}, hash, objData)
-	}
+	// The new version's bytes are already here; cache them so the next
+	// checkout of this version is a NotModified handshake.
+	tm.cache.Put(dovMeta{
+		ID: newID, DOT: d.workspace.Type, DA: d.da,
+		Parents: parents, Status: status,
+	}, hash, objData)
 	d.lastResult = newID
 	// The post-checkin recovery point; it also carries to disk the
 	// input-added records of the checkouts before it.

@@ -136,15 +136,18 @@ func (tm *ClientTM) ServerHealth() (mode, cause string, err error) {
 	return h.Mode, h.Cause, nil
 }
 
-// ServerHealthInfo is the full MethodHealth answer: degradation mode and
-// cause, plus the replication role, fencing epoch and shipping lag.
+// ServerHealthInfo is the full MethodHealth answer: the server's degradation
+// mode ("ok", "degraded" or "failstop") with the latched cause, plus its
+// replication role, fencing epoch and shipping lag.
 type ServerHealthInfo struct {
 	Mode, Cause string
-	// Role is "primary", "standby" or "promoting".
+	// Role is "primary", "standby" or "promoting" ("primary" when the
+	// server runs unreplicated).
 	Role string
 	// Epoch is the fencing term the server serves under.
 	Epoch uint64
-	// LagRecords / LagBytes measure how far its standby trails.
+	// LagRecords / LagBytes measure how far its standby trails (as seen from
+	// a primary's sender; zero on a standby and in sync steady state).
 	LagRecords, LagBytes uint64
 }
 
@@ -160,8 +163,5 @@ func (tm *ClientTM) ServerHealthFull() (ServerHealthInfo, error) {
 		return ServerHealthInfo{}, err
 	}
 	tm.noteEpoch(h.Epoch)
-	return ServerHealthInfo{
-		Mode: h.Mode, Cause: h.Cause, Role: h.Role,
-		Epoch: h.Epoch, LagRecords: h.LagRecords, LagBytes: h.LagBytes,
-	}, nil
+	return h, nil
 }

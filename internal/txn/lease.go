@@ -275,9 +275,9 @@ func (s *ServerTM) reapWorkstation(ws string, dops []string) {
 // HealthInfo reports the repository degradation mode plus the replication
 // role (MethodHealth backend). Without a repl reporter the server presents as
 // a standalone primary at epoch 0.
-func (s *ServerTM) HealthInfo() healthResp {
+func (s *ServerTM) HealthInfo() ServerHealthInfo {
 	h := s.repo.Health()
-	out := healthResp{Mode: h.Mode, Cause: h.Cause, Role: "primary"}
+	out := ServerHealthInfo{Mode: h.Mode, Cause: h.Cause, Role: "primary"}
 	if f := s.replInfo.Load(); f != nil {
 		out.Role, out.Epoch, out.LagRecords, out.LagBytes = (*f)()
 	}
@@ -299,12 +299,7 @@ func (s *ServerTM) SetReplInfo(f func() (role string, epoch, lagRecords, lagByte
 // EncodeHealthInfo encodes a MethodHealth answer from the given record.
 // Standby sites use it to answer health probes before a full server-TM
 // exists at their address.
-func EncodeHealthInfo(h ServerHealthInfo) []byte {
-	return healthResp{
-		Mode: h.Mode, Cause: h.Cause, Role: h.Role,
-		Epoch: h.Epoch, LagRecords: h.LagRecords, LagBytes: h.LagBytes,
-	}.encode()
-}
+func EncodeHealthInfo(h ServerHealthInfo) []byte { return h.encode() }
 
 // dopPair names one DOP registration a rejoining workstation restores.
 type dopPair struct {
@@ -339,37 +334,22 @@ func decodeRejoin(data []byte) (rejoinMsg, error) {
 	return m, wireErr(r)
 }
 
-// healthResp is the MethodHealth answer: the server's degradation mode
-// ("ok", "degraded" or "failstop") with the latched cause, and (wire rev 4)
-// its replication role, fencing epoch and shipping lag.
-type healthResp struct {
-	Mode  string
-	Cause string
-	// Role is "primary", "standby" or "promoting" ("primary" when the
-	// server runs unreplicated).
-	Role string
-	// Epoch is the replication fencing term the server serves under.
-	Epoch uint64
-	// LagRecords / LagBytes measure how far the standby trails (as seen from
-	// a primary's sender; zero on a standby and in sync steady state).
-	LagRecords uint64
-	LagBytes   uint64
-}
-
-func (m healthResp) encode() []byte {
-	w := binenc.NewWriter(64 + len(m.Cause))
-	w.Str(m.Mode)
-	w.Str(m.Cause)
-	w.Str(m.Role)
-	w.U64(m.Epoch)
-	w.U64(m.LagRecords)
-	w.U64(m.LagBytes)
+// encode writes the MethodHealth answer (wire rev 4 added role, epoch and
+// lag).
+func (h ServerHealthInfo) encode() []byte {
+	w := binenc.NewWriter(64 + len(h.Cause))
+	w.Str(h.Mode)
+	w.Str(h.Cause)
+	w.Str(h.Role)
+	w.U64(h.Epoch)
+	w.U64(h.LagRecords)
+	w.U64(h.LagBytes)
 	return w.Bytes()
 }
 
-func decodeHealth(data []byte) (healthResp, error) {
+func decodeHealth(data []byte) (ServerHealthInfo, error) {
 	r := binenc.NewReader(data)
-	m := healthResp{Mode: r.Str(), Cause: r.Str(), Role: r.Str()}
+	m := ServerHealthInfo{Mode: r.Str(), Cause: r.Str(), Role: r.Str()}
 	m.Epoch = r.U64()
 	m.LagRecords = r.U64()
 	m.LagBytes = r.U64()
