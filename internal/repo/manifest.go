@@ -483,10 +483,11 @@ func (f *chainFold) fold(p *snapPayload) {
 
 // install materializes the folded state into the recovering repository and
 // publishes it: DA graphs, the index (built in one bulk pass, with records
-// inserted in Seq order so every derivation edge re-wires exactly as replay
-// would build it), metadata and the sequence counter. Each version's body is
-// located in the chain, and resident in the record's own buffer unless the
-// loader already dropped it. Chain-loaded records carry generation 0.
+// inserted in Seq order so every derivation edge and every lineage comes out
+// exactly as replay would build them), metadata and the sequence counter.
+// Each version's body is located in the chain, and resident in the record's
+// own buffer unless the loader already dropped it. Chain-loaded records
+// carry generation 0.
 func (f *chainFold) install(r *Repository) error {
 	r.seq.Store(f.seq)
 	for _, da := range f.daNames {
@@ -502,6 +503,10 @@ func (f *chainFold) install(r *Repository) error {
 	// allocated first).
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	staging := make(map[version.ID]*dovEntry, len(recs))
+	staged := func(id version.ID) (*dovEntry, bool) {
+		e, ok := staging[id]
+		return e, ok
+	}
 	for i := range recs {
 		dr := &recs[i].dovRecord
 		v := dr.meta()
@@ -515,7 +520,7 @@ func (f *chainFold) install(r *Repository) error {
 		}
 		b := &body{}
 		b.at.Store(&bodyAt{enc: dr.Object, loc: recs[i].loc})
-		staging[v.ID] = &dovEntry{dov: v, body: b, root: dr.Root}
+		staging[v.ID] = &dovEntry{dov: v, body: b, root: dr.Root, lin: r.lin.of(v.Parents, staged)}
 	}
 	r.idx.rebuild(staging)
 	r.publishDAs()

@@ -58,6 +58,9 @@ type dovEntry struct {
 	// allowed). Snapshots must preserve the distinction so rebuilt graphs
 	// wire exactly the edges replay would.
 	root bool
+	// lin names the version's lineage in the repository's table
+	// (lineage.go); it fills padding the entry already had.
+	lin uint32
 	// gen is the shard generation this record was published at — its dirty
 	// mark: an incremental checkpoint writes exactly the records newer than
 	// the previous cut's generation for their shard (DESIGN.md §3.8). 0 is

@@ -167,6 +167,8 @@ type Repository struct {
 	// idx is the sharded read index and writer-side version directory
 	// (mvcc.go). Readers only load; writers claim/publish per shard.
 	idx dovIndex
+	// lin interns the lineage every published version carries (lineage.go).
+	lin lineages
 	// degradedOnWAL selects read-only degraded mode over fail-stop when a
 	// log write fails (Options.DegradedOnWALFailure).
 	degradedOnWAL bool
@@ -364,6 +366,7 @@ func Open(cat *catalog.Catalog, opts Options) (*Repository, error) {
 	}
 	r.follower.Store(opts.Follower)
 	r.idx.init()
+	r.lin.init()
 	r.publishDAs()
 	if opts.Dir != "" {
 		if err := r.recoverDir(opts); err != nil {
@@ -622,7 +625,7 @@ func (r *Repository) installRecord(dr *dovRecord) error {
 		r.idx.unclaim(v.ID)
 		return err
 	}
-	r.idx.put(v.ID, &dovEntry{dov: v, body: residentBody(dr.Object), root: dr.Root})
+	r.idx.put(v.ID, &dovEntry{dov: v, body: residentBody(dr.Object), root: dr.Root, lin: r.lin.of(v.Parents, r.idx.get)})
 	if dr.Seq > r.seq.Load() {
 		r.seq.Store(dr.Seq)
 	}
@@ -947,7 +950,7 @@ func (r *Repository) CheckinCleanup(v *version.DOV, root bool, cleanupKey string
 	// Publish the immutable record for lock-free readers, consuming the
 	// claim: the metadata plus objBytes, the very encoding just logged. The
 	// content hash is left to the first checkout.
-	r.idx.put(v.ID, &dovEntry{dov: &meta, body: residentBody(objBytes), root: root})
+	r.idx.put(v.ID, &dovEntry{dov: &meta, body: residentBody(objBytes), root: root, lin: r.lin.of(meta.Parents, r.idx.get)})
 	var cleanupWait func() (wal.LSN, error)
 	if cleanupKey != "" {
 		r.metaMu.Lock()
@@ -1068,13 +1071,14 @@ func (r *Repository) SetFulfilled(id version.ID, names []string) error {
 
 // republish replaces a version's published record with an updated immutable
 // copy: derivation graph and read index both swing to nv. The body (payload,
-// location and memoized hash) and the root marker carry over — payloads and
-// graph shape never change after checkin. Caller holds the DA's write lock.
+// location and memoized hash), the root marker and the lineage carry over —
+// payloads and graph shape never change after checkin. Caller holds the DA's
+// write lock.
 func (r *Repository) republish(st *daState, nv *version.DOV, old *dovEntry) error {
 	if err := st.g.Replace(nv); err != nil {
 		return err
 	}
-	r.idx.put(nv.ID, &dovEntry{dov: nv, body: old.body, root: old.root})
+	r.idx.put(nv.ID, &dovEntry{dov: nv, body: old.body, root: old.root, lin: old.lin})
 	return nil
 }
 

@@ -658,9 +658,9 @@ func (s *stack) secondTM(t *testing.T, id string) *ClientTM {
 }
 
 // TestCheckoutModeFollowsTheBase pins what the delta negotiation answers
-// now that the matcher gives up on unrelated pairs: an unrelated base (the
-// MRU offer of a bulk reader) gets the full version, counted as such, and a
-// relative 1 % away still gets a delta.
+// through the client: an unrelated base (the MRU offer of a bulk reader)
+// gets the full version, counted as such, and a relative 1 % away still
+// gets a delta.
 func TestCheckoutModeFollowsTheBase(t *testing.T) {
 	s := newStack(t, "")
 	const size = 64 << 10
@@ -857,5 +857,129 @@ func TestColdCheckoutDetectsCorruption(t *testing.T) {
 	}
 	if _, err := dop.Checkout("v1", false); err != nil {
 		t.Fatalf("checkout of the resident leaf: %v", err)
+	}
+}
+
+// editedObject returns obj with about 1 % of its cell overwritten at the
+// given fraction of its length by seeded text.
+func editedObject(obj *catalog.Object, seed int64, at float64) *catalog.Object {
+	cell, _ := obj.Get("cell")
+	fresh, _ := textObject(seed, len(cell.S)/100).Get("cell")
+	i := int(at * float64(len(cell.S)-len(fresh.S)))
+	return obj.Clone().Set("cell", catalog.Str(cell.S[:i]+fresh.S+cell.S[i+len(fresh.S):]))
+}
+
+// checkinUnder installs obj as a version of da1 with the given parents (an
+// adopted root when root is set) and returns its ID.
+func (s *stack) checkinUnder(t *testing.T, id string, obj *catalog.Object, root bool, parents ...version.ID) version.ID {
+	t.Helper()
+	v := &version.DOV{ID: version.ID(id), DOT: "floorplan", DA: "da1", Parents: parents, Object: obj, Status: version.StatusWorking}
+	if err := s.repo.Checkin(v, root); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.scopes.Own("da1", id); err != nil {
+		t.Fatal(err)
+	}
+	return v.ID
+}
+
+// serverCheckout runs one wire checkout of target offering base, straight
+// through the server-TM's handler, and returns the decoded answer after
+// checking that a delta reconstructs the target exactly.
+func (s *stack) serverCheckout(t *testing.T, target, base version.ID) checkoutResp {
+	t.Helper()
+	_, baseEnc, baseHash, err := s.repo.Lookup(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.server.checkoutWire(checkoutMsg{DOP: "lineage-dop", DA: "da1", DOV: target, BaseID: base, BaseHash: baseHash}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := decodeCheckoutResp(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Mode == coDelta {
+		_, want, _, err := s.repo.Lookup(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := binenc.ApplyDelta(baseEnc, resp.Delta)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("delta %s→%s reconstructs wrong content (err %v)", base, target, err)
+		}
+	}
+	return resp
+}
+
+// TestCheckoutDeltaFollowsLineage: the server-TM diffs a checkout miss only
+// against a base that shares a derivation ancestor with the target. An offer
+// from another lineage is answered in full even when its bytes are 1 % away,
+// because nothing in the graph says they are related; a relative is diffed
+// however far down its line it sits, through merges and adopted roots.
+func TestCheckoutDeltaFollowsLineage(t *testing.T) {
+	s := newStack(t, "")
+	const size = 64 << 10
+	if err := s.server.Begin("lineage-dop", "da1"); err != nil {
+		t.Fatal(err)
+	}
+	aObj := textObject(1, size)
+	a := s.checkinUnder(t, "a", aObj, true)
+
+	// Another root whose bytes are 1 % away from a: the matcher would find a
+	// delta, but the graph answers first, and in full.
+	twin := s.checkinUnder(t, "twin", editedObject(aObj, 2, 0.5), true)
+	if r := s.serverCheckout(t, a, twin); r.Mode != coFull {
+		t.Fatalf("offer from another root: mode %d, want full", r.Mode)
+	}
+	if r := s.serverCheckout(t, twin, a); r.Mode != coFull {
+		t.Fatalf("offer from another root (reversed): mode %d, want full", r.Mode)
+	}
+	// An adopted root whose parent lies outside the repository opens a
+	// lineage of its own.
+	foreign := s.checkinUnder(t, "foreign", editedObject(aObj, 3, 0.25), true, "elsewhere")
+	if r := s.serverCheckout(t, foreign, a); r.Mode != coFull {
+		t.Fatalf("offer to a root with a foreign parent: mode %d, want full", r.Mode)
+	}
+
+	// 40 derivations of 1 % edits, each at a different place: the base at
+	// the far end of the line still gets a delta.
+	tip, obj := a, aObj
+	for i := 0; i < 40; i++ {
+		obj = editedObject(obj, int64(100+i), float64(i)/40)
+		tip = s.checkinUnder(t, fmt.Sprintf("a%d", i+1), obj, false, tip)
+	}
+	if r := s.serverCheckout(t, tip, a); r.Mode != coDelta {
+		t.Fatalf("base 40 derivations up the line: mode %d, want delta", r.Mode)
+	}
+
+	// A merge of two lineages: half of its payload comes from each parent,
+	// and a version of either lineage is a relative.
+	bObj := textObject(4, size)
+	b := s.checkinUnder(t, "b", bObj, true)
+	bObj = editedObject(bObj, 5, 0.1)
+	b1 := s.checkinUnder(t, "b1", bObj, false, b)
+	cellA, _ := obj.Get("cell")
+	cellB, _ := bObj.Get("cell")
+	merged := obj.Clone().Set("cell", catalog.Str(cellA.S[:size/2]+cellB.S[size/2:]))
+	m := s.checkinUnder(t, "m", merged, false, tip, b1)
+	for _, base := range []version.ID{a, "a20", b, b1} {
+		if r := s.serverCheckout(t, m, base); r.Mode != coDelta {
+			t.Fatalf("merge offered %s of one of its lineages: mode %d, want delta", base, r.Mode)
+		}
+	}
+	if r := s.serverCheckout(t, m, twin); r.Mode != coFull {
+		t.Fatalf("merge offered a root of neither lineage: mode %d, want full", r.Mode)
+	}
+
+	// A root adopted with a parent the repository holds joins that parent's
+	// lineage.
+	adopted := s.checkinUnder(t, "adopted", editedObject(aObj, 6, 0.75), true, "a3")
+	if r := s.serverCheckout(t, adopted, a); r.Mode != coDelta {
+		t.Fatalf("root adopted from a3 offered a: mode %d, want delta", r.Mode)
+	}
+	if r := s.serverCheckout(t, adopted, twin); r.Mode != coFull {
+		t.Fatalf("root adopted from a3 offered another root: mode %d, want full", r.Mode)
 	}
 }

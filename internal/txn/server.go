@@ -313,9 +313,12 @@ func (s *ServerTM) checkoutStat(dop string, dov version.ID, derive bool, deadlin
 // checkoutWire serves one MethodCheckout call: perform the checkout, record
 // the workstation's cache registration, and answer in the cheapest mode the
 // client's offered base allows — NotModified (it already holds the target),
-// a binenc delta (it holds a verified relative), or the full DOV. When the
-// workstation's callback endpoint has lost invalidations since its last
-// negotiation, the answer additionally orders a cache-epoch bump.
+// a binenc delta (it holds a verified relative), or the full DOV. Only a base
+// that shares a derivation ancestor with the target (repo.Related) is diffed
+// against; any other offer is answered in full and its payload is never read
+// (DESIGN.md §4.1). When the workstation's callback endpoint has lost
+// invalidations since its last negotiation, the answer additionally orders a
+// cache-epoch bump.
 func (s *ServerTM) checkoutWire(m checkoutMsg, deadline time.Time) ([]byte, error) {
 	v, hash, err := s.checkoutStat(m.DOP, m.DOV, m.Derive, deadline)
 	if err != nil {
@@ -341,7 +344,7 @@ func (s *ServerTM) checkoutWire(m checkoutMsg, deadline time.Time) ([]byte, erro
 	case notModified:
 		resp.Mode, resp.Meta = coNotModified, meta
 	default:
-		if m.BaseID != "" {
+		if m.BaseID != "" && s.repo.Related(m.BaseID, m.DOV) {
 			if baseEnc, ok := s.deltaBase(m.BaseID, m.BaseHash); ok {
 				if dw := binenc.DeltaPooled(baseEnc, enc); dw != nil {
 					resp.Mode, resp.Meta = coDelta, meta
@@ -351,10 +354,10 @@ func (s *ServerTM) checkoutWire(m checkoutMsg, deadline time.Time) ([]byte, erro
 					return out, nil
 				}
 			}
-			// Unknown or unreadable base, divergent hash or incompressible
-			// pair: fall through to a full transfer — the client's offer is
-			// advisory.
 		}
+		// No offer, an unrelated, unknown or unreadable base, a divergent
+		// hash or an incompressible pair: the full transfer — the client's
+		// offer is advisory.
 		resp.Mode = coFull
 		resp.DOV = dovWire{
 			ID: v.ID, DOT: v.DOT, DA: v.DA, Parents: v.Parents,

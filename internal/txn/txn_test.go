@@ -33,16 +33,7 @@ const serverAddr = "server"
 
 func newStack(t *testing.T, dir string) *stack {
 	t.Helper()
-	cat := catalog.New()
-	if err := cat.Register(&catalog.DOT{
-		Name: "floorplan",
-		Attrs: []catalog.AttrDef{
-			{Name: "cell", Kind: catalog.KindString, Required: true},
-			{Name: "area", Kind: catalog.KindFloat, Bounded: true, Min: 0, Max: 1e12},
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	cat := floorplanCatalog(t)
 	var repoDir string
 	if dir != "" {
 		repoDir = dir + "/server"
@@ -70,6 +61,22 @@ func newStack(t *testing.T, dir string) *stack {
 	}
 	tm := newTM(t, trans, dir)
 	return &stack{cat: cat, repo: r, locks: locks, scopes: scopes, server: server, part: participant, trans: trans, tm: tm, dir: dir}
+}
+
+// floorplanCatalog registers the one design object type the tests use.
+func floorplanCatalog(tb testing.TB) *catalog.Catalog {
+	tb.Helper()
+	cat := catalog.New()
+	if err := cat.Register(&catalog.DOT{
+		Name: "floorplan",
+		Attrs: []catalog.AttrDef{
+			{Name: "cell", Kind: catalog.KindString, Required: true},
+			{Name: "area", Kind: catalog.KindFloat, Bounded: true, Min: 0, Max: 1e12},
+		},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return cat
 }
 
 func newTM(t *testing.T, trans *rpc.InProc, dir string) *ClientTM {
