@@ -41,6 +41,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzReplFrameDecode -fuzztime=10s -run XXX ./internal/repl
 	$(GO) test -fuzz=FuzzClientRecordDecode -fuzztime=10s -run XXX ./internal/txn
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run XXX ./internal/txn
+	$(GO) test -fuzz=FuzzCacheLogDecode -fuzztime=10s -run XXX ./internal/txn
 	$(GO) test -fuzz=FuzzEnvelopeDecode -fuzztime=10s -run XXX ./internal/rpc
 	$(GO) test -fuzz=FuzzTCPFrameDecode -fuzztime=10s -run XXX ./internal/rpc
 

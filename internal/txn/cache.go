@@ -1,14 +1,16 @@
 package txn
 
 import (
+	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 
 	"concord/internal/binenc"
@@ -29,6 +31,14 @@ import (
 // offered hash — so a stale, corrupt or crash-resurrected cache can cost
 // extra bytes, never correctness. That property is what lets entries persist
 // across workstation crashes and invalidations stay best-effort.
+//
+// A durable cache keeps its entries in one append-only log (cacheLogName)
+// that stays open for the cache's life: every persisted change is one record
+// appended in one write, and an eviction or drop is a tombstone. The map
+// stays the index and holds the bytes; the log only carries them across a
+// restart, which replays it with the last record of an ID winning (Bitcask's
+// keydir-plus-log layout, Sheehy & Smith 2010). The log is rewritten with
+// only the live entries once it outgrows them by compactRatio.
 type ObjectCache struct {
 	dir string // "" = volatile
 
@@ -36,6 +46,13 @@ type ObjectCache struct {
 	epoch   uint64
 	entries map[version.ID]*cacheEntry
 	clock   uint64
+	// log is the open entry log (nil when volatile, closed, or after a failed
+	// write); logBytes is its length and liveBytes the bytes of the records
+	// the live entries were last written in. w is the reused record buffer.
+	log       *os.File
+	logBytes  int64
+	liveBytes int64
+	w         *binenc.Writer
 	// MaxEntries bounds the cache; the least recently used entry is evicted
 	// (set before concurrent use; DefaultCacheEntries when 0).
 	MaxEntries int
@@ -53,26 +70,45 @@ type cacheEntry struct {
 	Superseded version.ID
 	// used is the LRU clock value of the last touch.
 	used uint64
-	// unsaved marks a supersession mark the entry file does not hold yet;
-	// the next Put writes it out (a callback does not rewrite the payload).
+	// unsaved marks a supersession mark the log does not hold yet; the next
+	// Put writes it out (a callback does not rewrite the payload).
 	unsaved bool
+	// size is the byte length of the record the entry was last written in
+	// (0 = not in the log).
+	size int64
 }
 
 // DefaultCacheEntries bounds an ObjectCache unless MaxEntries overrides it.
 const DefaultCacheEntries = 128
 
-// cacheFileMagic tags persisted cache entries.
-const cacheFileMagic = 0xCA
+const (
+	// epochFile holds the incarnation counter inside the cache directory.
+	epochFile = "EPOCH"
+	// cacheLogName is the entry log inside the cache directory.
+	cacheLogName = "entries.log"
+	// Record kinds of the entry log: an entry (meta, hash, payload,
+	// supersession mark, LRU clock) and a tombstone (an ID).
+	cacheRecEntry = 0xCA
+	cacheRecTomb  = 0xCB
+	// cacheRecHeader is a record's frame: body length and CRC-32C of the
+	// body, both little-endian uint32.
+	cacheRecHeader = 8
+	// The log is compacted once it holds compactRatio times the live bytes
+	// and at least compactMinBytes.
+	compactRatio    = 4
+	compactMinBytes = 1 << 20
+)
 
-// epochFile holds the incarnation counter inside the cache directory.
-const epochFile = "EPOCH"
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // OpenObjectCache opens (or creates) a cache under dir; "" keeps it
 // volatile. Opening bumps the cache epoch — the incarnation counter that
 // lets the server retire callback registrations of previous lives and lets
 // this cache ignore callbacks addressed to them. Entries persisted by
-// earlier incarnations are loaded (and revalidated against their stored
-// hash); entries that fail validation are discarded.
+// earlier incarnations are loaded from the log and revalidated against
+// their stored hash; a torn or garbled tail is cut off and entries that
+// fail validation are discarded. Entry files of the file-per-entry layout
+// are deleted unread.
 func OpenObjectCache(dir string) (*ObjectCache, error) {
 	c := &ObjectCache{dir: dir, entries: make(map[version.ID]*cacheEntry)}
 	if dir == "" {
@@ -82,18 +118,45 @@ func OpenObjectCache(dir string) (*ObjectCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("txn: open cache: %w", err)
 	}
+	old, _ := filepath.Glob(filepath.Join(dir, "*.dov"))
+	for _, name := range old {
+		os.Remove(name) //nolint:errcheck // best effort; the server holds every byte
+	}
+	path := filepath.Join(dir, cacheLogName)
 	prev, ok := readEpoch(filepath.Join(dir, epochFile))
-	if !ok && hasEntryFiles(dir) {
-		// The epoch marker is gone but entries exist: the incarnation
-		// ordering is lost, so flush rather than guess. (Entries would
-		// still be hash-revalidated; this just keeps epochs honest.)
-		clearEntryFiles(dir)
+	if !ok {
+		// The epoch marker is gone: the incarnation ordering is lost, so
+		// flush rather than guess. (Entries would still be
+		// hash-revalidated; this just keeps epochs honest.)
+		os.Remove(path) //nolint:errcheck // usually absent
 	}
 	c.epoch = prev + 1
 	if err := writeEpoch(filepath.Join(dir, epochFile), c.epoch); err != nil {
 		return nil, fmt.Errorf("txn: open cache: %w", err)
 	}
-	c.loadEntries()
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("txn: open cache: %w", err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("txn: open cache: %w", err)
+	}
+	var good int
+	c.entries, good = decodeCacheLog(data)
+	if good < len(data) {
+		if err := f.Truncate(int64(good)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("txn: open cache: %w", err)
+		}
+	}
+	c.log, c.logBytes, c.w = f, int64(good), binenc.NewWriter(4<<10)
+	for _, e := range c.entries {
+		c.clock = max(c.clock, e.used)
+		c.liveBytes += e.size
+	}
+	c.evictLocked()
+	c.flushLocked()
 	return c, nil
 }
 
@@ -112,7 +175,7 @@ func readEpoch(path string) (uint64, bool) {
 
 // writeEpoch installs the epoch marker tmp/fsync/rename/dir-fsync (the
 // repository's marker discipline): a power loss must never roll the epoch
-// back while newer entry files survive, or the next incarnation would reuse
+// back while newer log records survive, or the next incarnation would reuse
 // its predecessor's epoch and accept callbacks addressed to the dead one.
 func writeEpoch(path string, e uint64) error {
 	w := binenc.NewWriter(10)
@@ -143,87 +206,193 @@ func writeEpoch(path string, e uint64) error {
 	return nil
 }
 
-func hasEntryFiles(dir string) bool {
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return false
+// decodeCacheLog replays an entry log: the last record of an ID wins and a
+// tombstone deletes it. It stops at the first torn or garbled record and
+// returns the length of the good prefix before it; of the surviving entries
+// only those whose payload matches its stored hash are returned (torn
+// writes are tolerated by cutting them off, never by trusting them).
+func decodeCacheLog(data []byte) (map[version.ID]*cacheEntry, int) {
+	entries := make(map[version.ID]*cacheEntry)
+	good := 0
+	for good < len(data) {
+		rest := data[good:]
+		if len(rest) < cacheRecHeader {
+			break
+		}
+		n := binary.LittleEndian.Uint32(rest)
+		if uint64(n) > uint64(len(rest)-cacheRecHeader) {
+			break
+		}
+		body := rest[cacheRecHeader : cacheRecHeader+int(n)]
+		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
+			break
+		}
+		e, tomb, ok := decodeCacheRecord(body)
+		if !ok {
+			break
+		}
+		size := int64(cacheRecHeader + int(n))
+		if tomb != "" {
+			delete(entries, tomb)
+		} else {
+			e.size = size
+			entries[e.Meta.ID] = e
+		}
+		good += int(size)
 	}
-	for _, n := range names {
-		if strings.HasSuffix(n.Name(), ".dov") {
-			return true
+	for id, e := range entries {
+		if !bytes.Equal(catalog.HashEncoded(e.Enc), e.Hash) {
+			delete(entries, id)
 		}
 	}
-	return false
+	return entries, good
 }
 
-func clearEntryFiles(dir string) {
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return
+// decodeCacheRecord decodes one record body: an entry, or the ID a
+// tombstone deletes.
+func decodeCacheRecord(body []byte) (*cacheEntry, version.ID, bool) {
+	r := binenc.NewReader(body)
+	switch r.Byte() {
+	case cacheRecEntry:
+		e := &cacheEntry{Meta: decodeDOVMeta(r)}
+		e.Hash = r.Blob()
+		e.Enc = r.Blob()
+		e.Superseded = version.ID(r.Str())
+		e.used = r.U64()
+		return e, "", r.Err() == nil && r.Remaining() == 0 && e.Meta.ID != ""
+	case cacheRecTomb:
+		id := version.ID(r.Str())
+		return nil, id, r.Err() == nil && r.Remaining() == 0 && id != ""
 	}
-	for _, n := range names {
-		if strings.HasSuffix(n.Name(), ".dov") {
-			os.Remove(filepath.Join(dir, n.Name())) //nolint:errcheck // best effort
-		}
-	}
+	return nil, "", false
 }
 
-// entryPath names the persisted file of a version (IDs may contain path
-// separators, so the name is a digest of the ID).
-func (c *ObjectCache) entryPath(id version.ID) string {
-	sum := sha256.Sum256([]byte(id))
-	return filepath.Join(c.dir, hex.EncodeToString(sum[:12])+".dov")
-}
-
-// loadEntries reads persisted entries, dropping any that fail to decode or
-// whose payload does not match its stored hash (torn writes are tolerated by
-// discarding, never by trusting).
-func (c *ObjectCache) loadEntries() {
-	names, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	for _, n := range names {
-		if !strings.HasSuffix(n.Name(), ".dov") {
-			continue
-		}
-		path := filepath.Join(c.dir, n.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		e, ok := decodeCacheEntry(data)
-		if !ok || !bytes.Equal(catalog.HashEncoded(e.Enc), e.Hash) {
-			os.Remove(path) //nolint:errcheck // corrupt entry
-			continue
-		}
-		c.entries[e.Meta.ID] = e
-	}
-}
-
-func encodeCacheEntry(e *cacheEntry) []byte {
-	w := binenc.NewWriter(128 + len(e.Enc))
-	w.Byte(cacheFileMagic)
+// appendEntryRecord frames e's record onto w and returns its size.
+func appendEntryRecord(w *binenc.Writer, e *cacheEntry) int64 {
+	start := beginRecord(w)
+	w.Byte(cacheRecEntry)
 	e.Meta.encodeInto(w)
 	w.Blob(e.Hash)
 	w.Blob(e.Enc)
 	w.Str(string(e.Superseded))
-	return w.Bytes()
+	w.U64(e.used)
+	return endRecord(w, start)
 }
 
-func decodeCacheEntry(data []byte) (*cacheEntry, bool) {
-	r := binenc.NewReader(data)
-	if r.Byte() != cacheFileMagic {
-		return nil, false
+// appendTombRecord frames a tombstone of id onto w.
+func appendTombRecord(w *binenc.Writer, id version.ID) {
+	start := beginRecord(w)
+	w.Byte(cacheRecTomb)
+	w.Str(string(id))
+	endRecord(w, start)
+}
+
+// beginRecord reserves a record frame on w and returns its offset;
+// endRecord fills it in once the body is written and returns the record's
+// size.
+func beginRecord(w *binenc.Writer) int {
+	start := len(w.Bytes())
+	var hdr [cacheRecHeader]byte
+	w.Raw(hdr[:])
+	return start
+}
+
+func endRecord(w *binenc.Writer, start int) int64 {
+	b := w.Bytes()[start:]
+	body := b[cacheRecHeader:]
+	binary.LittleEndian.PutUint32(b, uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(body, castagnoli))
+	return int64(len(b))
+}
+
+// recordLocked queues e's record for the next flush (durable caches only).
+func (c *ObjectCache) recordLocked(e *cacheEntry) {
+	if c.log == nil {
+		return
 	}
-	e := &cacheEntry{Meta: decodeDOVMeta(r)}
-	e.Hash = r.Blob()
-	e.Enc = r.Blob()
-	e.Superseded = version.ID(r.Str())
-	if r.Err() != nil || e.Meta.ID == "" {
-		return nil, false
+	size := appendEntryRecord(c.w, e)
+	c.liveBytes += size - e.size
+	e.size, e.unsaved = size, false
+}
+
+// tombLocked queues the tombstone of a removed entry for the next flush.
+func (c *ObjectCache) tombLocked(e *cacheEntry) {
+	if c.log == nil {
+		return
 	}
-	return e, true
+	appendTombRecord(c.w, e.Meta.ID)
+	c.liveBytes -= e.size
+}
+
+// flushLocked appends the queued records to the log in one write, then
+// compacts the log if it has outgrown its live entries. Persistence is
+// best-effort: a failed write ends it for this incarnation (the entries
+// stay in memory), and the next open cuts whatever half-record it left.
+func (c *ObjectCache) flushLocked() {
+	if c.log == nil || len(c.w.Bytes()) == 0 {
+		return
+	}
+	buf := c.w.Bytes()
+	c.w.Reset()
+	if _, err := c.log.Write(buf); err != nil {
+		c.log.Close() //nolint:errcheck // already failing
+		c.log = nil
+		return
+	}
+	c.logBytes += int64(len(buf))
+	if c.logBytes >= compactMinBytes && c.logBytes > compactRatio*c.liveBytes {
+		c.compactLocked()
+	}
+}
+
+// compactLocked rewrites the log with only the live entries, least recently
+// used first, into a temporary file renamed over it (the easy case of LFS
+// cleaning: every live record is copied out, the old log goes whole).
+func (c *ObjectCache) compactLocked() {
+	path := filepath.Join(c.dir, cacheLogName)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
+	if err != nil {
+		return
+	}
+	live := make([]*cacheEntry, 0, len(c.entries))
+	for _, e := range c.entries {
+		live = append(live, e)
+	}
+	slices.SortFunc(live, func(a, b *cacheEntry) int { return cmp.Compare(a.used, b.used) })
+	bw := bufio.NewWriterSize(f, 64<<10)
+	var total int64
+	for _, e := range live {
+		c.w.Reset()
+		e.size = appendEntryRecord(c.w, e)
+		total += e.size
+		bw.Write(c.w.Bytes()) //nolint:errcheck // Flush reports it
+	}
+	c.w.Reset()
+	if err := bw.Flush(); err != nil || os.Rename(tmp, path) != nil {
+		f.Close()
+		os.Remove(tmp) //nolint:errcheck // best effort
+		c.log.Close()  //nolint:errcheck // entry sizes now describe tmp: stop
+		c.log = nil
+		return
+	}
+	c.log.Close() //nolint:errcheck // the renamed file replaced it
+	c.log, c.logBytes, c.liveBytes = f, total, total
+	for _, e := range live {
+		e.unsaved = false
+	}
+}
+
+// Close releases the entry log; the cache stays usable, memory-only.
+func (c *ObjectCache) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.log == nil {
+		return nil
+	}
+	err := c.log.Close()
+	c.log = nil
+	return err
 }
 
 // Epoch returns this cache incarnation's epoch.
@@ -240,25 +409,24 @@ func (c *ObjectCache) Epoch() uint64 {
 // refresh — supersession marks, lifecycle status — is now suspect on an
 // unknowable subset of entries, so the whole incarnation is retired: the
 // epoch advances durably (retiring in-flight callbacks addressed to the old
-// one) and every entry is flushed from memory and disk.
+// one) and every entry is flushed from memory and, once the new epoch is
+// written, from the log, which is emptied.
 func (c *ObjectCache) BumpEpoch() uint64 {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.epoch++
-	e := c.epoch
-	victims := make([]version.ID, 0, len(c.entries))
-	for id := range c.entries {
-		victims = append(victims, id)
-	}
 	c.entries = make(map[version.ID]*cacheEntry)
-	dir := c.dir
-	c.mu.Unlock()
-	if dir != "" {
-		writeEpoch(filepath.Join(dir, epochFile), e) //nolint:errcheck // best effort; restart re-bumps
-		for _, id := range victims {
-			os.Remove(c.entryPath(id)) //nolint:errcheck // best effort
-		}
+	if c.dir != "" {
+		writeEpoch(filepath.Join(c.dir, epochFile), c.epoch) //nolint:errcheck // best effort; restart re-bumps
 	}
-	return e
+	if c.log != nil {
+		if err := c.log.Truncate(0); err != nil {
+			c.log.Close() //nolint:errcheck // already failing
+			c.log = nil
+		}
+		c.logBytes, c.liveBytes = 0, 0
+	}
+	return c.epoch
 }
 
 // Len reports the number of cached versions.
@@ -304,13 +472,14 @@ func (c *ObjectCache) Status(id version.ID) (version.Status, bool) {
 }
 
 // Put inserts the cached record of meta.ID or refreshes it in place,
-// persisting it when the cache is durable. A refresh keeps what only
-// callbacks know — the supersession mark — and leaves the entry file alone
-// when nothing it holds changed (the NotModified refresh of an unchanged
-// version). Persistence is best-effort: a failed write leaves a memory-only
-// entry (and at worst a corrupt file the next load discards).
+// persisting it when the cache is durable: one write appends the entry's
+// record and the tombstones of the entries it evicts. A refresh keeps what
+// only callbacks know — the supersession mark — and appends nothing when
+// nothing the entry holds changed (the NotModified refresh of an unchanged
+// version).
 func (c *ObjectCache) Put(meta dovMeta, hash, enc []byte) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.clock++
 	e, ok := c.entries[meta.ID]
 	unchanged := ok && !e.unsaved && bytes.Equal(e.Hash, hash) && e.Meta.equal(meta)
@@ -319,22 +488,15 @@ func (c *ObjectCache) Put(meta dovMeta, hash, enc []byte) {
 		c.entries[meta.ID] = e
 	}
 	e.Meta, e.Hash, e.Enc, e.used = meta, hash, enc, c.clock
+	if !unchanged {
+		c.recordLocked(e)
+	}
 	c.evictLocked()
-	// Encode while still holding the lock: once the entry is published in
-	// c.entries, a concurrent callback (apply) may mutate its Meta.Status or
-	// Superseded fields.
-	var blob []byte
-	if c.dir != "" && !unchanged {
-		blob = encodeCacheEntry(e)
-		e.unsaved = false
-	}
-	c.mu.Unlock()
-	if blob != nil {
-		os.WriteFile(c.entryPath(meta.ID), blob, 0o644) //nolint:errcheck // best effort
-	}
+	c.flushLocked()
 }
 
-// evictLocked drops least-recently-used entries over the capacity bound.
+// evictLocked drops least-recently-used entries over the capacity bound,
+// queueing a tombstone for each.
 func (c *ObjectCache) evictLocked() {
 	limit := c.MaxEntries
 	if limit <= 0 {
@@ -348,22 +510,19 @@ func (c *ObjectCache) evictLocked() {
 				victim, oldest = id, e.used
 			}
 		}
+		c.tombLocked(c.entries[victim])
 		delete(c.entries, victim)
-		if c.dir != "" {
-			os.Remove(c.entryPath(victim)) //nolint:errcheck // best effort
-		}
 	}
 }
 
 // Drop removes id from the cache.
 func (c *ObjectCache) Drop(id version.ID) {
 	c.mu.Lock()
-	_, ok := c.entries[id]
-	delete(c.entries, id)
-	dir := c.dir
-	c.mu.Unlock()
-	if ok && dir != "" {
-		os.Remove(c.entryPath(id)) //nolint:errcheck // best effort
+	defer c.mu.Unlock()
+	if e, ok := c.entries[id]; ok {
+		delete(c.entries, id)
+		c.tombLocked(e)
+		c.flushLocked()
 	}
 }
 
@@ -413,7 +572,8 @@ func (c *ObjectCache) BestBase(da string, want version.ID) (version.ID, []byte, 
 
 // apply folds one callback message into the cache. Messages addressed to a
 // previous incarnation (older epoch) are ignored — their registrations
-// belong to a cache state that no longer exists.
+// belong to a cache state that no longer exists. The message's status
+// changes and invalidations reach the log in one write.
 func (c *ObjectCache) apply(m invalidateMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -429,20 +589,17 @@ func (c *ObjectCache) apply(m invalidateMsg) {
 		case invStatus:
 			if inv.Status == version.StatusInvalid {
 				delete(c.entries, inv.DOV)
-				if c.dir != "" {
-					os.Remove(c.entryPath(inv.DOV)) //nolint:errcheck // best effort
-				}
+				c.tombLocked(e)
 				continue
 			}
 			e.Meta.Status = inv.Status
-			if c.dir != "" {
-				os.WriteFile(c.entryPath(inv.DOV), encodeCacheEntry(e), 0o644) //nolint:errcheck // best effort
-			}
+			c.recordLocked(e)
 		case invSuperseded:
 			e.Superseded = inv.By
 			e.unsaved = c.dir != ""
 		}
 	}
+	c.flushLocked()
 }
 
 // Handler returns the transport handler serving MethodInvalidate — the

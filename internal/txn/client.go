@@ -225,7 +225,8 @@ func NewClientTM(id string, client *rpc.Client, serverAddr, dir string) (*Client
 	tm.cache = cache
 	recovered, err := tm.openLog(dir)
 	if err != nil {
-		tm.closeLog() //nolint:errcheck // the open error is the one to report
+		tm.closeLog()    //nolint:errcheck // the open error is the one to report
+		tm.cache.Close() //nolint:errcheck // likewise
 		return nil, nil, err
 	}
 	return tm, recovered, nil
@@ -255,10 +256,10 @@ func (tm *ClientTM) closeLog() error {
 }
 
 // Close stops the heartbeat (waiting for the goroutine to exit) and releases
-// the workstation log.
+// the workstation log and the cache's entry log.
 func (tm *ClientTM) Close() error {
 	tm.StopHeartbeat()
-	return tm.closeLog()
+	return errors.Join(tm.closeLog(), tm.cache.Close())
 }
 
 // Coordinator exposes the 2PC coordinator (for in-doubt resolution by a
@@ -583,7 +584,8 @@ func (tm *ClientTM) Crash() {
 	defer tm.mu.Unlock()
 	tm.dops = make(map[string]*DOP)
 	tm.ctxLSN = make(map[string]wal.LSN)
-	tm.closeLog() //nolint:errcheck // a crash reports nothing
+	tm.closeLog()    //nolint:errcheck // a crash reports nothing
+	tm.cache.Close() //nolint:errcheck // likewise
 }
 
 // logRecord reserves one record in the client log and returns its LSN and

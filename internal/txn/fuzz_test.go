@@ -2,10 +2,12 @@ package txn
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"concord/internal/binenc"
+	"concord/internal/catalog"
 	"concord/internal/version"
 )
 
@@ -104,5 +106,63 @@ func roundTrip[M any](t *testing.T, name string, data []byte, decode func([]byte
 	}
 	if !reflect.DeepEqual(m, again) {
 		t.Fatalf("%s %+v re-decodes as %+v", name, m, again)
+	}
+}
+
+// FuzzCacheLogDecode throws arbitrary bytes at the workstation cache's entry
+// log, as a log and as the body of one well-framed record (which reaches the
+// record decoder past the CRC): nothing may panic, every entry that comes
+// back must carry a payload matching its hash, and the good prefix the
+// decoder reports must decode to the same entries on its own — the prefix an
+// open truncates the log to.
+func FuzzCacheLogDecode(f *testing.F) {
+	w := binenc.NewWriter(256)
+	for i, id := range []version.ID{"v0", "v1", "ws/dop/v2"} {
+		enc := []byte(fmt.Sprintf("payload %d", i))
+		appendEntryRecord(w, &cacheEntry{
+			Meta: dovMeta{ID: id, DOT: "floorplan", DA: "da1", Parents: []version.ID{"v0"}, Status: version.StatusWorking},
+			Hash: catalog.HashEncoded(enc), Enc: enc, Superseded: "v9", used: uint64(i + 1),
+		})
+	}
+	appendTombRecord(w, "v1")
+	log := w.Bytes()
+	f.Add(log)
+	f.Add(log[:len(log)-3])
+	bad := bytes.Clone(log)
+	bad[20] ^= 0x10
+	f.Add(bad)
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0xCA})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkCacheLog(t, data)
+		w := binenc.NewWriter(len(data) + cacheRecHeader)
+		start := beginRecord(w)
+		w.Raw(data)
+		endRecord(w, start)
+		checkCacheLog(t, w.Bytes())
+	})
+}
+
+// checkCacheLog decodes data as an entry log and checks what comes back.
+func checkCacheLog(t *testing.T, data []byte) {
+	t.Helper()
+	entries, good := decodeCacheLog(data)
+	if good < 0 || good > len(data) {
+		t.Fatalf("good prefix %d of %d bytes", good, len(data))
+	}
+	for id, e := range entries {
+		if e.Meta.ID != id || !bytes.Equal(catalog.HashEncoded(e.Enc), e.Hash) {
+			t.Fatalf("entry %s does not verify", id)
+		}
+	}
+	again, n := decodeCacheLog(data[:good])
+	if n != good || len(again) != len(entries) {
+		t.Fatalf("prefix of %d bytes re-decodes to %d bytes, %d entries (want %d)", good, n, len(again), len(entries))
+	}
+	for id, e := range entries {
+		if a, ok := again[id]; !ok || !bytes.Equal(a.Hash, e.Hash) || a.used != e.used || a.size != e.size {
+			t.Fatalf("entry %s differs when its prefix is decoded alone", id)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"concord/internal/binenc"
 	"concord/internal/catalog"
 	"concord/internal/fault"
 	"concord/internal/lock"
@@ -58,9 +60,53 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// cacheEntryFile names the persisted cache entry of id under wsDir.
-func cacheEntryFile(wsDir string, id version.ID) string {
-	return (&ObjectCache{dir: filepath.Join(wsDir, "cache")}).entryPath(id)
+// damageCacheRecord rewrites the cache log under wsDir as a lost or a bad
+// write would have left it for id: drop deletes every record of id, as if it
+// had never been cached; otherwise id's last entry record keeps a valid frame
+// around a payload that no longer matches its hash.
+func damageCacheRecord(t *testing.T, wsDir string, id version.ID, drop bool) {
+	t.Helper()
+	path := filepath.Join(wsDir, "cache", cacheLogName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type record struct {
+		frame []byte
+		e     *cacheEntry
+		tomb  version.ID
+	}
+	var recs []record
+	last := -1
+	for off := 0; off < len(data); {
+		n := cacheRecHeader + int(binary.LittleEndian.Uint32(data[off:]))
+		e, tomb, ok := decodeCacheRecord(data[off+cacheRecHeader : off+n])
+		if !ok {
+			t.Fatalf("cache log record at %d does not decode", off)
+		}
+		if e != nil && e.Meta.ID == id {
+			last = len(recs)
+		}
+		recs = append(recs, record{frame: data[off : off+n], e: e, tomb: tomb})
+		off += n
+	}
+	if last < 0 {
+		t.Fatalf("the cache log holds no record of %s", id)
+	}
+	w := binenc.NewWriter(len(data))
+	for i, r := range recs {
+		switch {
+		case drop && (r.tomb == id || r.e != nil && r.e.Meta.ID == id):
+		case !drop && i == last:
+			r.e.Enc[len(r.e.Enc)/2] ^= 0xFF
+			appendEntryRecord(w, r.e)
+		default:
+			w.Raw(r.frame)
+		}
+	}
+	if err := os.WriteFile(path, w.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // lastSegment names the newest segment file of the log directory.
@@ -115,9 +161,10 @@ func openFDs(t *testing.T) int {
 }
 
 // TestClientTMOwnsItsLog: a durable workstation keeps one log, client-tm.wal,
-// which the coordinator shares; Close, Crash and every error path of
-// NewClientTM release it. A directory that still holds the separate
-// client-coord.wal of older builds is refused, not read beside it.
+// which the coordinator shares, and its cache keeps one entry log; Close,
+// Crash and every error path of NewClientTM release both. A directory that
+// still holds the separate client-coord.wal of older builds is refused, not
+// read beside it.
 func TestClientTMOwnsItsLog(t *testing.T) {
 	s := newStack(t, "")
 	open := func(dir, id string) (*ClientTM, error) {
@@ -151,6 +198,8 @@ func TestClientTMOwnsItsLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		enc := []byte(fmt.Sprintf("payload %d", i))
+		tm.Cache().Put(dovMeta{ID: version.ID(fmt.Sprintf("v%d", i)), DA: "da1"}, catalog.HashEncoded(enc), enc)
 		if i%2 == 0 {
 			err = tm.Close()
 		} else {
@@ -184,6 +233,14 @@ func TestClientTMOwnsItsLog(t *testing.T) {
 	}
 	if got := fmt.Sprint(names); got != "[cache client-tm.wal]" {
 		t.Fatalf("workstation directory holds %s, want [cache client-tm.wal]", got)
+	}
+	tm, err := open(good, "fd-last")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tm.Close()
+	if n := tm.Cache().Len(); n != 51 {
+		t.Fatalf("cache reopened with %d of the 51 entries put", n)
 	}
 }
 
@@ -390,9 +447,7 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 			name: "cache entry evicted",
 			crash: func(t *testing.T, r *run) {
 				die(t, r, true)
-				if err := os.Remove(cacheEntryFile(r.wsDir, "v0")); err != nil {
-					t.Fatal(err)
-				}
+				damageCacheRecord(t, r.wsDir, "v0", true)
 			},
 			inputs: "[v0 v1]", refetched: 1,
 		},
@@ -400,15 +455,7 @@ func TestRecoveryLogCrashMatrix(t *testing.T) {
 			name: "cache entry corrupted",
 			crash: func(t *testing.T, r *run) {
 				die(t, r, true)
-				path := cacheEntryFile(r.wsDir, "v1")
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data[len(data)/2] ^= 0xFF
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
+				damageCacheRecord(t, r.wsDir, "v1", false)
 			},
 			inputs: "[v0 v1]", refetched: 1,
 		},
@@ -765,9 +812,7 @@ func TestInputAwaitingRefetch(t *testing.T) {
 	}
 	s.tm.Crash()
 	wsDir := filepath.Join(dir, "ws1")
-	if err := os.Remove(cacheEntryFile(wsDir, v0)); err != nil {
-		t.Fatal(err)
-	}
+	damageCacheRecord(t, wsDir, v0, true)
 	tm2, recovered := openWS(t, s, wsDir, "ws1-incarnation-2")
 	if len(recovered) != 1 {
 		t.Fatalf("recovered %d DOPs", len(recovered))
