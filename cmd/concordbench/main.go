@@ -18,27 +18,23 @@ import (
 )
 
 func main() {
-	runs := map[string]func() (experiments.Report, error){
-		"E1": experiments.E1LevelStack, "E2": experiments.E2DesignPlane,
-		"E3": experiments.E3ChipPlanning, "E4": experiments.E4DAHierarchy,
-		"E5": experiments.E5Delegation, "E6": experiments.E6Scripts,
-		"E7": experiments.E7StateGraph, "E8": experiments.E8FailureMatrix,
-		"E9": experiments.E9Cooperation, "E10": experiments.E10CommitProtocols,
-		"E11": experiments.E11RecoveryPoints, "E12": experiments.E12MultiWorkstation,
+	byID := make(map[string]experiments.Experiment, len(experiments.Table))
+	var ids []string
+	for _, e := range experiments.Table {
+		byID[e.ID] = e
+		ids = append(ids, e.ID)
 	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}
-
 	selected := os.Args[1:]
 	if len(selected) == 0 {
-		selected = order
+		selected = ids
 	}
 	for _, id := range selected {
-		run, ok := runs[id]
+		e, ok := byID[id]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %v)\n", id, order)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %v)\n", id, ids)
 			os.Exit(2)
 		}
-		rep, err := run()
+		rep, err := e.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", id, err)
 			os.Exit(1)

@@ -111,6 +111,18 @@ func TestE12MultiWorkstationRuns(t *testing.T) {
 	}
 }
 
+// TestE12RunsPastAHundredRounds: every round checks in a valid object, so
+// a run is not bounded by the round count.
+func TestE12RunsPastAHundredRounds(t *testing.T) {
+	res, err := RunMultiWorkstation(1, 102)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Checkins != 102 {
+		t.Fatalf("checkins = %d, want 102", res.Checkins)
+	}
+}
+
 func parseF(t *testing.T, s string) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)

@@ -115,7 +115,9 @@ func RunMultiWorkstation(n, rounds int) (MultiWorkstationResult, error) {
 					errs <- fmt.Errorf("%s round %d checkout: %w", s.da, r, err)
 					return
 				}
-				obj.Set("area", catalog.Float(100-float64(r)))
+				// The catalog bounds the area below by 0; any positive
+				// value that differs from the previous round's will do.
+				obj.Set("area", catalog.Float(float64(1+r%100)))
 				if err := dop.SetWorkspace(obj); err != nil {
 					errs <- err
 					return

@@ -118,98 +118,101 @@ func E11RecoveryPoints() (Report, error) {
 	// 23 units: the crash lands mid-interval so the tail work is lost.
 	const unitsDone = 23
 	for _, interval := range []int{1, 2, 5, 10, unitsDone + 1} {
-		dir, err := os.MkdirTemp("", "concord-e11")
+		recoveredUnits, err := e11Crash(unitsDone, interval)
 		if err != nil {
 			return r, err
-		}
-		sys, err := core.NewSystem(core.Options{Dir: dir, RegisterTypes: vlsi.RegisterCatalog})
-		if err != nil {
-			os.RemoveAll(dir)
-			return r, err
-		}
-		if err := sys.CM().InitDesign(coop.Config{ID: "da1", DOT: vlsi.DOTFloorplan, Designer: "a"}); err != nil {
-			sys.Close()
-			os.RemoveAll(dir)
-			return r, err
-		}
-		if err := sys.CM().Start("da1"); err != nil {
-			sys.Close()
-			os.RemoveAll(dir)
-			return r, err
-		}
-		ws, err := sys.AddWorkstation("ws1")
-		if err != nil {
-			sys.Close()
-			os.RemoveAll(dir)
-			return r, err
-		}
-		dop, err := ws.Begin("long-dop", "da1")
-		if err != nil {
-			sys.Close()
-			os.RemoveAll(dir)
-			return r, err
-		}
-		obj := catalog.NewObject(vlsi.DOTFloorplan).Set("cell", catalog.Str("O")).Set("area", catalog.Float(1))
-		if err := dop.SetWorkspace(obj); err != nil {
-			sys.Close()
-			os.RemoveAll(dir)
-			return r, err
-		}
-		// Long tool run: each unit advances the workspace; every
-		// interval-th unit takes a recovery point (Save).
-		for u := 1; u <= unitsDone; u++ {
-			dop.Workspace().Set("step", catalog.Int(int64(u)))
-			if u%interval == 0 {
-				if err := dop.Save(fmt.Sprintf("rp-%d", u)); err != nil {
-					sys.Close()
-					os.RemoveAll(dir)
-					return r, err
-				}
-			}
-		}
-		if err := sys.CrashWorkstation("ws1"); err != nil {
-			sys.Close()
-			os.RemoveAll(dir)
-			return r, err
-		}
-		ws2, err := sys.AddWorkstation("ws1")
-		if err != nil {
-			sys.Close()
-			os.RemoveAll(dir)
-			return r, err
-		}
-		recoveredUnits := 0
-		if rec := ws2.RecoveredDOPs(); len(rec) == 1 && rec[0].Workspace() != nil {
-			recoveredUnits = int(catalog.NumAttr(rec[0].Workspace(), "step"))
-			if recoveredUnits < 0 || recoveredUnits > unitsDone {
-				recoveredUnits = 0
-			}
 		}
 		label := d(interval)
 		if interval > unitsDone {
 			label = "none (whole-DOP rollback)"
 		}
 		r.Rows = append(r.Rows, []string{label, d(unitsDone), d(recoveredUnits), d(unitsDone - recoveredUnits)})
-		sys.Close()
-		os.RemoveAll(dir)
 	}
 	r.Notes = append(r.Notes, "lost work equals the interval since the last recovery point; without recovery points the whole DOP is lost")
 	return r, nil
 }
 
+// e11Crash runs one E11 row on a system of its own: a long DOP does
+// unitsDone work units, taking a recovery point every interval-th, then its
+// workstation crashes and restarts. It returns the units the restarted
+// workstation recovered.
+func e11Crash(unitsDone, interval int) (int, error) {
+	dir, err := os.MkdirTemp("", "concord-e11")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	sys, err := core.NewSystem(core.Options{Dir: dir, RegisterTypes: vlsi.RegisterCatalog})
+	if err != nil {
+		return 0, err
+	}
+	defer sys.Close()
+	if err := sys.CM().InitDesign(coop.Config{ID: "da1", DOT: vlsi.DOTFloorplan, Designer: "a"}); err != nil {
+		return 0, err
+	}
+	if err := sys.CM().Start("da1"); err != nil {
+		return 0, err
+	}
+	ws, err := sys.AddWorkstation("ws1")
+	if err != nil {
+		return 0, err
+	}
+	dop, err := ws.Begin("long-dop", "da1")
+	if err != nil {
+		return 0, err
+	}
+	obj := catalog.NewObject(vlsi.DOTFloorplan).Set("cell", catalog.Str("O")).Set("area", catalog.Float(1))
+	if err := dop.SetWorkspace(obj); err != nil {
+		return 0, err
+	}
+	// Long tool run: each unit advances the workspace; every interval-th
+	// unit takes a recovery point (Save).
+	for u := 1; u <= unitsDone; u++ {
+		dop.Workspace().Set("step", catalog.Int(int64(u)))
+		if u%interval == 0 {
+			if err := dop.Save(fmt.Sprintf("rp-%d", u)); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if err := sys.CrashWorkstation("ws1"); err != nil {
+		return 0, err
+	}
+	ws2, err := sys.AddWorkstation("ws1")
+	if err != nil {
+		return 0, err
+	}
+	if rec := ws2.RecoveredDOPs(); len(rec) == 1 && rec[0].Workspace() != nil {
+		if n := int(catalog.NumAttr(rec[0].Workspace(), "step")); n >= 0 && n <= unitsDone {
+			return n, nil
+		}
+	}
+	return 0, nil
+}
+
+// Experiment is one entry of the experiment table: the ID cmd/concordbench
+// selects it by and the function that produces its report.
+type Experiment struct {
+	ID  string
+	Run func() (Report, error)
+}
+
+// Table lists every experiment in order.
+var Table = []Experiment{
+	{"E1", E1LevelStack}, {"E2", E2DesignPlane}, {"E3", E3ChipPlanning},
+	{"E4", E4DAHierarchy}, {"E5", E5Delegation}, {"E6", E6Scripts},
+	{"E7", E7StateGraph}, {"E8", E8FailureMatrix}, {"E9", E9Cooperation},
+	{"E10", E10CommitProtocols}, {"E11", E11RecoveryPoints},
+	{"E12", E12MultiWorkstation},
+}
+
 // All runs every experiment in order.
 func All() ([]Report, error) {
-	runs := []func() (Report, error){
-		E1LevelStack, E2DesignPlane, E3ChipPlanning, E4DAHierarchy,
-		E5Delegation, E6Scripts, E7StateGraph, E8FailureMatrix,
-		E9Cooperation, E10CommitProtocols, E11RecoveryPoints,
-		E12MultiWorkstation,
-	}
-	out := make([]Report, 0, len(runs))
-	for _, run := range runs {
-		rep, err := run()
+	out := make([]Report, 0, len(Table))
+	for _, e := range Table {
+		rep, err := e.Run()
 		if err != nil {
-			return out, fmt.Errorf("%s: %w", rep.ID, err)
+			return out, fmt.Errorf("%s: %w", e.ID, err)
 		}
 		out = append(out, rep)
 	}

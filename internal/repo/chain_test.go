@@ -1,7 +1,6 @@
 package repo
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -150,9 +149,9 @@ func TestRebaseStreamsState(t *testing.T) {
 }
 
 // TestWholeShardDeltaFoldsLikePerRecord keeps deltas written with whole
-// dirty shards loadable: the same cut written that way — every record of
-// each dirty shard, a superset of the per-record delta in the same layout —
-// must fold to the same state.
+// dirty shards loadable: the same cut written that way by an older build —
+// every record of each dirty shard, one record group per shard, a superset
+// of the per-record delta — must fold to the same state.
 func TestWholeShardDeltaFoldsLikePerRecord(t *testing.T) {
 	dir := t.TempDir()
 	r := openFast(t, dir)
@@ -162,11 +161,7 @@ func TestWholeShardDeltaFoldsLikePerRecord(t *testing.T) {
 	}
 	churn(t, r, "b-", 20, 30)
 	// The cut the next checkpoint will take, widened to whole shards.
-	r.ckptMu.Lock()
-	r.mu.Lock()
-	wide := r.captureCutLocked(false)
-	r.mu.Unlock()
-	r.ckptMu.Unlock()
+	wide := nextCut(t, r, false)
 	wide.since = [idxShards]uint64{}
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -174,13 +169,7 @@ func TestWholeShardDeltaFoldsLikePerRecord(t *testing.T) {
 	want := digest(t, r)
 	// Render the widened delta while r is open: its cold records read their
 	// payloads from r's chain files.
-	var wideBytes bytes.Buffer
-	pw := newPayloadWriter(&wideBytes)
-	wide.writeInc(pw)
-	if err := pw.flush(); err != nil {
-		t.Fatal(err)
-	}
-	wideBytes.Write(pw.trailer())
+	wideBytes := renderPayload(t, func(pw *payloadWriter) { writeLegacyDelta(wide, pw) })
 	r.Close()
 	r2 := openFast(t, dir)
 	if got := digest(t, r2); got != want {
@@ -193,7 +182,7 @@ func TestWholeShardDeltaFoldsLikePerRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(inc, wideBytes.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(inc, wideBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	whole, err := os.Stat(inc)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -54,8 +55,8 @@ func churn(t *testing.T, r *Repository, tag string, dovs, rounds int) {
 
 // crashCheckpointAt drives checkpoints (forcing a little log growth before
 // each attempt) until the armed point delivers its error. The first
-// checkpoint of a fresh repository is a full rebase, so the incremental-only
-// points (CrashInc*) fire on the second attempt, which runs the delta path.
+// checkpoint of a fresh repository is a rebase, so the delta-only point
+// (CrashIncAppended) fires on the second attempt, which writes a delta.
 func crashCheckpointAt(t *testing.T, r *Repository, reg *fault.Registry, point string, crash error) {
 	t.Helper()
 	reg.Arm(point, crash)
@@ -178,13 +179,66 @@ func TestCheckpointedFootprintTracksLiveState(t *testing.T) {
 	}
 }
 
+// crashCase is one crash-injection case: a checkpoint fault point, reached
+// in the first checkpoint that passes it or, with delta, in a delta taken
+// after a clean rebase.
+type crashCase struct {
+	name, point string
+	delta       bool
+}
+
+// crashCases lists every point of CrashPoints, then once more, reached in a
+// delta, the payload-file points every checkpoint passes: the first
+// checkpoint of a fresh repository rebases, so the plain cases crash there
+// in a rebase.
+func crashCases() []crashCase {
+	var out []crashCase
+	for _, p := range CrashPoints {
+		out = append(out, crashCase{name: p, point: p})
+	}
+	for _, p := range []string{CrashSnapshotPartial, CrashSnapshotWritten} {
+		out = append(out, crashCase{name: p + "-in-delta", point: p, delta: true})
+	}
+	return out
+}
+
+// crashInto takes a clean rebase first when the case crashes in a delta,
+// then crashes r's checkpoint at the case's point. A crash at a payload-file
+// point leaves the payload file behind; its name tells that the crashed
+// checkpoint was of the case's kind.
+func crashInto(t *testing.T, r *Repository, dir string, reg *fault.Registry, c crashCase, crash error) {
+	t.Helper()
+	if c.delta {
+		if err := r.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := r.SnapshotChain(); n != 1 {
+			t.Fatalf("clean checkpoint before %s: chain of %d, want a rebase", c.name, n)
+		}
+	}
+	crashCheckpointAt(t, r, reg, c.point, crash)
+	if c.point != CrashSnapshotPartial && c.point != CrashSnapshotWritten {
+		return
+	}
+	suffix := ".base"
+	if c.delta {
+		suffix = ".inc"
+	}
+	for _, f := range snapFiles(t, dir) {
+		if strings.HasSuffix(f, suffix) && f != snapFileName(r.SnapshotLSN(), true) {
+			return
+		}
+	}
+	t.Fatalf("crash at %s left no %s payload file: the crashed checkpoint was not of the intended kind", c.name, suffix)
+}
+
 // TestCheckpointCrashPoints exercises a simulated crash at every step of the
-// checkpoint protocol — mid-snapshot write, before/after the snapshot
-// rename, before/after the log-mark install, before/after segment deletion —
-// and asserts recovery loses nothing durable at any of them.
+// checkpoint protocol — mid payload write, before/after the manifest
+// rewrite or append, before/after the log-mark install, before/after segment
+// deletion — and asserts recovery loses nothing durable at any of them.
 func TestCheckpointCrashPoints(t *testing.T) {
-	for _, point := range CrashPoints {
-		t.Run(point, func(t *testing.T) {
+	for _, c := range crashCases() {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			crash := errors.New("injected crash")
 			reg := fault.New()
@@ -193,33 +247,33 @@ func TestCheckpointCrashPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			churn(t, r, "a-", 8, 200)
-			crashCheckpointAt(t, r, reg, point, crash)
+			crashInto(t, r, dir, reg, c, crash)
 			want := digest(t, r)
 			// The process dies here: abandon r without Close and recover
 			// from the directory alone.
 			r2 := openRepoOpts(t, dir, Options{SegmentBytes: 4 << 10})
 			if err := r2.CheckConsistency(); err != nil {
-				t.Fatalf("crash at %s: consistency: %v", point, err)
+				t.Fatalf("crash at %s: consistency: %v", c.name, err)
 			}
 			// Mark-semantics invariant: segment reclamation never outruns
 			// what the surviving snapshot chain covers.
 			if lw := r2.LowWater(); lw > r2.SnapshotLSN() {
-				t.Fatalf("crash at %s: low-water mark %d beyond chain coverage %d", point, lw, r2.SnapshotLSN())
+				t.Fatalf("crash at %s: low-water mark %d beyond chain coverage %d", c.name, lw, r2.SnapshotLSN())
 			}
 			if got := digest(t, r2); got != want {
-				t.Fatalf("crash at %s lost durable state:\n--- want\n%s--- got\n%s", point, want, got)
+				t.Fatalf("crash at %s lost durable state:\n--- want\n%s--- got\n%s", c.name, want, got)
 			}
 			// The repository keeps working and the interrupted checkpoint
 			// can be completed.
 			churn(t, r2, "b-", 8, 20)
 			if err := r2.Checkpoint(); err != nil {
-				t.Fatalf("re-checkpoint after crash at %s: %v", point, err)
+				t.Fatalf("re-checkpoint after crash at %s: %v", c.name, err)
 			}
 			want2 := digest(t, r2)
 			r2.Close()
 			r3 := openRepoOpts(t, dir, Options{SegmentBytes: 4 << 10})
 			if got := digest(t, r3); got != want2 {
-				t.Fatalf("crash at %s: post-recovery checkpoint diverged", point)
+				t.Fatalf("crash at %s: post-recovery checkpoint diverged", c.name)
 			}
 		})
 	}

@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"concord/internal/catalog"
@@ -44,6 +46,21 @@ func equivOpen(t *testing.T, dir string, opts repo.Options) *repo.Repository {
 	return r
 }
 
+// holdsDelta reports whether dir holds a delta payload file.
+func holdsDelta(t *testing.T, dir string) bool {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".inc") {
+			return true
+		}
+	}
+	return false
+}
+
 func equivDigest(t *testing.T, r *repo.Repository) string {
 	t.Helper()
 	d, err := r.StateDigest()
@@ -62,18 +79,31 @@ func equivDigest(t *testing.T, r *repo.Repository) string {
 // right after the crash, and again at the end of the run. At the end both
 // must also match a resident twin that never checkpointed, so every payload
 // the checkpointed twins read back cold is compared with one that never left
-// memory.
+// memory. Each point crashes the first checkpoint that passes it; the
+// payload-file points, which every checkpoint passes, also crash the second
+// ("-in-delta"), which the chain bound of 2 makes a delta.
 func TestCheckpointEquivalenceOpMix(t *testing.T) {
-	for _, point := range repo.CrashPoints {
+	type crashCase struct {
+		name, point string
+		skip        int
+	}
+	var cases []crashCase
+	for _, p := range repo.CrashPoints {
+		cases = append(cases, crashCase{p, p, 0})
+	}
+	for _, p := range []string{repo.CrashSnapshotPartial, repo.CrashSnapshotWritten} {
+		cases = append(cases, crashCase{p + "-in-delta", p, 1})
+	}
+	for _, c := range cases {
 		for seed := int64(1); seed <= 2; seed++ {
-			t.Run(fmt.Sprintf("%s/seed=%d", point, seed), func(t *testing.T) {
-				testEquivalenceAt(t, point, seed)
+			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
+				testEquivalenceAt(t, c.point, c.skip, seed)
 			})
 		}
 	}
 }
 
-func testEquivalenceAt(t *testing.T, point string, seed int64) {
+func testEquivalenceAt(t *testing.T, point string, skip int, seed int64) {
 	const (
 		nOps      = 160
 		ckptEvery = 8
@@ -103,7 +133,7 @@ func testEquivalenceAt(t *testing.T, point string, seed int64) {
 	}
 	apply(func(r *repo.Repository) error { return r.CreateGraph("da0") })
 
-	reg.ArmOnce(point, crash)
+	reg.ArmAfter(point, skip, crash)
 	crashed := false
 	for i := 0; i < nOps; i++ {
 		switch op := mix.Pick(); {
@@ -156,6 +186,9 @@ func testEquivalenceAt(t *testing.T, point string, seed int64) {
 			case err == nil:
 			case errors.Is(err, crash) && !crashed:
 				crashed = true
+				if skip > 0 && !holdsDelta(t, dirA) {
+					t.Fatalf("crash at %s in checkpoint %d left no delta payload file: that checkpoint was not a delta", point, skip+1)
+				}
 				// Process death: abandon the handle, recover from disk, and
 				// prove recovery equals the full-rebase twin immediately.
 				a = equivOpen(t, dirA, incOpts)

@@ -21,9 +21,11 @@ import (
 // The snapshot manifest (DESIGN.md §3.8) is the durable spine of the
 // checkpoint chain: an append-only file of CRC-framed entries, each naming
 // one payload file (snap-<lsn>.base or snap-<lsn>.inc) and the log position
-// it covers. A full checkpoint atomically rewrites the whole manifest to a
-// single base entry (tmp + fsync + rename + dir fsync); an incremental
-// checkpoint appends one fsynced frame. Recovery reads the longest valid
+// it covers. An entry's kind, not its payload, gives the element its role:
+// every payload this build writes has the same layout (snapshot.go), and the
+// first chain entry is the base. A rebase atomically rewrites the whole
+// manifest to a single base entry (tmp + fsync + rename + dir fsync); a
+// delta appends one fsynced frame. Recovery reads the longest valid
 // prefix — a torn append (crash mid-frame, or garbage at the tail) simply
 // shortens the chain, and the WAL mark ordering (mark moves only after the
 // covering entry is durable) guarantees the shortened chain plus the
@@ -200,15 +202,14 @@ func (r *Repository) appendManifest(e manifestEntry) error {
 	return nil
 }
 
-// snapPayload is one decoded chain element: a base (CCSNAP01) or an
-// incremental delta (CCINCR01).
+// snapPayload is one decoded chain element, in the layout every checkpoint
+// writes (CCINCR01) or in the base layout of older builds (CCSNAP01).
 type snapPayload struct {
 	// f is the open payload file the element was read from (openSnapFile).
 	f       *os.File
-	base    bool
 	snapLSN wal.LSN
 	// prevLSN is a delta's predecessor link: the coverage of the chain
-	// element it was cut after.
+	// element it was cut after; 0 for a base.
 	prevLSN wal.LSN
 	seq     uint64
 	daNames []string
@@ -381,8 +382,7 @@ func readPayload(src io.Reader, size int64) (*snapPayload, error) {
 	s := &streamReader{br: bufio.NewReaderSize(io.TeeReader(lr, crc), 256<<10), lr: lr, size: size - 4}
 	p := &snapPayload{}
 	switch s.str() {
-	case snapMagic:
-		p.base = true
+	case snapMagic: // read only: a base an older build wrote
 		p.snapLSN = wal.LSN(s.u64())
 		p.seq = s.u64()
 		p.daNames = s.strs()
@@ -396,8 +396,11 @@ func readPayload(src io.Reader, size int64) (*snapPayload, error) {
 		if s.bool() {
 			p.meta = s.meta()
 		}
-		nShards := s.u64()
-		for i := uint64(0); i < nShards && s.err == nil; i++ {
+		// This build writes one record group; older builds wrote one per
+		// dirty index shard. The loader merges records by ID, so the
+		// grouping does not matter.
+		nGroups := s.u64()
+		for i := uint64(0); i < nGroups && s.err == nil; i++ {
 			if idx := s.u64(); idx >= idxShards {
 				return nil, fmt.Errorf("repo: delta shard index %d out of range", idx)
 			}
@@ -465,9 +468,9 @@ type chainFold struct {
 	recs     map[version.ID]chainRec
 }
 
-// fold layers one chain element on top of the fold.
-func (f *chainFold) fold(p *snapPayload) {
-	if p.base {
+// fold layers one chain element on top of the fold; a base starts it over.
+func (f *chainFold) fold(p *snapPayload, base bool) {
+	if base {
 		f.recs = make(map[version.ID]chainRec, len(p.recs))
 	}
 	f.coverage = p.snapLSN
@@ -574,16 +577,16 @@ func (r *Repository) loadSnapshotChain() error {
 		// coverage is safe: its records are those changed since an older
 		// cut, a superset of the changes since the fold. A link beyond the
 		// coverage would leave a gap.
-		if p.snapLSN != e.lsn || p.base != (e.kind == manifestKindBase) ||
-			!p.base && p.prevLSN > fold.coverage {
+		base := e.kind == manifestKindBase
+		if p.snapLSN != e.lsn || !base && p.prevLSN > fold.coverage {
 			p.f.Close()
 			break
 		}
-		fold.fold(p)
+		fold.fold(p, base)
 		e.f = p.f
 		r.chain = append(r.chain, e)
 		r.chainBytes += size
-		if p.base {
+		if base {
 			r.baseBytes = size
 		}
 	}

@@ -203,8 +203,8 @@ func TestShardedCheckinsGroupCommit(t *testing.T) {
 // interrupted checkpoint left behind, recovery must surface every committed
 // version and a consistent graph set.
 func TestCheckpointCrashRacingMultiDAWriters(t *testing.T) {
-	for _, point := range CrashPoints {
-		t.Run(point, func(t *testing.T) {
+	for _, c := range crashCases() {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			crash := errors.New("injected crash")
 			reg := fault.New()
@@ -250,9 +250,9 @@ func TestCheckpointCrashRacingMultiDAWriters(t *testing.T) {
 			close(start)
 			// Let the writers interleave with a checkpoint that dies at the
 			// injected step (the crash leaves the process "half checkpointed").
-			// The first attempt rebases (full); the incremental-only points
-			// fire on the delta path of a follow-up attempt.
-			crashCheckpointAt(t, r, reg, point, crash)
+			// The first attempt rebases; the delta-only point fires on a
+			// follow-up attempt.
+			crashInto(t, r, dir, reg, c, crash)
 			wg.Wait()
 			close(werrs)
 			for err := range werrs {
@@ -261,10 +261,10 @@ func TestCheckpointCrashRacingMultiDAWriters(t *testing.T) {
 			// Abandon r (process death) and recover from the directory alone.
 			r2 := openRepoOpts(t, dir, Options{SegmentBytes: 4 << 10})
 			if err := r2.CheckConsistency(); err != nil {
-				t.Fatalf("crash at %s: consistency: %v", point, err)
+				t.Fatalf("crash at %s: consistency: %v", c.name, err)
 			}
 			if want := das*perDA + 4; r2.DOVCount() != want {
-				t.Fatalf("crash at %s: recovered %d DOVs, want %d", point, r2.DOVCount(), want)
+				t.Fatalf("crash at %s: recovered %d DOVs, want %d", c.name, r2.DOVCount(), want)
 			}
 		})
 	}

@@ -9,11 +9,12 @@ import (
 )
 
 // fuzzSeedCorpus builds a real chained checkpoint and returns the raw bytes
-// of its manifest and payload files — genuine CCSNAP01/CCINCR01/manifest
-// framings as seeds, so the fuzzer starts from the valid format rather than
-// discovering the magic by brute force. The base holds enough versions that
-// the two one-version deltas stay below its size, so the default rebase
-// rule keeps all three elements in the chain.
+// of its manifest and payload files — genuine CCINCR01/manifest framings as
+// seeds, so the fuzzer starts from the valid format rather than discovering
+// the magic by brute force — and last a CCSNAP01 base of the same state in
+// the layout older builds wrote, which the loader still reads. The base
+// holds enough versions that the two one-version deltas stay below its
+// size, so the default rebase rule keeps all three elements in the chain.
 func fuzzSeedCorpus(f *testing.F) [][]byte {
 	f.Helper()
 	dir := f.TempDir()
@@ -61,7 +62,15 @@ func fuzzSeedCorpus(f *testing.F) [][]byte {
 	if len(corpus) != 4 { // manifest + base + two incs
 		f.Fatalf("seed corpus has %d files, want manifest+base+2 incs", len(corpus))
 	}
-	return corpus
+	if err := r.PutMeta("k", []byte("legacy")); err != nil {
+		f.Fatal(err)
+	}
+	c := nextCut(f, r, true)
+	legacy := renderPayload(f, func(pw *payloadWriter) { writeLegacyBase(c, pw) })
+	if _, err := readPayload(bytes.NewReader(legacy), int64(len(legacy))); err != nil {
+		f.Fatalf("hand-built CCSNAP01 seed does not decode: %v", err)
+	}
+	return append(corpus, legacy)
 }
 
 // FuzzSnapshotDecode throws arbitrary bytes at every decoder on the recovery
@@ -111,7 +120,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			return
 		}
 		p2, err := readPayload(bytes.NewReader(data), int64(len(data)))
-		if err != nil || p1.base != p2.base || p1.snapLSN != p2.snapLSN || p1.prevLSN != p2.prevLSN ||
+		if err != nil || p1.snapLSN != p2.snapLSN || p1.prevLSN != p2.prevLSN ||
 			p1.seq != p2.seq || len(p1.recs) != len(p2.recs) || len(p1.meta) != len(p2.meta) {
 			t.Fatalf("payload decode not deterministic: %v", err)
 		}

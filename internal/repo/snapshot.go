@@ -31,32 +31,40 @@ import (
 //     exactly the effect of all records below L; and because published
 //     records and shard maps are immutable (mvcc.go), the cut stays frozen
 //     while writers proceed — encoding happens entirely off-lock.
-//  2. Encode + install. A *full* checkpoint streams every record to
-//     snap-<L>.base and atomically rewrites the manifest to reference it. An
-//     *incremental* checkpoint streams only the records published since the
-//     previous cut — each record carries the shard generation it was
-//     published at — to snap-<L>.inc and appends one entry to the manifest.
-//     Either way the payload file is fsynced (file + dirent) strictly before
-//     the manifest references it, and neither path holds more than a buffer
-//     of it in memory.
+//  2. Encode + install. Every checkpoint streams one payload file in one
+//     layout (CCINCR01): a header, the metadata store when the cut carries
+//     it, and the cut's records as one list in Seq order. A *rebase* (full
+//     checkpoint) names predecessor 0 and carries the metadata store and
+//     every record; it goes to snap-<L>.base and atomically rewrites the
+//     manifest to reference it alone. A *delta* carries the records
+//     published since the previous cut — each record carries the shard
+//     generation it was published at — goes to snap-<L>.inc and appends one
+//     entry to the manifest. Either way the payload file is fsynced (file +
+//     dirent) strictly before the manifest references it, and no step holds
+//     more than a buffer of it in memory.
 //  3. wal.Checkpoint(L): durably mark L as the log's low-water mark, then
 //     delete the segments lying entirely below it. The manifest entry
 //     covering L is fsync-durable first (step 2), so the mark never exceeds
 //     surviving chain coverage — the invariant segment deletion relies on.
 //
-// Recovery folds the manifest chain (base + incremental deltas merged by
-// version ID; manifest.go) and replays the log suffix from the chain's
+// Recovery folds the manifest chain (a chain element's role comes from its
+// manifest entry: the base resets the fold, every element merges its records
+// by version ID; manifest.go) and replays the log suffix from the chain's
 // coverage LSN. A crash at any step loses nothing: payload files are
 // uniquely named and unreferenced until the manifest points at them, the
-// manifest rebase is an atomic rename, the incremental append is a single
-// fsynced frame whose torn tail parses as a shorter valid prefix, and the
-// log mark only moves after the covering entry is durable.
+// manifest rebase is an atomic rename, the delta append is a single fsynced
+// frame whose torn tail parses as a shorter valid prefix, and the log mark
+// only moves after the covering entry is durable.
 //
-// A chain is rebased (full checkpoint) once its deltas' bytes reach its
-// base's, so rebase work stays proportional to the state, amortized; also
-// when Options.CheckpointMaxChain is set and reached, after a failed
-// checkpoint, and on the first checkpoint of a repository opened without a
-// chain. CheckpointMaxChain 1 makes every checkpoint a full rebase.
+// A chain is rebased once its deltas' bytes reach its base's, so rebase work
+// stays proportional to the state, amortized; also when
+// Options.CheckpointMaxChain is set and reached, after a failed checkpoint,
+// and on the first checkpoint of a repository opened without a chain.
+// CheckpointMaxChain 1 makes every checkpoint a rebase.
+//
+// snapMagic is the base layout an older build wrote (header, every record,
+// metadata store); the loader still reads it, and the next rebase replaces
+// it.
 const (
 	snapMagic = "CCSNAP01"
 	incMagic  = "CCINCR01"
@@ -65,44 +73,35 @@ const (
 // Crash points traversed on Options.Faults during Checkpoint, in protocol
 // order (the wal.Crash* points fire inside wal.Checkpoint).
 const (
-	// CrashSnapshotPartial fires once a full snapshot's payload file holds
+	// CrashSnapshotPartial fires once a checkpoint's payload file holds
 	// everything but its CRC trailer.
 	CrashSnapshotPartial = "repo:snapshot-partial"
-	// CrashSnapshotWritten fires after the full payload file is written and
+	// CrashSnapshotWritten fires after the payload file is written and
 	// synced, before the manifest references it.
 	CrashSnapshotWritten = "repo:snapshot-written"
-	// CrashManifestTmp fires after the rebased manifest tmp is written and
+	// CrashManifestTmp fires after a rebase's manifest tmp is written and
 	// synced, before the rename installs it.
 	CrashManifestTmp = "repo:manifest-tmp"
 	// CrashSnapshotInstalled fires after the manifest rebase rename, before
 	// the WAL low-water mark is moved.
 	CrashSnapshotInstalled = "repo:snapshot-installed"
-	// CrashIncPartial fires once an incremental delta file holds everything
-	// but its CRC trailer.
-	CrashIncPartial = "repo:inc-delta-partial"
-	// CrashIncWritten fires after the delta file is written and synced,
-	// before its manifest entry is appended.
-	CrashIncWritten = "repo:inc-delta-written"
-	// CrashIncAppended fires after the delta's manifest entry is appended
-	// and synced, before the WAL low-water mark is moved.
+	// CrashIncAppended fires after a delta's manifest entry is appended and
+	// synced, before the WAL low-water mark is moved.
 	CrashIncAppended = "repo:inc-manifest-appended"
-	// CrashSnapGC fires after a full checkpoint committed (mark moved),
-	// before unreferenced snapshot files of the superseded chain are
-	// removed.
+	// CrashSnapGC fires after a rebase committed (mark moved), before
+	// unreferenced snapshot files of the superseded chain are removed.
 	CrashSnapGC = "repo:snap-gc"
 )
 
 // CrashPoints lists every step of the checkpoint protocol a fault point can
-// target: the full-rebase steps, the incremental-delta steps, the wal mark
-// steps (traversed by both paths), then the post-commit GC. The
+// target: the payload-file steps every checkpoint passes, the rebase's
+// manifest steps, the delta's, the wal mark steps, then the rebase's GC. The
 // fault-injection harness iterates it so no step goes unexercised.
 var CrashPoints = []string{
 	CrashSnapshotPartial,
 	CrashSnapshotWritten,
 	CrashManifestTmp,
 	CrashSnapshotInstalled,
-	CrashIncPartial,
-	CrashIncWritten,
 	CrashIncAppended,
 	wal.CrashBeforeMark,
 	wal.CrashMarkTmp,
@@ -122,9 +121,10 @@ type ckptGens struct {
 
 // snapCut is a consistent copy-on-write cut of the repository at snapLSN:
 // frozen shard maps (nil for shards clean since the previous checkpoint on
-// the incremental path), the generation each dirty shard had at the previous
-// cut, the DA directory, a shallow metadata copy (nil when clean), and the
-// generation vector the cut was taken at.
+// the delta path), the generation each dirty shard had at the previous cut,
+// the predecessor's coverage (0 for a rebase), the DA directory, a shallow
+// metadata copy (nil when clean), and the generation vector the cut was
+// taken at.
 type snapCut struct {
 	full    bool
 	snapLSN wal.LSN
@@ -145,7 +145,10 @@ func (r *Repository) captureCutLocked(full bool) *snapCut {
 	if snapLSN <= r.snapLSN {
 		return nil
 	}
-	c := &snapCut{full: full, snapLSN: snapLSN, prevLSN: r.snapLSN, seq: r.seq.Load()}
+	c := &snapCut{full: full, snapLSN: snapLSN, seq: r.seq.Load()}
+	if !full {
+		c.prevLSN = r.snapLSN
+	}
 	das := *r.dasPub.Load()
 	for da := range das {
 		c.daNames = append(c.daNames, da)
@@ -175,13 +178,20 @@ func (r *Repository) captureCutLocked(full bool) *snapCut {
 	return c
 }
 
-// dirty returns the records of captured shard i published after the
-// previous cut, in Seq order.
-func (c *snapCut) dirty(i int) []*dovEntry {
+// records returns the records the cut writes, in Seq order: every record
+// for a rebase, else those published after the previous cut. A rebase cannot
+// be told by generations alone: records loaded from a chain carry
+// generation 0.
+func (c *snapCut) records() []*dovEntry {
 	var out []*dovEntry
-	for _, e := range *c.shards[i] {
-		if e.gen > c.since[i] {
-			out = append(out, e)
+	for i, s := range c.shards {
+		if s == nil {
+			continue
+		}
+		for _, e := range *s {
+			if c.full || e.gen > c.since[i] {
+				out = append(out, e)
+			}
 		}
 	}
 	sortBySeq(out)
@@ -225,13 +235,7 @@ func (r *Repository) Checkpoint() error {
 	if cut == nil {
 		return nil
 	}
-	var err error
-	if cut.full {
-		err = r.installBase(cut)
-	} else {
-		err = r.installIncremental(cut)
-	}
-	if err != nil {
+	if err := r.install(cut); err != nil {
 		// The protocol may have stopped after a durable step (delta file on
 		// disk, manifest entry appended) without committing in-memory chain
 		// state. Force the next checkpoint to rebase: a full rewrite of the
@@ -288,29 +292,40 @@ func (r *Repository) StartCheckpointer(thresholdBytes int64) {
 	}()
 }
 
-// installBase runs the full-rebase install protocol: payload file, manifest
-// rewrite, log mark, GC of the superseded chain.
-func (r *Repository) installBase(cut *snapCut) error {
-	entry := manifestEntry{kind: manifestKindBase, file: snapFileName(cut.snapLSN, true), lsn: cut.snapLSN}
-	w, err := r.writeSnapFile(entry.file, CrashSnapshotPartial, cut.writeBase)
+// install runs the checkpoint protocol for a cut: payload file, manifest
+// step, log mark, and for a rebase the GC of the superseded chain.
+func (r *Repository) install(cut *snapCut) error {
+	entry := manifestEntry{kind: manifestKindInc, file: snapFileName(cut.snapLSN, cut.full), lsn: cut.snapLSN}
+	if cut.full {
+		entry.kind = manifestKindBase
+	}
+	w, err := r.writeSnapFile(entry.file, cut)
 	if err != nil {
 		return err
 	}
-	if err := r.commitBase(cut, entry); err != nil {
+	if err := r.commit(cut, entry); err != nil {
 		w.f.Close()
 		return err
 	}
 	r.snapLSN = cut.snapLSN
-	old := r.chain
 	entry.f = w.f
-	r.chain = []manifestEntry{entry}
-	r.chainBytes, r.baseBytes = w.size, w.size
+	old := r.chain
+	if cut.full {
+		r.chain = []manifestEntry{entry}
+		r.chainBytes, r.baseBytes = w.size, w.size
+	} else {
+		r.chain = append(r.chain, entry)
+		r.chainBytes += w.size
+	}
 	gens := cut.gens
 	r.lastGens = &gens
-	// The checkpoint is committed. Every location now names the new base,
-	// so the superseded chain's handles can go: a reader that raced the
-	// close finds the moved location and retries there.
+	// The checkpoint is committed. After a rebase every location names the
+	// new base, so the superseded chain's handles can go: a reader that
+	// raced the close finds the moved location and retries there.
 	r.settle(w)
+	if !cut.full {
+		return nil
+	}
 	r.closeChain(old)
 	// Only the cleanup of now-unreferenced files remains (recovery tolerates
 	// the garbage and Open re-collects it).
@@ -321,60 +336,34 @@ func (r *Repository) installBase(cut *snapCut) error {
 	return nil
 }
 
-// commitBase makes a written base durable as the whole chain: manifest
-// rewrite, then the log mark.
-func (r *Repository) commitBase(cut *snapCut, entry manifestEntry) error {
+// commit makes a written payload file durable as part of the chain — a
+// rebase rewrites the manifest to it alone, a delta appends it — then moves
+// the log mark.
+func (r *Repository) commit(cut *snapCut, entry manifestEntry) error {
 	if err := r.hookAt(CrashSnapshotWritten); err != nil {
 		return err
 	}
-	// A rebase rewrites the whole manifest, so the replication epoch entry
-	// must be carried over or a restart would forget the fencing term.
-	entries := []manifestEntry{entry}
-	if e := r.epoch.Load(); e > 0 {
-		entries = []manifestEntry{epochEntry(e), entry}
-	}
-	if err := r.rebaseManifest(entries); err != nil {
-		return err
-	}
-	if err := r.hookAt(CrashSnapshotInstalled); err != nil {
-		return err
-	}
-	return r.log.Checkpoint(cut.snapLSN)
-}
-
-// installIncremental runs the delta install protocol: delta file, manifest
-// append, log mark.
-func (r *Repository) installIncremental(cut *snapCut) error {
-	entry := manifestEntry{kind: manifestKindInc, file: snapFileName(cut.snapLSN, false), lsn: cut.snapLSN}
-	w, err := r.writeSnapFile(entry.file, CrashIncPartial, cut.writeInc)
-	if err != nil {
-		return err
-	}
-	if err := r.commitIncremental(cut, entry); err != nil {
-		w.f.Close()
-		return err
-	}
-	r.snapLSN = cut.snapLSN
-	entry.f = w.f
-	r.chain = append(r.chain, entry)
-	r.chainBytes += w.size
-	gens := cut.gens
-	r.lastGens = &gens
-	r.settle(w)
-	return nil
-}
-
-// commitIncremental makes a written delta durable as the chain's new tail:
-// manifest append, then the log mark.
-func (r *Repository) commitIncremental(cut *snapCut, entry manifestEntry) error {
-	if err := r.hookAt(CrashIncWritten); err != nil {
-		return err
-	}
-	if err := r.appendManifest(entry); err != nil {
-		return err
-	}
-	if err := r.hookAt(CrashIncAppended); err != nil {
-		return err
+	if cut.full {
+		// A rebase rewrites the whole manifest, so the replication epoch
+		// entry must be carried over or a restart would forget the fencing
+		// term.
+		entries := []manifestEntry{entry}
+		if e := r.epoch.Load(); e > 0 {
+			entries = []manifestEntry{epochEntry(e), entry}
+		}
+		if err := r.rebaseManifest(entries); err != nil {
+			return err
+		}
+		if err := r.hookAt(CrashSnapshotInstalled); err != nil {
+			return err
+		}
+	} else {
+		if err := r.appendManifest(entry); err != nil {
+			return err
+		}
+		if err := r.hookAt(CrashIncAppended); err != nil {
+			return err
+		}
 	}
 	return r.log.Checkpoint(cut.snapLSN)
 }
@@ -596,30 +585,12 @@ func (pw *payloadWriter) meta(meta map[string][]byte) {
 	}
 }
 
-// writeBase streams a full cut in the CCSNAP01 format: header, every record
-// in Seq order, metadata store.
-func (c *snapCut) writeBase(pw *payloadWriter) {
-	pw.w.Str(snapMagic)
-	pw.w.U64(uint64(c.snapLSN))
-	pw.w.U64(c.seq)
-	pw.w.Strs(c.daNames)
-	var all []*dovEntry
-	for i := range c.shards {
-		for _, e := range *c.shards[i] {
-			all = append(all, e)
-		}
-	}
-	sortBySeq(all)
-	pw.records(all)
-	pw.meta(c.meta)
-}
-
-// writeInc streams an incremental cut in the CCINCR01 format: header
-// (coverage LSN, predecessor LSN, sequence counter, complete DA list), the
-// metadata store when dirty, then per shard the records published since the
-// previous cut. The loader merges records by ID, so the same layout also
-// reads deltas that carried each dirty shard whole.
-func (c *snapCut) writeInc(pw *payloadWriter) {
+// write streams the cut in the CCINCR01 layout: header (coverage LSN,
+// predecessor LSN, sequence counter, complete DA list), the metadata store
+// when the cut carries it, then the records as one group. The group's shard
+// index is a relic of deltas that were grouped by shard; the loader ignores
+// it.
+func (c *snapCut) write(pw *payloadWriter) {
 	pw.w.Str(incMagic)
 	pw.w.U64(uint64(c.snapLSN))
 	pw.w.U64(uint64(c.prevLSN))
@@ -629,24 +600,9 @@ func (c *snapCut) writeInc(pw *payloadWriter) {
 	if c.meta != nil {
 		pw.meta(c.meta)
 	}
-	type shardRecs struct {
-		idx  int
-		recs []*dovEntry
-	}
-	var dirty []shardRecs
-	for i := range c.shards {
-		if c.shards[i] == nil {
-			continue
-		}
-		if recs := c.dirty(i); len(recs) > 0 {
-			dirty = append(dirty, shardRecs{i, recs})
-		}
-	}
-	pw.w.U64(uint64(len(dirty)))
-	for _, s := range dirty {
-		pw.w.U64(uint64(s.idx))
-		pw.records(s.recs)
-	}
+	pw.w.U64(1)
+	pw.w.U64(0)
+	pw.records(c.records())
 }
 
 // written is a durably written chain payload file: its handle, kept open
@@ -658,23 +614,23 @@ type written struct {
 	placed []placed
 }
 
-// writeSnapFile durably writes one chain payload file: the body streamed by
-// encode and flushed, partialPoint traversed (the file then lacks only its
-// CRC trailer), the trailer, fsync, fsync of the directory — the file must
-// be fully durable before any manifest entry references it. The handle stays
+// writeSnapFile durably writes cut's payload file: the body streamed and
+// flushed, CrashSnapshotPartial traversed (the file then lacks only its CRC
+// trailer), the trailer, fsync, fsync of the directory — the file must be
+// fully durable before any manifest entry references it. The handle stays
 // open; the caller owns it.
-func (r *Repository) writeSnapFile(name, partialPoint string, encode func(*payloadWriter)) (*written, error) {
+func (r *Repository) writeSnapFile(name string, cut *snapCut) (*written, error) {
 	f, err := os.OpenFile(filepath.Join(r.dir, name), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("repo: snapshot create: %w", err)
 	}
 	pw := newPayloadWriter(f)
-	encode(pw)
+	cut.write(pw)
 	if err := pw.flush(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("repo: snapshot write: %w", err)
 	}
-	if err := r.hookAt(partialPoint); err != nil {
+	if err := r.hookAt(CrashSnapshotPartial); err != nil {
 		f.Close()
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func Short() []Scenario {
 		{
 			Name: "tcp-baseline",
 			Topo: Topology{Workstations: 2, DesignAreas: 2, Transport: TCP},
-			Load: Workload{Mix: sim.OpMix{Checkout: 3, Checkin: 6, SetStatus: 1, Seed: 7}, Ops: 40},
+			Load: Workload{Mix: sim.OpMix{Checkout: 3, Checkin: 6, Delegate: 1, SetStatus: 1, Seed: 7}, Ops: 40},
 		},
 		{
 			Name:  "tcp-2pc-checkin-installed-crash",

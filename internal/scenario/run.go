@@ -398,15 +398,11 @@ func doCheckout(s site, st *runState, ws int, da string) error {
 	return err
 }
 
-// doDelegate creates a sub design area (falling back to a plain DA on
-// deployments without a cooperation manager) and gives it a root version.
+// doDelegate creates a sub design area under parent and gives it a root
+// version.
 func doDelegate(s site, st *runState, ws int, parent string) error {
 	child := st.newSubDA()
-	err := s.delegate(parent, child)
-	if errors.Is(err, errUnsupported) {
-		err = s.newDA(child)
-	}
-	if err != nil {
+	if err := s.delegate(parent, child); err != nil {
 		return err
 	}
 	st.addDA(child, false)

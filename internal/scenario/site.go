@@ -22,7 +22,7 @@ import (
 )
 
 // errUnsupported reports a site operation the deployment cannot express
-// (e.g. delegation without a cooperation manager); the driver falls back.
+// (e.g. a warm standby's failover on the TCP shape); the run skips it.
 var errUnsupported = errors.New("scenario: operation unsupported by this deployment")
 
 // site abstracts one deployed CONCORD instance so the driver and oracles
@@ -36,8 +36,7 @@ type site interface {
 	catalog() *catalog.Catalog
 	// newDA creates and starts a top-level design area.
 	newDA(id string) error
-	// delegate creates and starts a sub-DA under parent (errUnsupported
-	// when the deployment has no cooperation manager).
+	// delegate creates and starts a sub-DA under parent.
 	delegate(parent, child string) error
 	// checkpoint snapshots the repository and compacts the server logs.
 	checkpoint() error
@@ -92,6 +91,24 @@ type site interface {
 // scenarioSpec is the permissive design goal shared by all scenario DAs.
 func scenarioSpec() *feature.Spec {
 	return feature.MustSpec(feature.Range("area-limit", "area", 0, 1e12))
+}
+
+// startDA creates and starts a top-level design area through cm.
+func startDA(cm *coop.CM, id string) error {
+	cfg := coop.Config{ID: id, DOT: vlsi.DOTFloorplan, Spec: scenarioSpec(), Designer: id}
+	if err := cm.InitDesign(cfg); err != nil {
+		return err
+	}
+	return cm.Start(id)
+}
+
+// startSubDA creates and starts a sub-DA of parent through cm.
+func startSubDA(cm *coop.CM, parent, child string) error {
+	cfg := coop.Config{ID: child, DOT: vlsi.DOTFloorplan, Spec: scenarioSpec(), Designer: child}
+	if err := cm.CreateSubDA(parent, cfg); err != nil {
+		return err
+	}
+	return cm.Start(child)
 }
 
 // wsName names workstation i.
@@ -202,20 +219,10 @@ func (s *inprocSite) serverRepoDir() string {
 	return filepath.Join(s.dir, "server")
 }
 
-func (s *inprocSite) newDA(id string) error {
-	cfg := coop.Config{ID: id, DOT: vlsi.DOTFloorplan, Spec: scenarioSpec(), Designer: id}
-	if err := s.sys.CM().InitDesign(cfg); err != nil {
-		return err
-	}
-	return s.sys.CM().Start(id)
-}
+func (s *inprocSite) newDA(id string) error { return startDA(s.sys.CM(), id) }
 
 func (s *inprocSite) delegate(parent, child string) error {
-	cfg := coop.Config{ID: child, DOT: vlsi.DOTFloorplan, Spec: scenarioSpec(), Designer: child}
-	if err := s.sys.CM().CreateSubDA(parent, cfg); err != nil {
-		return err
-	}
-	return s.sys.CM().Start(child)
+	return startSubDA(s.sys.CM(), parent, child)
 }
 
 func (s *inprocSite) checkpoint() error { return s.sys.Checkpoint() }
@@ -299,8 +306,8 @@ func (s *inprocSite) close() {
 // and one ClientTM per workstation, each with its own TCP transport.
 // Cache-invalidation callbacks flow over the sockets too: each workstation
 // serves its cache handler on a loopback listener of its own transport and
-// the server's notifier dials back to it. Design areas are plain derivation
-// graphs, not CM-managed: delegation is unsupported.
+// the server's notifier dials back to it. Design areas are created through
+// the assembled site's cooperation manager, as in process.
 type tcpSite struct {
 	cat         *catalog.Catalog
 	reg         *fault.Registry
@@ -401,18 +408,6 @@ func (s *tcpSite) startServer() error {
 		r.Close()
 		return err
 	}
-	// The DAs here are not CM-managed, so nothing rebuilds scope ownership at
-	// restart: reseed it from the recovered derivation graphs — every
-	// surviving version belongs to its DA's scope.
-	for _, da := range r.GraphNames() {
-		g, err := r.Graph(da)
-		if err != nil {
-			continue
-		}
-		for _, id := range g.IDs() {
-			site.Scopes.Own(da, string(id)) //nolint:errcheck // reseed is idempotent
-		}
-	}
 	s.mu.Lock()
 	s.site, s.srv = site, srv
 	listen := s.addr
@@ -462,16 +457,36 @@ func (s *tcpSite) repo() *repo.Repository {
 func (s *tcpSite) catalog() *catalog.Catalog { return s.cat }
 func (s *tcpSite) serverRepoDir() string     { return filepath.Join(s.dir, "server") }
 
-func (s *tcpSite) newDA(id string) error { return s.repo().CreateGraph(id) }
+// live returns the running server site.
+func (s *tcpSite) live() (*server.Site, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.site == nil {
+		return nil, errors.New("scenario: server down")
+	}
+	return s.site, nil
+}
 
-func (s *tcpSite) delegate(string, string) error { return errUnsupported }
+func (s *tcpSite) newDA(id string) error {
+	site, err := s.live()
+	if err != nil {
+		return err
+	}
+	return startDA(site.CM, id)
+}
+
+func (s *tcpSite) delegate(parent, child string) error {
+	site, err := s.live()
+	if err != nil {
+		return err
+	}
+	return startSubDA(site.CM, parent, child)
+}
 
 func (s *tcpSite) checkpoint() error {
-	s.mu.Lock()
-	site := s.site
-	s.mu.Unlock()
-	if site == nil {
-		return errors.New("scenario: server down")
+	site, err := s.live()
+	if err != nil {
+		return err
 	}
 	return site.Repo.Checkpoint()
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
+	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,7 +46,11 @@ type ObjectCache struct {
 	mu      sync.Mutex
 	epoch   uint64
 	entries map[version.ID]*cacheEntry
-	clock   uint64
+	// lru holds every entry, most recently used at the front; clock numbers
+	// the touches, and each entry keeps its last one so a reopen restores
+	// the order.
+	lru   *list.List
+	clock uint64
 	// log is the open entry log (nil when volatile, closed, or after a failed
 	// write); logBytes is its length and liveBytes the bytes of the records
 	// the live entries were last written in. w is the reused record buffer.
@@ -68,8 +73,10 @@ type cacheEntry struct {
 	// Superseded names the newest version known to derive from this one
 	// ("" = tip as far as this workstation knows).
 	Superseded version.ID
-	// used is the LRU clock value of the last touch.
+	// used is the LRU clock value of the last touch; elem is the entry's
+	// place in the LRU list.
 	used uint64
+	elem *list.Element
 	// unsaved marks a supersession mark the log does not hold yet; the next
 	// Put writes it out (a callback does not rewrite the payload).
 	unsaved bool
@@ -110,7 +117,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // fail validation are discarded. Entry files of the file-per-entry layout
 // are deleted unread.
 func OpenObjectCache(dir string) (*ObjectCache, error) {
-	c := &ObjectCache{dir: dir, entries: make(map[version.ID]*cacheEntry)}
+	c := &ObjectCache{dir: dir, entries: make(map[version.ID]*cacheEntry), lru: list.New()}
 	if dir == "" {
 		c.epoch = 1
 		return c, nil
@@ -151,7 +158,13 @@ func OpenObjectCache(dir string) (*ObjectCache, error) {
 		}
 	}
 	c.log, c.logBytes, c.w = f, int64(good), binenc.NewWriter(4<<10)
+	live := make([]*cacheEntry, 0, len(c.entries))
 	for _, e := range c.entries {
+		live = append(live, e)
+	}
+	slices.SortFunc(live, func(a, b *cacheEntry) int { return cmp.Compare(a.used, b.used) })
+	for _, e := range live {
+		e.elem = c.lru.PushFront(e)
 		c.clock = max(c.clock, e.used)
 		c.liveBytes += e.size
 	}
@@ -315,8 +328,11 @@ func (c *ObjectCache) recordLocked(e *cacheEntry) {
 	e.size, e.unsaved = size, false
 }
 
-// tombLocked queues the tombstone of a removed entry for the next flush.
-func (c *ObjectCache) tombLocked(e *cacheEntry) {
+// removeLocked drops e from the cache and queues its tombstone for the next
+// flush.
+func (c *ObjectCache) removeLocked(e *cacheEntry) {
+	delete(c.entries, e.Meta.ID)
+	c.lru.Remove(e.elem)
 	if c.log == nil {
 		return
 	}
@@ -355,16 +371,12 @@ func (c *ObjectCache) compactLocked() {
 	if err != nil {
 		return
 	}
-	live := make([]*cacheEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		live = append(live, e)
-	}
-	slices.SortFunc(live, func(a, b *cacheEntry) int { return cmp.Compare(a.used, b.used) })
 	bw := bufio.NewWriterSize(f, 64<<10)
 	var total int64
-	for _, e := range live {
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*cacheEntry)
 		c.w.Reset()
-		e.size = appendEntryRecord(c.w, e)
+		e.size, e.unsaved = appendEntryRecord(c.w, e), false
 		total += e.size
 		bw.Write(c.w.Bytes()) //nolint:errcheck // Flush reports it
 	}
@@ -378,9 +390,6 @@ func (c *ObjectCache) compactLocked() {
 	}
 	c.log.Close() //nolint:errcheck // the renamed file replaced it
 	c.log, c.logBytes, c.liveBytes = f, total, total
-	for _, e := range live {
-		e.unsaved = false
-	}
 }
 
 // Close releases the entry log; the cache stays usable, memory-only.
@@ -416,6 +425,7 @@ func (c *ObjectCache) BumpEpoch() uint64 {
 	defer c.mu.Unlock()
 	c.epoch++
 	c.entries = make(map[version.ID]*cacheEntry)
+	c.lru.Init()
 	if c.dir != "" {
 		writeEpoch(filepath.Join(c.dir, epochFile), c.epoch) //nolint:errcheck // best effort; restart re-bumps
 	}
@@ -447,6 +457,7 @@ func (c *ObjectCache) Lookup(id version.ID) (meta dovMeta, hash, enc []byte, ok 
 	}
 	c.clock++
 	e.used = c.clock
+	c.lru.MoveToFront(e.elem)
 	return e.Meta, e.Hash, e.Enc, true
 }
 
@@ -483,8 +494,11 @@ func (c *ObjectCache) Put(meta dovMeta, hash, enc []byte) {
 	c.clock++
 	e, ok := c.entries[meta.ID]
 	unchanged := ok && !e.unsaved && bytes.Equal(e.Hash, hash) && e.Meta.equal(meta)
-	if !ok {
+	if ok {
+		c.lru.MoveToFront(e.elem)
+	} else {
 		e = &cacheEntry{}
+		e.elem = c.lru.PushFront(e)
 		c.entries[meta.ID] = e
 	}
 	e.Meta, e.Hash, e.Enc, e.used = meta, hash, enc, c.clock
@@ -503,15 +517,7 @@ func (c *ObjectCache) evictLocked() {
 		limit = DefaultCacheEntries
 	}
 	for len(c.entries) > limit {
-		var victim version.ID
-		var oldest uint64
-		for id, e := range c.entries {
-			if victim == "" || e.used < oldest {
-				victim, oldest = id, e.used
-			}
-		}
-		c.tombLocked(c.entries[victim])
-		delete(c.entries, victim)
+		c.removeLocked(c.lru.Back().Value.(*cacheEntry))
 	}
 }
 
@@ -520,8 +526,7 @@ func (c *ObjectCache) Drop(id version.ID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[id]; ok {
-		delete(c.entries, id)
-		c.tombLocked(e)
+		c.removeLocked(e)
 		c.flushLocked()
 	}
 }
@@ -588,8 +593,7 @@ func (c *ObjectCache) apply(m invalidateMsg) {
 		switch inv.Kind {
 		case invStatus:
 			if inv.Status == version.StatusInvalid {
-				delete(c.entries, inv.DOV)
-				c.tombLocked(e)
+				c.removeLocked(e)
 				continue
 			}
 			e.Meta.Status = inv.Status
